@@ -33,10 +33,8 @@ from .stats import (
     StatsError,
     TestedMetric,
     apply_corrections,
-    bootstrap_ci,
     corrected_cis,
     holm_bonferroni,
-    permutation_p,
     test_metric,
 )
 from .tree import ContextNode, TreeParams, TreeStats, enumerate_splits, find_contexts, score_split

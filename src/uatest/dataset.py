@@ -293,23 +293,6 @@ class Dataset:
             return self
         return self._subset(np.flatnonzero(mask))
 
-    def _replace_column(self, name: str, values: np.ndarray) -> "Dataset":
-        """View with this view's rows of ``name`` overwritten by ``values``.
-
-        Used by permutation tests; rows outside the view keep their data.
-        """
-        attr = self.attribute(name)
-        if len(values) != self.n_rows:
-            raise DataError("replacement column length must match the view's row count")
-        base = self._cols[name].copy()
-        if attr.kind == CONTINUOUS:
-            base[self._idx] = np.asarray(values, dtype=np.float64)
-        else:
-            base[self._idx] = np.asarray(values, dtype=np.int32)
-        cols = dict(self._cols)
-        cols[name] = base
-        return Dataset(self._schema, cols, self._idx)
-
     def with_column(self, attr: AttributeSchema, values: Sequence) -> "Dataset":
         """New view with an extra column whose values align to this view's rows."""
         if attr.name in self._by_name:

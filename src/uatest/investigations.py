@@ -211,9 +211,19 @@ def _output_display(spec: InvestigationSpec) -> str:
     return spec.output
 
 
+def check_explanatory(view: Dataset, explanatory: str) -> None:
+    """Raise DataError unless ``explanatory`` names a categorical or ordinal
+    column of ``view``: conditioning needs strata."""
+    if view.attribute(explanatory).kind == CONTINUOUS:
+        raise DataError(f"explanatory attribute {explanatory!r} is continuous; "
+                        "conditioning needs a categorical or ordinal attribute")
+
+
 def train(spec: InvestigationSpec, train_view: Dataset) -> TrainedInvestigation:
     """Derive candidate contexts on the training set for every protected
     attribute (and each top-ranked label, for discovery)."""
+    if spec.explanatory is not None:
+        check_explanatory(train_view, spec.explanatory)
     cleaned = train_view.drop_missing(spec.used_attributes())
     dropped = train_view.n_rows - cleaned.n_rows
     if dropped:
@@ -614,6 +624,7 @@ def debug_with_explanatory(trained: TrainedInvestigation, explanatory: str,
                            ) -> InvestigationRun:
     """Re-validate the same trained contexts with the metric conditioned on an
     explanatory attribute, on a fresh budgeted test set."""
+    check_explanatory(fresh_test, explanatory)
     spec = replace(trained.spec, explanatory=explanatory)
     units = [TrainUnit(u.protected, u.output, u.label,
                        u.bound.conditioned_on(explanatory), u.contexts, u.tree_stats)

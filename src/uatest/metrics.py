@@ -7,6 +7,7 @@ tables, which the resampling and tree-search code paths rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -85,18 +86,28 @@ def contingency(view: Dataset, protected: str, output: str) -> ContingencyTable:
     populations always produce identical tables. Rows with a missing value
     in either attribute are not counted.
     """
-    p_attr = view.attribute(protected)
-    o_attr = view.attribute(output)
-    for attr in (p_attr, o_attr):
+    counts = joint_counts(view, (output, protected))
+    return ContingencyTable(view.attribute(output).categories,
+                            view.attribute(protected).categories, counts)
+
+
+def joint_counts(view: Dataset, names: Sequence[str]) -> np.ndarray:
+    """Counts of every combination of categories of ``names``, one int64 axis
+    per attribute in schema category order, from a single bincount. Rows
+    with a missing value in any of the attributes are not counted."""
+    attrs = [view.attribute(name) for name in names]
+    for attr in attrs:
         if attr.kind not in (CATEGORICAL, ORDINAL):
             raise MetricError(f"contingency requires categorical attributes, got {attr.kind} {attr.name!r}")
-    s = view.codes(protected)
-    o = view.codes(output)
-    ok = (s >= 0) & (o >= 0)
-    r = len(o_attr.categories)
-    c = len(p_attr.categories)
-    joint = np.bincount(o[ok].astype(np.int64) * c + s[ok], minlength=r * c)
-    return ContingencyTable(o_attr.categories, p_attr.categories, joint.reshape(r, c))
+    codes = [view.codes(name) for name in names]
+    ok = codes[0] >= 0
+    for c in codes[1:]:
+        ok &= c >= 0
+    shape = tuple(len(attr.categories) for attr in attrs)
+    flat = codes[0][ok].astype(np.int64)
+    for c, size in zip(codes[1:], shape[1:]):
+        flat = flat * size + c[ok]
+    return np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
 
 
 # -- vectorized table statistics --------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,13 +23,14 @@ from scipy import stats as sps
 from .dataset import Dataset
 from .metrics import (
     CORR,
+    MIN_STRATUM,
     NMI,
     RATIO,
     BoundMetric,
     MetricError,
     MetricValue,
-    conditional_metric,
     contingency,
+    joint_counts,
     mi_from_tables,
 )
 
@@ -38,6 +40,7 @@ ASYMPTOTIC = "asymptotic"
 RESAMPLING = "permutation+bootstrap"
 
 _BOOT_CHUNK = 256
+_CHUNK_CELLS = 1 << 20
 
 
 class StatsError(Exception):
@@ -161,75 +164,6 @@ def _ci_from_recipe(recipe: tuple, level: float) -> tuple[float, float]:
     raise StatsError(f"unknown CI recipe {kind!r}")
 
 
-# -- generic resampling operations --------------------------------------------
-
-
-def permutation_p(statistic: Callable[[Dataset], float], view: Dataset, protected: str,
-                  n_perm: int = 1000, seed: int = 0, two_sided: bool = True) -> float:
-    """Permutation p-value from shuffling the protected column.
-
-    p = (1 + #{permuted at least as extreme}) / (1 + n_perm). ``two_sided``
-    compares absolute values and suits signed statistics; non-negative
-    statistics should pass False.
-    """
-    if n_perm < 100:
-        raise StatsError("n_perm must be at least 100")
-    compact = _compacted(view)
-    obs = statistic(compact)
-    ref = abs(obs) if two_sided else obs
-    attr = compact.attribute(protected)
-    column = (compact.scalar_values(protected) if attr.kind == "continuous"
-              else compact.codes(protected))
-    rng = np.random.default_rng(seed)
-    exceed = 0
-    for _ in range(n_perm):
-        shuffled = rng.permutation(column)
-        stat = statistic(compact._replace_column(protected, shuffled))
-        stat = abs(stat) if two_sided else stat
-        if np.isnan(stat) or stat >= ref:
-            exceed += 1
-    return (1 + exceed) / (1 + n_perm)
-
-
-def bootstrap_ci(statistic: Callable[[Dataset], float], view: Dataset, n_boot: int = 1000,
-                 conf: float = 0.95, seed: int = 0) -> tuple[float, float]:
-    """Percentile interval of ``statistic`` over row resamples with replacement.
-
-    Resamples on which the statistic raises MetricError are redrawn up to 10
-    times and then skipped; more than half skipped aborts with an
-    "unstable context" error.
-    """
-    if n_boot < 100:
-        raise StatsError("n_boot must be at least 100")
-    compact = _compacted(view)
-    n = compact.n_rows
-    rng = np.random.default_rng(seed)
-    samples = []
-    skipped = 0
-    for _ in range(n_boot):
-        for _attempt in range(10):
-            idx = rng.integers(0, n, n)
-            try:
-                samples.append(statistic(compact._subset(idx)))
-                break
-            except MetricError:
-                continue
-        else:
-            skipped += 1
-    if skipped > n_boot // 2:
-        raise StatsError("unstable context: most bootstrap resamples were degenerate")
-    alpha = 1.0 - conf
-    lo, hi = np.quantile(samples, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return float(lo), float(hi)
-
-
-def _compacted(view: Dataset) -> Dataset:
-    """Copy a view into dense base storage so per-resample costs scale with
-    the view, not with its base dataset."""
-    cols = {name: view._cols[name][view._idx] for name in view.attribute_names()}
-    return Dataset(view.schema, cols)
-
-
 # -- the main dispatch ---------------------------------------------------------
 
 
@@ -240,8 +174,9 @@ def test_metric(view: Dataset, bound: BoundMetric, cfg: StatConfig,
     Table metrics permute by drawing fixed-margin tables (exactly the
     distribution induced by shuffling the protected column) and bootstrap by
     multinomial resampling of the joint counts, both vectorized. Conditional
-    metrics always resample: the permutation shuffles the protected column
-    within each explanatory stratum.
+    metrics always resample, the same way on one table per explanatory
+    stratum: the permutation shuffles the protected column within each
+    stratum.
     """
     bound = bound.resolve(view)
     n = view.n_rows
@@ -267,12 +202,13 @@ def _test_tabular(view: Dataset, bound: BoundMetric, cfg: StatConfig,
         raise MetricError(f"{bound.kind.display} undefined on this population")
     value = MetricValue(bound.kind, obs)
 
+    values = partial(bound.value_from_tables, view)
     # RATIO has no asymptotic route here; it always resamples.
     resample = n <= cfg.small_sample_threshold or bound.kind.name == RATIO
     if resample:
-        perm_stats = bound.value_from_tables(view, _fixed_margin_tables(counts, cfg.n_permutations, rng))
+        perm_stats = values(_fixed_margin_tables(counts, cfg.n_permutations, rng))
         p = _perm_pvalue(perm_stats, obs, two_sided=bound.kind.signed)
-        samples = _bootstrap_table_stats(view, bound, counts, cfg.n_bootstrap, rng)
+        samples = _bootstrap_table_stats(counts, values, cfg.n_bootstrap, rng)
         recipe = ("percentile", samples, obs)
         return TestedMetric(value, _ci_from_recipe(recipe, cfg.conf), p, RESAMPLING, _recipe=recipe)
 
@@ -283,7 +219,7 @@ def _test_tabular(view: Dataset, bound: BoundMetric, cfg: StatConfig,
         live_c = int((counts.sum(axis=0) > 0).sum())
         dof = max(1, (live_r - 1) * (live_c - 1))
         p = float(sps.chi2.sf(g, dof))
-        samples = _bootstrap_table_stats(view, bound, counts, cfg.n_bootstrap, rng)
+        samples = _bootstrap_table_stats(counts, values, cfg.n_bootstrap, rng)
         recipe = ("percentile", samples, obs)
         return TestedMetric(value, _ci_from_recipe(recipe, cfg.conf), p, ASYMPTOTIC, _recipe=recipe)
 
@@ -330,25 +266,37 @@ def _perm_pvalue(perm_stats: np.ndarray, obs: float, two_sided: bool) -> float:
     return (1 + exceed) / (1 + len(perm_stats))
 
 
-def _bootstrap_table_stats(view: Dataset, bound: BoundMetric, counts: np.ndarray,
-                           n_boot: int, rng: np.random.Generator) -> np.ndarray:
-    """Bootstrap statistics via multinomial resampling of the joint counts
-    (equivalent in distribution to resampling rows with replacement)."""
-    flat = counts.ravel().astype(np.int64)
-    n = int(flat.sum())
-    probs = flat / n
-    tables = rng.multinomial(n, probs, size=n_boot).reshape(n_boot, *counts.shape)
-    stats_ = bound.value_from_tables(view, tables)
+def _bootstrap(draw: Callable[[int], np.ndarray], n_boot: int) -> np.ndarray:
+    """Sorted statistics of ``n_boot`` resamples, ``draw(m)`` giving m of them.
+
+    NaN marks a degenerate resample; those are redrawn for up to 10 rounds
+    and then skipped, and more than half skipped is an "unstable context".
+    """
+    stats_ = draw(n_boot)
     for _round in range(10):
         bad = np.flatnonzero(np.isnan(stats_))
         if len(bad) == 0:
             break
-        redraw = rng.multinomial(n, probs, size=len(bad)).reshape(len(bad), *counts.shape)
-        stats_[bad] = bound.value_from_tables(view, redraw)
+        stats_[bad] = draw(len(bad))
     stats_ = stats_[~np.isnan(stats_)]
     if len(stats_) < n_boot // 2:
         raise StatsError("unstable context: most bootstrap resamples were degenerate")
     return np.sort(stats_)
+
+
+def _bootstrap_table_stats(counts: np.ndarray, statistic: Callable[[np.ndarray], np.ndarray],
+                           n_boot: int, rng: np.random.Generator) -> np.ndarray:
+    """Bootstrap ``statistic`` of a stack of count tables via multinomial
+    resampling of the joint counts (equivalent in distribution to resampling
+    rows with replacement)."""
+    flat = counts.ravel().astype(np.int64)
+    n = int(flat.sum())
+    probs = flat / n
+
+    def draw(m: int) -> np.ndarray:
+        return statistic(rng.multinomial(n, probs, size=m).reshape(m, *counts.shape))
+
+    return _bootstrap(draw, n_boot)
 
 
 # -- correlation ---------------------------------------------------------------
@@ -375,7 +323,8 @@ def _test_corr(view: Dataset, bound: BoundMetric, cfg: StatConfig,
     value = MetricValue(bound.kind, obs)
     m = len(x)
     if m <= cfg.small_sample_threshold:
-        p = _corr_permutation_p(x, y, obs, cfg.n_permutations, rng)
+        p = _perm_pvalue(_corr_permutation_stats(x, y, cfg.n_permutations, rng), obs,
+                         two_sided=True)
         samples = _corr_bootstrap(x, y, cfg.n_bootstrap, rng)
         recipe = ("percentile", samples, obs)
         return TestedMetric(value, _ci_from_recipe(recipe, cfg.conf), p, RESAMPLING, _recipe=recipe)
@@ -388,21 +337,25 @@ def _test_corr(view: Dataset, bound: BoundMetric, cfg: StatConfig,
     return TestedMetric(value, _ci_from_recipe(recipe, cfg.conf), p, ASYMPTOTIC, _recipe=recipe)
 
 
-def _corr_permutation_p(x: np.ndarray, y: np.ndarray, obs: float, n_perm: int,
-                        rng: np.random.Generator) -> float:
+def _chunks(total: int, n_rows: int):
+    """Batch sizes for ``total`` resamples of ``n_rows`` rows each: at most
+    _BOOT_CHUNK resamples and about _CHUNK_CELLS cells per batch."""
+    step = max(1, min(_BOOT_CHUNK, _CHUNK_CELLS // max(1, n_rows)))
+    for done in range(0, total, step):
+        yield min(step, total - done)
+
+
+def _corr_permutation_stats(x: np.ndarray, y: np.ndarray, n_perm: int,
+                            rng: np.random.Generator) -> np.ndarray:
+    """Correlations of ``y`` with ``n_perm`` shuffles of ``x``."""
     n = len(x)
     yc = y - y.mean()
     denom = n * x.std() * y.std()
-    exceed = 0
-    done = 0
-    while done < n_perm:
-        chunk = min(_BOOT_CHUNK, n_perm - done)
-        xs = np.tile(x, (chunk, 1))
-        xs = rng.permuted(xs, axis=1)
-        stats_ = (xs - x.mean()) @ yc / denom
-        exceed += int(np.sum(np.abs(stats_) >= abs(obs)))
-        done += chunk
-    return (1 + exceed) / (1 + n_perm)
+    out = []
+    for chunk in _chunks(n_perm, n):
+        xs = rng.permuted(np.tile(x, (chunk, 1)), axis=1)
+        out.append((xs - x.mean()) @ yc / denom)
+    return np.concatenate(out)
 
 
 def _corr_bootstrap(x: np.ndarray, y: np.ndarray, n_boot: int,
@@ -430,79 +383,103 @@ def _corr_bootstrap(x: np.ndarray, y: np.ndarray, n_boot: int,
 
 
 # -- conditional metrics --------------------------------------------------------
+#
+# A conditional metric is the size-weighted mean of its base metric over the
+# strata of an explanatory attribute. Tabular metrics work on one (stratum,
+# output, protected) count tensor; correlations on per-stratum moments.
 
 
 def _test_conditional(view: Dataset, bound: BoundMetric, cfg: StatConfig,
                       rng: np.random.Generator) -> TestedMetric:
-    cond = conditional_metric(view, bound)
-    obs = cond.aggregate.value
-    value = MetricValue(bound.kind, obs)
+    """Permute the protected column within each retained stratum; bootstrap
+    rows of the whole population, re-applying the stratum exclusions to each
+    resample."""
+    explanatory = bound.kind.explanatory
+    base = bound.unconditional()
+    n_perm = cfg.n_permutations
+    if bound.tabular:
+        tensor = joint_counts(view, (explanatory, base.output, base.protected))
+        values = partial(base.value_from_tables, view)
+        vals, sizes = values(tensor), tensor.sum(axis=(1, 2))
+        kept = _kept_strata(vals, sizes)
+        perm_vals = values(np.stack([_fixed_margin_tables(tensor[k], n_perm, rng)
+                                     for k in kept], axis=1))
+        samples = _bootstrap_table_stats(
+            tensor, lambda t: _stratum_mean(values(t), t.sum(axis=(-2, -1))),
+            cfg.n_bootstrap, rng)
+    elif bound.kind.name == CORR:
+        e = view.codes(explanatory).astype(np.int64)
+        x = view.scalar_values(base.protected)
+        y = view.scalar_values(base.output)
+        ok = (e >= 0) & ~(np.isnan(x) | np.isnan(y))
+        e, x, y = e[ok], x[ok], y[ok]
+        n, n_strata = len(e), len(view.attribute(explanatory).categories)
+        vals, sizes = _stratum_corr(x, y, e, n_strata)
+        kept = _kept_strata(vals, sizes)
+        perm_vals = np.stack([_corr_permutation_stats(x[e == k], y[e == k], n_perm, rng)
+                              for k in kept], axis=1)
 
-    e_codes = view.codes(bound.kind.explanatory)
-    retained = [p.value for p in cond.strata if p.excluded is None]
-    e_attr = view.attribute(bound.kind.explanatory)
-    strata_rows = [np.flatnonzero(e_codes == e_attr.categories.index(cat)) for cat in retained]
+        def draw(m: int) -> np.ndarray:
+            out = []
+            for chunk in _chunks(m, n):
+                idx = rng.integers(0, n, size=(chunk, n))
+                key = np.arange(chunk)[:, None] * n_strata + e[idx]
+                v, c = _stratum_corr(x[idx].ravel(), y[idx].ravel(), key.ravel(),
+                                     chunk * n_strata)
+                out.append(_stratum_mean(v.reshape(chunk, n_strata), c.reshape(chunk, n_strata)))
+            return np.concatenate(out)
 
-    base = bound.unconditional().resolve(view)
-    p = _conditional_permutation_p(view, base, strata_rows, obs, cfg.n_permutations, rng)
-    samples = _conditional_bootstrap(view, bound, cfg.n_bootstrap, rng)
+        samples = _bootstrap(draw, cfg.n_bootstrap)
+    else:
+        raise MetricError(f"no statistical test for metric {bound.kind.display!r}")
+
+    obs = float(_stratum_mean(vals, sizes))
+    # the retained strata keep their sizes under permutation; NaN propagates
+    # from any undefined stratum and counts as extreme
+    p = _perm_pvalue(_weighted_mean(perm_vals, sizes[kept]), obs, two_sided=bound.kind.signed)
     recipe = ("percentile", samples, obs)
-    return TestedMetric(value, _ci_from_recipe(recipe, cfg.conf), p, RESAMPLING, _recipe=recipe)
+    return TestedMetric(MetricValue(bound.kind, obs), _ci_from_recipe(recipe, cfg.conf), p,
+                        RESAMPLING, _recipe=recipe)
 
 
-def _stratum_statistic(base: BoundMetric, view: Dataset, rows: np.ndarray,
-                       s_override: np.ndarray | None = None) -> float:
-    sub = view._subset(rows)
-    if s_override is not None:
-        sub = sub._replace_column(base.protected, s_override)
-    try:
-        return base.value(sub)
-    except MetricError:
-        return np.nan
+def _kept_strata(vals: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    kept = np.flatnonzero((sizes >= MIN_STRATUM) & ~np.isnan(vals))
+    if len(kept) == 0:
+        raise MetricError("no explanatory stratum is large enough to evaluate")
+    return kept
 
 
-def _conditional_permutation_p(view: Dataset, base: BoundMetric,
-                               strata_rows: list[np.ndarray], obs: float,
-                               n_perm: int, rng: np.random.Generator) -> float:
-    """Permutation null that shuffles the protected column within each
-    explanatory stratum, preserving the stratum structure."""
-    compact = _compacted(view)
-    attr = compact.attribute(base.protected)
-    col = (compact.scalar_values(base.protected) if attr.kind == "continuous"
-           else compact.codes(base.protected))
-    sizes = np.array([len(r) for r in strata_rows], dtype=np.float64)
-    total = sizes.sum()
-    two_sided = base.kind.signed
-    ref = abs(obs) if two_sided else obs
-    exceed = 0
-    for _ in range(n_perm):
-        vals = np.empty(len(strata_rows))
-        for i, rows in enumerate(strata_rows):
-            vals[i] = _stratum_statistic(base, compact, rows, rng.permutation(col[rows]))
-        stat = float(np.sum(sizes * vals) / total)
-        if two_sided:
-            stat = abs(stat)
-        if np.isnan(stat) or stat >= ref:
-            exceed += 1
-    return (1 + exceed) / (1 + n_perm)
+def _weighted_mean(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted mean over the last (stratum) axis; NaN where the weights sum
+    to zero. The sum runs stratum by stratum, so the same strata give
+    bit-equal results whatever the leading (resample) axes."""
+    weights = np.broadcast_to(weights, vals.shape)
+    total = np.zeros(vals.shape[:-1])
+    weight = np.zeros(vals.shape[:-1])
+    for k in range(vals.shape[-1]):
+        total = total + weights[..., k] * vals[..., k]
+        weight = weight + weights[..., k]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(weight > 0, total / weight, np.nan)
 
 
-def _conditional_bootstrap(view: Dataset, bound: BoundMetric, n_boot: int,
-                           rng: np.random.Generator) -> np.ndarray:
-    compact = _compacted(view)
-    n = compact.n_rows
-    samples = []
-    skipped = 0
-    for _ in range(n_boot):
-        for _attempt in range(10):
-            idx = rng.integers(0, n, n)
-            try:
-                samples.append(conditional_metric(compact._subset(idx), bound).aggregate.value)
-                break
-            except MetricError:
-                continue
-        else:
-            skipped += 1
-    if skipped > n_boot // 2:
-        raise StatsError("unstable context: most bootstrap resamples were degenerate")
-    return np.sort(np.asarray(samples))
+def _stratum_mean(vals: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The conditional aggregate over the last axis: strata below MIN_STRATUM
+    rows or with an undefined value are left out (NaN if none is left)."""
+    keep = (sizes >= MIN_STRATUM) & ~np.isnan(vals)
+    return _weighted_mean(np.where(keep, vals, 0.0), np.where(keep, sizes, 0))
+
+
+def _stratum_corr(x: np.ndarray, y: np.ndarray, key: np.ndarray,
+                  groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson correlation of ``x`` and ``y`` within each of ``groups`` groups
+    of ``key``, and the group sizes. Moments are taken about each group's
+    mean; NaN marks groups of fewer than 3 rows or with a constant column."""
+    sizes = np.bincount(key, minlength=groups)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dx = x - (np.bincount(key, x, groups) / sizes)[key]
+        dy = y - (np.bincount(key, y, groups) / sizes)[key]
+        sxx = np.bincount(key, dx * dx, groups)
+        syy = np.bincount(key, dy * dy, groups)
+        r = np.clip(np.bincount(key, dx * dy, groups) / np.sqrt(sxx * syy), -1.0, 1.0)
+    return np.where((sizes >= 3) & (sxx > 0) & (syy > 0), r, np.nan), sizes

@@ -185,3 +185,42 @@ def test_error_profile_cli(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Report of associations of O=Abs. Error(pred) on S=age" in out
     assert "CORR" in out
+
+
+@pytest.fixture()
+def scored_csv(tmp_path):
+    """Berkeley admissions plus a continuous ``score`` column."""
+    import numpy as np
+    from uatest.dataset import AttributeSchema
+    data = berkeley_admissions()
+    score = np.random.default_rng(7).uniform(0, 100, data.n_rows)
+    path = tmp_path / "scored.csv"
+    save_csv(data.with_column(AttributeSchema("score", "continuous"), score), path)
+    return str(path)
+
+
+ROLES = ["--protected", "gender", "--output", "admitted", "--context", "department"]
+
+
+def test_testing_rejects_continuous_explanatory(scored_csv, capsys):
+    code = main(["testing", "--data", scored_csv, *ROLES, "--explanatory", "score",
+                 "--seed", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "'score'" in captured.err and "continuous" in captured.err
+    assert captured.out == ""
+
+
+def test_debug_rejects_bad_explanatory(scored_csv, tmp_path, capsys):
+    state = tmp_path / "state.json"
+    assert main(["testing", "--data", scored_csv, *ROLES, "--seed", "2", "--budget", "2",
+                 "--state", str(state), "--out", str(tmp_path / "r1.txt")]) == 0
+    capsys.readouterr()
+    for column, reason in (("score", "continuous"), ("nosuch", "no attribute")):
+        assert main(["debug", "--data", scored_csv, "--state", str(state),
+                     "--explanatory", column]) == 2
+        err = capsys.readouterr().err
+        assert f"'{column}'" in err and reason in err
+    # a rejected debug run spends no test set
+    assert main(["debug", "--data", scored_csv, "--state", str(state),
+                 "--explanatory", "department", "--out", str(tmp_path / "r2.txt")]) == 0

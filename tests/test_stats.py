@@ -3,17 +3,23 @@ import pytest
 from scipy import stats as sps
 
 from uatest.dataset import AttributeSchema, Dataset
-from uatest.metrics import BoundMetric, MetricKind, binary_difference, contingency
+from uatest.metrics import (
+    BoundMetric,
+    MetricError,
+    MetricKind,
+    conditional_metric,
+    joint_counts,
+    pearson_correlation,
+)
 from uatest.stats import (
     StatConfig,
     StatsError,
     TestedMetric,
     apply_corrections,
-    bootstrap_ci,
     corrected_cis,
     holm_bonferroni,
-    permutation_p,
 )
+from uatest.stats import _stratum_corr, _stratum_mean
 from uatest.stats import test_metric as evaluate_metric
 from tests.test_metrics import DEPT_A_SAMPLE, PRICING_GLOBAL, dataset_from_table
 
@@ -47,7 +53,7 @@ def test_holm_rejects_bad_input():
         holm_bonferroni([0.5, 1.5])
 
 
-# -- generic resampling ---------------------------------------------------------
+# -- resampling ------------------------------------------------------------------
 
 
 def two_col_dataset(s, o, s_cats=("a", "b"), o_cats=("0", "1")):
@@ -56,64 +62,225 @@ def two_col_dataset(s, o, s_cats=("a", "b"), o_cats=("0", "1")):
     return Dataset.from_columns(schema, {"s": s, "o": o})
 
 
-def diff_stat(view):
-    t = contingency(view, "s", "o")
-    return binary_difference(t, "1", "a", "b").value
+def stratified_dataset(s, o, e, e_cats=("L", "R")):
+    schema = [AttributeSchema("s", "categorical", "protected", ("a", "b")),
+              AttributeSchema("o", "categorical", "output", ("0", "1")),
+              AttributeSchema("e", "categorical", "explanatory", e_cats)]
+    return Dataset.from_columns(schema, {"s": list(s), "o": list(o), "e": list(e)})
+
+
+def stratified_null(n, seed):
+    """Two strata with different base rates of s and o, s independent of o
+    within each stratum."""
+    r = np.random.default_rng(seed)
+    e = r.choice(["L", "R"], n)
+    s = np.where(r.random(n) < np.where(e == "L", 0.3, 0.7), "a", "b")
+    o = np.where(r.random(n) < np.where(e == "L", 0.2, 0.6), "1", "0")
+    return stratified_dataset(s, o, e)
+
+
+DIFF = BoundMetric(MetricKind("diff"), "s", "o")
+COND_DIFF = BoundMetric(MetricKind("diff", "e"), "s", "o")
 
 
 def test_permutation_p_extreme_and_constant():
-    rng = np.random.default_rng(1)
     s = ["a", "b"] * 100
     o = ["1" if x == "a" else "0" for x in s]  # perfect association
-    d = two_col_dataset(s, o)
-    p = permutation_p(diff_stat, d, "s", n_perm=500, seed=4)
-    assert p == pytest.approx(1 / 501)
-    constant = permutation_p(lambda v: 1.0, d, "s", n_perm=200, seed=4)
-    assert constant == 1.0
+    cfg = StatConfig(seed=4, n_permutations=500)
+    assert evaluate_metric(two_col_dataset(s, o), DIFF, cfg).p == pytest.approx(1 / 501)
+    e = ["L"] * 100 + ["R"] * 100
+    assert evaluate_metric(stratified_dataset(s, o, e), COND_DIFF, cfg).p == pytest.approx(1 / 501)
+    # a constant output makes every permuted statistic equal the observed one
+    constant = stratified_dataset(s, ["1"] * 200, e)
+    assert evaluate_metric(constant, COND_DIFF, cfg).p == 1.0
 
 
 def test_permutation_p_deterministic():
-    rng = np.random.default_rng(2)
-    s = rng.choice(["a", "b"], 300)
-    o = rng.choice(["0", "1"], 300)
-    d = two_col_dataset(list(s), list(o))
-    p1 = permutation_p(diff_stat, d, "s", n_perm=300, seed=9)
-    p2 = permutation_p(diff_stat, d, "s", n_perm=300, seed=9)
-    assert p1 == p2
+    d = stratified_null(300, 2)
+    cfg = StatConfig(seed=9, n_permutations=300, n_bootstrap=300)
+    t1 = evaluate_metric(d, COND_DIFF, cfg, entropy=(1, 5))
+    t2 = evaluate_metric(d, COND_DIFF, cfg, entropy=(1, 5))
+    t3 = evaluate_metric(d, COND_DIFF, cfg, entropy=(1, 6))
+    assert t1 == t2
+    assert np.array_equal(t1._recipe[1], t2._recipe[1])
+    assert t1.p != t3.p or t1.ci != t3.ci
 
 
 def test_bootstrap_ci_constant_statistic():
-    d = two_col_dataset(["a", "b"] * 50, ["0", "1"] * 50)
-    lo, hi = bootstrap_ci(lambda v: 3.25, d, n_boot=200, conf=0.95, seed=0)
-    assert (lo, hi) == (3.25, 3.25)
+    # a constant output gives DIFF = 0 on every resample that has both groups
+    cfg = StatConfig(seed=0, n_bootstrap=200)
+    d = two_col_dataset(["a", "b"] * 50, ["1"] * 100)
+    assert evaluate_metric(d, DIFF, cfg).ci == (0.0, 0.0)
+    d = stratified_dataset(["a", "b"] * 50, ["1"] * 100, ["L"] * 50 + ["R"] * 50)
+    assert evaluate_metric(d, COND_DIFF, cfg).ci == (0.0, 0.0)
 
 
 def test_bootstrap_ci_width_shrinks_with_n():
-    rng = np.random.default_rng(5)
-
     def make(n, seed):
         r = np.random.default_rng(seed)
+        e = r.choice(["L", "R"], n)
         s = r.choice(["a", "b"], n)
-        p = np.where(s == "a", 0.6, 0.4)
-        o = np.where(r.random(n) < p, "1", "0")
-        return two_col_dataset(list(s), list(o))
+        o = np.where(r.random(n) < np.where(s == "a", 0.6, 0.4), "1", "0")
+        return stratified_dataset(s, o, e)
 
-    small = make(100, 1)
-    large = make(10000, 2)
-    lo_s, hi_s = bootstrap_ci(diff_stat, small, n_boot=400, conf=0.95, seed=3)
-    lo_l, hi_l = bootstrap_ci(diff_stat, large, n_boot=400, conf=0.95, seed=3)
+    cfg = StatConfig(seed=3, n_bootstrap=400)
+    lo_s, hi_s = evaluate_metric(make(100, 1), COND_DIFF, cfg).ci
+    lo_l, hi_l = evaluate_metric(make(10000, 2), COND_DIFF, cfg).ci
     assert hi_s - lo_s > hi_l - lo_l
 
 
-def test_bootstrap_unstable_context():
-    # a statistic whose preconditions can never hold exhausts every redraw
-    d = two_col_dataset(["a", "b"] * 20, ["0", "1"] * 20)
+def test_bootstrap_unstable_context(monkeypatch):
+    # a metric defined on the observed strata but on no resample exhausts
+    # every redraw; the observed tensor is (K, r, c), the permuted and
+    # resampled stacks are (m, K, r, c)
+    original = BoundMetric.value_from_tables
 
-    def impossible(view):
-        raise __import__("uatest.metrics", fromlist=["MetricError"]).MetricError("nope")
+    def undefined_on_resamples(self, view, tables):
+        if np.ndim(tables) == 4:
+            return np.full(np.shape(tables)[:-2], np.nan)
+        return original(self, view, tables)
 
+    monkeypatch.setattr(BoundMetric, "value_from_tables", undefined_on_resamples)
     with pytest.raises(StatsError, match="unstable context"):
-        bootstrap_ci(impossible, d, n_boot=100, conf=0.95, seed=0)
+        evaluate_metric(stratified_null(200, 0), COND_DIFF, StatConfig(seed=0))
+
+
+def test_conditional_one_stratum_matches_unconditional_exactly():
+    r = np.random.default_rng(21)
+    n = 900
+    s = r.choice(["a", "b"], n)
+    o = np.where(r.random(n) < np.where(s == "a", 0.55, 0.45), "1", "0")
+    d = stratified_dataset(s, o, ["only"] * n, e_cats=("only",))
+    cfg = StatConfig(seed=6)
+    plain = evaluate_metric(d, DIFF, cfg, entropy=(2, 3))
+    cond = evaluate_metric(d, COND_DIFF, cfg, entropy=(2, 3))
+    assert plain.method == cond.method == "permutation+bootstrap"
+    assert cond.p == plain.p
+    assert cond.value.value == pytest.approx(plain.value.value, abs=1e-12)
+    assert cond.ci == pytest.approx(plain.ci, abs=1e-12)
+    assert len(cond._recipe[1]) == len(plain._recipe[1])
+    assert np.max(np.abs(cond._recipe[1] - plain._recipe[1])) <= 1e-12
+
+
+def test_conditional_value_matches_conditional_metric():
+    d = stratified_null(700, 4)
+    tm = evaluate_metric(d, COND_DIFF, StatConfig(seed=0, n_bootstrap=200))
+    assert tm.value.value == pytest.approx(conditional_metric(d, COND_DIFF.resolve(d)).aggregate.value,
+                                           abs=1e-12)
+
+
+def test_conditional_bootstrap_reapplies_stratum_exclusions():
+    # stratum L: 200 rows, constant output, DIFF 0 on every resample; stratum
+    # R: 9 rows with DIFF 1, below MIN_STRATUM. R enters only the resamples
+    # that draw it at least 10 times (about 40% of them).
+    s = ["a", "b"] * 100 + ["a"] * 5 + ["b"] * 4
+    o = ["0"] * 200 + ["1"] * 5 + ["0"] * 4
+    d = stratified_dataset(s, o, ["L"] * 200 + ["R"] * 9)
+    tm = evaluate_metric(d, COND_DIFF, StatConfig(seed=1, n_bootstrap=1000))
+    samples = tm._recipe[1]
+    assert tm.value.value == 0.0
+    assert 0.5 < np.mean(samples == 0.0) < 0.7
+    assert samples.max() > 0.0
+
+
+def test_batched_resample_statistics_match_conditional_metric():
+    # the per-resample aggregates, batched as the bootstrap computes them,
+    # against the per-stratum loop of conditional_metric on the same rows;
+    # stratum "r" hovers around MIN_STRATUM, so exclusions vary by resample
+    r = np.random.default_rng(12)
+    n, n_res = 120, 60
+    e = r.choice(3, n, p=[0.6, 0.32, 0.08])
+    x = r.normal(size=n)
+    y = 0.4 * x + r.normal(size=n)
+    schema = [AttributeSchema("x", "continuous", "protected"),
+              AttributeSchema("y", "continuous", "output"),
+              AttributeSchema("s", "categorical", "protected", ("a", "b")),
+              AttributeSchema("o", "categorical", "output", ("0", "1")),
+              AttributeSchema("e", "categorical", "explanatory", ("p", "q", "r"))]
+    d = Dataset(schema, {"x": x, "y": y, "s": (x > 0).astype(np.int32),
+                         "o": (y > 0).astype(np.int32), "e": e.astype(np.int32)})
+    idx = r.integers(0, n, size=(n_res, n))
+    diff = COND_DIFF.resolve(d)
+    corr = BoundMetric(MetricKind("corr", "e"), "x", "y")
+
+    def reference(bound):
+        out = []
+        for rows in idx:
+            try:
+                out.append(conditional_metric(d._subset(rows), bound).aggregate.value)
+            except MetricError:
+                out.append(np.nan)
+        return np.array(out)
+
+    tables = np.stack([joint_counts(d._subset(rows), ("e", "o", "s")) for rows in idx])
+    diffs = _stratum_mean(diff.unconditional().value_from_tables(d, tables),
+                          tables.sum(axis=(-2, -1)))
+    key = np.arange(n_res)[:, None] * 3 + e[idx]
+    v, c = _stratum_corr(x[idx].ravel(), y[idx].ravel(), key.ravel(), n_res * 3)
+    corrs = _stratum_mean(v.reshape(n_res, 3), c.reshape(n_res, 3))
+    assert np.isnan(reference(diff)).sum() == 0  # stratum "p" always qualifies
+    np.testing.assert_allclose(diffs, reference(diff), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(corrs, reference(corr), rtol=0, atol=1e-12)
+
+
+def test_conditional_undefined_permuted_stratum_counts_as_extreme():
+    # COND-RATIO. Stratum L holds the only target row, in group b: RATIO is
+    # -1, and undefined on every shuffle that moves the row to group a.
+    # Stratum R has a constant output: RATIO is 0 on every shuffle. Every
+    # permuted aggregate is either the observed -0.5 or undefined.
+    s = ["a", "b"] * 100
+    o = ["0"] * 99 + ["1"] + ["1"] * 100
+    d = stratified_dataset(s, o, ["L"] * 100 + ["R"] * 100)
+    bound = BoundMetric(MetricKind("ratio", "e"), "s", "o")
+    tm = evaluate_metric(d, bound, StatConfig(seed=5, n_permutations=200, n_bootstrap=200))
+    assert tm.value.value == -0.5
+    assert tm.p == 1.0
+
+
+def corr_strata_dataset(n, seed, slope):
+    r = np.random.default_rng(seed)
+    e = r.choice(3, n)
+    x = r.normal(size=n) + e  # the strata differ in level, not in slope
+    y = slope * x * (e == 0) + 2.0 * e + r.normal(size=n)
+    schema = [AttributeSchema("x", "continuous", "protected"),
+              AttributeSchema("y", "continuous", "output"),
+              AttributeSchema("e", "categorical", "explanatory", ("p", "q", "r"))]
+    return Dataset(schema, {"x": x, "y": y, "e": e.astype(np.int32)}), x, y, e
+
+
+def test_conditional_corr_aggregate_and_p_floor():
+    d, x, y, e = corr_strata_dataset(1500, 8, slope=1.5)
+    bound = BoundMetric(MetricKind("corr", "e"), "x", "y")
+    cfg = StatConfig(seed=2, n_permutations=300, n_bootstrap=300)
+    tm = evaluate_metric(d, bound, cfg, entropy=(1,))
+    brute = sum((e == k).sum() * pearson_correlation(x[e == k], y[e == k]).value
+                for k in range(3)) / len(e)
+    assert tm.value.value == pytest.approx(brute, abs=1e-12)
+    assert tm.method == "permutation+bootstrap"
+    assert tm.p == pytest.approx(1 / 301)
+    lo, hi = tm.ci
+    assert lo <= tm.value.value <= hi
+    assert evaluate_metric(d, bound, cfg, entropy=(1,)) == tm
+
+
+def test_conditional_corr_null_is_not_significant_across_strata():
+    # y tracks x only through the stratum levels: conditioning removes it
+    d, x, y, e = corr_strata_dataset(1500, 9, slope=0.0)
+    assert pearson_correlation(x, y).value > 0.3
+    bound = BoundMetric(MetricKind("corr", "e"), "x", "y")
+    tm = evaluate_metric(d, bound, StatConfig(seed=2, n_permutations=300, n_bootstrap=300))
+    assert abs(tm.value.value) < 0.1
+    assert tm.p > 0.01
+
+
+def test_conditional_permutation_p_uniformity():
+    cfg = StatConfig(seed=0)
+    ps = []
+    for seed in range(200):
+        tm = evaluate_metric(stratified_null(400, seed), COND_DIFF, cfg, entropy=(7, seed))
+        assert tm.method == "permutation+bootstrap"
+        ps.append(tm.p)
+    assert sps.kstest(ps, "uniform").statistic < 0.1
 
 
 # -- test_metric ---------------------------------------------------------------
