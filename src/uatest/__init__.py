@@ -37,7 +37,7 @@ from .stats import (
     holm_bonferroni,
     test_metric,
 )
-from .tree import ContextNode, TreeParams, TreeStats, enumerate_splits, find_contexts, score_split
+from .tree import ContextNode, TreeParams, TreeStats, enumerate_splits, find_contexts
 from .investigations import (
     DISCOVERY,
     ERROR_PROFILING,

@@ -19,7 +19,6 @@ import sys
 
 from .dataset import (
     BudgetError,
-    ContextPredicate,
     DataError,
     DataSource,
     load_csv,
@@ -39,7 +38,7 @@ from .investigations import (
     validate,
 )
 from .metrics import BoundMetric, MetricError, MetricKind
-from .report import render_text, report_to_obj
+from .report import _predicate_from_obj, _predicate_to_obj, render_text, report_to_obj
 from .stats import StatConfig, StatsError
 from .synth import run_detection_benchmark, tree_vs_itemsets
 from .tree import ContextNode, TreeParams, TreeStats
@@ -205,12 +204,6 @@ def _bound_from_obj(obj: dict) -> BoundMetric:
                        obj.get("group_a"), obj.get("group_b"))
 
 
-def _predicate_obj(p: ContextPredicate) -> dict:
-    if p.op == "in":
-        return {"attribute": p.attribute, "op": p.op, "values": list(p.values)}
-    return {"attribute": p.attribute, "op": p.op, "threshold": p.threshold}
-
-
 def _save_state(path: str, args, spec: InvestigationSpec, source: DataSource,
                 trained: TrainedInvestigation, reports) -> None:
     state = {
@@ -250,7 +243,7 @@ def _save_state(path: str, args, spec: InvestigationSpec, source: DataSource,
                 "label": u.label,
                 "bound": _bound_to_obj(u.bound),
                 "contexts": [
-                    {"predicates": [_predicate_obj(p) for p in c.predicates],
+                    {"predicates": [_predicate_to_obj(p) for p in c.predicates],
                      "n_train": c.n_train,
                      "train_metric": None if c.train_metric != c.train_metric
                      else c.train_metric}
@@ -289,12 +282,7 @@ def _restore_state(path: str, data_path: str):
     for uo in state["units"]:
         contexts = []
         for co in uo["contexts"]:
-            preds = tuple(
-                ContextPredicate(p["attribute"], p["op"],
-                                 values=tuple(p["values"]) if "values" in p else None,
-                                 threshold=p.get("threshold"))
-                for p in co["predicates"]
-            )
+            preds = tuple(_predicate_from_obj(p) for p in co["predicates"])
             metric_value = co["train_metric"]
             contexts.append(ContextNode(preds, co["n_train"],
                                         float("nan") if metric_value is None else metric_value,
@@ -345,7 +333,7 @@ def _run_investigation_cmd(args, kind: str) -> int:
 
 def _debug_cmd(args) -> int:
     state, trained = _restore_state(args.state, args.data)
-    data = load_csv(args.data, _schema_for_debug(trained, args))
+    data = load_csv(args.data, _schema_for_debug(args))
     ds_obj = state["datasource"]
     source = DataSource(data, budget=ds_obj["budget"], train_fraction=ds_obj["train_fraction"],
                         seed=ds_obj["seed"], min_size=ds_obj["min_size"])
@@ -361,7 +349,7 @@ def _debug_cmd(args) -> int:
     return 0
 
 
-def _schema_for_debug(trained: TrainedInvestigation, args):
+def _schema_for_debug(args):
     if getattr(args, "schema", None):
         with open(args.schema) as fh:
             return schema_from_json(json.load(fh))
@@ -425,9 +413,6 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"uatest: {exc}\n")
         return DATA_ERROR
     return 0
-
-
-run = main  # canonical operation name
 
 
 if __name__ == "__main__":

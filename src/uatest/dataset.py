@@ -117,11 +117,6 @@ def _fmt_number(x: float) -> str:
     return f"{x:g}"
 
 
-def predicates_subset(a: Sequence[ContextPredicate], b: Sequence[ContextPredicate]) -> bool:
-    """True when every predicate of ``a`` also appears in ``b``."""
-    return set(a) <= set(b)
-
-
 class Dataset:
     """Immutable columnar table addressed through a row-index view.
 

@@ -171,9 +171,13 @@ def select_metric(view: Dataset, protected: str, output: str,
         elif p.is_scalar and o.is_scalar:
             name = CORR
         else:
+            # no metric pairs a categorical with a continuous column
+            continuous = [repr(a.name) for a in (p, o) if a.kind == CONTINUOUS]
+            hint = (f"pin {' and '.join(continuous)} as categorical with --schema"
+                    if continuous else "pass an explicit metric")
             raise MetricError(
-                f"no canonical metric for protected {p.kind!r} vs output {o.kind!r}; "
-                "pass an explicit metric"
+                f"no canonical metric for protected {protected!r} ({p.kind}) vs output "
+                f"{output!r} ({o.kind}); {hint}"
             )
     kind = MetricKind(name, spec.explanatory)
     bound = BoundMetric(kind, protected, output, spec.target_output, spec.group_a, spec.group_b)
@@ -219,12 +223,25 @@ def check_explanatory(view: Dataset, explanatory: str) -> None:
                         "conditioning needs a categorical or ordinal attribute")
 
 
+def _drop_missing(view: Dataset, spec: InvestigationSpec, which: str) -> Dataset:
+    """``view`` without rows that miss a value the spec uses; a DataError
+    naming the columns without any value when no row is left."""
+    cleaned = view.drop_missing(spec.used_attributes())
+    if cleaned.n_rows == 0:
+        empty = [name for name in spec.used_attributes()
+                 if view.drop_missing((name,)).n_rows == 0]
+        cause = (f"column(s) {', '.join(map(repr, empty))} have no values" if empty else
+                 f"every row misses a value in one of {list(spec.used_attributes())}")
+        raise DataError(f"no {which} rows left after dropping missing values: {cause}")
+    return cleaned
+
+
 def train(spec: InvestigationSpec, train_view: Dataset) -> TrainedInvestigation:
     """Derive candidate contexts on the training set for every protected
     attribute (and each top-ranked label, for discovery)."""
     if spec.explanatory is not None:
         check_explanatory(train_view, spec.explanatory)
-    cleaned = train_view.drop_missing(spec.used_attributes())
+    cleaned = _drop_missing(train_view, spec, "training")
     dropped = train_view.n_rows - cleaned.n_rows
     if dropped:
         logger.info("dropped %d training rows with missing values", dropped)
@@ -413,7 +430,7 @@ def validate(trained: TrainedInvestigation, test_view: Dataset,
     """
     spec = trained.spec
     cfg = spec.stats
-    cleaned = test_view.drop_missing(spec.used_attributes())
+    cleaned = _drop_missing(test_view, spec, "test")
     dropped_test = test_view.n_rows - cleaned.n_rows
     if dropped_test:
         logger.info("dropped %d test rows with missing values", dropped_test)

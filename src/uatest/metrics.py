@@ -91,19 +91,27 @@ def contingency(view: Dataset, protected: str, output: str) -> ContingencyTable:
                             view.attribute(protected).categories, counts)
 
 
-def joint_counts(view: Dataset, names: Sequence[str]) -> np.ndarray:
+def joint_counts(view: Dataset, names: Sequence[str], key: np.ndarray | None = None,
+                 groups: int = 0) -> np.ndarray:
     """Counts of every combination of categories of ``names``, one int64 axis
     per attribute in schema category order, from a single bincount. Rows
-    with a missing value in any of the attributes are not counted."""
+    with a missing value in any of the attributes are not counted.
+
+    With ``key`` (one group index per row, -1 for a row in no group) the
+    counts gain a leading axis of ``groups`` groups: one table per group.
+    """
     attrs = [view.attribute(name) for name in names]
     for attr in attrs:
         if attr.kind not in (CATEGORICAL, ORDINAL):
             raise MetricError(f"contingency requires categorical attributes, got {attr.kind} {attr.name!r}")
     codes = [view.codes(name) for name in names]
+    shape = tuple(len(attr.categories) for attr in attrs)
+    if key is not None:
+        codes.insert(0, key)
+        shape = (groups,) + shape
     ok = codes[0] >= 0
     for c in codes[1:]:
         ok &= c >= 0
-    shape = tuple(len(attr.categories) for attr in attrs)
     flat = codes[0][ok].astype(np.int64)
     for c, size in zip(codes[1:], shape[1:]):
         flat = flat * size + c[ok]
@@ -222,6 +230,21 @@ def pearson_correlation(x: np.ndarray, y: np.ndarray) -> MetricValue:
         raise MetricError("constant column: correlation undefined")
     r = float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
     return MetricValue(MetricKind(CORR), max(-1.0, min(1.0, r)))
+
+
+def grouped_correlation(x: np.ndarray, y: np.ndarray, key: np.ndarray,
+                        groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson correlation of ``x`` and ``y`` within each of ``groups`` groups
+    of ``key``, and the group sizes. Moments are taken about each group's
+    mean; NaN marks groups of fewer than 3 rows or with a constant column."""
+    sizes = np.bincount(key, minlength=groups)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dx = x - (np.bincount(key, x, groups) / sizes)[key]
+        dy = y - (np.bincount(key, y, groups) / sizes)[key]
+        sxx = np.bincount(key, dx * dx, groups)
+        syy = np.bincount(key, dy * dy, groups)
+        r = np.clip(np.bincount(key, dx * dy, groups) / np.sqrt(sxx * syy), -1.0, 1.0)
+    return np.where((sizes >= 3) & (sxx > 0) & (syy > 0), r, np.nan), sizes
 
 
 # -- regression label scoring -------------------------------------------------
@@ -418,6 +441,23 @@ class BoundMetric:
             ).value
         raise MetricError(f"metric {self.kind.name!r} cannot be evaluated directly")
 
+    def group_values(self, view: Dataset, key: np.ndarray,
+                     groups: int) -> tuple[np.ndarray, np.ndarray]:
+        """Unconditional metric on each of ``groups`` row groups of ``view``,
+        where ``key`` holds each row's group (-1 for a row in no group), with
+        the number of rows counted in each group. NaN marks groups where the
+        metric is undefined. Tables come from one bincount, correlations
+        from per-group moments."""
+        if self.tabular:
+            tables = joint_counts(view, (self.output, self.protected), key, groups)
+            return self.value_from_tables(view, tables), tables.sum(axis=(-2, -1))
+        if self.kind.name == CORR:
+            x = view.scalar_values(self.protected)
+            y = view.scalar_values(self.output)
+            ok = (key >= 0) & ~(np.isnan(x) | np.isnan(y))
+            return grouped_correlation(x[ok], y[ok], key[ok], groups)
+        raise MetricError(f"metric {self.kind.name!r} cannot be evaluated by group")
+
     def guidance(self, view: Dataset) -> float:
         """Tree-search score: |value| for signed metrics so that opposing
         disparities in sibling parts cannot cancel."""
@@ -465,25 +505,25 @@ def conditional_metric(view: Dataset, bound: BoundMetric,
         raise MetricError(f"explanatory attribute {explanatory!r} must be categorical")
     base = bound.unconditional()
     codes = view.codes(explanatory)
+    n_strata = len(e_attr.categories)
+    estimates, _ = base.group_values(view, codes, n_strata)
+    sizes = np.bincount(codes[codes >= 0], minlength=n_strata)
     parts: list[StratumPart] = []
     weighted = 0.0
     weight = 0
-    for code, cat in enumerate(e_attr.categories):
-        rows = np.flatnonzero(codes == code)
-        if len(rows) == 0:
+    for cat, size, est in zip(e_attr.categories, sizes.tolist(), estimates.tolist()):
+        if size == 0:
             continue
-        stratum = view._subset(rows)
-        if len(rows) < min_stratum:
-            parts.append(StratumPart(cat, len(rows), None, excluded="below minimum stratum size"))
+        if size < min_stratum:
+            parts.append(StratumPart(cat, size, None, excluded="below minimum stratum size"))
             continue
-        try:
-            est = base.value(stratum)
-        except MetricError as exc:
-            parts.append(StratumPart(cat, len(rows), None, excluded=str(exc)))
+        if math.isnan(est):
+            parts.append(StratumPart(cat, size, None,
+                                     excluded=f"{base.kind.display} undefined on this population"))
             continue
-        parts.append(StratumPart(cat, len(rows), est))
-        weighted += len(rows) * est
-        weight += len(rows)
+        parts.append(StratumPart(cat, size, est))
+        weighted += size * est
+        weight += size
     if weight == 0:
         raise MetricError("no explanatory stratum is large enough to evaluate")
     return ConditionalValue(

@@ -30,8 +30,10 @@ from .metrics import (
     MetricError,
     MetricValue,
     contingency,
+    grouped_correlation,
     joint_counts,
     mi_from_tables,
+    pearson_correlation,
 )
 
 logger = logging.getLogger(__name__)
@@ -302,30 +304,31 @@ def _bootstrap_table_stats(counts: np.ndarray, statistic: Callable[[np.ndarray],
 # -- correlation ---------------------------------------------------------------
 
 
-def _corr_pairs(view: Dataset, bound: BoundMetric) -> tuple[np.ndarray, np.ndarray]:
+def _test_corr(view: Dataset, bound: BoundMetric, cfg: StatConfig,
+               rng: np.random.Generator, n: int) -> TestedMetric:
     x = view.scalar_values(bound.protected)
     y = view.scalar_values(bound.output)
     ok = ~(np.isnan(x) | np.isnan(y))
-    return x[ok], y[ok]
-
-
-def _corr_value(x: np.ndarray, y: np.ndarray) -> float:
-    sx, sy = x.std(), y.std()
-    if len(x) < 3 or sx == 0 or sy == 0:
-        raise MetricError("constant column: correlation undefined")
-    return float(np.clip(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy), -1.0, 1.0))
-
-
-def _test_corr(view: Dataset, bound: BoundMetric, cfg: StatConfig,
-               rng: np.random.Generator, n: int) -> TestedMetric:
-    x, y = _corr_pairs(view, bound)
-    obs = _corr_value(x, y)
+    x, y = x[ok], y[ok]
+    obs = pearson_correlation(x, y).value
     value = MetricValue(bound.kind, obs)
     m = len(x)
     if m <= cfg.small_sample_threshold:
         p = _perm_pvalue(_corr_permutation_stats(x, y, cfg.n_permutations, rng), obs,
                          two_sided=True)
-        samples = _corr_bootstrap(x, y, cfg.n_bootstrap, rng)
+
+        def draw(k: int) -> np.ndarray:
+            out = []
+            for chunk in _chunks(k, m):
+                idx = rng.integers(0, m, size=(chunk, m))
+                xs, ys = x[idx], y[idx]
+                xs = xs - xs.mean(axis=1, keepdims=True)
+                ys = ys - ys.mean(axis=1, keepdims=True)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    out.append((xs * ys).mean(axis=1) / (xs.std(axis=1) * ys.std(axis=1)))
+            return np.concatenate(out)
+
+        samples = _bootstrap(draw, cfg.n_bootstrap)
         recipe = ("percentile", samples, obs)
         return TestedMetric(value, _ci_from_recipe(recipe, cfg.conf), p, RESAMPLING, _recipe=recipe)
     if abs(obs) >= 1.0:
@@ -356,30 +359,6 @@ def _corr_permutation_stats(x: np.ndarray, y: np.ndarray, n_perm: int,
         xs = rng.permuted(np.tile(x, (chunk, 1)), axis=1)
         out.append((xs - x.mean()) @ yc / denom)
     return np.concatenate(out)
-
-
-def _corr_bootstrap(x: np.ndarray, y: np.ndarray, n_boot: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    n = len(x)
-    out = np.empty(n_boot)
-    filled = 0
-    rounds = 0
-    while filled < n_boot and rounds < 12:
-        chunk = min(_BOOT_CHUNK, n_boot - filled)
-        idx = rng.integers(0, n, size=(chunk, n))
-        xs, ys = x[idx], y[idx]
-        xs = xs - xs.mean(axis=1, keepdims=True)
-        ys = ys - ys.mean(axis=1, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = (xs * ys).mean(axis=1) / (xs.std(axis=1) * ys.std(axis=1))
-        good = r[~np.isnan(r)]
-        take = min(len(good), n_boot - filled)
-        out[filled:filled + take] = good[:take]
-        filled += take
-        rounds += 1
-    if filled < n_boot // 2:
-        raise StatsError("unstable context: most bootstrap resamples were degenerate")
-    return np.sort(out[:filled])
 
 
 # -- conditional metrics --------------------------------------------------------
@@ -414,7 +393,7 @@ def _test_conditional(view: Dataset, bound: BoundMetric, cfg: StatConfig,
         ok = (e >= 0) & ~(np.isnan(x) | np.isnan(y))
         e, x, y = e[ok], x[ok], y[ok]
         n, n_strata = len(e), len(view.attribute(explanatory).categories)
-        vals, sizes = _stratum_corr(x, y, e, n_strata)
+        vals, sizes = grouped_correlation(x, y, e, n_strata)
         kept = _kept_strata(vals, sizes)
         perm_vals = np.stack([_corr_permutation_stats(x[e == k], y[e == k], n_perm, rng)
                               for k in kept], axis=1)
@@ -424,8 +403,8 @@ def _test_conditional(view: Dataset, bound: BoundMetric, cfg: StatConfig,
             for chunk in _chunks(m, n):
                 idx = rng.integers(0, n, size=(chunk, n))
                 key = np.arange(chunk)[:, None] * n_strata + e[idx]
-                v, c = _stratum_corr(x[idx].ravel(), y[idx].ravel(), key.ravel(),
-                                     chunk * n_strata)
+                v, c = grouped_correlation(x[idx].ravel(), y[idx].ravel(), key.ravel(),
+                                           chunk * n_strata)
                 out.append(_stratum_mean(v.reshape(chunk, n_strata), c.reshape(chunk, n_strata)))
             return np.concatenate(out)
 
@@ -468,18 +447,3 @@ def _stratum_mean(vals: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     rows or with an undefined value are left out (NaN if none is left)."""
     keep = (sizes >= MIN_STRATUM) & ~np.isnan(vals)
     return _weighted_mean(np.where(keep, vals, 0.0), np.where(keep, sizes, 0))
-
-
-def _stratum_corr(x: np.ndarray, y: np.ndarray, key: np.ndarray,
-                  groups: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pearson correlation of ``x`` and ``y`` within each of ``groups`` groups
-    of ``key``, and the group sizes. Moments are taken about each group's
-    mean; NaN marks groups of fewer than 3 rows or with a constant column."""
-    sizes = np.bincount(key, minlength=groups)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dx = x - (np.bincount(key, x, groups) / sizes)[key]
-        dy = y - (np.bincount(key, y, groups) / sizes)[key]
-        sxx = np.bincount(key, dx * dx, groups)
-        syy = np.bincount(key, dy * dy, groups)
-        r = np.clip(np.bincount(key, dx * dy, groups) / np.sqrt(sxx * syy), -1.0, 1.0)
-    return np.where((sizes >= 3) & (sxx > 0) & (syy > 0), r, np.nan), sizes

@@ -5,6 +5,11 @@ the contextual attribute whose partition has the highest mean association
 between the protected attribute and the output, registering every visited
 subpopulation of sufficient size as a candidate context. Candidates are
 hypotheses only; their validation happens later on held-out test data.
+
+A candidate split is a row-to-part key over the node's rows. Every part of a
+split is scored at once by ``BoundMetric.group_values`` (one bincount of
+per-part contingency tables, or per-part correlation moments); ``Dataset``
+views are built only for the parts of the winning split.
 """
 
 from __future__ import annotations
@@ -72,11 +77,12 @@ class TreeStats:
 
 @dataclass(frozen=True)
 class Partition:
-    """One candidate split: per-part predicates and the matching subviews."""
+    """One candidate split: per-part predicates and, for each row of the
+    split view, the index of its part (-1 for a row in no part)."""
 
     attribute: str
     predicates: tuple[ContextPredicate, ...]
-    parts: tuple[Dataset, ...]
+    key: np.ndarray
     threshold: float | None = None
 
 
@@ -91,17 +97,15 @@ def enumerate_splits(view: Dataset, attribute: str, params: TreeParams) -> list[
     attr = view.attribute(attribute)
     if attr.kind == CATEGORICAL:
         codes = view.codes(attribute)
-        present = np.unique(codes[codes >= 0])
-        if len(present) < 2:
+        sizes = np.bincount(codes[codes >= 0], minlength=len(attr.categories))
+        present = np.flatnonzero(sizes)
+        if len(present) < 2 or sizes[present].min() < 2:
             return []
-        preds = []
-        parts = []
-        for code in present:
-            preds.append(ContextPredicate(attribute, "in", values=(attr.categories[code],)))
-            parts.append(view._subset(np.flatnonzero(codes == code)))
-        if any(p.n_rows < 2 for p in parts):
-            return []
-        return [Partition(attribute, tuple(preds), tuple(parts))]
+        part_of = np.full(len(attr.categories), -1)
+        part_of[present] = np.arange(len(present))
+        preds = tuple(ContextPredicate(attribute, "in", values=(attr.categories[code],))
+                      for code in present)
+        return [Partition(attribute, preds, np.where(codes >= 0, part_of[codes], -1))]
 
     values = view.scalar_values(attribute)
     finite = values[~np.isnan(values)]
@@ -112,29 +116,18 @@ def enumerate_splits(view: Dataset, attribute: str, params: TreeParams) -> list[
     thresholds = np.unique(np.quantile(finite, probs))
     out = []
     for t in thresholds:
-        left = np.flatnonzero(values <= t)
-        right = np.flatnonzero(values > t)
-        if len(left) < 2 or len(right) < 2:
+        left = values <= t
+        right = values > t
+        if left.sum() < 2 or right.sum() < 2:
             continue
         out.append(Partition(
             attribute,
             (ContextPredicate(attribute, "le", threshold=float(t)),
              ContextPredicate(attribute, "gt", threshold=float(t))),
-            (view._subset(left), view._subset(right)),
+            np.where(left, 0, np.where(right, 1, -1)),
             threshold=float(t),
         ))
     return out
-
-
-def score_split(partition: Partition, metric: BoundMetric) -> float:
-    """Mean association over the partition's parts.
-
-    Signed metrics contribute their absolute value so opposing disparities
-    cannot cancel; parts where the metric is undefined contribute 0.
-    """
-    resolved = metric.resolve(partition.parts[0])
-    values = [_part_value(part, resolved) for part in partition.parts]
-    return float(np.mean([0.0 if math.isnan(v) else v for v in values]))
 
 
 def _part_value(part: Dataset, metric: BoundMetric) -> float:
@@ -163,9 +156,11 @@ def find_contexts(train: Dataset, protected: str, output: str, params: TreeParam
     stats = stats if stats is not None else TreeStats()
     registered: list[ContextNode] = []
 
-    def evaluate(view: Dataset) -> float:
-        stats.n_metric_evals += 1
-        return _part_value(view, metric)
+    def evaluate(view: Dataset, partition: Partition) -> np.ndarray:
+        """Guidance value of every part (NaN where undefined)."""
+        stats.n_metric_evals += len(partition.predicates)
+        values, _ = metric.group_values(view, partition.key, len(partition.predicates))
+        return np.abs(values) if metric.kind.signed else values
 
     def recurse(view: Dataset, predicates: tuple[ContextPredicate, ...],
                 value: float, parent: ContextNode | None) -> None:
@@ -188,9 +183,9 @@ def find_contexts(train: Dataset, protected: str, output: str, params: TreeParam
         best_parts = None
         for attr_idx, attr in enumerate(contextual):
             for partition in enumerate_splits(view, attr, params):
-                part_values = [evaluate(part) for part in partition.parts]
-                zeroed = [0.0 if math.isnan(v) else v for v in part_values]
-                if not any(v > value for v in zeroed):
+                part_values = evaluate(view, partition)
+                zeroed = np.where(np.isnan(part_values), 0.0, part_values)
+                if not (zeroed > value).any():
                     continue  # ineligible split scores 0 and can never win
                 score = float(np.mean(zeroed))
                 thr = partition.threshold if partition.threshold is not None else -math.inf
@@ -201,10 +196,12 @@ def find_contexts(train: Dataset, protected: str, output: str, params: TreeParam
         if best_key is None or -best_key[0] <= value:
             return
         partition, part_values = best_parts
-        for pred, part, part_value in zip(partition.predicates, partition.parts, part_values):
-            recurse(part, predicates + (pred,), part_value, node)
+        for i, pred in enumerate(partition.predicates):
+            part = view._subset(np.flatnonzero(partition.key == i))
+            recurse(part, predicates + (pred,), float(part_values[i]), node)
 
-    recurse(train, (), evaluate(train), None)
+    stats.n_metric_evals += 1
+    recurse(train, (), _part_value(train, metric), None)
     return registered
 
 

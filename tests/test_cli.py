@@ -224,3 +224,37 @@ def test_debug_rejects_bad_explanatory(scored_csv, tmp_path, capsys):
     # a rejected debug run spends no test set
     assert main(["debug", "--data", scored_csv, "--state", str(state),
                  "--explanatory", "department", "--out", str(tmp_path / "r2.txt")]) == 0
+
+
+def test_all_missing_context_column_is_named(berkeley_csv, tmp_path, capsys):
+    data, schema = berkeley_csv
+    lines = open(data).read().splitlines()
+    path = tmp_path / "with_job.csv"
+    path.write_text("\n".join([lines[0] + ",job"] + [line + "," for line in lines[1:]]) + "\n")
+    code = main(["testing", "--data", str(path), "--schema", schema,
+                 "--protected", "gender", "--output", "admitted",
+                 "--context", "department,job", "--seed", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "'job'" in captured.err and "no values" in captured.err
+    assert "'department'" not in captured.err
+    assert captured.out == ""
+
+
+def test_inferred_continuous_output_points_at_schema(tmp_path, capsys):
+    import numpy as np
+    from uatest.dataset import AttributeSchema
+    data = berkeley_admissions()
+    score = np.random.default_rng(3).integers(0, 41, data.n_rows).astype(str)
+    path = tmp_path / "scores.csv"
+    save_csv(data.with_column(AttributeSchema("score", "categorical"), list(score)), path)
+    argv = ["testing", "--data", str(path), "--protected", "gender", "--output", "score",
+            "--context", "department", "--seed", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "'gender' (categorical)" in err and "'score' (continuous)" in err
+    assert "--schema" in err
+    # the hint is actionable: pinning the column categorical makes the run go
+    spath = tmp_path / "schema.json"
+    spath.write_text(json.dumps({"score": {"kind": "categorical"}}))
+    assert main(argv + ["--schema", str(spath), "--out", str(tmp_path / "r.txt")]) == 0

@@ -283,3 +283,42 @@ def test_bound_metric_resolution_defaults():
     assert (b.target, b.group_a, b.group_b) == ("Yes", "Female", "Male")
     with pytest.raises(MetricError):
         BoundMetric(MetricKind("corr"), "gender", "admitted").resolve(d)
+
+
+def test_group_values_match_per_view_value():
+    # group 3 is empty, group 2 holds a single protected category (DIFF,
+    # RATIO and NMI undefined) and a constant x (CORR undefined), and rows
+    # keyed -1 belong to no group
+    rng = np.random.default_rng(4)
+    n = 600
+    key = rng.choice([-1, 0, 1, 2], n, p=[0.1, 0.45, 0.35, 0.1])
+    s = np.where(key == 2, 0, rng.integers(0, 2, n))
+    o = (rng.random(n) < 0.3 + 0.3 * s * (key == 0)).astype(np.int32)
+    x = np.where(key == 2, 1.0, rng.normal(size=n))
+    y = 0.5 * x + rng.normal(size=n)
+    y[:5] = np.nan  # a missing value is left out of its group's correlation
+    schema = [AttributeSchema("s", "categorical", "protected", ("a", "b")),
+              AttributeSchema("o", "categorical", "output", ("0", "1")),
+              AttributeSchema("x", "continuous", "protected"),
+              AttributeSchema("y", "continuous", "output")]
+    d = Dataset(schema, {"s": s.astype(np.int32), "o": o, "x": x, "y": y})
+    groups = 4
+    for name, protected, output in (("diff", "s", "o"), ("ratio", "s", "o"),
+                                    ("nmi", "s", "o"), ("corr", "x", "y")):
+        metric = BoundMetric(MetricKind(name), protected, output).resolve(d)
+        values, counted = metric.group_values(d, key, groups)
+        assert values.shape == counted.shape == (groups,)
+        for g in range(groups):
+            part = d._subset(np.flatnonzero(key == g))
+            ok = ~np.isnan(y[key == g]) if name == "corr" else np.ones(part.n_rows, bool)
+            assert counted[g] == ok.sum()
+            try:
+                expected = metric.value(part)
+            except MetricError:
+                expected = math.nan
+            if g >= 2:
+                assert math.isnan(values[g]) and math.isnan(expected)
+            elif name == "corr":
+                assert values[g] == pytest.approx(expected, abs=1e-12)
+            else:
+                assert values[g] == expected

@@ -4,10 +4,14 @@ from scipy import stats as sps
 
 from uatest.dataset import AttributeSchema, Dataset
 from uatest.metrics import (
+    MIN_STRATUM,
     BoundMetric,
     MetricError,
     MetricKind,
+    binary_difference,
     conditional_metric,
+    contingency,
+    grouped_correlation,
     joint_counts,
     pearson_correlation,
 )
@@ -19,7 +23,7 @@ from uatest.stats import (
     corrected_cis,
     holm_bonferroni,
 )
-from uatest.stats import _stratum_corr, _stratum_mean
+from uatest.stats import _stratum_mean
 from uatest.stats import test_metric as evaluate_metric
 from tests.test_metrics import DEPT_A_SAMPLE, PRICING_GLOBAL, dataset_from_table
 
@@ -185,8 +189,8 @@ def test_conditional_bootstrap_reapplies_stratum_exclusions():
 
 def test_batched_resample_statistics_match_conditional_metric():
     # the per-resample aggregates, batched as the bootstrap computes them,
-    # against the per-stratum loop of conditional_metric on the same rows;
-    # stratum "r" hovers around MIN_STRATUM, so exclusions vary by resample
+    # against a per-stratum loop of scalar metrics on the same rows; stratum
+    # "r" hovers around MIN_STRATUM, so exclusions vary by resample
     r = np.random.default_rng(12)
     n, n_res = 120, 60
     e = r.choice(3, n, p=[0.6, 0.32, 0.08])
@@ -203,20 +207,33 @@ def test_batched_resample_statistics_match_conditional_metric():
     diff = COND_DIFF.resolve(d)
     corr = BoundMetric(MetricKind("corr", "e"), "x", "y")
 
+    def stratum_value(rows, name):
+        if name == "corr":
+            return pearson_correlation(x[rows], y[rows]).value
+        table = contingency(d._subset(rows), "s", "o")
+        return binary_difference(table, diff.target, diff.group_a, diff.group_b).value
+
     def reference(bound):
         out = []
         for rows in idx:
-            try:
-                out.append(conditional_metric(d._subset(rows), bound).aggregate.value)
-            except MetricError:
-                out.append(np.nan)
+            total = weight = 0.0
+            for k in range(3):
+                stratum = rows[e[rows] == k]
+                if len(stratum) < MIN_STRATUM:
+                    continue
+                try:
+                    total += len(stratum) * stratum_value(stratum, bound.kind.name)
+                except MetricError:
+                    continue
+                weight += len(stratum)
+            out.append(total / weight if weight else np.nan)
         return np.array(out)
 
     tables = np.stack([joint_counts(d._subset(rows), ("e", "o", "s")) for rows in idx])
     diffs = _stratum_mean(diff.unconditional().value_from_tables(d, tables),
                           tables.sum(axis=(-2, -1)))
     key = np.arange(n_res)[:, None] * 3 + e[idx]
-    v, c = _stratum_corr(x[idx].ravel(), y[idx].ravel(), key.ravel(), n_res * 3)
+    v, c = grouped_correlation(x[idx].ravel(), y[idx].ravel(), key.ravel(), n_res * 3)
     corrs = _stratum_mean(v.reshape(n_res, 3), c.reshape(n_res, 3))
     assert np.isnan(reference(diff)).sum() == 0  # stratum "p" always qualifies
     np.testing.assert_allclose(diffs, reference(diff), rtol=0, atol=1e-12)

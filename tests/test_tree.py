@@ -9,7 +9,6 @@ from uatest.tree import (
     enumerate_splits,
     exhaustive_contexts,
     find_contexts,
-    score_split,
 )
 
 DIFF = BoundMetric(MetricKind("diff"), "s", "o")
@@ -44,7 +43,7 @@ def test_enumerate_splits_binary_categorical():
     d = planted_dataset(500, seed=1)
     parts = enumerate_splits(d, "x0", TreeParams(min_size=10))
     assert len(parts) == 1
-    assert len(parts[0].parts) == 2
+    assert np.array_equal(np.unique(parts[0].key), [0, 1])
     assert {p.describe() for p in parts[0].predicates} == {"x0: 0", "x0: 1"}
 
 
@@ -66,13 +65,14 @@ def test_enumerate_splits_continuous_quantiles():
     candidates = enumerate_splits(d, "age", params)
     assert 1 <= len(candidates) <= 8
     for cand in candidates:
-        assert len(cand.parts) == 2
-        assert all(p.n_rows >= 2 for p in cand.parts)
+        assert len(cand.key) == n
+        assert np.bincount(cand.key, minlength=2).min() >= 2
         assert cand.predicates[0].op == "le" and cand.predicates[1].op == "gt"
 
 
-def test_score_split_mean_and_absolute_value():
-    # two parts engineered to DIFF = +0.3 and -0.3 exactly
+def test_split_parts_scored_by_absolute_value():
+    # two parts engineered to DIFF = +0.3 and -0.3 exactly; the root's DIFF
+    # is 0, so the split only wins if the parts' signs cannot cancel
     def part(delta_sign):
         a_yes = 40 + delta_sign * 15
         b_yes = 40 - delta_sign * 15
@@ -84,8 +84,8 @@ def test_score_split_mean_and_absolute_value():
     s1, o1, x1 = part(+1)
     s2, o2, x2 = part(-1)
     d = build({"s": s1 + s2, "o": o1 + o2, "x": x1 + x2})
-    parts = enumerate_splits(d, "x", TreeParams(min_size=10))
-    assert score_split(parts[0], DIFF) == pytest.approx(0.3, abs=1e-12)
+    contexts = find_contexts(d, "s", "o", TreeParams(min_size=10, max_depth=1), DIFF)
+    assert [c.train_metric for c in contexts[1:]] == pytest.approx([0.3, 0.3], abs=1e-12)
 
 
 def test_find_contexts_depth_zero_returns_root_only():
@@ -195,3 +195,26 @@ def test_exhaustive_contexts_respects_support_and_depth():
     assert all(support >= 300 for _, support, _ in rows)
     assert all(len(preds) <= 2 for preds, _, _ in rows)
     assert rows[0][0] == ()
+
+
+def test_registered_metrics_match_per_view_guidance():
+    # the tree scores every part of a split from one grouped count; each
+    # registered context must carry the metric of its own re-selected view
+    rng = np.random.default_rng(17)
+    n = 3000
+    x = rng.integers(0, 3, n)
+    age = rng.uniform(0, 100, n)
+    s = rng.integers(0, 2, n)
+    p = np.where((x == 1) & (age > 50), np.where(s == 1, 0.8, 0.3), 0.5)
+    schema = [AttributeSchema("x", "categorical", "contextual", ("0", "1", "2")),
+              AttributeSchema("age", "continuous", "contextual"),
+              AttributeSchema("s", "categorical", "protected", ("0", "1")),
+              AttributeSchema("o", "categorical", "output", ("0", "1"))]
+    d = Dataset(schema, {"x": x.astype(np.int32), "age": age, "s": s.astype(np.int32),
+                         "o": (rng.random(n) < p).astype(np.int32)})
+    for name in ("diff", "nmi"):
+        metric = BoundMetric(MetricKind(name), "s", "o").resolve(d)
+        contexts = find_contexts(d, "s", "o", TreeParams(min_size=100, max_depth=3), metric)
+        assert {p.attribute for c in contexts for p in c.predicates} == {"x", "age"}
+        for c in contexts:
+            assert c.train_metric == metric.guidance(d.select(c.predicates))
