@@ -153,35 +153,14 @@ class Dataset:
         """Build a dataset from raw per-column values, encoding categoricals.
 
         Categorical/ordinal schemas without a pinned category list get one in
-        first-appearance order. Raw cells equal to the empty string are
-        treated as missing.
+        first-appearance order. Raw cells equal to ``None`` or the empty
+        string are treated as missing.
         """
         schema = list(schema)
         if set(raw) != {a.name for a in schema}:
             raise DataError("column names do not match schema")
-        cols: dict[str, np.ndarray] = {}
-        final_schema: list[AttributeSchema] = []
-        for attr in schema:
-            values = raw[attr.name]
-            if attr.kind == CONTINUOUS:
-                arr = np.empty(len(values), dtype=np.float64)
-                for i, v in enumerate(values):
-                    if v is None or v == MISSING:
-                        arr[i] = np.nan
-                    else:
-                        try:
-                            arr[i] = float(v)
-                        except (TypeError, ValueError) as exc:
-                            raise DataError(
-                                f"unparseable cell {v!r} in continuous column {attr.name!r} (row {i})"
-                            ) from exc
-                cols[attr.name] = arr
-                final_schema.append(attr)
-            else:
-                attr, codes = _encode_categorical(attr, values)
-                cols[attr.name] = codes
-                final_schema.append(attr)
-        return cls(final_schema, cols)
+        encoded = [_encode_column(a.name, raw[a.name], a) for a in schema]
+        return cls([a for a, _ in encoded], {a.name: col for a, col in encoded})
 
     # -- basic access ------------------------------------------------------
 
@@ -289,45 +268,82 @@ class Dataset:
         return self._subset(np.flatnonzero(mask))
 
     def with_column(self, attr: AttributeSchema, values: Sequence) -> "Dataset":
-        """New view with an extra column whose values align to this view's rows."""
+        """New view with an extra column of raw cells aligned to this view's rows."""
+        return self.with_encoded(*_encode_column(attr.name, values, attr))
+
+    def with_encoded(self, attr: AttributeSchema, column: np.ndarray) -> "Dataset":
+        """New view with an extra column already in storage form, aligned to
+        this view's rows: float64 (NaN missing) for a continuous ``attr``,
+        otherwise int32 codes into ``attr.categories`` (-1 missing)."""
         if attr.name in self._by_name:
             raise DataError(f"attribute {attr.name!r} already exists")
-        if len(values) != self.n_rows:
+        if len(column) != self.n_rows:
             raise DataError("new column length must match the view's row count")
         if attr.kind == CONTINUOUS:
             base = np.full(self._base_len, np.nan, dtype=np.float64)
-            base[self._idx] = np.asarray(values, dtype=np.float64)
         else:
-            attr, codes = _encode_categorical(attr, values)
             base = np.full(self._base_len, -1, dtype=np.int32)
-            base[self._idx] = codes
+        base[self._idx] = column
         cols = dict(self._cols)
         cols[attr.name] = base
         return Dataset(self._schema + (attr,), cols, self._idx)
 
 
-def _encode_categorical(attr: AttributeSchema, values: Sequence) -> tuple[AttributeSchema, np.ndarray]:
-    strings = ["" if v is None else str(v) for v in values]
-    if attr.categories is None:
-        seen: dict[str, int] = {}
-        for s in strings:
-            if s != MISSING and s not in seen:
-                seen[s] = len(seen)
-        attr = AttributeSchema(attr.name, attr.kind, attr.role, tuple(seen))
-    lookup = {c: i for i, c in enumerate(attr.categories)}
-    codes = np.empty(len(strings), dtype=np.int32)
-    for i, s in enumerate(strings):
-        if s == MISSING:
-            codes[i] = -1
-        else:
+def _factorize(values: Sequence) -> tuple[list, np.ndarray]:
+    """Distinct cells of a column in first-appearance order, and each row's
+    index into them. Only string cells are merged: cells that compare equal
+    may still print differently (1, 1.0, True, -0.0), so a column holding any
+    other cell keeps each row as its own cell."""
+    try:
+        distinct = list(dict.fromkeys(values))
+    except TypeError:  # an unhashable cell
+        distinct = None
+    if distinct is None or not all(type(c) is str for c in distinct):
+        return list(values), np.arange(len(values))
+    position = {c: k for k, c in enumerate(distinct)}
+    return distinct, np.fromiter(map(position.__getitem__, values), dtype=np.intp, count=len(values))
+
+
+def _encode_column(name: str, values: Sequence,
+                   attr: AttributeSchema | None = None) -> tuple[AttributeSchema, np.ndarray]:
+    """Schema and stored array of one column of raw cells; ``attr=None``
+    infers the schema as :func:`load_csv` describes.
+
+    This is the only reader of raw cells, and its rules run once per distinct
+    cell: ``None`` and ``""`` are missing, continuous cells parse with
+    ``float()``, other cells are coded by ``str()`` into the pinned or
+    first-appearance category list. An error names the cell's first row.
+    """
+    cells, rows = _factorize(values)
+    if attr is None or attr.kind == CONTINUOUS:
+        numbers, bad = [], None  # None marks a missing cell
+        for k, c in enumerate(cells):
             try:
-                codes[i] = lookup[s]
-            except KeyError:
-                raise DataError(
-                    f"unparseable cell {s!r} in column {attr.name!r}: "
-                    f"not among declared categories (row {i})"
-                ) from None
-    return attr, codes
+                numbers.append(None if c is None or c == MISSING else float(c))
+            except (TypeError, ValueError):
+                bad = k
+                break
+        if attr is None:
+            distinct = np.unique([x for x in numbers if x is not None])  # NaNs merge
+            numeric = bad is None and len(distinct) > INFER_DISTINCT_THRESHOLD
+            attr = AttributeSchema(name, CONTINUOUS if numeric else CATEGORICAL)
+        if attr.kind == CONTINUOUS:
+            if bad is not None:
+                raise DataError(f"unparseable cell {cells[bad]!r} in continuous column {name!r} "
+                                f"(row {int(np.argmax(rows == bad))})")
+            return attr, np.array(numbers, dtype=np.float64)[rows]
+    strings = [MISSING if c is None else str(c) for c in cells]
+    if attr.categories is None:
+        found = tuple(dict.fromkeys(s for s in strings if s != MISSING))
+        attr = AttributeSchema(name, attr.kind, attr.role, found)
+    lookup = {c: i for i, c in enumerate(attr.categories)}
+    lookup[MISSING] = -1
+    codes = [lookup.get(s) for s in strings]
+    if None in codes:
+        bad = codes.index(None)
+        raise DataError(f"unparseable cell {strings[bad]!r} in column {name!r}: not among "
+                        f"declared categories (row {int(np.argmax(rows == bad))})")
+    return attr, np.array(codes, dtype=np.int32)[rows]
 
 
 # -- CSV loading -----------------------------------------------------------
@@ -340,11 +356,11 @@ def load_csv(path, schema="infer") -> Dataset:
     covering exactly the header columns, or a partial ``{name: schema}``
     mapping whose missing columns are inferred. Inference makes a column
     continuous when every non-missing cell parses as a number and there are
-    more than 10 distinct values; otherwise categorical.
+    more than 10 distinct numbers, where every ``nan`` cell counts as one
+    number; otherwise categorical. Columns are encoded one at a time.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+        rows = list(csv.reader(fh))
     if not rows:
         raise DataError(f"empty file: {path}")
     header = rows[0]
@@ -353,23 +369,19 @@ def load_csv(path, schema="infer") -> Dataset:
     body = rows[1:]
     if not body:
         raise DataError(f"file has a header but no data rows: {path}")
-    for i, row in enumerate(body):
-        if len(row) != len(header):
-            raise DataError(f"row {i + 1} has {len(row)} fields, expected {len(header)}")
-    raw = {name: [row[j] for row in body] for j, name in enumerate(header)}
+    if set(map(len, body)) != {len(header)}:
+        i, row = next((i, row) for i, row in enumerate(body) if len(row) != len(header))
+        raise DataError(f"row {i + 1} has {len(row)} fields, expected {len(header)}")
 
     if schema == "infer":
-        attrs = [_infer_attribute(name, raw[name]) for name in header]
+        attrs = [None] * len(header)
     elif isinstance(schema, Mapping):
         attrs = []
         for name in header:
-            if name in schema:
-                given = schema[name]
-                if given.name != name:
-                    raise DataError(f"schema name {given.name!r} does not match column {name!r}")
-                attrs.append(given)
-            else:
-                attrs.append(_infer_attribute(name, raw[name]))
+            given = schema.get(name)
+            if given is not None and given.name != name:
+                raise DataError(f"schema name {given.name!r} does not match column {name!r}")
+            attrs.append(given)
         extra = set(schema) - set(header)
         if extra:
             raise DataError(f"schema names not in header: {sorted(extra)}")
@@ -381,22 +393,9 @@ def load_csv(path, schema="infer") -> Dataset:
                 attrs = [by_name[name] for name in header]
             else:
                 raise DataError("schema names do not match the file header")
-    return Dataset.from_columns(attrs, raw)
-
-
-def _infer_attribute(name: str, values: Sequence[str]) -> AttributeSchema:
-    present = [v for v in values if v != MISSING]
-    parsed = []
-    numeric = bool(present)
-    for v in present:
-        try:
-            parsed.append(float(v))
-        except ValueError:
-            numeric = False
-            break
-    if numeric and len(set(parsed)) > INFER_DISTINCT_THRESHOLD:
-        return AttributeSchema(name, CONTINUOUS)
-    return AttributeSchema(name, CATEGORICAL)
+    encoded = [_encode_column(name, values, attr)
+               for name, attr, values in zip(header, attrs, zip(*body))]
+    return Dataset([a for a, _ in encoded], {a.name: col for a, col in encoded})
 
 
 def schema_from_json(obj: Mapping) -> dict[str, AttributeSchema]:

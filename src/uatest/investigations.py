@@ -16,7 +16,6 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -113,30 +112,22 @@ class InvestigationSpec:
         return tuple(seen)
 
 
-def compute_error(predictions: Sequence, truth: Sequence, kind: str) -> list:
+def compute_error(predictions: np.ndarray, truth: np.ndarray, kind: str) -> np.ndarray:
     """Per-row error of predictions against ground truth.
 
-    ``absolute`` takes |prediction - truth| of scalar columns; ``zero_one``
-    marks categorical mismatches with "1". A missing value on either side
-    yields a missing error.
+    ``absolute`` takes |prediction - truth| of float arrays (NaN missing).
+    ``zero_one`` compares category codes of one shared coding (-1 missing)
+    and returns int32 codes into ("0", "1"), 1 marking a mismatch. A missing
+    value on either side yields a missing error.
     """
     if len(predictions) != len(truth):
         raise DataError("prediction and truth columns must have equal length")
-    out = []
     if kind == ABSOLUTE:
-        for p, t in zip(predictions, truth):
-            if p is None or t is None:
-                out.append(None)
-            else:
-                out.append(abs(float(p) - float(t)))
-        return out
+        return np.abs(predictions - truth)
     if kind == ZERO_ONE:
-        for p, t in zip(predictions, truth):
-            if p is None or t is None:
-                out.append(None)
-            else:
-                out.append("0" if p == t else "1")
-        return out
+        codes = (predictions != truth).astype(np.int32)
+        codes[(predictions < 0) | (truth < 0)] = -1
+        return codes
     raise DataError(f"unknown error kind {kind!r}")
 
 
@@ -147,14 +138,19 @@ def _attach_error(view: Dataset, spec: InvestigationSpec) -> Dataset:
     if spec.error_kind == ABSOLUTE:
         if not (pred_attr.is_scalar and truth_attr.is_scalar):
             raise DataError("absolute error requires scalar prediction and truth columns")
-        values = compute_error(view.values(spec.output), view.values(spec.ground_truth), ABSOLUTE)
+        values = compute_error(view.scalar_values(spec.output),
+                               view.scalar_values(spec.ground_truth), ABSOLUTE)
         attr = AttributeSchema(name, CONTINUOUS, "output")
     else:
         if pred_attr.kind != CATEGORICAL or truth_attr.kind != CATEGORICAL:
             raise DataError("zero_one error requires categorical prediction and truth columns")
-        values = compute_error(view.values(spec.output), view.values(spec.ground_truth), ZERO_ONE)
+        # truth codes recoded into the prediction's categories; an unshared category never matches
+        index = {c: i for i, c in enumerate(pred_attr.categories or ())}
+        recode = np.array([index.get(c, len(index)) for c in truth_attr.categories or ()] + [-1])
+        values = compute_error(view.codes(spec.output), recode[view.codes(spec.ground_truth)],
+                               ZERO_ONE)
         attr = AttributeSchema(name, CATEGORICAL, "output", categories=("0", "1"))
-    return view.with_column(attr, values)
+    return view.with_encoded(attr, values)
 
 
 def select_metric(view: Dataset, protected: str, output: str,

@@ -103,13 +103,16 @@ def _context_line(predicates: Sequence[ContextPredicate]) -> str:
     return ", ".join(p.describe() for p in predicates)
 
 
-def _stats_line(f: Finding, mark_not_significant: bool = False) -> str:
-    p = f.tested.corrected_p if f.tested.corrected_p is not None else f.tested.p
-    ci = f.tested.corrected_ci if f.tested.corrected_ci is not None else f.tested.ci
-    line = f"p-value = {_fmt_p(p)} ; {f.metric} = {_fmt_ci(ci)}"
-    if mark_not_significant:
-        line += " (not significant)"
-    return line
+def _reported(t: TestedMetric) -> tuple[float, tuple[float, float]]:
+    """The p-value and CI a report shows: the corrected ones where set."""
+    p = t.corrected_p if t.corrected_p is not None else t.p
+    ci = t.corrected_ci if t.corrected_ci is not None else t.ci
+    return p, ci
+
+
+def _stats_line(t: TestedMetric, metric: str) -> str:
+    p, ci = _reported(t)
+    return f"p-value = {_fmt_p(p)} ; {metric} = {_fmt_ci(ci)}"
 
 
 def _render_display(display, indent: str = "") -> list[str]:
@@ -124,9 +127,7 @@ def _render_stratum(sf: StratumFinding, explanatory: str) -> list[str]:
     head = f"* {explanatory}: {sf.value} ; population of size {sf.size}"
     if sf.tested is None:
         return [head, f"  excluded: {sf.note}", ""]
-    p = sf.tested.corrected_p if sf.tested.corrected_p is not None else sf.tested.p
-    ci = sf.tested.corrected_ci if sf.tested.corrected_ci is not None else sf.tested.ci
-    lines = [head, f"  p-value = {_fmt_p(p)} ; {sf.metric} = {_fmt_ci(ci)}"]
+    lines = [head, "  " + _stats_line(sf.tested, sf.metric)]
     lines.extend(_render_display(sf.display, "  "))
     lines.append("")
     return lines
@@ -157,9 +158,10 @@ def render_text(rm: ReportModel) -> str:
         g = rm.global_finding
         if g is not None:
             lines.append(f"Global Population of size {g.size}")
-            alpha = 1.0 - rm.conf
-            insignificant = (g.tested.corrected_p or g.tested.p) > alpha
-            lines.append(_stats_line(g, mark_not_significant=insignificant))
+            line = _stats_line(g.tested, g.metric)
+            if _reported(g.tested)[0] > 1.0 - rm.conf:
+                line += " (not significant)"
+            lines.append(line)
             lines.extend(_render_display(g.display))
             lines.append("")
             for sf in g.strata:
@@ -167,7 +169,7 @@ def render_text(rm: ReportModel) -> str:
         for f in rm.findings:
             lines.append(f"{f.rank}. Subpopulation of size {f.size}")
             lines.append(f"Context = {_context_line(f.predicates)}")
-            lines.append(_stats_line(f))
+            lines.append(_stats_line(f.tested, f.metric))
             lines.extend(_render_display(f.display))
             lines.append("")
             for sf in f.strata:
@@ -205,8 +207,7 @@ def _render_discovery(rm: ReportModel) -> list[str]:
         header = ["Label", groups[0], groups[1], side[0].metric, "p-value"]
         rows = [header]
         for f in side:
-            ci = f.tested.corrected_ci or f.tested.ci
-            p = f.tested.corrected_p if f.tested.corrected_p is not None else f.tested.p
+            p, ci = _reported(f.tested)
             rows.append([f.label, _label_share(f, 0), _label_share(f, 1),
                          _fmt_ci(ci), _fmt_p(p)])
         widths = [max(len(r[k]) for r in rows) for k in range(len(header))]
@@ -218,7 +219,7 @@ def _render_discovery(rm: ReportModel) -> list[str]:
     for f in subs:
         lines.append(f"{f.rank}. Label = {f.label} ; Subpopulation of size {f.size}")
         lines.append(f"Context = {_context_line(f.predicates)}")
-        lines.append(_stats_line(f))
+        lines.append(_stats_line(f.tested, f.metric))
         lines.extend(_render_display(f.display))
         lines.append("")
     return lines

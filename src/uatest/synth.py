@@ -314,6 +314,7 @@ def run_detection_benchmark(n: int, n_plants: int, delta: float, plant_size: int
     0.5 split such slices straddle the threshold and lose all power to the
     floor once the correction family is large.
     """
+    tree = TreeParams(min_size=min_size, max_depth=max_depth)
     pop = benchmark_population(n, plant_size / n)
     plants = make_disjoint_plants(pop, n_plants, delta, plant_size, seed) if delta > 0 else ()
     data = generate(pop, plants, seed, min_size=min_size)
@@ -324,7 +325,7 @@ def run_detection_benchmark(n: int, n_plants: int, delta: float, plant_size: int
         protected=(pop.protected.name,),
         output=pop.output_name,
         contextual=tuple(a.name for a in pop.attributes),
-        tree=TreeParams(min_size=min_size, max_depth=max_depth),
+        tree=tree,
         stats=StatConfig(conf=conf, seed=seed, small_sample_threshold=small_sample_threshold),
     )
     trained = train(spec, source.train)

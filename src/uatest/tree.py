@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CATEGORICAL, ContextPredicate, Dataset
+from .dataset import CATEGORICAL, ContextPredicate, DataError, Dataset
 from .metrics import BoundMetric, MetricError
 
 logger = logging.getLogger(__name__)
@@ -37,11 +37,12 @@ class TreeParams:
 
     def __post_init__(self) -> None:
         if self.min_size < 10:
-            raise ValueError("min_size must be at least 10")
+            raise DataError(f"tree setting min_size must be at least 10, got {self.min_size}")
         if self.max_depth < 0:
-            raise ValueError("max_depth must be non-negative")
+            raise DataError(f"tree setting max_depth must be non-negative, got {self.max_depth}")
         if self.quantile_splits < 2:
-            raise ValueError("quantile_splits must be at least 2")
+            raise DataError(
+                f"tree setting quantile_splits must be at least 2, got {self.quantile_splits}")
 
 
 class ContextNode:

@@ -258,3 +258,22 @@ def test_inferred_continuous_output_points_at_schema(tmp_path, capsys):
     spath = tmp_path / "schema.json"
     spath.write_text(json.dumps({"score": {"kind": "categorical"}}))
     assert main(argv + ["--schema", str(spath), "--out", str(tmp_path / "r.txt")]) == 0
+
+
+@pytest.mark.parametrize("flags, setting", [
+    (["testing", "--min-size", "5"], "min_size"),
+    (["testing", "--max-depth", "-1"], "max_depth"),
+    (["bench", "--n", "30000", "--size", "800", "--plants", "5", "--seed", "2",
+      "--min-size", "5"], "min_size"),
+])
+def test_bad_tree_setting_is_a_one_line_data_error(berkeley_csv, capsys, flags, setting):
+    data, schema = berkeley_csv
+    argv = flags
+    if flags[0] == "testing":
+        argv = flags + ["--data", data, "--schema", schema, "--protected", "gender",
+                        "--output", "admitted", "--context", "department", "--seed", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert setting in captured.err and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

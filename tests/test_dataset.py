@@ -1,5 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uatest.dataset import (
     AttributeSchema,
@@ -223,3 +227,167 @@ def test_with_column_alignment():
     assert marked.values("flag") == ["1"] * sel.n_rows
     with pytest.raises(DataError):
         sel.with_column(AttributeSchema("age", "continuous"), [0.0] * sel.n_rows)
+
+
+def test_inference_counts_nan_cells_as_one_number(tmp_path):
+    # 1, 2 and nan are three distinct numbers however many nan rows there are
+    path = write_csv(tmp_path, "n.csv", "x\n" + "\n".join(["1", "2", "nan"] * 20) + "\n")
+    x = load_csv(path).attribute("x")
+    assert x.kind == "categorical"
+    assert x.categories == ("1", "2", "nan")
+    # every spelling of NaN is the same number: 9 integers and NaN are 10 numbers
+    cells = [str(i) for i in range(9)] + ["nan", "NaN", " nan"]
+    path = write_csv(tmp_path, "s.csv", "x\n" + "\n".join(cells) + "\n")
+    assert load_csv(path).attribute("x").kind == "categorical"
+    path = write_csv(tmp_path, "t.csv", "x\n" + "\n".join(cells + ["9"]) + "\n")
+    assert load_csv(path).attribute("x").kind == "continuous"
+
+
+# -- the column encoder against a per-cell reference of the cell rules --------
+
+
+def reference_encode(name, values, attr):
+    """Each cell rule applied row by row: ``None``/"" missing, ``float()`` for
+    continuous, ``str()`` codes otherwise; ``attr=None`` infers the kind."""
+    if attr is None:
+        present = [v for v in values if v != ""]
+        try:
+            numbers = [float(v) for v in present]
+        except ValueError:
+            numbers = None
+        distinct = None if numbers is None else (
+            len({x for x in numbers if x == x}) + any(x != x for x in numbers))
+        continuous = distinct is not None and distinct > 10
+        attr = AttributeSchema(name, "continuous" if continuous else "categorical")
+    if attr.kind == "continuous":
+        out = np.empty(len(values))
+        for i, v in enumerate(values):
+            if v is None or v == "":
+                out[i] = np.nan
+                continue
+            try:
+                out[i] = float(v)
+            except (TypeError, ValueError):
+                raise DataError(f"unparseable cell {v!r} in continuous column {name!r} "
+                                f"(row {i})") from None
+        return attr, out
+    strings = ["" if v is None else str(v) for v in values]
+    if attr.categories is None:
+        seen = {}
+        for s in strings:
+            if s != "" and s not in seen:
+                seen[s] = len(seen)
+        attr = AttributeSchema(name, attr.kind, attr.role, tuple(seen))
+    lookup = {c: i for i, c in enumerate(attr.categories)}
+    out = np.empty(len(strings), dtype=np.int32)
+    for i, s in enumerate(strings):
+        if s == "":
+            out[i] = -1
+        elif s in lookup:
+            out[i] = lookup[s]
+        else:
+            raise DataError(f"unparseable cell {s!r} in column {name!r}: "
+                            f"not among declared categories (row {i})")
+    return attr, out
+
+
+def stored(data):
+    """Schema and the bytes of every stored column."""
+    return data.schema, [
+        (data.scalar_values(a.name) if a.kind == "continuous" else data.codes(a.name)).tobytes()
+        for a in data.schema]
+
+
+def outcome(build):
+    try:
+        return stored(build())
+    except DataError as exc:
+        return "error", str(exc)
+
+
+TEXT_CELLS = st.one_of(
+    st.sampled_from(["", " 1.5", "1.5 ", "1_000", "inf", "-inf", "nan", "NaN", "-0.0", "0",
+                     "1", "1.0", "1e3", "é", "日本", "a b"]),
+    st.integers(-20, 20).map(str),
+    st.floats(allow_nan=False, width=32).map(repr),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=3),
+)
+PROGRAM_CELLS = st.one_of(
+    TEXT_CELLS,
+    st.none(),
+    st.integers(-20, 20),
+    st.floats(allow_nan=False),
+    st.just(float("nan")),
+    st.floats(allow_nan=False, width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans(),
+)
+
+
+def draw_column(data, cells, n):
+    """``n`` cells drawn from a small pool, so that cells repeat as in real columns."""
+    pool = data.draw(st.lists(cells, min_size=1, max_size=14))
+    return data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+
+def draw_schema(data, name, cells, infer):
+    """A declared schema for one column, or ``None`` to infer it."""
+    kinds = ["continuous", "categorical"] + (["infer"] if infer else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "infer":
+        return None
+    if kind == "continuous" or not data.draw(st.booleans()):
+        return AttributeSchema(name, kind)
+    # every cell's string in some order, plus an unused one, less at most two
+    pool = sorted({"" if c is None else str(c) for c in cells} - {""}) + ["zz"]
+    dropped = data.draw(st.sets(st.sampled_from(pool), max_size=2))
+    pinned = [c for c in data.draw(st.permutations(pool)) if c not in dropped]
+    return AttributeSchema(name, "categorical", "contextual", tuple(pinned))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_from_columns_matches_per_cell_rules(data):
+    n = data.draw(st.integers(0, 40))
+    columns, schema = {}, []
+    for j in range(data.draw(st.integers(1, 3))):
+        cells = draw_column(data, PROGRAM_CELLS, n)
+        columns[f"c{j}"] = cells
+        schema.append(draw_schema(data, f"c{j}", cells, infer=False))
+
+    def reference():
+        encoded = [reference_encode(a.name, columns[a.name], a) for a in schema]
+        return Dataset([a for a, _ in encoded], {a.name: col for a, col in encoded})
+
+    assert outcome(lambda: Dataset.from_columns(schema, columns)) == outcome(reference)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_load_csv_matches_per_cell_rules(tmp_path_factory, data):
+    n = data.draw(st.integers(1, 40))
+    numeric = st.integers(0, 15).map(str)  # enough distinct numbers to infer continuous
+    columns, given = {}, {}
+    for j in range(data.draw(st.integers(1, 3))):
+        cells = st.one_of(numeric, TEXT_CELLS) if data.draw(st.booleans()) else numeric
+        columns[f"c{j}"] = draw_column(data, cells, n)
+        attr = draw_schema(data, f"c{j}", columns[f"c{j}"], infer=True)
+        if attr is not None:
+            given[f"c{j}"] = attr
+    path = tmp_path_factory.mktemp("enc") / "d.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(columns))
+        writer.writerows(zip(*columns.values()))
+
+    def reference():
+        encoded = [reference_encode(name, cells, given.get(name)) for name, cells in columns.items()]
+        return Dataset([a for a, _ in encoded], {a.name: col for a, col in encoded})
+
+    assert outcome(lambda: load_csv(path, given)) == outcome(reference)
+
+
+def test_ragged_row_is_named(tmp_path):
+    path = write_csv(tmp_path, "r.csv", "a,b\nx,1\ny\nz,3,4\n")
+    with pytest.raises(DataError, match=r"^row 2 has 1 fields, expected 2$"):
+        load_csv(path)

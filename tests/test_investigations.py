@@ -17,6 +17,7 @@ from uatest.investigations import (
     Finding,
     InvestigationSpec,
     ValidationResult,
+    _attach_error,
     compute_error,
     debug_with_explanatory,
     filter_and_rank,
@@ -75,11 +76,45 @@ def test_metric_auto_selection():
 
 
 def test_compute_error_absolute_and_zero_one():
-    assert compute_error([1.0, 2.0], [0.5, 3.0], "absolute") == [0.5, 1.0]
-    assert compute_error([1.0, 2.0], [1.0, 2.0], "absolute") == [0.0, 0.0]
-    assert compute_error(["a", "b"], ["a", "c"], "zero_one") == ["0", "1"]
+    absolute = compute_error(np.array([1.0, 2.0]), np.array([0.5, 3.0]), "absolute")
+    assert absolute.dtype == np.float64 and absolute.tolist() == [0.5, 1.0]
+    assert compute_error(np.array([1.0, 2.0]), np.array([1.0, 2.0]), "absolute").tolist() == [0.0, 0.0]
+    # codes of one shared coding: ("a", "b") vs ("a", "c") with "c" outside the prediction's list
+    zero_one = compute_error(np.array([0, 1], dtype=np.int32), np.array([0, 2]), "zero_one")
+    assert zero_one.dtype == np.int32 and zero_one.tolist() == [0, 1]
     with pytest.raises(DataError):
-        compute_error([1.0], [1.0, 2.0], "absolute")
+        compute_error(np.array([1.0]), np.array([1.0, 2.0]), "absolute")
+    # a missing value on either side yields a missing error
+    assert np.isnan(compute_error(np.array([np.nan, 1.0]), np.array([1.0, np.nan]), "absolute")).all()
+    assert compute_error(np.array([-1, 0, 1]), np.array([0, -1, 1]), "zero_one").tolist() == [-1, -1, 0]
+
+
+def test_attached_errors_match_decoded_cell_comparison():
+    # zero_one: the two columns list their categories in different orders, truth
+    # has a category the prediction lacks, and either side may be missing
+    pred = ["a", "b", "a", "", "b", "a", "b"]
+    truth = ["a", "a", "c", "b", "", "b", "b"]
+    d = Dataset.from_columns(
+        [AttributeSchema("pred", "categorical", "ignored", ("b", "a")),
+         AttributeSchema("truth", "categorical", "ignored", ("a", "c", "b"))],
+        {"pred": pred, "truth": truth})
+    spec = InvestigationSpec(kind=ERROR_PROFILING, protected=("pred",), output="pred",
+                             ground_truth="truth", error_kind="zero_one")
+    view = d.select([ContextPredicate("truth", "in", values=("a", "b", "c"))])
+    got = _attach_error(view, spec)
+    want = [None if not p or not t else str(int(p != t))
+            for p, t in zip(pred, truth) if t]
+    assert got.attribute("0/1 Error(pred)").categories == ("0", "1")
+    assert got.values("0/1 Error(pred)") == want
+    # absolute: an ordinal truth and a continuous prediction with missing cells
+    d = Dataset.from_columns(
+        [AttributeSchema("pred", "continuous"),
+         AttributeSchema("truth", "ordinal", "ignored", ("1", "2.5"))],
+        {"pred": [3.0, None, 1.5, 0.25], "truth": ["2.5", "1", "", "1"]})
+    spec = InvestigationSpec(kind=ERROR_PROFILING, protected=("pred",), output="pred",
+                             ground_truth="truth")
+    got = _attach_error(d, spec).scalar_values("Abs. Error(pred)")
+    assert np.array_equal(got, [0.5, np.nan, np.nan, 0.75], equal_nan=True)
 
 
 def test_spec_validation():

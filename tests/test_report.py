@@ -104,6 +104,18 @@ def test_p_value_clamp():
     assert "p-value = <1e-300" in render_text(rm)
 
 
+def test_global_significance_reads_the_corrected_p_value():
+    rm = staples_report()
+    tested = rm.global_finding.tested
+    tested.p, tested.corrected_p = 0.5, 0.0  # a corrected p of 0.0 is not missing
+    assert "(not significant)" not in render_text(rm)
+    tested.p, tested.corrected_p = 0.01, 0.2
+    assert "p-value = 2.00e-01 ; NMI = [0.0001, 0.0005] (not significant)" in render_text(rm)
+    tested.corrected_p = None  # an uncorrected hypothesis shows its raw p
+    assert "p-value = 1.00e-02 ; NMI" in render_text(rm)
+    assert "(not significant)" not in render_text(rm)
+
+
 def test_render_text_pure_function():
     a = render_text(staples_report())
     b = render_text(staples_report())
