@@ -285,8 +285,7 @@ def _restore_state(path: str, data_path: str):
             preds = tuple(_predicate_from_obj(p) for p in co["predicates"])
             metric_value = co["train_metric"]
             contexts.append(ContextNode(preds, co["n_train"],
-                                        float("nan") if metric_value is None else metric_value,
-                                        None))
+                                        float("nan") if metric_value is None else metric_value))
         units.append(TrainUnit(uo["protected"], uo["output"], uo.get("label"),
                                _bound_from_obj(uo["bound"]), contexts, TreeStats()))
     trained = TrainedInvestigation(spec, units, state["train_size"],

@@ -80,8 +80,9 @@ class AttributeSchema:
 class ContextPredicate:
     """A single clause of a context definition.
 
-    ``in`` tests categorical membership in a value set; ``le`` / ``gt``
-    compare a continuous or ordinal attribute against a threshold.
+    ``in`` tests membership of a categorical or ordinal cell in a value set;
+    ``le`` / ``gt`` compare a continuous or ordinal attribute against a
+    threshold.
     """
 
     attribute: str
@@ -226,22 +227,22 @@ class Dataset:
     def select(self, predicates: Sequence[ContextPredicate]) -> "Dataset":
         """Row-filtered view satisfying the conjunction of ``predicates``.
 
-        An empty predicate list returns a view of every row.
+        Each predicate is applied to the rows the previous ones kept, so a
+        view equals its parent's view filtered by its last predicate:
+        ``d.select(p[:k])`` has the rows of ``d.select(p[:k-1]).select(p[k-1:k])``
+        in the same order. An empty list returns this view itself.
         """
-        if not predicates:
-            return Dataset(self._schema, self._cols, self._idx)
-        mask = np.ones(self.n_rows, dtype=bool)
+        view = self
         for pred in predicates:
-            mask &= self._predicate_mask(pred)
-        return self._subset(np.flatnonzero(mask))
+            view = view._subset(np.flatnonzero(view._predicate_mask(pred)))
+        return view
 
     def _predicate_mask(self, pred: ContextPredicate) -> np.ndarray:
         attr = self.attribute(pred.attribute)
         if pred.op == "in":
-            if attr.kind != CATEGORICAL:
-                raise DataError(
-                    f"value-set predicate on {attr.name!r} requires a categorical attribute"
-                )
+            if attr.kind == CONTINUOUS:
+                raise DataError(f"value-set predicate on {attr.name!r} requires a "
+                                "categorical or ordinal attribute")
             cats = attr.categories or ()
             lookup = {c: i for i, c in enumerate(cats)}
             try:
@@ -359,8 +360,10 @@ def load_csv(path, schema="infer") -> Dataset:
     more than 10 distinct numbers, where every ``nan`` cell counts as one
     number; otherwise categorical. Columns are encoded one at a time.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
+    while rows and not rows[-1]:
+        rows.pop()  # blank lines at the end of the file
     if not rows:
         raise DataError(f"empty file: {path}")
     header = rows[0]
@@ -426,7 +429,7 @@ def save_csv(data: Dataset, path) -> None:
             columns[name] = [MISSING if v is None else repr(v) for v in data.values(name)]
         else:
             columns[name] = [MISSING if v is None else v for v in data.values(name)]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
         for i in range(data.n_rows):

@@ -436,9 +436,15 @@ def validate(trained: TrainedInvestigation, test_view: Dataset,
     min_test = spec.tree.min_size // 2
     tasks: list[tuple[TrainUnit, ContextNode, Dataset]] = []
     dropped_contexts = 0
+    # test view of each predicate prefix, each built once from its parent's view
+    views: dict[tuple[ContextPredicate, ...], Dataset] = {(): cleaned}
     for unit in trained.units:
         for node in unit.contexts:
-            ctx = cleaned.select(node.predicates)
+            preds = node.predicates
+            for k in range(1, len(preds) + 1):
+                if preds[:k] not in views:
+                    views[preds[:k]] = views[preds[:k - 1]].select(preds[k - 1:k])
+            ctx = views[preds]
             if node.depth > 0 and ctx.n_rows < min_test:
                 dropped_contexts += 1
                 logger.info("dropped context %s: only %d test rows",
@@ -509,16 +515,13 @@ def _test_strata(ctx: Dataset, bound: BoundMetric, cfg: StatConfig,
     strata join the same correction family as their parent finding."""
     base = bound.unconditional()
     cond = conditional_metric(ctx, bound)
-    e_attr = ctx.attribute(bound.kind.explanatory)
-    codes = ctx.codes(bound.kind.explanatory)
     out = []
     for k, part in enumerate(cond.strata):
-        rows = np.flatnonzero(codes == e_attr.categories.index(part.value))
-        stratum = ctx._subset(rows)
         if part.excluded is not None:
             out.append(StratumFinding(part.value, part.size, base.kind.display,
                                       None, note=part.excluded))
             continue
+        stratum = ctx.select((ContextPredicate(bound.kind.explanatory, "in", values=(part.value,)),))
         try:
             tested = test_metric(stratum, base, cfg, entropy + (k,))
         except MetricError as exc:

@@ -47,17 +47,16 @@ class TreeParams:
 
 class ContextNode:
     """A registered context: the conjunction of predicates on the path from
-    the root, its training size, and its training-set association."""
+    the root, its training size, and its training-set association. Its
+    parent is the context whose predicates are these minus the last."""
 
-    __slots__ = ("predicates", "n_train", "train_metric", "parent", "children")
+    __slots__ = ("predicates", "n_train", "train_metric")
 
     def __init__(self, predicates: tuple[ContextPredicate, ...], n_train: int,
-                 train_metric: float, parent: "ContextNode | None"):
+                 train_metric: float):
         self.predicates = predicates
         self.n_train = n_train
         self.train_metric = train_metric
-        self.parent = parent
-        self.children: list[ContextNode] = []
 
     @property
     def depth(self) -> int:
@@ -163,18 +162,12 @@ def find_contexts(train: Dataset, protected: str, output: str, params: TreeParam
         values, _ = metric.group_values(view, partition.key, len(partition.predicates))
         return np.abs(values) if metric.kind.signed else values
 
-    def recurse(view: Dataset, predicates: tuple[ContextPredicate, ...],
-                value: float, parent: ContextNode | None) -> None:
+    def recurse(view: Dataset, predicates: tuple[ContextPredicate, ...], value: float) -> None:
         stats.n_nodes += 1
-        is_root = parent is None
-        node = ContextNode(predicates, view.n_rows, value, parent)
-        if is_root:
-            if math.isnan(value):
-                raise MetricError("root metric undefined on the training population")
-            registered.append(node)
-        elif view.n_rows >= params.min_size:
-            parent.children.append(node)
-            registered.append(node)
+        if not predicates and math.isnan(value):
+            raise MetricError("root metric undefined on the training population")
+        if not predicates or view.n_rows >= params.min_size:
+            registered.append(ContextNode(predicates, view.n_rows, value))
         if view.n_rows < params.min_size:
             return
         if len(predicates) >= params.max_depth or math.isnan(value):
@@ -199,10 +192,10 @@ def find_contexts(train: Dataset, protected: str, output: str, params: TreeParam
         partition, part_values = best_parts
         for i, pred in enumerate(partition.predicates):
             part = view._subset(np.flatnonzero(partition.key == i))
-            recurse(part, predicates + (pred,), float(part_values[i]), node)
+            recurse(part, predicates + (pred,), float(part_values[i]))
 
     stats.n_metric_evals += 1
-    recurse(train, (), _part_value(train, metric), None)
+    recurse(train, (), _part_value(train, metric))
     return registered
 
 

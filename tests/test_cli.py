@@ -277,3 +277,12 @@ def test_bad_tree_setting_is_a_one_line_data_error(berkeley_csv, capsys, flags, 
     assert setting in captured.err and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_csv_with_byte_order_mark(tmp_path, capsys):
+    rows = "".join(f"{'ab'[i % 2]},{'xyz'[i % 3]},{i % 5 % 2}\n" for i in range(300))
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + ("g,c,o\n" + rows).encode())
+    assert main(["testing", "--data", str(path), "--protected", "g", "--output", "o",
+                 "--min-size", "50", "--seed", "1"]) == 0
+    assert "Report of associations of O=o on S=g" in capsys.readouterr().out

@@ -1,10 +1,15 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uatest
 from uatest.dataset import (
     AttributeSchema,
     BudgetError,
@@ -391,3 +396,119 @@ def test_ragged_row_is_named(tmp_path):
     path = write_csv(tmp_path, "r.csv", "a,b\nx,1\ny\nz,3,4\n")
     with pytest.raises(DataError, match=r"^row 2 has 1 fields, expected 2$"):
         load_csv(path)
+
+
+def test_trailing_blank_lines_are_ignored(tmp_path):
+    rows = "".join(f"g{i % 2},o{i % 3}\n" for i in range(300))
+    d = load_csv(write_csv(tmp_path, "t.csv", "g,o\n" + rows + "\n\n"))
+    assert d.n_rows == 300
+    assert d.attribute_names() == ("g", "o")
+
+
+def test_blank_line_between_rows_is_named(tmp_path):
+    path = write_csv(tmp_path, "b.csv", "a,b\nx,1\n\ny,2\n")
+    with pytest.raises(DataError, match=r"^row 2 has 0 fields, expected 2$"):
+        load_csv(path)
+
+
+ROUNDTRIP_SCRIPT = """
+import sys
+from uatest.dataset import AttributeSchema, Dataset, load_csv, save_csv
+cities = ("Z\\u00fcrich", "\\u6771\\u4eac")
+d = Dataset.from_columns([AttributeSchema("city", "categorical", "contextual", cities)],
+                         {"city": [cities[1], cities[0], ""]})
+save_csv(d, sys.argv[1])
+assert load_csv(sys.argv[1]).values("city") == [cities[1], cities[0], None]
+"""
+
+
+def test_csv_roundtrip_does_not_depend_on_the_locale(tmp_path):
+    path = tmp_path / "u.csv"
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": str(Path(uatest.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", ROUNDTRIP_SCRIPT, str(path)], env=env,
+                   check=True, timeout=60)
+    assert path.read_bytes().decode("utf-8").splitlines() == ["city", "東京", "Zürich", '""']
+
+
+# -- select against the all-rows mask conjunction ---------------------------
+
+SELECT_SCHEMA = [
+    AttributeSchema("c", "categorical", "contextual", ("a", "b", "c", "d")),
+    AttributeSchema("r", "ordinal", "contextual", ("1", "2", "3", "5")),
+    AttributeSchema("x", "continuous", "contextual"),
+]
+X_CELLS = (np.nan, -1.5, 0.0, 0.25, 2.0, 7.0)
+THRESHOLDS = (-2.0, -1.5, 0.0, 0.1, 2.0, 2.5, 3.0, 5.0, 9.0)
+
+
+def select_reference(view, predicates):
+    """Row ids of ``view`` that meet every predicate, from one all-rows mask
+    per predicate; assumes every predicate fits its column."""
+    mask = np.ones(view.n_rows, dtype=bool)
+    for p in predicates:
+        if p.op == "in":
+            mask &= np.array([v in p.values for v in view.values(p.attribute)], dtype=bool)
+        elif p.op == "le":
+            mask &= view.scalar_values(p.attribute) <= p.threshold
+        else:
+            mask &= view.scalar_values(p.attribute) > p.threshold
+    return view.row_ids()[mask]
+
+
+def draw_predicate(data):
+    column = data.draw(st.sampled_from(("c", "r", "x")))
+    if column == "x" or (column == "r" and data.draw(st.booleans())):
+        return ContextPredicate(column, data.draw(st.sampled_from(("le", "gt"))),
+                                threshold=data.draw(st.sampled_from(THRESHOLDS)))
+    cats = SELECT_SCHEMA[0 if column == "c" else 1].categories
+    values = data.draw(st.lists(st.sampled_from(cats), min_size=1, max_size=3))
+    return ContextPredicate(column, "in", values=tuple(values))
+
+
+BAD_PREDICATES = (
+    ContextPredicate("c", "in", values=("zz",)),       # unknown category
+    ContextPredicate("r", "in", values=("4",)),        # unknown ordinal category
+    ContextPredicate("x", "in", values=("0",)),        # value set on a continuous column
+    ContextPredicate("c", "le", threshold=1.0),        # threshold on a categorical column
+    ContextPredicate("missing", "gt", threshold=0.0),  # no such column
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_select_matches_mask_conjunction(data):
+    n = data.draw(st.integers(0, 30))
+    cols = {
+        "c": np.array(data.draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n)), dtype=np.int32),
+        "r": np.array(data.draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n)), dtype=np.int32),
+        "x": np.array(data.draw(st.lists(st.sampled_from(X_CELLS), min_size=n, max_size=n))),
+    }
+    # the view addresses a subset of the stored rows in a shuffled order
+    rows = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
+    view = Dataset(SELECT_SCHEMA, cols, np.array(rows, dtype=np.int64))
+    predicates = [draw_predicate(data) for _ in range(data.draw(st.integers(0, 5)))]
+
+    got = view.select(predicates)
+    assert np.array_equal(got.row_ids(), select_reference(view, predicates))
+    if predicates:
+        assert np.array_equal(got.row_ids(),
+                              view.select(predicates[:-1]).select(predicates[-1:]).row_ids())
+    else:
+        assert got is view
+    bad = data.draw(st.sampled_from(BAD_PREDICATES))
+    at = data.draw(st.integers(0, len(predicates)))
+    with pytest.raises(DataError):
+        view.select(predicates[:at] + [bad] + predicates[at:])
+
+
+def test_select_raises_after_an_empty_view():
+    view = Dataset(SELECT_SCHEMA, {"c": np.array([0, 1, 2], dtype=np.int32),
+                                   "r": np.array([0, -1, 3], dtype=np.int32),
+                                   "x": np.array([0.0, np.nan, 2.0])})
+    empty = [ContextPredicate("c", "in", values=("a",)), ContextPredicate("c", "in", values=("b",))]
+    assert view.select(empty).n_rows == 0
+    assert view.select(empty + [ContextPredicate("x", "gt", threshold=0.0)]).n_rows == 0
+    for bad in BAD_PREDICATES:
+        with pytest.raises(DataError):
+            view.select(empty + [bad])

@@ -168,7 +168,7 @@ def test_validate_drops_tiny_test_contexts(caplog):
          ContextPredicate("income", "in", values=("low",)),
          ContextPredicate("price", "in", values=("0",)),
          ContextPredicate("price", "in", values=("1",))),  # contradictory: no rows
-        150, 0.1, None)
+        150, 0.1)
     unit.contexts.append(ghost)
     validated = validate(trained, ds.next_test_set())
     assert validated.dropped_contexts >= 1
@@ -429,3 +429,98 @@ def test_nmi_pipeline_with_ordinal_and_continuous_contexts():
     assert top.tested.value.value > 5 * rm.global_finding.tested.value.value
     from uatest.report import parse_json, render_json
     assert parse_json(render_json(rm)) == rm
+
+
+def nested_dataset(n, seed):
+    """Disparity only inside state A among rows with age above 50, so the tree
+    registers contexts two and three predicates deep."""
+    rng = np.random.default_rng(seed)
+    s = rng.integers(0, 2, n)
+    state = rng.integers(0, 3, n)
+    age = rng.uniform(18, 80, n)
+    inside = (state == 0) & (age > 50)
+    p = np.where(inside, np.where(s == 1, 0.75, 0.25), 0.5)
+    schema = [AttributeSchema("income", "categorical", "protected", ("low", "high")),
+              AttributeSchema("state", "categorical", "contextual", ("A", "B", "C")),
+              AttributeSchema("age", "continuous", "contextual"),
+              AttributeSchema("level", "ordinal", "explanatory", ("1", "2", "3")),
+              AttributeSchema("price", "categorical", "output", ("0", "1"))]
+    return Dataset(schema, {"income": s.astype(np.int32), "state": state.astype(np.int32),
+                            "age": age, "level": rng.integers(0, 3, n).astype(np.int32),
+                            "price": (rng.random(n) < p).astype(np.int32)})
+
+
+def test_validate_does_not_depend_on_context_order():
+    ds = make_datasource(nested_dataset(8000, seed=21), budget=1, train_fraction=0.5, seed=21)
+    spec = InvestigationSpec(kind=TESTING, protected=("income",), output="price",
+                             contextual=("state", "age"), stats=StatConfig(seed=21),
+                             tree=TreeParams(min_size=100, max_depth=3))
+    trained = train(spec, ds.train)
+    assert max(c.depth for c in trained.units[0].contexts) >= 3
+    test_view = ds.next_test_set()
+
+    def summary(result):
+        # p-values and CIs follow each context's task index, so only
+        # order-free fields are compared
+        return {f.predicates: (f.size, f.display, f.tested.value.value) for f in result.findings}
+
+    forward = validate(trained, test_view)
+    for unit in trained.units:
+        unit.contexts.reverse()  # every context now precedes its parent
+    backward = validate(trained, test_view)
+    assert summary(backward) == summary(forward)
+    assert backward.dropped_contexts == forward.dropped_contexts
+
+
+def test_debug_strata_on_an_ordinal_explanatory_attribute():
+    ds = make_datasource(nested_dataset(8000, seed=22), budget=2, train_fraction=0.5, seed=22)
+    spec = InvestigationSpec(kind=TESTING, protected=("income",), output="price",
+                             contextual=("state",), stats=StatConfig(seed=22),
+                             tree=TreeParams(min_size=100, max_depth=1))
+    run = run_investigation(spec, ds)
+    fresh = ds.next_test_set()
+    dbg = debug_with_explanatory(run.trained, "level", fresh)
+    g = dbg.reports[0].global_finding
+    assert [sf.value for sf in g.strata] == ["1", "2", "3"]
+    levels = fresh.values("level")
+    for sf in g.strata:
+        assert sf.size == levels.count(sf.value)
+        assert sum(map(sum, sf.display.counts)) == sf.size
+
+
+def test_validate_builds_each_distinct_context_once(monkeypatch):
+    rng = np.random.default_rng(23)
+    n = 6000
+    s = rng.integers(0, 2, n)
+    grp = rng.integers(0, 2, n)
+    schema = [AttributeSchema("race", "categorical", "protected", ("b", "w")),
+              AttributeSchema("grp", "categorical", "contextual", ("g0", "g1")),
+              AttributeSchema("region", "categorical", "contextual", ("n", "s", "e"))]
+    cols = {"race": s.astype(np.int32), "grp": grp.astype(np.int32),
+            "region": rng.integers(0, 3, n).astype(np.int32)}
+    for j in range(4):  # opposite biases in the two groups: every tree splits on grp first
+        shift = np.where(grp == 0, 0.2, -0.2) + 0.02 * j
+        p = np.where(s == 1, 0.5 + shift, 0.5 - shift)
+        schema.append(AttributeSchema(f"L{j}", "categorical", "output", ("0", "1")))
+        cols[f"L{j}"] = (rng.random(n) < p).astype(np.int32)
+    ds = make_datasource(Dataset(schema, cols), budget=1, train_fraction=0.5, seed=23)
+    spec = InvestigationSpec(kind=DISCOVERY, protected=("race",),
+                             output=tuple(f"L{j}" for j in range(4)),
+                             contextual=("grp", "region"), top_k=4,
+                             tree=TreeParams(min_size=200, max_depth=2),
+                             stats=StatConfig(seed=23))
+    trained = train(spec, ds.train)
+    assert len(trained.units) >= 3
+    non_root = [c.predicates for u in trained.units for c in u.contexts if c.depth > 0]
+    assert len(set(non_root)) < len(non_root)
+
+    calls = []
+    select = Dataset.select
+
+    def counting_select(self, predicates):
+        calls.append(tuple(predicates))
+        return select(self, predicates)
+
+    monkeypatch.setattr(Dataset, "select", counting_select)
+    validate(trained, ds.next_test_set())
+    assert len(calls) == len(set(non_root))
