@@ -8,7 +8,8 @@ instead of the raw output.
 
 Candidate contexts come from the guided tree on training data; every
 reported statistic is computed on held-out test rows, corrected as one
-family per investigation.
+family per investigation. Bootstrap CIs and displays are computed on first
+read, so only the hypotheses a report shows or ranks pay for them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .metrics import (
     contingency,
     logistic_label_scores,
 )
-from .stats import StatConfig, TestedMetric, apply_corrections, test_metric
+from .stats import StatConfig, StatsError, TestedMetric, apply_corrections, test_metric
 from .tree import ContextNode, TreeParams, TreeStats, find_contexts
 
 logger = logging.getLogger(__name__)
@@ -329,6 +330,23 @@ class DecileDisplay:
     rows: tuple[DecileRow, ...]
 
 
+class _Display:
+    """The ``display`` field of a finding: the value given to the
+    constructor, or else built on first read from the finding's ``_source``
+    (its test view and bound metric) and then kept."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the field's default
+        if obj._display is None and obj._source is not None:
+            obj._display = _make_display(*obj._source)
+            obj._source = None
+        return obj._display
+
+    def __set__(self, obj, value) -> None:
+        obj._display = value
+
+
 @dataclass
 class StratumFinding:
     """Per-explanatory-stratum test attached to a conditional finding."""
@@ -338,7 +356,8 @@ class StratumFinding:
     metric: str
     tested: TestedMetric | None
     note: str | None = None
-    display: TableDisplay | DecileDisplay | None = None
+    display: TableDisplay | DecileDisplay | None = _Display()
+    _source: tuple[Dataset, BoundMetric] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -352,10 +371,11 @@ class Finding:
     size: int
     metric: str
     tested: TestedMetric
-    display: TableDisplay | DecileDisplay | None = None
+    display: TableDisplay | DecileDisplay | None = _Display()
     strata: tuple[StratumFinding, ...] = ()
     is_global: bool = False
     rank: int | None = None
+    _source: tuple[Dataset, BoundMetric] | None = field(default=None, compare=False, repr=False)
 
     def strength(self) -> float:
         """Ranking key: the corrected-CI bound nearest zero, signed metrics
@@ -491,7 +511,6 @@ def _test_context(unit: TrainUnit, node: ContextNode, ctx: Dataset, cfg: StatCon
     except MetricError as exc:
         logger.info("context %s untestable: %s", [p.describe() for p in node.predicates], exc)
         return None
-    display = _make_display(ctx, bound)
     strata: tuple[StratumFinding, ...] = ()
     if bound.conditional:
         strata = _test_strata(ctx, bound, cfg, entropy)
@@ -503,9 +522,9 @@ def _test_context(unit: TrainUnit, node: ContextNode, ctx: Dataset, cfg: StatCon
         size=ctx.n_rows,
         metric=bound.kind.display,
         tested=tested,
-        display=display,
         strata=strata,
         is_global=node.depth == 0,
+        _source=(ctx, bound),
     )
 
 
@@ -529,7 +548,7 @@ def _test_strata(ctx: Dataset, bound: BoundMetric, cfg: StatConfig,
                                       None, note=str(exc)))
             continue
         out.append(StratumFinding(part.value, part.size, base.kind.display, tested,
-                                  display=_make_display(stratum, base.resolve(stratum))))
+                                  _source=(stratum, base)))
     return tuple(out)
 
 
@@ -576,6 +595,8 @@ def filter_and_rank(result: ValidationResult, conf: float | None = None) -> list
         pool = list(significant)
         if global_finding is not None and global_finding.tested.corrected_p <= alpha:
             pool.append(global_finding)
+        for f in pool:
+            _draw_cis(f, strata=False)
         kept = []
         for f in significant:
             ancestors = [a for a in pool
@@ -589,6 +610,8 @@ def filter_and_rank(result: ValidationResult, conf: float | None = None) -> list
         for i, f in enumerate(kept):
             f.rank = i + 1
             ranked.append(f)
+        for f in ([global_finding] if global_finding is not None else []) + ranked:
+            _draw_cis(f, strata=True)
         if global_finding is not None:
             metric_display = global_finding.metric
         elif ranked:
@@ -613,6 +636,24 @@ def filter_and_rank(result: ValidationResult, conf: float | None = None) -> list
             findings=tuple(ranked),
         ))
     return reports
+
+
+def _draw_cis(f: Finding, strata: bool) -> None:
+    """Read the corrected CIs of ``f``, and of its strata if asked, so that
+    an unstable bootstrap fails naming its hypothesis, not while rendering."""
+    tested = [(None, f.tested)]
+    if strata:
+        tested += [(sf.value, sf.tested) for sf in f.strata if sf.tested is not None]
+    for stratum, t in tested:
+        try:
+            t.corrected_ci  # the first read draws the bootstrap
+        except StatsError as exc:
+            where = [f"context {', '.join(p.describe() for p in f.predicates) or 'global'}"]
+            if f.label is not None:
+                where.append(f"label {f.label}")
+            if stratum is not None:
+                where.append(f"stratum {stratum}")
+            raise StatsError(f"{exc} ({'; '.join(where)})") from exc
 
 
 # -- orchestration ----------------------------------------------------------------

@@ -5,6 +5,11 @@ bootstraps; large ones with the matching asymptotic tests. Families of
 simultaneous hypotheses are corrected with Holm-Bonferroni p-values and
 Bonferroni-level confidence intervals.
 
+Estimates and p-values are computed when a metric is tested. A percentile
+CI's bootstrap is drawn on the first read of the CI, from the hypothesis's
+own RNG stream, of which it is the last draw; so the CI is the same whenever
+it is read, and a hypothesis whose CI is never read never resamples.
+
 Every randomized procedure is reproducible from (seed, input); callers that
 parallelize must derive one entropy tuple per task so results do not depend
 on execution order.
@@ -13,7 +18,7 @@ on execution order.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
@@ -70,19 +75,57 @@ class StatConfig:
             raise StatsError("resampling counts must be at least 100")
 
 
-@dataclass
+@dataclass(init=False)
 class TestedMetric:
-    """A metric estimate with its CI and p-value, before and after correction."""
+    """A metric estimate with its CI and p-value, before and after correction.
+
+    The CIs derive from a recipe: a percentile recipe holds the sorted
+    bootstrap statistics, a Wald or Fisher-z recipe the estimate and its
+    spread. ``_recipe`` may be a function that draws it; it is called on the
+    first read of ``ci``, ``corrected_ci`` or ``_recipe`` and its result
+    kept, so that first read must not race with another thread's. A ``ci``
+    of None is derived from the recipe at level ``conf``, a ``corrected_ci``
+    of None at the level ``corrected_cis`` records (None until then); given
+    values are kept. Equality compares the fields below, CIs included.
+    """
 
     __test__ = False  # not a pytest class, despite the name
 
+    # ``ci`` and ``corrected_ci`` are properties, defined after ``__init__``
     value: MetricValue
     ci: tuple[float, float]
     p: float
     method: str
-    corrected_p: float | None = None
-    corrected_ci: tuple[float, float] | None = None
-    _recipe: tuple = field(default=None, compare=False, repr=False)
+    corrected_p: float | None
+    corrected_ci: tuple[float, float] | None
+
+    def __init__(self, value: MetricValue, ci: tuple[float, float] | None, p: float,
+                 method: str, corrected_p: float | None = None,
+                 corrected_ci: tuple[float, float] | None = None,
+                 _recipe: tuple | Callable[[], tuple] | None = None,
+                 conf: float | None = None) -> None:
+        self.value, self.p, self.method, self.corrected_p = value, p, method, corrected_p
+        self._ci, self._corrected_ci = ci, corrected_ci
+        self._source, self._conf = _recipe, conf
+        self._level: float | None = None
+
+    @property
+    def _recipe(self) -> tuple | None:
+        if callable(self._source):
+            self._source = self._source()
+        return self._source
+
+    @property
+    def ci(self) -> tuple[float, float]:
+        if self._ci is None:
+            self._ci = _ci_from_recipe(self._recipe, self._conf)
+        return self._ci
+
+    @property
+    def corrected_ci(self) -> tuple[float, float] | None:
+        if self._corrected_ci is None and self._level is not None:
+            self._corrected_ci = _ci_from_recipe(self._recipe, self._level)
+        return self._corrected_ci
 
     def significant(self, conf: float) -> bool:
         if self.corrected_p is None:
@@ -109,15 +152,13 @@ def holm_bonferroni(pvalues: Sequence[float]) -> list[float]:
     m = len(ps)
     order = np.argsort(ps, kind="stable")
     adjusted = np.empty(m)
-    running = 0.0
-    for rank, idx in enumerate(order):
-        running = max(running, min(1.0, (m - rank) * ps[idx]))
-        adjusted[idx] = running
+    adjusted[order] = np.maximum.accumulate(np.minimum(1.0, (m - np.arange(m)) * ps[order]))
     return adjusted.tolist()
 
 
 def corrected_cis(tested: Sequence[TestedMetric], conf: float) -> list[TestedMetric]:
-    """Recompute each CI at the Bonferroni level 1 - (1-conf)/m.
+    """Set each ``corrected_ci`` to the CI at the Bonferroni level
+    1 - (1-conf)/m, computed on its first read.
 
     The widened intervals are simultaneously valid and always contain the
     raw intervals.
@@ -127,12 +168,13 @@ def corrected_cis(tested: Sequence[TestedMetric], conf: float) -> list[TestedMet
         return []
     level = 1.0 - (1.0 - conf) / m
     for t in tested:
-        t.corrected_ci = _ci_from_recipe(t._recipe, level)
+        t._level, t._corrected_ci = level, None
     return list(tested)
 
 
 def apply_corrections(tested: Sequence[TestedMetric], conf: float) -> None:
-    """Attach Holm-corrected p-values and Bonferroni-corrected CIs in place."""
+    """Attach Holm-corrected p-values and Bonferroni-corrected CIs in place;
+    the CIs are computed on first read."""
     adjusted = holm_bonferroni([t.p for t in tested])
     for t, ap in zip(tested, adjusted):
         t.corrected_p = ap
@@ -173,6 +215,11 @@ def test_metric(view: Dataset, bound: BoundMetric, cfg: StatConfig,
                 entropy: Sequence[int] = ()) -> TestedMetric:
     """Point estimate, CI, and p-value for a bound metric on one population.
 
+    The estimate, p-value and method are computed here. Percentile CIs keep
+    the generator (already past its permutation draws), the counts or rows
+    to resample and the statistic; the bootstrap is drawn from them on the
+    first read of a CI, so it gives the same numbers whenever it runs.
+
     Table metrics permute by drawing fixed-margin tables (exactly the
     distribution induced by shuffling the protected column) and bootstrap by
     multinomial resampling of the joint counts, both vectorized. Conditional
@@ -210,9 +257,8 @@ def _test_tabular(view: Dataset, bound: BoundMetric, cfg: StatConfig,
     if resample:
         perm_stats = values(_fixed_margin_tables(counts, cfg.n_permutations, rng))
         p = _perm_pvalue(perm_stats, obs, two_sided=bound.kind.signed)
-        samples = _bootstrap_table_stats(counts, values, cfg.n_bootstrap, rng)
-        recipe = ("percentile", samples, obs)
-        return TestedMetric(value, _ci_from_recipe(recipe, cfg.conf), p, RESAMPLING, _recipe=recipe)
+        return _percentile(value, p, RESAMPLING, cfg,
+                           partial(_bootstrap_table_stats, counts, values, cfg.n_bootstrap, rng))
 
     if bound.kind.name == NMI:
         mi = float(mi_from_tables(counts, normalized=False))
@@ -221,9 +267,8 @@ def _test_tabular(view: Dataset, bound: BoundMetric, cfg: StatConfig,
         live_c = int((counts.sum(axis=0) > 0).sum())
         dof = max(1, (live_r - 1) * (live_c - 1))
         p = float(sps.chi2.sf(g, dof))
-        samples = _bootstrap_table_stats(counts, values, cfg.n_bootstrap, rng)
-        recipe = ("percentile", samples, obs)
-        return TestedMetric(value, _ci_from_recipe(recipe, cfg.conf), p, ASYMPTOTIC, _recipe=recipe)
+        return _percentile(value, p, ASYMPTOTIC, cfg,
+                           partial(_bootstrap_table_stats, counts, values, cfg.n_bootstrap, rng))
 
     # DIFF: two-proportion z-test with a Wald interval.
     ti, ja, jb = bound._indices(view)
@@ -238,6 +283,15 @@ def _test_tabular(view: Dataset, bound: BoundMetric, cfg: StatConfig,
         return TestedMetric(value, (obs, obs), p, ASYMPTOTIC, _recipe=("degenerate", obs))
     recipe = ("wald", obs, se1)
     return TestedMetric(value, _ci_from_recipe(recipe, cfg.conf), p, ASYMPTOTIC, _recipe=recipe)
+
+
+def _percentile(value: MetricValue, p: float, method: str, cfg: StatConfig,
+                samples: Callable[[], np.ndarray]) -> TestedMetric:
+    """A tested metric whose percentile CIs come from ``samples()``, the
+    sorted bootstrap statistics, drawn on the first read of a CI."""
+    est = value.value
+    return TestedMetric(value, None, p, method, conf=cfg.conf,
+                        _recipe=lambda: ("percentile", samples(), est))
 
 
 def _fixed_margin_tables(counts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -260,11 +314,16 @@ def _fixed_margin_tables(counts: np.ndarray, k: int, rng: np.random.Generator) -
 
 
 def _perm_pvalue(perm_stats: np.ndarray, obs: float, two_sided: bool) -> float:
+    """Share of permuted statistics at least as extreme as ``obs``, counting
+    the observed one. Within scipy's ``monte_carlo_test`` tolerance of
+    100 ulps relative to ``obs`` a statistic counts as a tie: a table and its
+    mirror give magnitudes that can differ in the last bits."""
     if two_sided:
         perm_stats = np.abs(perm_stats)
         obs = abs(obs)
+    gamma = abs(100 * np.finfo(np.float64).eps * obs)
     # NaN permutation statistics count as extreme, which is conservative.
-    exceed = int(np.sum(np.isnan(perm_stats) | (perm_stats >= obs)))
+    exceed = int(np.sum(np.isnan(perm_stats) | (perm_stats >= obs - gamma)))
     return (1 + exceed) / (1 + len(perm_stats))
 
 
@@ -328,9 +387,7 @@ def _test_corr(view: Dataset, bound: BoundMetric, cfg: StatConfig,
                     out.append((xs * ys).mean(axis=1) / (xs.std(axis=1) * ys.std(axis=1)))
             return np.concatenate(out)
 
-        samples = _bootstrap(draw, cfg.n_bootstrap)
-        recipe = ("percentile", samples, obs)
-        return TestedMetric(value, _ci_from_recipe(recipe, cfg.conf), p, RESAMPLING, _recipe=recipe)
+        return _percentile(value, p, RESAMPLING, cfg, partial(_bootstrap, draw, cfg.n_bootstrap))
     if abs(obs) >= 1.0:
         p = 0.0
     else:
@@ -383,9 +440,9 @@ def _test_conditional(view: Dataset, bound: BoundMetric, cfg: StatConfig,
         kept = _kept_strata(vals, sizes)
         perm_vals = values(np.stack([_fixed_margin_tables(tensor[k], n_perm, rng)
                                      for k in kept], axis=1))
-        samples = _bootstrap_table_stats(
-            tensor, lambda t: _stratum_mean(values(t), t.sum(axis=(-2, -1))),
-            cfg.n_bootstrap, rng)
+        samples = partial(_bootstrap_table_stats, tensor,
+                          lambda t: _stratum_mean(values(t), t.sum(axis=(-2, -1))),
+                          cfg.n_bootstrap, rng)
     elif bound.kind.name == CORR:
         e = view.codes(explanatory).astype(np.int64)
         x = view.scalar_values(base.protected)
@@ -408,7 +465,7 @@ def _test_conditional(view: Dataset, bound: BoundMetric, cfg: StatConfig,
                 out.append(_stratum_mean(v.reshape(chunk, n_strata), c.reshape(chunk, n_strata)))
             return np.concatenate(out)
 
-        samples = _bootstrap(draw, cfg.n_bootstrap)
+        samples = partial(_bootstrap, draw, cfg.n_bootstrap)
     else:
         raise MetricError(f"no statistical test for metric {bound.kind.display!r}")
 
@@ -416,9 +473,7 @@ def _test_conditional(view: Dataset, bound: BoundMetric, cfg: StatConfig,
     # the retained strata keep their sizes under permutation; NaN propagates
     # from any undefined stratum and counts as extreme
     p = _perm_pvalue(_weighted_mean(perm_vals, sizes[kept]), obs, two_sided=bound.kind.signed)
-    recipe = ("percentile", samples, obs)
-    return TestedMetric(MetricValue(bound.kind, obs), _ci_from_recipe(recipe, cfg.conf), p,
-                        RESAMPLING, _recipe=recipe)
+    return _percentile(MetricValue(bound.kind, obs), p, RESAMPLING, cfg, samples)
 
 
 def _kept_strata(vals: np.ndarray, sizes: np.ndarray) -> np.ndarray:

@@ -286,3 +286,87 @@ def test_csv_with_byte_order_mark(tmp_path, capsys):
     assert main(["testing", "--data", str(path), "--protected", "g", "--output", "o",
                  "--min-size", "50", "--seed", "1"]) == 0
     assert "Report of associations of O=o on S=g" in capsys.readouterr().out
+
+
+@pytest.fixture()
+def shift_tagged_csv(tmp_path):
+    """Two labels shown by race, a region context and a shift column to
+    condition on."""
+    import numpy as np
+    rng = np.random.default_rng(8)
+    n = 3000
+    race = rng.choice(["black", "white"], n)
+    region = rng.choice(["n", "s", "e"], n)
+    shift = rng.choice(["day", "night"], n)
+    p_cart = np.where(race == "black", np.where(region == "n", 0.45, 0.2), 0.1)
+    cart = rng.random(n) < p_cart
+    person = rng.random(n) < 0.5
+    rows = ["race,region,shift,cart,person"]
+    rows += [f"{r},{g},{s},{int(c)},{int(p)}"
+             for r, g, s, c, p in zip(race, region, shift, cart, person)]
+    path = tmp_path / "shift_tagged.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+def test_discovery_resamples_and_displays_only_what_it_ranks(shift_tagged_csv, tmp_path,
+                                                              monkeypatch):
+    from uatest import cli, investigations, stats
+    boots, displays, results = [], [], []
+    bootstrap, make_display, validate = stats._bootstrap, investigations._make_display, cli.validate
+
+    def counting_bootstrap(*args):
+        boots.append(1)
+        return bootstrap(*args)
+
+    def counting_display(*args):
+        displays.append(1)
+        return make_display(*args)
+
+    def keeping_validate(*args, **kwargs):
+        results.append(validate(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(stats, "_bootstrap", counting_bootstrap)
+    monkeypatch.setattr(investigations, "_make_display", counting_display)
+    monkeypatch.setattr(cli, "validate", keeping_validate)
+    out = tmp_path / "r.json"
+    assert main(["discovery", "--data", shift_tagged_csv, "--protected", "race",
+                 "--output", "cart,person", "--context", "region", "--explanatory", "shift",
+                 "--top-k", "2", "--seed", "3", "--min-size", "200",
+                 "--format", "json", "--out", str(out)]) == 0
+    (result,) = results
+    shown = [f for f in result.findings if f.rank is not None]
+    assert len(shown) == len(json.loads(out.read_text())["reports"][0]["findings"]) >= 1
+    strata = [sf.tested for f in shown for sf in f.strata if sf.tested is not None]
+    assert strata
+    # every conditional hypothesis and every stratum of at most 1,000 rows
+    # tests by resampling; the bootstrap is drawn only for the significant
+    # findings, whose corrected CIs rank them, and the strata of the shown
+    # ones, and the displays are built only for the shown findings and strata
+    family = [t for f in result.findings
+              for t in (f.tested, *(sf.tested for sf in f.strata)) if t is not None]
+    resampled = [t for t in family if t.method == stats.RESAMPLING]
+    significant = [f.tested for f in result.findings if f.tested.corrected_p <= 0.05]
+    drawn = {id(t) for t in significant + strata if t.method == stats.RESAMPLING}
+    assert len(boots) == len(drawn) < len(resampled)
+    assert all(callable(t._source) == (id(t) not in drawn) for t in resampled)
+    assert len(displays) == len(shown) + len(strata)
+
+
+def test_reported_unstable_context_exits_2_naming_it(shift_tagged_csv, monkeypatch, capsys):
+    # every table bootstrap resample is degenerate, as in
+    # test_stats.py::test_bootstrap_unstable_context; permutations are not
+    import numpy as np
+    from uatest import stats
+    draw_tables = stats._bootstrap_table_stats
+
+    def degenerate(counts, statistic, n_boot, rng):
+        return draw_tables(counts, lambda t: np.full(len(t), np.nan), n_boot, rng)
+
+    monkeypatch.setattr(stats, "_bootstrap_table_stats", degenerate)
+    code = main(["testing", "--data", shift_tagged_csv, "--protected", "race",
+                 "--output", "cart", "--context", "region", "--seed", "1", "--min-size", "200"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unstable context" in err and "(context region: " in err

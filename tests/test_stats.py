@@ -11,6 +11,7 @@ from uatest.metrics import (
     binary_difference,
     conditional_metric,
     contingency,
+    diff_from_tables,
     grouped_correlation,
     joint_counts,
     pearson_correlation,
@@ -23,7 +24,7 @@ from uatest.stats import (
     corrected_cis,
     holm_bonferroni,
 )
-from uatest.stats import _stratum_mean
+from uatest.stats import _ci_from_recipe, _perm_pvalue, _stratum_mean
 from uatest.stats import test_metric as evaluate_metric
 from tests.test_metrics import DEPT_A_SAMPLE, PRICING_GLOBAL, dataset_from_table
 
@@ -55,6 +56,24 @@ def test_holm_laws():
 def test_holm_rejects_bad_input():
     with pytest.raises(StatsError):
         holm_bonferroni([0.5, 1.5])
+
+
+def test_holm_matches_step_down_loop():
+    def reference(ps):
+        order = sorted(range(len(ps)), key=lambda i: ps[i])
+        out, running = [0.0] * len(ps), 0.0
+        for rank, i in enumerate(order):
+            running = max(running, min(1.0, (len(ps) - rank) * ps[i]))
+            out[i] = running
+        return out
+
+    rng = np.random.default_rng(1)
+    specials = np.array([0.0, 1.0, 1 / 1001, 0.5])
+    for _ in range(200):
+        m = int(rng.integers(1, 60))
+        ps = np.where(rng.random(m) < 0.3, rng.choice(specials, m), rng.random(m))
+        ps[rng.random(m) < 0.2] = ps[0]  # ties
+        assert holm_bonferroni(ps) == reference(ps.tolist())
 
 
 # -- resampling ------------------------------------------------------------------
@@ -110,6 +129,18 @@ def test_permutation_p_deterministic():
     assert t1.p != t3.p or t1.ci != t3.ci
 
 
+def test_permutation_counts_a_mirrored_tie():
+    # the mirror of [[28, 27], [26, 29]] (same margins) has the same DIFF
+    # magnitude but for the last bits
+    observed = np.array([[28, 27], [26, 29]])
+    mirror = np.array([[26, 29], [28, 27]])
+    obs = float(diff_from_tables(observed, 1, 0, 1))
+    perm = diff_from_tables(mirror[None], 1, 0, 1)
+    assert abs(perm[0]) != abs(obs) and abs(perm[0]) == pytest.approx(abs(obs), rel=1e-14)
+    assert _perm_pvalue(perm, obs, two_sided=True) == 1.0
+    assert _perm_pvalue(perm, -obs, two_sided=False) == 1.0  # one-sided, same tie
+
+
 def test_bootstrap_ci_constant_statistic():
     # a constant output gives DIFF = 0 on every resample that has both groups
     cfg = StatConfig(seed=0, n_bootstrap=200)
@@ -145,8 +176,42 @@ def test_bootstrap_unstable_context(monkeypatch):
         return original(self, view, tables)
 
     monkeypatch.setattr(BoundMetric, "value_from_tables", undefined_on_resamples)
+    tm = evaluate_metric(stratified_null(200, 0), COND_DIFF, StatConfig(seed=0))
+    # the bootstrap is drawn on the first read of a CI
     with pytest.raises(StatsError, match="unstable context"):
-        evaluate_metric(stratified_null(200, 0), COND_DIFF, StatConfig(seed=0))
+        tm.ci
+
+
+def test_deferred_bootstrap_matches_a_draw_right_after_the_test():
+    # each metric's bootstrap is drawn right after its test, and again from
+    # a fresh test of the same entropy read only after the whole family was
+    # tested and corrected, in reverse order: same samples, same CIs
+    d = stratified_null(400, 11)
+    r = np.random.default_rng(33)
+    s = r.choice(["a", "b"], 600)
+    o = np.where(r.random(600) < np.where(s == "a", 0.5, 0.2), "x",
+                 np.where(r.random(600) < 0.5, "y", "z"))
+    three = two_col_dataset(list(s), list(o), o_cats=("x", "y", "z"))
+    corr_view = corr_strata_dataset(600, 8, slope=1.0)[0]
+    cases = [(d, DIFF), (d, BoundMetric(MetricKind("ratio"), "s", "o")),
+             (three, BoundMetric(MetricKind("nmi"), "s", "o")),
+             (make_null_view(1500, 3), BoundMetric(MetricKind("nmi"), "s", "o")),  # G-test
+             (corr_view, BoundMetric(MetricKind("corr"), "x", "y")),
+             (d, COND_DIFF), (corr_view, BoundMetric(MetricKind("corr", "e"), "x", "y"))]
+    cfg = StatConfig(seed=4, n_permutations=200, n_bootstrap=200)
+    eager = []
+    for i, (view, bound) in enumerate(cases):
+        t = evaluate_metric(view, bound, cfg, entropy=(1, i))
+        eager.append((t._recipe, t.ci))
+    family = [evaluate_metric(view, bound, cfg, entropy=(1, i))
+              for i, (view, bound) in enumerate(cases)]
+    apply_corrections(family, cfg.conf)
+    level = 1.0 - (1.0 - cfg.conf) / len(family)
+    for t, (recipe, ci) in reversed(list(zip(family, eager))):
+        assert recipe[0] == "percentile"
+        assert t.corrected_ci == _ci_from_recipe(recipe, level)
+        assert t.ci == ci
+        assert np.array_equal(t._recipe[1], recipe[1])
 
 
 def test_conditional_one_stratum_matches_unconditional_exactly():
