@@ -509,6 +509,10 @@ def _test_context(unit: TrainUnit, node: ContextNode, ctx: Dataset, cfg: StatCon
     try:
         tested = test_metric(ctx, bound, cfg, entropy)
     except MetricError as exc:
+        if node.depth == 0:
+            what = f"label {unit.label!r}" if unit.label is not None else f"output {unit.output!r}"
+            raise DataError(f"global population untestable for protected attribute "
+                            f"{unit.protected!r} and {what} on the test rows: {exc}") from None
         logger.info("context %s untestable: %s", [p.describe() for p in node.predicates], exc)
         return None
     strata: tuple[StratumFinding, ...] = ()

@@ -2,7 +2,10 @@
 
 All metric functions are pure. Table-based metrics (difference, ratio,
 normalized mutual information) also come in vectorized form over stacks of
-tables, which the resampling and tree-search code paths rely on.
+tables, which the resampling and tree-search code paths rely on. A bound
+metric is the size-weighted mean of its base metric over strata: the
+categories of an explanatory attribute, or a single stratum when it is
+unconditional; the stratum rule is defined here only.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ RATIO = "ratio"
 NMI = "nmi"
 MI = "mi"
 CORR = "corr"
-REG = "reg"
-METRIC_NAMES = (DIFF, RATIO, NMI, MI, CORR, REG)
+METRIC_NAMES = (DIFF, RATIO, NMI, MI, CORR)
 
 MIN_STRATUM = 10
 
@@ -66,18 +68,6 @@ class ContingencyTable:
     col_labels: tuple[str, ...]
     counts: np.ndarray  # (r, c) int64
 
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def row_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    @property
-    def col_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
-
 
 def contingency(view: Dataset, protected: str, output: str) -> ContingencyTable:
     """Cross-tabulate ``output`` (rows) against ``protected`` (columns).
@@ -110,12 +100,13 @@ def joint_counts(view: Dataset, names: Sequence[str], key: np.ndarray | None = N
         codes.insert(0, key)
         shape = (groups,) + shape
     ok = codes[0] >= 0
-    for c in codes[1:]:
-        ok &= c >= 0
-    flat = codes[0][ok].astype(np.int64)
+    flat = codes[0].astype(np.int64)
     for c, size in zip(codes[1:], shape[1:]):
-        flat = flat * size + c[ok]
-    return np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
+        ok &= c >= 0
+        flat = flat * size + c
+    cells = math.prod(shape)
+    # a row with a missing value is counted in one extra cell, then dropped
+    return np.bincount(np.where(ok, flat, cells), minlength=cells + 1)[:cells].reshape(shape)
 
 
 # -- vectorized table statistics --------------------------------------------
@@ -144,8 +135,7 @@ def mi_from_tables(tables: np.ndarray, normalized: bool) -> np.ndarray:
 
 def diff_from_tables(tables: np.ndarray, target_row: int, col_a: int, col_b: int) -> np.ndarray:
     t = np.asarray(tables, dtype=np.float64)
-    cols = t.sum(axis=-2)
-    na, nb = cols[..., col_a], cols[..., col_b]
+    na, nb = t[..., col_a].sum(axis=-1), t[..., col_b].sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         pa = t[..., target_row, col_a] / na
         pb = t[..., target_row, col_b] / nb
@@ -155,8 +145,7 @@ def diff_from_tables(tables: np.ndarray, target_row: int, col_a: int, col_b: int
 
 def ratio_from_tables(tables: np.ndarray, target_row: int, col_a: int, col_b: int) -> np.ndarray:
     t = np.asarray(tables, dtype=np.float64)
-    cols = t.sum(axis=-2)
-    na, nb = cols[..., col_a], cols[..., col_b]
+    na, nb = t[..., col_a].sum(axis=-1), t[..., col_b].sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         pa = t[..., target_row, col_a] / na
         pb = t[..., target_row, col_b] / nb
@@ -245,6 +234,41 @@ def grouped_correlation(x: np.ndarray, y: np.ndarray, key: np.ndarray,
         syy = np.bincount(key, dy * dy, groups)
         r = np.clip(np.bincount(key, dx * dy, groups) / np.sqrt(sxx * syy), -1.0, 1.0)
     return np.where((sizes >= 3) & (sxx > 0) & (syy > 0), r, np.nan), sizes
+
+
+# -- strata ----------------------------------------------------------------------
+#
+# A metric is the size-weighted mean of its base metric over strata: the
+# categories of an explanatory attribute, or one stratum of all rows for an
+# unconditional metric. The helpers work over the last (stratum) axis of
+# stacks of per-stratum values and sizes.
+
+
+def weighted_mean(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sum over k of (w_k / W) * v_k over the last axis, with W the sum of the
+    weights, taken stratum by stratum from the first stratum's term. So one
+    stratum of positive weight gives its value bit-exactly, and the same
+    strata give bit-equal results whatever the leading (resample) axes.
+    NaN where W is zero or a stratum of positive weight has a NaN value."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        shares = weights / weights.sum(axis=-1, keepdims=True)
+        out = shares[..., 0] * vals[..., 0]
+        for k in range(1, vals.shape[-1]):
+            out = out + shares[..., k] * vals[..., k]
+    return out
+
+
+def stratum_weights(vals: np.ndarray, sizes: np.ndarray, floor: int) -> np.ndarray:
+    """Each stratum's weight in the aggregate: its size if it holds at least
+    ``floor`` rows and a defined value, else 0."""
+    return np.where((sizes >= floor) & ~np.isnan(vals), sizes, 0)
+
+
+def stratum_mean(vals: np.ndarray, sizes: np.ndarray, floor: int) -> np.ndarray:
+    """The aggregate over the last axis: the weighted mean of the strata that
+    ``stratum_weights`` keeps (NaN if it keeps none)."""
+    weights = stratum_weights(vals, sizes, floor)
+    return weighted_mean(np.where(weights > 0, vals, 0.0), weights)
 
 
 # -- regression label scoring -------------------------------------------------
@@ -415,7 +439,7 @@ class BoundMetric:
         )
 
     def value_from_tables(self, view: Dataset, tables: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation over a stack of tables (NaN where undefined)."""
+        """Vectorized base metric over a stack of tables (NaN where undefined)."""
         if self.kind.name == NMI:
             return mi_from_tables(tables, normalized=True)
         ti, ja, jb = self._indices(view)
@@ -425,26 +449,44 @@ class BoundMetric:
             return ratio_from_tables(tables, ti, ja, jb)
         raise MetricError(f"metric {self.kind.name!r} is not table-based")
 
+    @property
+    def min_stratum(self) -> int:
+        """Fewest rows a stratum needs to enter the aggregate: MIN_STRATUM for
+        an explanatory stratum, 1 for the one stratum of an unconditional
+        metric."""
+        return MIN_STRATUM if self.conditional else 1
+
+    def strata(self, view: Dataset) -> tuple[np.ndarray, int]:
+        """Each row's stratum and the number of strata: the explanatory
+        attribute's codes (-1 where missing) for a conditional metric, 0 for
+        every row of an unconditional one."""
+        if not self.conditional:
+            return np.zeros(view.n_rows, dtype=np.int64), 1
+        e_attr = view.attribute(self.kind.explanatory)
+        if e_attr.kind == CONTINUOUS:
+            raise MetricError(f"explanatory attribute {e_attr.name!r} must be categorical")
+        return view.codes(e_attr.name), len(e_attr.categories)
+
+    def aggregate(self, vals: np.ndarray, sizes: np.ndarray) -> tuple[float, np.ndarray]:
+        """The metric from its base metric's per-stratum values and sizes
+        (see ``strata``), and the indices of the strata that enter it, those
+        ``stratum_weights`` keeps; raises MetricError when it keeps none."""
+        kept = np.flatnonzero(stratum_weights(vals, sizes, self.min_stratum))
+        if len(kept) == 0:
+            raise MetricError("no explanatory stratum is large enough to evaluate"
+                              if self.conditional
+                              else f"{self.kind.display} undefined on this population")
+        return float(weighted_mean(vals[kept], sizes[kept])), kept
+
     def value(self, view: Dataset) -> float:
-        """Point estimate on a view; raises MetricError when undefined."""
-        if self.conditional:
-            return conditional_metric(view, self).aggregate.value
-        if self.tabular:
-            table = contingency(view, self.protected, self.output)
-            v = float(self.value_from_tables(view, table.counts))
-            if np.isnan(v):
-                raise MetricError(f"{self.kind.display} undefined on this population")
-            return v
-        if self.kind.name == CORR:
-            return pearson_correlation(
-                view.scalar_values(self.protected), view.scalar_values(self.output)
-            ).value
-        raise MetricError(f"metric {self.kind.name!r} cannot be evaluated directly")
+        """Point estimate on a view: the base metric's ``aggregate`` over the
+        ``strata``; raises MetricError when undefined."""
+        return self.aggregate(*self.group_values(view, *self.strata(view)))[0]
 
     def group_values(self, view: Dataset, key: np.ndarray,
                      groups: int) -> tuple[np.ndarray, np.ndarray]:
-        """Unconditional metric on each of ``groups`` row groups of ``view``,
-        where ``key`` holds each row's group (-1 for a row in no group), with
+        """Base (unconditional) metric on each of ``groups`` row groups of
+        ``view``, where ``key`` holds each row's group (-1 for none), with
         the number of rows counted in each group. NaN marks groups where the
         metric is undefined. Tables come from one bincount, correlations
         from per-group moments."""
@@ -490,43 +532,27 @@ class ConditionalValue:
     strata: tuple[StratumPart, ...]
 
 
-def conditional_metric(view: Dataset, bound: BoundMetric,
-                       min_stratum: int = MIN_STRATUM) -> ConditionalValue:
-    """Base metric per explanatory stratum plus their size-weighted mean.
+def conditional_metric(view: Dataset, bound: BoundMetric) -> ConditionalValue:
+    """Base metric per explanatory stratum plus the conditional aggregate,
+    their size-weighted mean (``BoundMetric.aggregate``; an unconditional
+    metric is the one-stratum case of the same rule).
 
-    Strata smaller than ``min_stratum`` rows, or where the base metric is
-    undefined, are excluded from the aggregate and flagged.
+    Strata smaller than MIN_STRATUM rows, or where the base metric is
+    undefined, are left out of the aggregate and flagged.
     """
-    explanatory = bound.kind.explanatory
-    if explanatory is None:
+    if not bound.conditional:
         raise MetricError("conditional_metric requires a conditioned metric kind")
-    e_attr = view.attribute(explanatory)
-    if e_attr.kind == CONTINUOUS:
-        raise MetricError(f"explanatory attribute {explanatory!r} must be categorical")
     base = bound.unconditional()
-    codes = view.codes(explanatory)
-    n_strata = len(e_attr.categories)
-    estimates, _ = base.group_values(view, codes, n_strata)
-    sizes = np.bincount(codes[codes >= 0], minlength=n_strata)
+    estimates, sizes = bound.group_values(view, *bound.strata(view))
+    aggregate, kept = bound.aggregate(estimates, sizes)
     parts: list[StratumPart] = []
-    weighted = 0.0
-    weight = 0
-    for cat, size, est in zip(e_attr.categories, sizes.tolist(), estimates.tolist()):
-        if size == 0:
-            continue
-        if size < min_stratum:
-            parts.append(StratumPart(cat, size, None, excluded="below minimum stratum size"))
-            continue
-        if math.isnan(est):
+    for k, (cat, size, est) in enumerate(zip(view.attribute(bound.kind.explanatory).categories,
+                                             sizes.tolist(), estimates.tolist())):
+        if k in kept:
+            parts.append(StratumPart(cat, size, est))
+        elif size >= bound.min_stratum:
             parts.append(StratumPart(cat, size, None,
                                      excluded=f"{base.kind.display} undefined on this population"))
-            continue
-        parts.append(StratumPart(cat, size, est))
-        weighted += size * est
-        weight += size
-    if weight == 0:
-        raise MetricError("no explanatory stratum is large enough to evaluate")
-    return ConditionalValue(
-        MetricValue(bound.kind, weighted / weight),
-        tuple(parts),
-    )
+        elif size:
+            parts.append(StratumPart(cat, size, None, excluded="below minimum stratum size"))
+    return ConditionalValue(MetricValue(bound.kind, aggregate), tuple(parts))

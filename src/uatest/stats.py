@@ -1,7 +1,10 @@
 """Significance and confidence machinery for association metrics.
 
 Small populations are tested with permutation tests and percentile
-bootstraps; large ones with the matching asymptotic tests. Families of
+bootstraps; large ones with the matching asymptotic tests. Below the
+threshold, or when conditioned on an explanatory attribute, a metric is
+resampled as a stratified metric, the size-weighted mean of its base metric
+over strata; an unconditional metric has one stratum. Families of
 simultaneous hypotheses are corrected with Holm-Bonferroni p-values and
 Bonferroni-level confidence intervals.
 
@@ -28,17 +31,17 @@ from scipy import stats as sps
 from .dataset import Dataset
 from .metrics import (
     CORR,
-    MIN_STRATUM,
     NMI,
     RATIO,
     BoundMetric,
     MetricError,
     MetricValue,
-    contingency,
     grouped_correlation,
     joint_counts,
     mi_from_tables,
     pearson_correlation,
+    stratum_mean,
+    weighted_mean,
 )
 
 logger = logging.getLogger(__name__)
@@ -127,11 +130,6 @@ class TestedMetric:
             self._corrected_ci = _ci_from_recipe(self._recipe, self._level)
         return self._corrected_ci
 
-    def significant(self, conf: float) -> bool:
-        if self.corrected_p is None:
-            raise StatsError("corrections have not been applied")
-        return self.corrected_p <= 1.0 - conf
-
 
 def _rng(cfg: StatConfig, entropy: Sequence[int]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([cfg.seed, *entropy]))
@@ -215,51 +213,82 @@ def test_metric(view: Dataset, bound: BoundMetric, cfg: StatConfig,
                 entropy: Sequence[int] = ()) -> TestedMetric:
     """Point estimate, CI, and p-value for a bound metric on one population.
 
+    An unconditional metric on more than ``small_sample_threshold`` rows,
+    RATIO excepted, is tested asymptotically: G-test for NMI, z-test and
+    Wald CI for DIFF, t-test and Fisher-z CI for CORR. Every other metric is
+    resampled as a stratified metric, the size-weighted mean of its base
+    metric over the strata of ``BoundMetric.strata``; an unconditional
+    metric has one stratum. The permutation shuffles the protected column
+    within each stratum that enters the aggregate; for tables it draws
+    fixed-margin tables, exactly the distribution such shuffles induce. The
+    bootstrap resamples rows of the whole population (multinomially, for
+    tables) and re-applies the stratum rule to each resample.
+
     The estimate, p-value and method are computed here. Percentile CIs keep
     the generator (already past its permutation draws), the counts or rows
     to resample and the statistic; the bootstrap is drawn from them on the
     first read of a CI, so it gives the same numbers whenever it runs.
-
-    Table metrics permute by drawing fixed-margin tables (exactly the
-    distribution induced by shuffling the protected column) and bootstrap by
-    multinomial resampling of the joint counts, both vectorized. Conditional
-    metrics always resample, the same way on one table per explanatory
-    stratum: the permutation shuffles the protected column within each
-    stratum.
     """
     bound = bound.resolve(view)
-    n = view.n_rows
     rng = _rng(cfg, entropy)
-    if bound.conditional:
-        return _test_conditional(view, bound, cfg, rng)
-    if bound.tabular:
-        return _test_tabular(view, bound, cfg, rng, n)
-    if bound.kind.name == CORR:
-        return _test_corr(view, bound, cfg, rng, n)
-    raise MetricError(f"no statistical test for metric {bound.kind.name!r}")
-
-
-# -- table metrics -------------------------------------------------------------
-
-
-def _test_tabular(view: Dataset, bound: BoundMetric, cfg: StatConfig,
-                  rng: np.random.Generator, n: int) -> TestedMetric:
-    table = contingency(view, bound.protected, bound.output)
-    counts = table.counts
-    obs = float(bound.value_from_tables(view, counts))
-    if np.isnan(obs):
-        raise MetricError(f"{bound.kind.display} undefined on this population")
-    value = MetricValue(bound.kind, obs)
-
-    values = partial(bound.value_from_tables, view)
+    key, groups = bound.strata(view)
+    floor = bound.min_stratum
+    n_perm = cfg.n_permutations
     # RATIO has no asymptotic route here; it always resamples.
-    resample = n <= cfg.small_sample_threshold or bound.kind.name == RATIO
-    if resample:
-        perm_stats = values(_fixed_margin_tables(counts, cfg.n_permutations, rng))
-        p = _perm_pvalue(perm_stats, obs, two_sided=bound.kind.signed)
-        return _percentile(value, p, RESAMPLING, cfg,
-                           partial(_bootstrap_table_stats, counts, values, cfg.n_bootstrap, rng))
+    asymptotic = not bound.conditional and bound.kind.name != RATIO
+    if bound.tabular:
+        tensor = joint_counts(view, (bound.output, bound.protected), key, groups)
+        values = partial(bound.value_from_tables, view)
+        vals, sizes = values(tensor), tensor.sum(axis=(-2, -1))
+        obs, kept = bound.aggregate(vals, sizes)
+        samples = partial(_bootstrap_table_stats, tensor,
+                          lambda t: stratum_mean(values(t), t.sum(axis=(-2, -1)), floor),
+                          cfg.n_bootstrap, rng)
+        if asymptotic and view.n_rows > cfg.small_sample_threshold:
+            return _asymptotic_table(view, bound, tensor[0], obs, cfg, samples)
 
+        def permuted(k: int) -> np.ndarray:
+            return values(_fixed_margin_tables(tensor[k], n_perm, rng))
+    elif bound.kind.name == CORR:
+        x = view.scalar_values(bound.protected)
+        y = view.scalar_values(bound.output)
+        ok = (key >= 0) & ~(np.isnan(x) | np.isnan(y))
+        e, x, y = key[ok], x[ok], y[ok]
+        n = len(e)
+        if asymptotic and n > cfg.small_sample_threshold:
+            return _asymptotic_corr(bound, x, y, cfg)
+        vals, sizes = grouped_correlation(x, y, e, groups)
+        obs, kept = bound.aggregate(vals, sizes)
+
+        def permuted(k: int) -> np.ndarray:
+            return _corr_permutation_stats(x[e == k], y[e == k], n_perm, rng)
+
+        def draw(m: int) -> np.ndarray:
+            out = []
+            for chunk in _chunks(m, n):
+                idx = rng.integers(0, n, size=(chunk, n))
+                rkey = np.arange(chunk)[:, None] * groups + e[idx]
+                v, c = grouped_correlation(x[idx].ravel(), y[idx].ravel(), rkey.ravel(),
+                                           chunk * groups)
+                out.append(stratum_mean(v.reshape(chunk, groups), c.reshape(chunk, groups), floor))
+            return np.concatenate(out)
+
+        samples = partial(_bootstrap, draw, cfg.n_bootstrap)
+    else:
+        raise MetricError(f"no statistical test for metric {bound.kind.display!r}")
+
+    # the kept strata keep their sizes under permutation; NaN propagates from
+    # any undefined permuted stratum and counts as extreme
+    perm = weighted_mean(np.array([permuted(k) for k in kept]).T, sizes[kept])
+    p = _perm_pvalue(perm, obs, two_sided=bound.kind.signed)
+    return _percentile(MetricValue(bound.kind, obs), p, RESAMPLING, cfg, samples)
+
+
+def _asymptotic_table(view: Dataset, bound: BoundMetric, counts: np.ndarray, obs: float,
+                      cfg: StatConfig, samples: Callable[[], np.ndarray]) -> TestedMetric:
+    """G-test with a bootstrap CI from ``samples`` for NMI; two-proportion
+    z-test with a Wald interval for DIFF."""
+    value = MetricValue(bound.kind, obs)
     if bound.kind.name == NMI:
         mi = float(mi_from_tables(counts, normalized=False))
         g = 2.0 * counts.sum() * mi
@@ -267,10 +296,8 @@ def _test_tabular(view: Dataset, bound: BoundMetric, cfg: StatConfig,
         live_c = int((counts.sum(axis=0) > 0).sum())
         dof = max(1, (live_r - 1) * (live_c - 1))
         p = float(sps.chi2.sf(g, dof))
-        return _percentile(value, p, ASYMPTOTIC, cfg,
-                           partial(_bootstrap_table_stats, counts, values, cfg.n_bootstrap, rng))
+        return _percentile(value, p, ASYMPTOTIC, cfg, samples)
 
-    # DIFF: two-proportion z-test with a Wald interval.
     ti, ja, jb = bound._indices(view)
     xa, xb = counts[ti, ja], counts[ti, jb]
     na, nb = counts[:, ja].sum(), counts[:, jb].sum()
@@ -283,6 +310,24 @@ def _test_tabular(view: Dataset, bound: BoundMetric, cfg: StatConfig,
         return TestedMetric(value, (obs, obs), p, ASYMPTOTIC, _recipe=("degenerate", obs))
     recipe = ("wald", obs, se1)
     return TestedMetric(value, _ci_from_recipe(recipe, cfg.conf), p, ASYMPTOTIC, _recipe=recipe)
+
+
+def _asymptotic_corr(bound: BoundMetric, x: np.ndarray, y: np.ndarray,
+                     cfg: StatConfig) -> TestedMetric:
+    """t-test with a Fisher-z interval on the Pearson correlation."""
+    obs = pearson_correlation(x, y).value
+    m = len(x)
+    if abs(obs) >= 1.0:
+        p = 0.0
+    else:
+        t = obs * np.sqrt((m - 2) / (1.0 - obs * obs))
+        p = float(2.0 * sps.t.sf(abs(t), m - 2))
+    recipe = ("fisher", obs, m)
+    return TestedMetric(MetricValue(bound.kind, obs), _ci_from_recipe(recipe, cfg.conf), p,
+                        ASYMPTOTIC, _recipe=recipe)
+
+
+# -- resampling ----------------------------------------------------------------
 
 
 def _percentile(value: MetricValue, p: float, method: str, cfg: StatConfig,
@@ -360,43 +405,6 @@ def _bootstrap_table_stats(counts: np.ndarray, statistic: Callable[[np.ndarray],
     return _bootstrap(draw, n_boot)
 
 
-# -- correlation ---------------------------------------------------------------
-
-
-def _test_corr(view: Dataset, bound: BoundMetric, cfg: StatConfig,
-               rng: np.random.Generator, n: int) -> TestedMetric:
-    x = view.scalar_values(bound.protected)
-    y = view.scalar_values(bound.output)
-    ok = ~(np.isnan(x) | np.isnan(y))
-    x, y = x[ok], y[ok]
-    obs = pearson_correlation(x, y).value
-    value = MetricValue(bound.kind, obs)
-    m = len(x)
-    if m <= cfg.small_sample_threshold:
-        p = _perm_pvalue(_corr_permutation_stats(x, y, cfg.n_permutations, rng), obs,
-                         two_sided=True)
-
-        def draw(k: int) -> np.ndarray:
-            out = []
-            for chunk in _chunks(k, m):
-                idx = rng.integers(0, m, size=(chunk, m))
-                xs, ys = x[idx], y[idx]
-                xs = xs - xs.mean(axis=1, keepdims=True)
-                ys = ys - ys.mean(axis=1, keepdims=True)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    out.append((xs * ys).mean(axis=1) / (xs.std(axis=1) * ys.std(axis=1)))
-            return np.concatenate(out)
-
-        return _percentile(value, p, RESAMPLING, cfg, partial(_bootstrap, draw, cfg.n_bootstrap))
-    if abs(obs) >= 1.0:
-        p = 0.0
-    else:
-        t = obs * np.sqrt((m - 2) / (1.0 - obs * obs))
-        p = float(2.0 * sps.t.sf(abs(t), m - 2))
-    recipe = ("fisher", obs, m)
-    return TestedMetric(value, _ci_from_recipe(recipe, cfg.conf), p, ASYMPTOTIC, _recipe=recipe)
-
-
 def _chunks(total: int, n_rows: int):
     """Batch sizes for ``total`` resamples of ``n_rows`` rows each: at most
     _BOOT_CHUNK resamples and about _CHUNK_CELLS cells per batch."""
@@ -416,89 +424,3 @@ def _corr_permutation_stats(x: np.ndarray, y: np.ndarray, n_perm: int,
         xs = rng.permuted(np.tile(x, (chunk, 1)), axis=1)
         out.append((xs - x.mean()) @ yc / denom)
     return np.concatenate(out)
-
-
-# -- conditional metrics --------------------------------------------------------
-#
-# A conditional metric is the size-weighted mean of its base metric over the
-# strata of an explanatory attribute. Tabular metrics work on one (stratum,
-# output, protected) count tensor; correlations on per-stratum moments.
-
-
-def _test_conditional(view: Dataset, bound: BoundMetric, cfg: StatConfig,
-                      rng: np.random.Generator) -> TestedMetric:
-    """Permute the protected column within each retained stratum; bootstrap
-    rows of the whole population, re-applying the stratum exclusions to each
-    resample."""
-    explanatory = bound.kind.explanatory
-    base = bound.unconditional()
-    n_perm = cfg.n_permutations
-    if bound.tabular:
-        tensor = joint_counts(view, (explanatory, base.output, base.protected))
-        values = partial(base.value_from_tables, view)
-        vals, sizes = values(tensor), tensor.sum(axis=(1, 2))
-        kept = _kept_strata(vals, sizes)
-        perm_vals = values(np.stack([_fixed_margin_tables(tensor[k], n_perm, rng)
-                                     for k in kept], axis=1))
-        samples = partial(_bootstrap_table_stats, tensor,
-                          lambda t: _stratum_mean(values(t), t.sum(axis=(-2, -1))),
-                          cfg.n_bootstrap, rng)
-    elif bound.kind.name == CORR:
-        e = view.codes(explanatory).astype(np.int64)
-        x = view.scalar_values(base.protected)
-        y = view.scalar_values(base.output)
-        ok = (e >= 0) & ~(np.isnan(x) | np.isnan(y))
-        e, x, y = e[ok], x[ok], y[ok]
-        n, n_strata = len(e), len(view.attribute(explanatory).categories)
-        vals, sizes = grouped_correlation(x, y, e, n_strata)
-        kept = _kept_strata(vals, sizes)
-        perm_vals = np.stack([_corr_permutation_stats(x[e == k], y[e == k], n_perm, rng)
-                              for k in kept], axis=1)
-
-        def draw(m: int) -> np.ndarray:
-            out = []
-            for chunk in _chunks(m, n):
-                idx = rng.integers(0, n, size=(chunk, n))
-                key = np.arange(chunk)[:, None] * n_strata + e[idx]
-                v, c = grouped_correlation(x[idx].ravel(), y[idx].ravel(), key.ravel(),
-                                           chunk * n_strata)
-                out.append(_stratum_mean(v.reshape(chunk, n_strata), c.reshape(chunk, n_strata)))
-            return np.concatenate(out)
-
-        samples = partial(_bootstrap, draw, cfg.n_bootstrap)
-    else:
-        raise MetricError(f"no statistical test for metric {bound.kind.display!r}")
-
-    obs = float(_stratum_mean(vals, sizes))
-    # the retained strata keep their sizes under permutation; NaN propagates
-    # from any undefined stratum and counts as extreme
-    p = _perm_pvalue(_weighted_mean(perm_vals, sizes[kept]), obs, two_sided=bound.kind.signed)
-    return _percentile(MetricValue(bound.kind, obs), p, RESAMPLING, cfg, samples)
-
-
-def _kept_strata(vals: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    kept = np.flatnonzero((sizes >= MIN_STRATUM) & ~np.isnan(vals))
-    if len(kept) == 0:
-        raise MetricError("no explanatory stratum is large enough to evaluate")
-    return kept
-
-
-def _weighted_mean(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted mean over the last (stratum) axis; NaN where the weights sum
-    to zero. The sum runs stratum by stratum, so the same strata give
-    bit-equal results whatever the leading (resample) axes."""
-    weights = np.broadcast_to(weights, vals.shape)
-    total = np.zeros(vals.shape[:-1])
-    weight = np.zeros(vals.shape[:-1])
-    for k in range(vals.shape[-1]):
-        total = total + weights[..., k] * vals[..., k]
-        weight = weight + weights[..., k]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(weight > 0, total / weight, np.nan)
-
-
-def _stratum_mean(vals: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The conditional aggregate over the last axis: strata below MIN_STRATUM
-    rows or with an undefined value are left out (NaN if none is left)."""
-    keep = (sizes >= MIN_STRATUM) & ~np.isnan(vals)
-    return _weighted_mean(np.where(keep, vals, 0.0), np.where(keep, sizes, 0))

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from uatest.cli import main
@@ -277,6 +278,24 @@ def test_bad_tree_setting_is_a_one_line_data_error(berkeley_csv, capsys, flags, 
     assert setting in captured.err and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_untestable_global_population_is_a_data_error(tmp_path, capsys):
+    # protected group b occurs only in training rows: DIFF is undefined on
+    # the test rows' global population, which must not yield an empty report
+    n, seed = 400, 1
+    train_rows = np.random.default_rng(seed).permutation(n)[:n // 2]
+    g = np.full(n, "a")
+    g[train_rows[:100]] = "b"
+    rows = "".join(f"{g[i]},{'xyz'[i % 3]},{i % 5 % 2}\n" for i in range(n))
+    path = tmp_path / "split.csv"
+    path.write_text("g,x,o\n" + rows)
+    assert main(["testing", "--data", str(path), "--protected", "g", "--output", "o",
+                 "--context", "x", "--min-size", "10", "--seed", str(seed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "protected attribute 'g'" in captured.err and "output 'o'" in captured.err
+    assert "DIFF undefined on this population" in captured.err
 
 
 def test_csv_with_byte_order_mark(tmp_path, capsys):

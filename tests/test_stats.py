@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -15,6 +17,7 @@ from uatest.metrics import (
     grouped_correlation,
     joint_counts,
     pearson_correlation,
+    stratum_mean,
 )
 from uatest.stats import (
     StatConfig,
@@ -24,7 +27,7 @@ from uatest.stats import (
     corrected_cis,
     holm_bonferroni,
 )
-from uatest.stats import _ci_from_recipe, _perm_pvalue, _stratum_mean
+from uatest.stats import _chunks, _ci_from_recipe, _perm_pvalue
 from uatest.stats import test_metric as evaluate_metric
 from tests.test_metrics import DEPT_A_SAMPLE, PRICING_GLOBAL, dataset_from_table
 
@@ -225,10 +228,100 @@ def test_conditional_one_stratum_matches_unconditional_exactly():
     cond = evaluate_metric(d, COND_DIFF, cfg, entropy=(2, 3))
     assert plain.method == cond.method == "permutation+bootstrap"
     assert cond.p == plain.p
-    assert cond.value.value == pytest.approx(plain.value.value, abs=1e-12)
-    assert cond.ci == pytest.approx(plain.ci, abs=1e-12)
-    assert len(cond._recipe[1]) == len(plain._recipe[1])
-    assert np.max(np.abs(cond._recipe[1] - plain._recipe[1])) <= 1e-12
+    assert cond.value.value == plain.value.value
+    assert cond.ci == plain.ci
+    assert np.array_equal(cond._recipe[1], plain._recipe[1])
+
+
+def test_resampling_draws_follow_the_reference_stream():
+    # a test-local reference of the resampling draws from the hypothesis's
+    # stream: fixed-margin tables then a multinomial bootstrap of the counts;
+    # for CORR, shuffles of x then bootstrap row indices, in the same batches
+    cfg = StatConfig(seed=5, n_permutations=300, n_bootstrap=300)
+    entropy = (4, 2)
+
+    def p_value(perm, obs, two_sided):
+        if two_sided:
+            perm, obs = np.abs(perm), abs(obs)
+        tie = abs(100 * np.finfo(np.float64).eps * obs)
+        return (1 + int(np.sum(np.isnan(perm) | (perm >= obs - tie)))) / (1 + len(perm))
+
+    def table_reference(view, bound):
+        bound = bound.resolve(view)
+        counts = contingency(view, bound.protected, bound.output).counts
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, *entropy]))
+        col_tot, row_tot = counts.sum(axis=0), counts.sum(axis=1)
+        if len(row_tot) == 2:
+            first = rng.multivariate_hypergeometric(col_tot, int(row_tot[0]),
+                                                    size=cfg.n_permutations)
+            tables = np.stack([first, col_tot - first], axis=1)
+        else:
+            tables = []
+            for _ in range(cfg.n_permutations):
+                remaining, rows = col_tot.copy(), []
+                for total in row_tot[:-1]:
+                    rows.append(rng.multivariate_hypergeometric(remaining, int(total)))
+                    remaining = remaining - rows[-1]
+                tables.append(np.stack(rows + [remaining]))
+            tables = np.stack(tables)
+        values = partial(bound.value_from_tables, view)
+        p = p_value(values(tables), float(values(counts)), bound.kind.signed)
+        n = counts.sum()
+        boot = rng.multinomial(n, counts.ravel() / n, size=cfg.n_bootstrap)
+        return p, np.sort(values(boot.reshape(-1, *counts.shape)))
+
+    def corr(xs, ys):
+        xs = xs - xs.mean(axis=-1, keepdims=True)
+        ys = ys - ys.mean(axis=-1, keepdims=True)
+        return (xs * ys).sum(axis=-1) / np.sqrt((xs * xs).sum(axis=-1) * (ys * ys).sum(axis=-1))
+
+    def corr_reference(x, y):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, *entropy]))
+        n = len(x)
+        perm = np.concatenate([corr(rng.permuted(np.tile(x, (k, 1)), axis=1), y)
+                               for k in _chunks(cfg.n_permutations, n)])
+        boot = []
+        for k in _chunks(cfg.n_bootstrap, n):
+            idx = rng.integers(0, n, size=(k, n))
+            boot.append(corr(x[idx], y[idx]))
+        return p_value(perm, float(corr(x, y)), True), np.sort(np.concatenate(boot))
+
+    r = np.random.default_rng(40)
+    s = r.choice(["a", "b"], 400)
+    o = np.where(r.random(400) < np.where(s == "a", 0.45, 0.35), "1", "0")
+    two = two_col_dataset(list(s), list(o))
+    o3 = np.where(r.random(400) < np.where(s == "a", 0.5, 0.3), "x",
+                  np.where(r.random(400) < 0.5, "y", "z"))
+    three = two_col_dataset(list(s), list(o3), o_cats=("x", "y", "z"))
+    for view, name in ((two, "diff"), (two, "ratio"), (two, "nmi"), (three, "nmi")):
+        bound = BoundMetric(MetricKind(name), "s", "o")
+        tm = evaluate_metric(view, bound, cfg, entropy)
+        p, samples = table_reference(view, bound)
+        assert tm.method == "permutation+bootstrap"
+        assert tm.p == p
+        assert np.array_equal(tm._recipe[1], samples)
+
+    x = r.normal(size=300)
+    y = 0.1 * x + r.normal(size=300)
+    schema = [AttributeSchema("x", "continuous", "protected"),
+              AttributeSchema("y", "continuous", "output")]
+    tm = evaluate_metric(Dataset(schema, {"x": x, "y": y}),
+                         BoundMetric(MetricKind("corr"), "x", "y"), cfg, entropy)
+    p, samples = corr_reference(x, y)
+    assert tm.method == "permutation+bootstrap"
+    assert tm.p == p
+    np.testing.assert_allclose(tm._recipe[1], samples, rtol=0, atol=1e-12)
+
+
+def test_seven_row_population_is_tested():
+    # an unconditional metric has one stratum, which needs one row, not
+    # MIN_STRATUM; so a context of 5-9 test rows is still tested
+    d = two_col_dataset(["a", "b", "a", "b", "a", "b", "a"], ["1", "0", "1", "1", "0", "0", "1"])
+    tm = evaluate_metric(d, DIFF, StatConfig(seed=3, n_bootstrap=200))
+    assert tm.method == "permutation+bootstrap"
+    assert tm.value.value == 3 / 4 - 1 / 3
+    lo, hi = tm.ci
+    assert lo <= tm.value.value <= hi
 
 
 def test_conditional_value_matches_conditional_metric():
@@ -295,11 +388,11 @@ def test_batched_resample_statistics_match_conditional_metric():
         return np.array(out)
 
     tables = np.stack([joint_counts(d._subset(rows), ("e", "o", "s")) for rows in idx])
-    diffs = _stratum_mean(diff.unconditional().value_from_tables(d, tables),
-                          tables.sum(axis=(-2, -1)))
+    diffs = stratum_mean(diff.unconditional().value_from_tables(d, tables),
+                         tables.sum(axis=(-2, -1)), MIN_STRATUM)
     key = np.arange(n_res)[:, None] * 3 + e[idx]
     v, c = grouped_correlation(x[idx].ravel(), y[idx].ravel(), key.ravel(), n_res * 3)
-    corrs = _stratum_mean(v.reshape(n_res, 3), c.reshape(n_res, 3))
+    corrs = stratum_mean(v.reshape(n_res, 3), c.reshape(n_res, 3), MIN_STRATUM)
     assert np.isnan(reference(diff)).sum() == 0  # stratum "p" always qualifies
     np.testing.assert_allclose(diffs, reference(diff), rtol=0, atol=1e-12)
     np.testing.assert_allclose(corrs, reference(corr), rtol=0, atol=1e-12)

@@ -204,15 +204,22 @@ def test_registered_metrics_match_per_view_guidance():
     age = rng.uniform(0, 100, n)
     s = rng.integers(0, 2, n)
     p = np.where((x == 1) & (age > 50), np.where(s == 1, 0.8, 0.3), 0.5)
+    u = rng.normal(size=n)
     schema = [AttributeSchema("x", "categorical", "contextual", ("0", "1", "2")),
               AttributeSchema("age", "continuous", "contextual"),
               AttributeSchema("s", "categorical", "protected", ("0", "1")),
-              AttributeSchema("o", "categorical", "output", ("0", "1"))]
+              AttributeSchema("o", "categorical", "output", ("0", "1")),
+              AttributeSchema("u", "continuous", "protected"),
+              AttributeSchema("v", "continuous", "output")]
     d = Dataset(schema, {"x": x.astype(np.int32), "age": age, "s": s.astype(np.int32),
-                         "o": (rng.random(n) < p).astype(np.int32)})
-    for name in ("diff", "nmi"):
-        metric = BoundMetric(MetricKind(name), "s", "o").resolve(d)
-        contexts = find_contexts(d, "s", "o", TreeParams(min_size=100, max_depth=3), metric)
+                         "o": (rng.random(n) < p).astype(np.int32),
+                         "u": u, "v": np.where(x == 1, 1.0, np.where(x == 2, -1.0, 0.0)) * u
+                         + rng.normal(size=n)})
+    # a CORR root is scored by the same grouped moments as its children
+    for name, protected, output in (("diff", "s", "o"), ("nmi", "s", "o"), ("corr", "u", "v")):
+        metric = BoundMetric(MetricKind(name), protected, output).resolve(d)
+        contexts = find_contexts(d, protected, output, TreeParams(min_size=100, max_depth=3),
+                                 metric)
         assert {p.attribute for c in contexts for p in c.predicates} == {"x", "age"}
         for c in contexts:
             assert c.train_metric == metric.guidance(d.select(c.predicates))
