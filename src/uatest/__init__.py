@@ -22,7 +22,6 @@ from .metrics import (
     RegressionScores,
     binary_difference,
     binary_ratio,
-    conditional_metric,
     contingency,
     logistic_label_scores,
     mutual_information,

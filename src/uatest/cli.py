@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 budget exhausted.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -225,13 +226,8 @@ def _save_state(path: str, args, spec: InvestigationSpec, source: DataSource,
             "top_k": spec.top_k,
             "ground_truth": spec.ground_truth,
             "error_kind": spec.error_kind,
-            "tree": {"min_size": spec.tree.min_size, "max_depth": spec.tree.max_depth,
-                     "quantile_splits": spec.tree.quantile_splits},
-            "stats": {"conf": spec.stats.conf,
-                      "small_sample_threshold": spec.stats.small_sample_threshold,
-                      "n_permutations": spec.stats.n_permutations,
-                      "n_bootstrap": spec.stats.n_bootstrap,
-                      "seed": spec.stats.seed},
+            "tree": dataclasses.asdict(spec.tree),
+            "stats": dataclasses.asdict(spec.stats),
         },
         "train_size": trained.train_size,
         "dropped_train": trained.dropped_train,
@@ -332,7 +328,7 @@ def _run_investigation_cmd(args, kind: str) -> int:
 
 def _debug_cmd(args) -> int:
     state, trained = _restore_state(args.state, args.data)
-    data = load_csv(args.data, _schema_for_debug(args))
+    data = _load_dataset(args)
     ds_obj = state["datasource"]
     source = DataSource(data, budget=ds_obj["budget"], train_fraction=ds_obj["train_fraction"],
                         seed=ds_obj["seed"], min_size=ds_obj["min_size"])
@@ -346,13 +342,6 @@ def _debug_cmd(args) -> int:
     with open(args.state, "w") as fh:
         json.dump(state, fh, indent=2)
     return 0
-
-
-def _schema_for_debug(args):
-    if getattr(args, "schema", None):
-        with open(args.schema) as fh:
-            return schema_from_json(json.load(fh))
-    return "infer"
 
 
 def _bench_cmd(args) -> int:

@@ -36,7 +36,6 @@ from .metrics import (
     BoundMetric,
     MetricError,
     MetricKind,
-    conditional_metric,
     contingency,
     logistic_label_scores,
 )
@@ -69,9 +68,6 @@ class InvestigationSpec:
     top_k: int = 35
     ground_truth: str | None = None
     error_kind: str = ABSOLUTE
-    target_output: str | None = None
-    group_a: str | None = None
-    group_b: str | None = None
     tree: TreeParams = field(default_factory=TreeParams)
     stats: StatConfig = field(default_factory=StatConfig)
 
@@ -176,9 +172,7 @@ def select_metric(view: Dataset, protected: str, output: str,
                 f"no canonical metric for protected {protected!r} ({p.kind}) vs output "
                 f"{output!r} ({o.kind}); {hint}"
             )
-    kind = MetricKind(name, spec.explanatory)
-    bound = BoundMetric(kind, protected, output, spec.target_output, spec.group_a, spec.group_b)
-    return bound.resolve(view)
+    return BoundMetric(MetricKind(name, spec.explanatory), protected, output).resolve(view)
 
 
 @dataclass
@@ -212,14 +206,6 @@ def _output_display(spec: InvestigationSpec) -> str:
     return spec.output
 
 
-def check_explanatory(view: Dataset, explanatory: str) -> None:
-    """Raise DataError unless ``explanatory`` names a categorical or ordinal
-    column of ``view``: conditioning needs strata."""
-    if view.attribute(explanatory).kind == CONTINUOUS:
-        raise DataError(f"explanatory attribute {explanatory!r} is continuous; "
-                        "conditioning needs a categorical or ordinal attribute")
-
-
 def _drop_missing(view: Dataset, spec: InvestigationSpec, which: str) -> Dataset:
     """``view`` without rows that miss a value the spec uses; a DataError
     naming the columns without any value when no row is left."""
@@ -236,8 +222,6 @@ def _drop_missing(view: Dataset, spec: InvestigationSpec, which: str) -> Dataset
 def train(spec: InvestigationSpec, train_view: Dataset) -> TrainedInvestigation:
     """Derive candidate contexts on the training set for every protected
     attribute (and each top-ranked label, for discovery)."""
-    if spec.explanatory is not None:
-        check_explanatory(train_view, spec.explanatory)
     cleaned = _drop_missing(train_view, spec, "training")
     dropped = train_view.n_rows - cleaned.n_rows
     if dropped:
@@ -250,16 +234,25 @@ def train(spec: InvestigationSpec, train_view: Dataset) -> TrainedInvestigation:
 
     contextual = list(spec.contextual)
     units: list[TrainUnit] = []
-    for s in spec.protected:
-        if spec.kind == DISCOVERY:
-            units.extend(_train_discovery_units(spec, cleaned, s, contextual))
-        else:
-            bound = select_metric(cleaned, s, output_col, spec)
-            guide = bound.unconditional()  # contexts are found on the raw metric
-            stats = TreeStats()
-            contexts = find_contexts(cleaned, s, output_col, spec.tree, guide,
-                                     contextual=contextual, stats=stats)
-            units.append(TrainUnit(s, output_col, None, bound, contexts, stats))
+    try:
+        for s in spec.protected:
+            if spec.kind == DISCOVERY:
+                units.extend(_train_discovery_units(spec, cleaned, s, contextual))
+            else:
+                bound = select_metric(cleaned, s, output_col, spec)
+                guide = bound.unconditional()  # contexts are found on the raw metric
+                stats = TreeStats()
+                contexts = find_contexts(cleaned, s, output_col, spec.tree, guide,
+                                         contextual=contextual, stats=stats)
+                units.append(TrainUnit(s, output_col, None, bound, contexts, stats))
+    except MetricError as exc:
+        if not dropped:
+            raise
+        # so few rows may be left that a metric is undefined on them
+        missing = [repr(name) for name in spec.used_attributes()
+                   if train_view.drop_missing((name,)).n_rows < train_view.n_rows]
+        raise DataError(f"{exc} (after dropping {dropped} of {train_view.n_rows} training "
+                        f"rows with missing values in {', '.join(missing)})") from None
     return TrainedInvestigation(spec, units, cleaned.n_rows, dropped, _output_display(spec))
 
 
@@ -274,8 +267,7 @@ def _train_discovery_units(spec: InvestigationSpec, cleaned: Dataset, s: str,
         attr = cleaned.attribute(name)
         if attr.kind != CATEGORICAL or len(attr.categories or ()) != 2:
             raise DataError(f"discovery label column {name!r} must be binary categorical")
-        present = spec.target_output if spec.target_output in (attr.categories or ()) else attr.categories[-1]
-        indicators[:, j] = cleaned.codes(name) == attr.categories.index(present)
+        indicators[:, j] = cleaned.codes(name) == len(attr.categories) - 1
     y = cleaned.codes(s) == len(p_attr.categories) - 1
     scores = logistic_label_scores(indicators, y.astype(float), labels)
     top = scores.top_labels(spec.top_k)
@@ -283,10 +275,7 @@ def _train_discovery_units(spec: InvestigationSpec, cleaned: Dataset, s: str,
 
     units = []
     for label in top:
-        attr = cleaned.attribute(label)
-        target = spec.target_output if spec.target_output in (attr.categories or ()) else attr.categories[-1]
-        bound = BoundMetric(MetricKind(DIFF, spec.explanatory), s, label,
-                            target, spec.group_a, spec.group_b).resolve(cleaned)
+        bound = BoundMetric(MetricKind(DIFF, spec.explanatory), s, label).resolve(cleaned)
         stats = TreeStats()
         contexts = find_contexts(cleaned, s, label, spec.tree, bound.unconditional(),
                                  contextual=contextual, stats=stats)
@@ -452,6 +441,8 @@ def validate(trained: TrainedInvestigation, test_view: Dataset,
         logger.info("dropped %d test rows with missing values", dropped_test)
     if spec.kind == ERROR_PROFILING:
         cleaned = _attach_error(cleaned, spec)
+    for unit in trained.units:
+        unit.bound.resolve(cleaned)  # a misconfigured metric fails before any test runs
 
     min_test = spec.tree.min_size // 2
     tasks: list[tuple[TrainUnit, ContextNode, Dataset]] = []
@@ -534,24 +525,30 @@ def _test_context(unit: TrainUnit, node: ContextNode, ctx: Dataset, cfg: StatCon
 
 def _test_strata(ctx: Dataset, bound: BoundMetric, cfg: StatConfig,
                  entropy: tuple[int, ...]) -> tuple[StratumFinding, ...]:
-    """Test each explanatory stratum with the unconditional base metric; the
-    strata join the same correction family as their parent finding."""
+    """Test each non-empty explanatory stratum, in category order, with the
+    unconditional base metric; a stratum the conditional aggregate leaves
+    out gets the reason instead. Tested strata join the same correction
+    family as their parent finding."""
     base = bound.unconditional()
-    cond = conditional_metric(ctx, bound)
+    key, groups = bound.strata(ctx)
+    vals, sizes = bound.group_values(ctx, key, groups)
+    kept = bound.aggregate(vals, sizes)[1]
+    categories = ctx.attribute(bound.kind.explanatory).categories
     out = []
-    for k, part in enumerate(cond.strata):
-        if part.excluded is not None:
-            out.append(StratumFinding(part.value, part.size, base.kind.display,
-                                      None, note=part.excluded))
+    for k, code in enumerate(np.flatnonzero(sizes)):
+        value, size = categories[code], int(sizes[code])
+        if code not in kept:
+            note = (f"{base.kind.display} undefined on this population"
+                    if size >= bound.min_stratum else "below minimum stratum size")
+            out.append(StratumFinding(value, size, base.kind.display, None, note=note))
             continue
-        stratum = ctx.select((ContextPredicate(bound.kind.explanatory, "in", values=(part.value,)),))
+        stratum = ctx._subset(np.flatnonzero(key == code))
         try:
             tested = test_metric(stratum, base, cfg, entropy + (k,))
         except MetricError as exc:
-            out.append(StratumFinding(part.value, part.size, base.kind.display,
-                                      None, note=str(exc)))
+            out.append(StratumFinding(value, size, base.kind.display, None, note=str(exc)))
             continue
-        out.append(StratumFinding(part.value, part.size, base.kind.display, tested,
+        out.append(StratumFinding(value, size, base.kind.display, tested,
                                   _source=(stratum, base)))
     return tuple(out)
 
@@ -685,7 +682,6 @@ def debug_with_explanatory(trained: TrainedInvestigation, explanatory: str,
                            ) -> InvestigationRun:
     """Re-validate the same trained contexts with the metric conditioned on an
     explanatory attribute, on a fresh budgeted test set."""
-    check_explanatory(fresh_test, explanatory)
     spec = replace(trained.spec, explanatory=explanatory)
     units = [TrainUnit(u.protected, u.output, u.label,
                        u.bound.conditioned_on(explanatory), u.contexts, u.tree_stats)

@@ -393,12 +393,17 @@ class BoundMetric:
         return self.kind.explanatory is not None
 
     def resolve(self, view: Dataset) -> "BoundMetric":
-        """Fill default orientation from the schema's category order.
+        """Fill default orientation from the schema's category order, after
+        checking that ``view``'s attributes suit the metric: the explanatory
+        attribute of a conditional metric must be categorical or ordinal.
 
         Defaults: compare the last output category between the first and the
         last protected category, matching a (negative, positive) reading of
         binary columns.
         """
+        if self.conditional and view.attribute(self.kind.explanatory).kind == CONTINUOUS:
+            raise MetricError(f"explanatory attribute {self.kind.explanatory!r} is continuous; "
+                              "conditioning needs a categorical or ordinal attribute")
         if self.kind.name in (DIFF, RATIO):
             p = view.attribute(self.protected)
             o = view.attribute(self.output)
@@ -462,20 +467,25 @@ class BoundMetric:
         every row of an unconditional one."""
         if not self.conditional:
             return np.zeros(view.n_rows, dtype=np.int64), 1
-        e_attr = view.attribute(self.kind.explanatory)
-        if e_attr.kind == CONTINUOUS:
-            raise MetricError(f"explanatory attribute {e_attr.name!r} must be categorical")
-        return view.codes(e_attr.name), len(e_attr.categories)
+        e = self.kind.explanatory
+        return view.codes(e), len(view.attribute(e).categories)
 
     def aggregate(self, vals: np.ndarray, sizes: np.ndarray) -> tuple[float, np.ndarray]:
         """The metric from its base metric's per-stratum values and sizes
         (see ``strata``), and the indices of the strata that enter it, those
-        ``stratum_weights`` keeps; raises MetricError when it keeps none."""
+        ``stratum_weights`` keeps; raises MetricError naming the cause when
+        it keeps none."""
         kept = np.flatnonzero(stratum_weights(vals, sizes, self.min_stratum))
         if len(kept) == 0:
-            raise MetricError("no explanatory stratum is large enough to evaluate"
-                              if self.conditional
-                              else f"{self.kind.display} undefined on this population")
+            if not self.conditional:
+                raise MetricError(f"{self.kind.display} undefined on this population")
+            e = self.kind.explanatory
+            if (sizes >= self.min_stratum).any():
+                raise MetricError(f"{self.unconditional().kind.display} undefined in every stratum "
+                                  f"of explanatory attribute {e!r} with at least "
+                                  f"{self.min_stratum} rows")
+            raise MetricError(f"every stratum of explanatory attribute {e!r} has fewer than "
+                              f"{self.min_stratum} rows")
         return float(weighted_mean(vals[kept], sizes[kept])), kept
 
     def value(self, view: Dataset) -> float:
@@ -513,46 +523,3 @@ class BoundMetric:
     def conditioned_on(self, explanatory: str) -> "BoundMetric":
         return BoundMetric(MetricKind(self.kind.name, explanatory), self.protected,
                            self.output, self.target, self.group_a, self.group_b)
-
-
-@dataclass(frozen=True)
-class StratumPart:
-    """One explanatory stratum: its value, size, and metric estimate (or the
-    reason it was left out of the aggregate)."""
-
-    value: str
-    size: int
-    estimate: float | None
-    excluded: str | None = None
-
-
-@dataclass(frozen=True)
-class ConditionalValue:
-    aggregate: MetricValue
-    strata: tuple[StratumPart, ...]
-
-
-def conditional_metric(view: Dataset, bound: BoundMetric) -> ConditionalValue:
-    """Base metric per explanatory stratum plus the conditional aggregate,
-    their size-weighted mean (``BoundMetric.aggregate``; an unconditional
-    metric is the one-stratum case of the same rule).
-
-    Strata smaller than MIN_STRATUM rows, or where the base metric is
-    undefined, are left out of the aggregate and flagged.
-    """
-    if not bound.conditional:
-        raise MetricError("conditional_metric requires a conditioned metric kind")
-    base = bound.unconditional()
-    estimates, sizes = bound.group_values(view, *bound.strata(view))
-    aggregate, kept = bound.aggregate(estimates, sizes)
-    parts: list[StratumPart] = []
-    for k, (cat, size, est) in enumerate(zip(view.attribute(bound.kind.explanatory).categories,
-                                             sizes.tolist(), estimates.tolist())):
-        if k in kept:
-            parts.append(StratumPart(cat, size, est))
-        elif size >= bound.min_stratum:
-            parts.append(StratumPart(cat, size, None,
-                                     excluded=f"{base.kind.display} undefined on this population"))
-        elif size:
-            parts.append(StratumPart(cat, size, None, excluded="below minimum stratum size"))
-    return ConditionalValue(MetricValue(bound.kind, aggregate), tuple(parts))

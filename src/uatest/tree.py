@@ -165,7 +165,9 @@ def find_contexts(train: Dataset, protected: str, output: str, params: TreeParam
     def recurse(view: Dataset, predicates: tuple[ContextPredicate, ...], value: float) -> None:
         stats.n_nodes += 1
         if not predicates and math.isnan(value):
-            raise MetricError("root metric undefined on the training population")
+            raise MetricError(f"{metric.kind.display} undefined on the {view.n_rows} training rows "
+                              f"of protected attribute {metric.protected!r} and output "
+                              f"{metric.output!r}")
         if not predicates or view.n_rows >= params.min_size:
             registered.append(ContextNode(predicates, view.n_rows, value))
         if view.n_rows < params.min_size:

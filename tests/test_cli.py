@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uatest.cli import main
 from uatest.data import berkeley_admissions
@@ -208,7 +214,8 @@ def test_testing_rejects_continuous_explanatory(scored_csv, capsys):
                  "--seed", "1"])
     assert code == 2
     captured = capsys.readouterr()
-    assert "'score'" in captured.err and "continuous" in captured.err
+    assert captured.err == ("uatest: explanatory attribute 'score' is continuous; "
+                            "conditioning needs a categorical or ordinal attribute\n")
     assert captured.out == ""
 
 
@@ -217,11 +224,13 @@ def test_debug_rejects_bad_explanatory(scored_csv, tmp_path, capsys):
     assert main(["testing", "--data", scored_csv, *ROLES, "--seed", "2", "--budget", "2",
                  "--state", str(state), "--out", str(tmp_path / "r1.txt")]) == 0
     capsys.readouterr()
-    for column, reason in (("score", "continuous"), ("nosuch", "no attribute")):
+    # the same one-line message as the testing command: no test has run
+    for column, message in (("score", "explanatory attribute 'score' is continuous; "
+                                      "conditioning needs a categorical or ordinal attribute"),
+                            ("nosuch", "no attribute named 'nosuch'")):
         assert main(["debug", "--data", scored_csv, "--state", str(state),
                      "--explanatory", column]) == 2
-        err = capsys.readouterr().err
-        assert f"'{column}'" in err and reason in err
+        assert capsys.readouterr().err == f"uatest: {message}\n"
     # a rejected debug run spends no test set
     assert main(["debug", "--data", scored_csv, "--state", str(state),
                  "--explanatory", "department", "--out", str(tmp_path / "r2.txt")]) == 0
@@ -389,3 +398,79 @@ def test_reported_unstable_context_exits_2_naming_it(shift_tagged_csv, monkeypat
     assert code == 2
     err = capsys.readouterr().err
     assert "unstable context" in err and "(context region: " in err
+
+
+def _explanatory_csv(path, n, seed, explanatory):
+    """A binary protected ``s``, output ``o`` and context ``state``, plus the
+    explanatory column ``explanatory(rng, s)`` returns, as cells."""
+    rng = np.random.default_rng(seed)
+    s = rng.integers(0, 2, n)
+    o = (rng.random(n) < np.where(s == 1, 0.6, 0.4)).astype(int)
+    state = rng.integers(0, 3, n)
+    e = explanatory(rng, s)
+    rows = ["s,o,state,e"] + [f"{'ab'[si]},{oi},{'ABC'[ci]},{ei}"
+                              for si, oi, ci, ei in zip(s, o, state, e)]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return str(path)
+
+
+EXPLANATORY_ROLES = ["--protected", "s", "--output", "o", "--context", "state"]
+
+
+def test_explanatory_undefined_in_every_stratum_is_named(tmp_path, capsys):
+    # e is x on every s=b row and y on every s=a row: each stratum holds one protected group
+    path = _explanatory_csv(tmp_path / "d.csv", 2400, 0,
+                            lambda rng, s: np.where(s == 1, "x", "y"))
+    assert main(["testing", "--data", path, *EXPLANATORY_ROLES, "--explanatory", "e",
+                 "--seed", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "uatest: global population untestable for protected attribute 's' and output 'o' "
+        "on the test rows: DIFF undefined in every stratum of explanatory attribute 'e' "
+        "with at least 10 rows\n")
+
+
+def test_explanatory_with_only_small_strata_is_named(tmp_path, capsys):
+    path = _explanatory_csv(tmp_path / "d.csv", 2400, 0,
+                            lambda rng, s: [f"k{i // 5}" for i in range(len(s))])
+    assert main(["testing", "--data", path, *EXPLANATORY_ROLES, "--explanatory", "e",
+                 "--seed", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "uatest: global population untestable for protected attribute 's' and output 'o' "
+        "on the test rows: every stratum of explanatory attribute 'e' has fewer than 10 rows\n")
+
+
+DEGENERATE_EXPLANATORY = {
+    "constant": lambda rng, s: ["c"] * len(s),
+    "all missing": lambda rng, s: [""] * len(s),
+    "one row per category": lambda rng, s: [f"k{i}" for i in range(len(s))],
+    "unicode": lambda rng, s: rng.choice(["é", "中文", "🙂", "ß x"], len(s)),
+    "mostly missing": lambda rng, s: np.where(rng.random(len(s)) < 0.05,
+                                              rng.choice(["u", "v"], len(s)), ""),
+    "one protected group per stratum": lambda rng, s: np.where(s == 1, "x", "y"),
+    "continuous": lambda rng, s: [f"{v:.6f}" for v in rng.normal(size=len(s))],
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(case="mostly missing", n=200, seed=255)  # 2 training rows keep a value of e
+@given(case=st.sampled_from(sorted(DEGENERATE_EXPLANATORY)),
+       n=st.integers(200, 500), seed=st.integers(0, 2**16))
+def test_degenerate_explanatory_exits_cleanly(case, n, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data = _explanatory_csv(tmp / "d.csv", n, seed, DEGENERATE_EXPLANATORY[case])
+        common = ["--data", data, "--out", str(tmp / "r.txt")]
+        sized = ["--seed", "1", "--min-size", "20", "--budget", "2"]
+        state = str(tmp / "state.json")
+        assert main(["testing", *common, *EXPLANATORY_ROLES, *sized, "--state", state]) == 0
+        runs = (["testing", *common, *EXPLANATORY_ROLES, *sized, "--explanatory", "e"],
+                ["debug", *common, "--state", state, "--explanatory", "e"])
+        for argv in runs:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2), (case, argv[0], code)
+            if code == 2:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("uatest: "), lines
+                assert "'e'" in lines[0], (case, argv[0], lines[0])

@@ -29,6 +29,7 @@ from uatest.investigations import (
 from uatest.metrics import MetricError, MetricKind, MetricValue
 from uatest.report import render_text
 from uatest.stats import StatConfig, TestedMetric
+from uatest.stats import test_metric as evaluate_metric
 from uatest.tree import TreeParams
 
 
@@ -486,6 +487,51 @@ def test_debug_strata_on_an_ordinal_explanatory_attribute():
     for sf in g.strata:
         assert sf.size == levels.count(sf.value)
         assert sum(map(sum, sf.display.counts)) == sf.size
+
+
+def test_debug_strata_follow_the_conditional_metric():
+    # explanatory e: "z" is empty, "q" holds about 5 test rows (below
+    # MIN_STRATUM), only protected group "low" has e == "r" (DIFF undefined);
+    # "p" and "t" are tested, after "q" in category order
+    rng = np.random.default_rng(31)
+    n = 4000
+    e = rng.choice(np.array([1, 2, 3, 4]), n, p=[0.005, 0.495, 0.25, 0.25])
+    s = np.where(e == 3, 0, rng.integers(0, 2, n))
+    o = (rng.random(n) < np.where(s == 1, 0.6, 0.4)).astype(int)
+    schema = [AttributeSchema("income", "categorical", "protected", ("low", "high")),
+              AttributeSchema("state", "categorical", "contextual", ("A", "B")),
+              AttributeSchema("e", "categorical", "explanatory", ("z", "q", "p", "r", "t")),
+              AttributeSchema("price", "categorical", "output", ("0", "1"))]
+    d = Dataset(schema, {"income": s.astype(np.int32),
+                         "state": rng.integers(0, 2, n).astype(np.int32),
+                         "e": e.astype(np.int32), "price": o.astype(np.int32)})
+    ds = make_datasource(d, budget=2, train_fraction=0.5, seed=31)
+    spec = InvestigationSpec(kind=TESTING, protected=("income",), output="price",
+                             contextual=("state",), stats=StatConfig(seed=31),
+                             tree=TreeParams(min_size=100, max_depth=1))
+    run = run_investigation(spec, ds)
+    fresh = ds.next_test_set()
+    dbg = debug_with_explanatory(run.trained, "e", fresh, threads=2)
+    cats = d.attribute("e").categories
+    notes = {"below minimum stratum size", "DIFF undefined on this population"}
+    for f in dbg.validated.findings:
+        ctx = fresh.select(f.predicates)
+        present = [c for c in cats if c in ctx.values("e")]
+        assert [sf.value for sf in f.strata] == present
+        assert all(sf.note in notes for sf in f.strata if sf.tested is None)
+
+    g = dbg.reports[0].global_finding
+    assert {sf.value: sf.note for sf in g.strata} == {
+        "q": "below minimum stratum size", "p": None,
+        "r": "DIFF undefined on this population", "t": None}
+    base = run.trained.units[0].bound
+    for k, sf in enumerate(g.strata):
+        if sf.tested is None:
+            continue
+        stratum = fresh.select((ContextPredicate("e", "in", values=(sf.value,)),))
+        ref = evaluate_metric(stratum, base, spec.stats, (1, 0, k))
+        assert (sf.tested.value.value, sf.tested.p, sf.tested.ci) == (
+            ref.value.value, ref.p, ref.ci)
 
 
 def test_validate_builds_each_distinct_context_once(monkeypatch):

@@ -11,7 +11,6 @@ from uatest.metrics import (
     MetricKind,
     binary_difference,
     binary_ratio,
-    conditional_metric,
     contingency,
     logistic_label_scores,
     mutual_information,
@@ -228,8 +227,7 @@ def test_conditional_metric_constant_explanatory_equals_unconditional():
     d = d.with_column(AttributeSchema("e", "categorical", "explanatory", ("only",)),
                       ["only"] * d.n_rows)
     bound = BoundMetric(MetricKind("diff", "e"), "gender", "admitted").resolve(d)
-    cond = conditional_metric(d, bound)
-    assert cond.aggregate.value == pytest.approx(bound.unconditional().value(d), abs=1e-12)
+    assert bound.value(d) == pytest.approx(bound.unconditional().value(d), abs=1e-12)
 
 
 def test_conditional_metric_symmetric_strata_cancel():
@@ -243,15 +241,15 @@ def test_conditional_metric_symmetric_strata_cancel():
               AttributeSchema("e", "categorical", "explanatory", ("L", "R"))]
     d = Dataset.from_columns(schema, {"gender": s, "admitted": o, "e": e})
     bound = BoundMetric(MetricKind("diff", "e"), "gender", "admitted").resolve(d)
-    cond = conditional_metric(d, bound)
-    assert cond.aggregate.value == pytest.approx(0.0, abs=1e-12)
-    assert sorted(p.estimate for p in cond.strata) == pytest.approx([-0.5, 0.5])
+    assert bound.value(d) == pytest.approx(0.0, abs=1e-12)
+    estimates, _ = bound.group_values(d, *bound.strata(d))
+    assert sorted(estimates) == pytest.approx([-0.5, 0.5])
 
 
 def test_conditional_metric_berkeley_weighted_mean():
     d = berkeley_like_dataset()
     bound = BoundMetric(MetricKind("diff", "department"), "gender", "admitted").resolve(d)
-    cond = conditional_metric(d, bound)
+    aggregate = bound.value(d)
     # independent oracle: direct size-weighted mean over department tables
     total = 0.0
     weight = 0
@@ -262,8 +260,8 @@ def test_conditional_metric_berkeley_weighted_mean():
         v = binary_difference(t, "Yes", "Female", "Male").value
         total += sub.n_rows * v
         weight += sub.n_rows
-    assert cond.aggregate.value == pytest.approx(total / weight, abs=1e-12)
-    assert cond.aggregate.value == pytest.approx(0.0426, abs=2e-3)
+    assert aggregate == pytest.approx(total / weight, abs=1e-12)
+    assert aggregate == pytest.approx(0.0426, abs=2e-3)
 
 
 def test_conditional_metric_small_strata_flagged():
@@ -271,10 +269,10 @@ def test_conditional_metric_small_strata_flagged():
     e = ["big"] * (d.n_rows - 4) + ["tiny"] * 4
     d = d.with_column(AttributeSchema("e", "categorical", "explanatory", ("big", "tiny")), e)
     bound = BoundMetric(MetricKind("diff", "e"), "gender", "admitted").resolve(d)
-    cond = conditional_metric(d, bound)
-    flags = {p.value: p.excluded for p in cond.strata}
-    assert flags["tiny"] is not None
-    assert flags["big"] is None
+    kept = bound.aggregate(*bound.group_values(d, *bound.strata(d)))[1]
+    kept = {d.attribute("e").categories[k] for k in kept}
+    assert "tiny" not in kept
+    assert "big" in kept
 
 
 def test_unknown_metric_name_is_refused():

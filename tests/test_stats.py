@@ -11,7 +11,6 @@ from uatest.metrics import (
     MetricError,
     MetricKind,
     binary_difference,
-    conditional_metric,
     contingency,
     diff_from_tables,
     grouped_correlation,
@@ -327,8 +326,7 @@ def test_seven_row_population_is_tested():
 def test_conditional_value_matches_conditional_metric():
     d = stratified_null(700, 4)
     tm = evaluate_metric(d, COND_DIFF, StatConfig(seed=0, n_bootstrap=200))
-    assert tm.value.value == pytest.approx(conditional_metric(d, COND_DIFF.resolve(d)).aggregate.value,
-                                           abs=1e-12)
+    assert tm.value.value == pytest.approx(COND_DIFF.resolve(d).value(d), abs=1e-12)
 
 
 def test_conditional_bootstrap_reapplies_stratum_exclusions():
