@@ -8,8 +8,9 @@ instead of the raw output.
 
 Candidate contexts come from the guided tree on training data; every
 reported statistic is computed on held-out test rows, corrected as one
-family per investigation. Bootstrap CIs and displays are computed on first
-read, so only the hypotheses a report shows or ranks pay for them.
+family per investigation. Permutation p-values, bootstrap CIs and displays
+are computed on first read, so only the hypotheses a report shows or ranks,
+or whose corrected p depends on them, pay for them.
 """
 
 from __future__ import annotations
@@ -261,6 +262,11 @@ def _train_discovery_units(spec: InvestigationSpec, cleaned: Dataset, s: str,
     p_attr = cleaned.attribute(s)
     if p_attr.kind != CATEGORICAL or len(p_attr.categories or ()) != 2:
         raise DataError(f"discovery requires a binary protected attribute, got {s!r}")
+    absent = [c for c, n in zip(p_attr.categories, np.bincount(cleaned.codes(s), minlength=2))
+              if n == 0]
+    if absent:
+        raise DataError(f"discovery needs both values of protected attribute {s!r} in the "
+                        f"training rows, but none has {absent[0]!r}")
     labels = list(spec.output)
     indicators = np.empty((cleaned.n_rows, len(labels)))
     for j, name in enumerate(labels):
@@ -592,9 +598,9 @@ def filter_and_rank(result: ValidationResult, conf: float | None = None) -> list
             global_finding = next((f for f in findings if f.is_global), None)
             candidates = [f for f in findings if not f.is_global]
 
-        significant = [f for f in candidates if f.tested.corrected_p <= alpha]
+        significant = [f for f in candidates if f.tested.significant(alpha)]
         pool = list(significant)
-        if global_finding is not None and global_finding.tested.corrected_p <= alpha:
+        if global_finding is not None and global_finding.tested.significant(alpha):
             pool.append(global_finding)
         for f in pool:
             _draw_cis(f, strata=False)

@@ -8,10 +8,17 @@ over strata; an unconditional metric has one stratum. Families of
 simultaneous hypotheses are corrected with Holm-Bonferroni p-values and
 Bonferroni-level confidence intervals.
 
-Estimates and p-values are computed when a metric is tested. A percentile
-CI's bootstrap is drawn on the first read of the CI, from the hypothesis's
-own RNG stream, of which it is the last draw; so the CI is the same whenever
-it is read, and a hypothesis whose CI is never read never resamples.
+Estimates, asymptotic p-values and the checks that make a population
+untestable run when a metric is tested. A resampled hypothesis draws its
+permutations on the first read of its p-value and its bootstrap on the first
+read of a CI, which reads the p-value first; both come from the hypothesis's
+own RNG stream, permutations then bootstrap, so the numbers are the same in
+any read order, and a hypothesis nobody reads never resamples. A permutation
+p-value is at least 1/(n_permutations+1), and Holm-adjusted p-values never
+decrease when a raw p increases; so a corrected p is fixed without drawing
+anything when the Holm runs with every unread p at that floor and at 1 agree,
+and otherwise unread p-values are drawn only until they agree. Reports are
+the same as when every p-value is drawn at once.
 
 Every randomized procedure is reproducible from (seed, input); callers that
 parallelize must derive one entropy tuple per task so results do not depend
@@ -22,7 +29,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -82,19 +89,25 @@ class StatConfig:
 class TestedMetric:
     """A metric estimate with its CI and p-value, before and after correction.
 
-    The CIs derive from a recipe: a percentile recipe holds the sorted
+    ``p`` may be a function that draws it, a permutation p-value of at least
+    ``p_floor``; it is called on the first read of ``p`` and its result
+    kept. The CIs derive from a recipe: a percentile recipe holds the sorted
     bootstrap statistics, a Wald or Fisher-z recipe the estimate and its
     spread. ``_recipe`` may be a function that draws it; it is called on the
-    first read of ``ci``, ``corrected_ci`` or ``_recipe`` and its result
-    kept, so that first read must not race with another thread's. A ``ci``
-    of None is derived from the recipe at level ``conf``, a ``corrected_ci``
-    of None at the level ``corrected_cis`` records (None until then); given
-    values are kept. Equality compares the fields below, CIs included.
+    first read of ``ci``, ``corrected_ci`` or ``_recipe``, after reading
+    ``p``, and its result kept. A ``ci`` of None is derived from the recipe
+    at level ``conf``, a ``corrected_ci`` of None at the level
+    ``corrected_cis`` records (None until then); given values are kept.
+    ``apply_corrections`` leaves ``corrected_p`` to its first read, which
+    reads unread p-values of the family only until the Holm bounds
+    ``corrected_p_bounds`` agree. None of these first reads may race with
+    another thread's. Equality compares the fields below, CIs included.
     """
 
     __test__ = False  # not a pytest class, despite the name
 
-    # ``ci`` and ``corrected_ci`` are properties, defined after ``__init__``
+    # ``ci``, ``p``, ``corrected_p`` and ``corrected_ci`` are properties,
+    # defined after ``__init__``
     value: MetricValue
     ci: tuple[float, float]
     p: float
@@ -102,19 +115,60 @@ class TestedMetric:
     corrected_p: float | None
     corrected_ci: tuple[float, float] | None
 
-    def __init__(self, value: MetricValue, ci: tuple[float, float] | None, p: float,
-                 method: str, corrected_p: float | None = None,
+    def __init__(self, value: MetricValue, ci: tuple[float, float] | None,
+                 p: float | Callable[[], float], method: str,
+                 corrected_p: float | None = None,
                  corrected_ci: tuple[float, float] | None = None,
                  _recipe: tuple | Callable[[], tuple] | None = None,
-                 conf: float | None = None) -> None:
-        self.value, self.p, self.method, self.corrected_p = value, p, method, corrected_p
+                 conf: float | None = None, p_floor: float = 0.0) -> None:
+        self.value, self.method = value, method
+        self._p, self._p_floor = [p], p_floor  # a cell the family's bounds also read
+        self.corrected_p = corrected_p
         self._ci, self._corrected_ci = ci, corrected_ci
         self._source, self._conf = _recipe, conf
         self._level: float | None = None
 
     @property
+    def p(self) -> float:
+        return _read(self._p)
+
+    @p.setter
+    def p(self, value: float) -> None:
+        self._p[0] = value
+
+    @property
+    def corrected_p(self) -> float | None:
+        if self._holm is not None:
+            family, i = self._holm
+            family.tighten(i, lambda lo, hi: lo == hi)
+            self.corrected_p = family.lo[i]
+        return self._corrected_p
+
+    @corrected_p.setter
+    def corrected_p(self, value: float | None) -> None:
+        self._corrected_p, self._holm = value, None
+
+    @property
+    def corrected_p_bounds(self) -> tuple[float | None, float | None]:
+        """Bounds on ``corrected_p`` that draw nothing: its family's Holm
+        bounds until it is fixed, then the value twice."""
+        if self._holm is None:
+            return self._corrected_p, self._corrected_p
+        family, i = self._holm
+        return family.lo[i], family.hi[i]
+
+    def significant(self, alpha: float) -> bool:
+        """Whether ``corrected_p <= alpha``, reading unread p-values of the
+        family only while ``alpha`` lies between the bounds."""
+        if self._holm is not None:
+            family, i = self._holm
+            family.tighten(i, lambda lo, hi: hi <= alpha or lo > alpha)
+        return self.corrected_p_bounds[1] <= alpha
+
+    @property
     def _recipe(self) -> tuple | None:
         if callable(self._source):
+            self.p  # the permutations precede the bootstrap in the hypothesis's stream
             self._source = self._source()
         return self._source
 
@@ -129,6 +183,13 @@ class TestedMetric:
         if self._corrected_ci is None and self._level is not None:
             self._corrected_ci = _ci_from_recipe(self._recipe, self._level)
         return self._corrected_ci
+
+
+def _read(cell: list) -> float:
+    """The p-value in a one-item ``cell``, drawn and kept on the first read."""
+    if callable(cell[0]):
+        cell[0] = cell[0]()
+    return cell[0]
 
 
 def _rng(cfg: StatConfig, entropy: Sequence[int]) -> np.random.Generator:
@@ -170,12 +231,52 @@ def corrected_cis(tested: Sequence[TestedMetric], conf: float) -> list[TestedMet
     return list(tested)
 
 
+class _HolmFamily:
+    """The members of one Holm family with bounds on their corrected p.
+
+    Holm-adjusted p-values never decrease when a raw p increases, so with
+    every unread p at its floor ``lo`` bounds the corrected p-values from
+    below, and with every unread p at 1 ``hi`` bounds them from above; where
+    the two agree, that is the exact corrected p. Once every p is read they
+    agree everywhere. The family holds its members' p-value cells, not the
+    members, so members and family form no reference cycle.
+    """
+
+    def __init__(self, tested: Sequence[TestedMetric]) -> None:
+        self.cells = [t._p for t in tested]
+        self.floors = [t._p_floor for t in tested]
+        self._bound()
+
+    def _bound(self) -> None:
+        ps = [cell[0] for cell in self.cells]
+        unread = [callable(p) for p in ps]
+        self.lo = holm_bonferroni([f if u else p for p, f, u in zip(ps, self.floors, unread)])
+        self.hi = holm_bonferroni([1.0 if u else p for p, u in zip(ps, unread)])
+
+    def tighten(self, i: int, done: Callable[[float, float], bool]) -> None:
+        """Read unread p-values until ``done(lo[i], hi[i])``: member i's
+        first, then the others in family order, in batches of an eighth of
+        those read so far, bounding the family again after each batch."""
+        if done(self.lo[i], self.hi[i]):
+            return  # before listing the unread members, a pass over the whole family
+        unread = [j for j in dict.fromkeys([i, *range(len(self.cells))])
+                  if callable(self.cells[j][0])]
+        read = 0
+        while not done(self.lo[i], self.hi[i]):
+            batch = unread[read:read + max(1, read // 8)]
+            for j in batch:
+                _read(self.cells[j])
+            read += len(batch)
+            self._bound()
+
+
 def apply_corrections(tested: Sequence[TestedMetric], conf: float) -> None:
     """Attach Holm-corrected p-values and Bonferroni-corrected CIs in place;
-    the CIs are computed on first read."""
-    adjusted = holm_bonferroni([t.p for t in tested])
-    for t, ap in zip(tested, adjusted):
-        t.corrected_p = ap
+    both are fixed on first read, and a corrected p reads the family's
+    unread p-values only while its Holm bounds disagree."""
+    family = _HolmFamily(tested)
+    for i, t in enumerate(tested):
+        t._holm = (family, i)
     corrected_cis(tested, conf)
 
 
@@ -224,13 +325,16 @@ def test_metric(view: Dataset, bound: BoundMetric, cfg: StatConfig,
     bootstrap resamples rows of the whole population (multinomially, for
     tables) and re-applies the stratum rule to each resample.
 
-    The estimate, p-value and method are computed here. Percentile CIs keep
-    the generator (already past its permutation draws), the counts or rows
-    to resample and the statistic; the bootstrap is drawn from them on the
-    first read of a CI, so it gives the same numbers whenever it runs.
+    The estimate, the method, every check that can make the population
+    untestable and an asymptotic p-value are computed here. A permutation
+    p-value and a percentile CI keep the hypothesis's RNG stream (its
+    generator is built on the first draw), the counts or rows to resample
+    and the statistic. The permutations are drawn on the first read
+    of ``p`` and the bootstrap on the first read of a CI, which reads ``p``
+    first; so both give the same numbers whenever they run.
     """
     bound = bound.resolve(view)
-    rng = _rng(cfg, entropy)
+    rng = cache(partial(_rng, cfg, entropy))  # the generator, built on the first draw
     key, groups = bound.strata(view)
     floor = bound.min_stratum
     n_perm = cfg.n_permutations
@@ -241,14 +345,17 @@ def test_metric(view: Dataset, bound: BoundMetric, cfg: StatConfig,
         values = partial(bound.value_from_tables, view)
         vals, sizes = values(tensor), tensor.sum(axis=(-2, -1))
         obs, kept = bound.aggregate(vals, sizes)
-        samples = partial(_bootstrap_table_stats, tensor,
-                          lambda t: stratum_mean(values(t), t.sum(axis=(-2, -1)), floor),
-                          cfg.n_bootstrap, rng)
+
+        def samples() -> np.ndarray:
+            return _bootstrap_table_stats(
+                tensor, lambda t: stratum_mean(values(t), t.sum(axis=(-2, -1)), floor),
+                cfg.n_bootstrap, rng())
+
         if asymptotic and view.n_rows > cfg.small_sample_threshold:
             return _asymptotic_table(view, bound, tensor[0], obs, cfg, samples)
 
         def permuted(k: int) -> np.ndarray:
-            return values(_fixed_margin_tables(tensor[k], n_perm, rng))
+            return values(_fixed_margin_tables(tensor[k], n_perm, rng()))
     elif bound.kind.name == CORR:
         x = view.scalar_values(bound.protected)
         y = view.scalar_values(bound.output)
@@ -261,12 +368,12 @@ def test_metric(view: Dataset, bound: BoundMetric, cfg: StatConfig,
         obs, kept = bound.aggregate(vals, sizes)
 
         def permuted(k: int) -> np.ndarray:
-            return _corr_permutation_stats(x[e == k], y[e == k], n_perm, rng)
+            return _corr_permutation_stats(x[e == k], y[e == k], n_perm, rng())
 
         def draw(m: int) -> np.ndarray:
             out = []
             for chunk in _chunks(m, n):
-                idx = rng.integers(0, n, size=(chunk, n))
+                idx = rng().integers(0, n, size=(chunk, n))
                 rkey = np.arange(chunk)[:, None] * groups + e[idx]
                 v, c = grouped_correlation(x[idx].ravel(), y[idx].ravel(), rkey.ravel(),
                                            chunk * groups)
@@ -277,11 +384,13 @@ def test_metric(view: Dataset, bound: BoundMetric, cfg: StatConfig,
     else:
         raise MetricError(f"no statistical test for metric {bound.kind.display!r}")
 
-    # the kept strata keep their sizes under permutation; NaN propagates from
-    # any undefined permuted stratum and counts as extreme
-    perm = weighted_mean(np.array([permuted(k) for k in kept]).T, sizes[kept])
-    p = _perm_pvalue(perm, obs, two_sided=bound.kind.signed)
-    return _percentile(MetricValue(bound.kind, obs), p, RESAMPLING, cfg, samples)
+    def pvalue() -> float:
+        # the kept strata keep their sizes under permutation; NaN propagates
+        # from any undefined permuted stratum and counts as extreme
+        perm = weighted_mean(np.array([permuted(k) for k in kept]).T, sizes[kept])
+        return _perm_pvalue(perm, obs, two_sided=bound.kind.signed)
+
+    return _percentile(MetricValue(bound.kind, obs), pvalue, RESAMPLING, cfg, samples)
 
 
 def _asymptotic_table(view: Dataset, bound: BoundMetric, counts: np.ndarray, obs: float,
@@ -330,13 +439,16 @@ def _asymptotic_corr(bound: BoundMetric, x: np.ndarray, y: np.ndarray,
 # -- resampling ----------------------------------------------------------------
 
 
-def _percentile(value: MetricValue, p: float, method: str, cfg: StatConfig,
-                samples: Callable[[], np.ndarray]) -> TestedMetric:
+def _percentile(value: MetricValue, p: float | Callable[[], float], method: str,
+                cfg: StatConfig, samples: Callable[[], np.ndarray]) -> TestedMetric:
     """A tested metric whose percentile CIs come from ``samples()``, the
-    sorted bootstrap statistics, drawn on the first read of a CI."""
+    sorted bootstrap statistics, drawn on the first read of a CI; ``p`` may
+    be a function drawing a permutation p-value, at least
+    1/(n_permutations+1)."""
     est = value.value
     return TestedMetric(value, None, p, method, conf=cfg.conf,
-                        _recipe=lambda: ("percentile", samples(), est))
+                        _recipe=lambda: ("percentile", samples(), est),
+                        p_floor=1.0 / (cfg.n_permutations + 1))
 
 
 def _fixed_margin_tables(counts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

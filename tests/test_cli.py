@@ -474,3 +474,128 @@ def test_degenerate_explanatory_exits_cleanly(case, n, seed):
                 lines = err.getvalue().splitlines()
                 assert len(lines) == 1 and lines[0].startswith("uatest: "), lines
                 assert "'e'" in lines[0], (case, argv[0], lines[0])
+
+
+def test_discovery_names_a_protected_value_missing_from_training(tmp_path, capsys):
+    # the schema declares s with values a and b, but no row has b
+    labels = np.random.default_rng(0).integers(0, 2, (600, 2))
+    rows = ["s,l1,l2,state"] + [f"a,{x},{y},{'ABC'[i % 3]}" for i, (x, y) in enumerate(labels)]
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join(rows) + "\n")
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"s": {"kind": "categorical", "categories": ["a", "b"]}}))
+    assert main(["discovery", "--data", str(path), "--schema", str(schema), "--protected", "s",
+                 "--output", "l1,l2", "--context", "state", "--min-size", "50"]) == 2
+    assert capsys.readouterr().err == (
+        "uatest: discovery needs both values of protected attribute 's' in the training rows, "
+        "but none has 'b'\n")
+
+
+def _cell_effect_csv(path, n, seed):
+    """A binary protected ``s`` and output ``o`` whose association varies
+    over the cells of ``c0`` x ``c1``, plus two unrelated contexts: the tree
+    registers many small contexts, and the global effect is strong."""
+    rng = np.random.default_rng(seed)
+    s = rng.integers(0, 2, n)
+    cols = rng.integers(0, 5, (4, n))
+    effect = 0.15 + rng.uniform(-0.2, 0.2, 25)[cols[0] * 5 + cols[1]]
+    o = (rng.random(n) < 0.3 + effect * s).astype(int)
+    rows = ["s,o,c0,c1,c2,c3"] + [f"{'ab'[s[i]]},{o[i]}," + ",".join(f"k{c}" for c in cols[:, i])
+                                  for i in range(n)]
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+def test_large_family_draws_no_permutations(tmp_path, monkeypatch):
+    # in a family of over 100 hypotheses, a resampled p of at least 1/1001
+    # cannot pass 0.05 after Holm correction; the run decides every
+    # significance and every reported corrected p from the Holm bounds and
+    # draws no permutation, yet uses exactly the corrected p-values that
+    # drawing every p and correcting them gives
+    from uatest import cli, stats
+    permutations, results = [], []
+    for name in ("_fixed_margin_tables", "_corr_permutation_stats"):
+        def counting(*args, draw=getattr(stats, name)):
+            permutations.append(1)
+            return draw(*args)
+        monkeypatch.setattr(stats, name, counting)
+    validate = cli.validate
+
+    def keeping_validate(*args, **kwargs):
+        results.append(validate(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "validate", keeping_validate)
+    out = tmp_path / "r.json"
+    assert main(["testing", "--data", _cell_effect_csv(tmp_path / "d.csv", 12000, 3),
+                 "--protected", "s", "--output", "o", "--context", "c0,c1,c2,c3",
+                 "--min-size", "40", "--seed", "1", "--threads", "1",
+                 "--format", "json", "--out", str(out)]) == 0
+    (result,) = results
+    family = [f.tested for f in result.findings]
+    resampled = sum(t.method == stats.RESAMPLING for t in family)
+    assert result.family_size == len(family) > 100 and resampled > 100
+    assert permutations == []
+    bounds = [t.corrected_p_bounds for t in family]
+    exact = stats.holm_bonferroni([t.p for t in family])
+    assert len(permutations) == resampled
+    assert [t.corrected_p for t in family] == exact
+    for f, (lo, hi), e in zip(result.findings, bounds, exact):
+        assert lo <= e <= hi
+        assert hi <= 0.05 or lo > 0.05  # the bounds decided significance
+        assert f.rank is None or e <= 0.05
+    (report,) = json.loads(out.read_text())["reports"]
+    ranked = sorted((f for f in result.findings if f.rank is not None), key=lambda f: f.rank)
+    shown = [f for f in result.findings if f.is_global] + ranked
+    assert [obj["tested"]["corrected_p"] for obj in [report["global"]] + report["findings"]] == [
+        f.tested.corrected_p for f in shown]
+
+
+DEGENERATE_PROTECTED = {
+    "constant": lambda rng, n: ["a"] * n,
+    "all missing": lambda rng, n: [""] * n,
+    "single minority row": lambda rng, n: np.where(np.arange(n) == rng.integers(n), "b", "a"),
+    "unicode pair": lambda rng, n: rng.choice(["é", "中文"], n),
+    "unicode": lambda rng, n: rng.choice(["é", "中文", "🙂", "ß x"], n),
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=st.sampled_from(sorted(DEGENERATE_PROTECTED)),
+       n=st.integers(200, 500), seed=st.integers(0, 2**16))
+def test_degenerate_protected_exits_cleanly(case, n, seed):
+    from unittest import mock
+
+    from uatest import investigations
+    rng = np.random.default_rng(seed)
+    s = DEGENERATE_PROTECTED[case](rng, n)
+    cells = rng.integers(0, 2, (3, n))
+    state = rng.integers(0, 3, n)
+    rows = ["s,o,l1,l2,state"] + [f"{s[i]},{o},{l1},{l2},{'ABC'[c]}"
+                                  for i, (o, l1, l2, c) in enumerate(zip(*cells, state))]
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = Path(tmp) / "d.csv", Path(tmp) / "r.json"
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        common = ["--data", str(data), "--protected", "s", "--context", "state", "--seed", "1",
+                  "--min-size", "20", "--format", "json", "--out", str(out)]
+        for argv in (["testing", *common, "--output", "o"],
+                     ["discovery", *common, "--output", "l1,l2"]):
+            tested = []
+            test_metric = investigations.test_metric
+
+            def counting(*args):
+                tested.append(test_metric(*args))  # only calls that return
+                return tested[-1]
+
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    mock.patch.object(investigations, "test_metric", counting):
+                code = main(argv)
+            assert code in (0, 2), (case, argv[0], code)
+            if code == 2:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("uatest: "), lines
+                assert "'s'" in lines[0], (case, argv[0], lines[0])
+            else:
+                (report,) = json.loads(out.read_text(encoding="utf-8"))["reports"]
+                assert report["family_size"] == len(tested), (case, argv[0])

@@ -204,15 +204,22 @@ def test_deferred_bootstrap_matches_a_draw_right_after_the_test():
     eager = []
     for i, (view, bound) in enumerate(cases):
         t = evaluate_metric(view, bound, cfg, entropy=(1, i))
-        eager.append((t._recipe, t.ci))
+        eager.append((t.p, t._recipe, t.ci))
     family = [evaluate_metric(view, bound, cfg, entropy=(1, i))
               for i, (view, bound) in enumerate(cases)]
     apply_corrections(family, cfg.conf)
     level = 1.0 - (1.0 - cfg.conf) / len(family)
-    for t, (recipe, ci) in reversed(list(zip(family, eager))):
+    for t, (p, recipe, ci) in reversed(list(zip(family, eager))):
         assert recipe[0] == "percentile"
         assert t.corrected_ci == _ci_from_recipe(recipe, level)
         assert t.ci == ci
+        assert np.array_equal(t._recipe[1], recipe[1])
+        assert t.p == p
+    # a permutation p-value read after the CI is drawn first all the same
+    for i, ((view, bound), (p, recipe, ci)) in enumerate(zip(cases, eager)):
+        t = evaluate_metric(view, bound, cfg, entropy=(1, i))
+        assert t.ci == ci
+        assert t.p == p
         assert np.array_equal(t._recipe[1], recipe[1])
 
 
@@ -561,6 +568,57 @@ def test_apply_corrections_p_and_ci():
     apply_corrections(tested, 0.95)
     assert [t.corrected_p for t in tested] == pytest.approx([0.03, 0.04, 0.04])
     assert all(t.corrected_ci is not None for t in tested)
+
+
+def test_holm_bounds_decide_only_exact_corrections():
+    # families whose unread members are permutation p-values of at least
+    # 1/1001, with ties, members at that floor and at 1, and sizes on both
+    # sides of m - k = 50, where a floor p stops passing 0.05 after Holm
+    # correction: every corrected p fixed from the Holm bounds, and every
+    # significance decision, equals the exact Holm result of all p-values,
+    # whether it read none, some or all of the unread p-values
+    rng = np.random.default_rng(3)
+    floor = 1 / 1001
+    specials = np.array([floor, 1.0, 0.01, 0.05])
+    undrawn = {"fixed": 0, "decided": 0}
+    drew_some = drew_all = 0
+    for _ in range(300):
+        m = int(rng.integers(1, 120))
+        ps = np.where(rng.random(m) < 0.4, rng.choice(specials, m), rng.random(m) ** 4)
+        ps[rng.random(m) < 0.2] = ps[0]  # ties
+        unread = rng.random(m) < rng.random()
+        ps[unread] = np.maximum(ps[unread], floor)
+        reads = []
+
+        def deferred(i):
+            def draw():
+                reads.append(i)
+                return float(ps[i])
+            return draw
+
+        family = [TestedMetric(None, (0.0, 0.0), deferred(i) if unread[i] else float(ps[i]),
+                               "permutation+bootstrap", p_floor=floor) for i in range(m)]
+        apply_corrections(family, 0.95)
+        exact = holm_bonferroni(ps)
+        alpha = float(rng.choice([0.01, 0.05, 0.1]))
+        for i in rng.permutation(m):
+            t, before = family[i], len(reads)
+            lo, hi = t.corrected_p_bounds
+            assert lo <= exact[i] <= hi
+            if rng.random() < 0.5:
+                assert t.significant(alpha) == (exact[i] <= alpha)
+                undrawn["decided"] += len(reads) == before and lo < hi
+            else:
+                assert t.corrected_p == exact[i]
+                undrawn["fixed"] += len(reads) == before and lo == hi
+            drew_some += before < len(reads) < unread.sum()
+            drew_all += before < len(reads) == unread.sum()
+            for u, e in zip(family, exact):  # the bounds stay valid as p-values are read
+                assert u.corrected_p_bounds[0] <= e <= u.corrected_p_bounds[1]
+        assert len(reads) == len(set(reads))  # each p is drawn at most once
+        assert [t.p for t in family] == ps.tolist()
+        assert [t.corrected_p for t in family] == exact
+    assert min(undrawn.values()) > 100 and drew_some > 10 and drew_all > 10
 
 
 # -- distributional properties ----------------------------------------------------
