@@ -62,8 +62,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="master seed (falls back to UATEST_SEED, then 0)")
     p.add_argument("--min-size", type=int, default=100, help="minimum context size")
     p.add_argument("--max-depth", type=int, default=5, help="maximum context depth")
-    p.add_argument("--threads", type=int, default=os.cpu_count(),
-                   help="worker cap for validation; results are thread-count invariant")
+    p.add_argument("--threads", type=int, help="accepted, for scripts that pass it, and ignored")
     p.add_argument("--format", choices=("text", "json"), default="text", help="report format")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
@@ -117,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data(p)
     p.add_argument("--state", required=True, help="state file written by a previous run")
     p.add_argument("--explanatory", required=True, help="explanatory attribute to condition on")
-    p.add_argument("--threads", type=int, default=os.cpu_count())
+    p.add_argument("--threads", type=int, help="accepted, for scripts that pass it, and ignored")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
 
@@ -318,7 +317,7 @@ def _run_investigation_cmd(args, kind: str) -> int:
     source = DataSource(data, budget=args.budget, train_fraction=args.train_fraction,
                         seed=seed, min_size=args.min_size)
     trained = train(spec, source.train)
-    validated = validate(trained, source.next_test_set(), threads=args.threads)
+    validated = validate(trained, source.next_test_set())
     reports = filter_and_rank(validated)
     _emit(_reports_text(reports, args.format), args.out)
     if args.state:
@@ -335,7 +334,7 @@ def _debug_cmd(args) -> int:
     for _ in range(ds_obj["consumed"]):
         source.next_test_set()
     fresh = source.next_test_set()
-    run = debug_with_explanatory(trained, args.explanatory, fresh, threads=args.threads)
+    run = debug_with_explanatory(trained, args.explanatory, fresh)
     _emit(_reports_text(run.reports, args.format), args.out)
     state["datasource"]["consumed"] = source.consumed
     state["reports"] = [report_to_obj(r) for r in run.reports]
@@ -349,7 +348,6 @@ def _bench_cmd(args) -> int:
     result = run_detection_benchmark(
         n=args.n, n_plants=args.plants, delta=args.delta, plant_size=args.size,
         seed=seed, conf=args.conf, min_size=args.min_size, max_depth=args.max_depth,
-        threads=args.threads,
     )
     lines = ["delta,size,recall,false_discoveries,seed",
              f"{result.delta},{result.plant_size},{result.recall},"

@@ -221,8 +221,11 @@ class Dataset:
     # -- views -------------------------------------------------------------
 
     def _subset(self, rows: np.ndarray) -> "Dataset":
-        """View addressing ``rows`` (positions within this view)."""
-        return Dataset(self._schema, self._cols, self._idx[rows])
+        """View of ``rows`` (positions within this view) sharing its schema and columns."""
+        view = object.__new__(Dataset)
+        view.__dict__.update(self.__dict__, _idx=self._idx[rows])
+        view._idx.setflags(write=False)
+        return view
 
     def select(self, predicates: Sequence[ContextPredicate]) -> "Dataset":
         """Row-filtered view satisfying the conjunction of ``predicates``.

@@ -16,7 +16,6 @@ or whose corrected p depends on them, pay for them.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -220,6 +219,14 @@ def _drop_missing(view: Dataset, spec: InvestigationSpec, which: str) -> Dataset
     return cleaned
 
 
+def _dropped_note(view: Dataset, spec: InvestigationSpec, dropped: int, which: str) -> str:
+    """Why a metric may be undefined on so few rows: the rows dropped for missing values."""
+    missing = [repr(name) for name in spec.used_attributes()
+               if view.drop_missing((name,)).n_rows < view.n_rows]
+    return (f" (after dropping {dropped} of {view.n_rows} {which} rows with missing values "
+            f"in {', '.join(missing)})")
+
+
 def train(spec: InvestigationSpec, train_view: Dataset) -> TrainedInvestigation:
     """Derive candidate contexts on the training set for every protected
     attribute (and each top-ranked label, for discovery)."""
@@ -249,11 +256,7 @@ def train(spec: InvestigationSpec, train_view: Dataset) -> TrainedInvestigation:
     except MetricError as exc:
         if not dropped:
             raise
-        # so few rows may be left that a metric is undefined on them
-        missing = [repr(name) for name in spec.used_attributes()
-                   if train_view.drop_missing((name,)).n_rows < train_view.n_rows]
-        raise DataError(f"{exc} (after dropping {dropped} of {train_view.n_rows} training "
-                        f"rows with missing values in {', '.join(missing)})") from None
+        raise DataError(f"{exc}{_dropped_note(train_view, spec, dropped, 'training')}") from None
     return TrainedInvestigation(spec, units, cleaned.n_rows, dropped, _output_display(spec))
 
 
@@ -264,9 +267,9 @@ def _train_discovery_units(spec: InvestigationSpec, cleaned: Dataset, s: str,
         raise DataError(f"discovery requires a binary protected attribute, got {s!r}")
     absent = [c for c, n in zip(p_attr.categories, np.bincount(cleaned.codes(s), minlength=2))
               if n == 0]
-    if absent:
-        raise DataError(f"discovery needs both values of protected attribute {s!r} in the "
-                        f"training rows, but none has {absent[0]!r}")
+    if absent:  # a MetricError, so that train names the columns whose missing values caused it
+        raise MetricError(f"discovery needs both values of protected attribute {s!r} in the "
+                          f"training rows, but none has {absent[0]!r}")
     labels = list(spec.output)
     indicators = np.empty((cleaned.n_rows, len(labels)))
     for j, name in enumerate(labels):
@@ -274,6 +277,8 @@ def _train_discovery_units(spec: InvestigationSpec, cleaned: Dataset, s: str,
         if attr.kind != CATEGORICAL or len(attr.categories or ()) != 2:
             raise DataError(f"discovery label column {name!r} must be binary categorical")
         indicators[:, j] = cleaned.codes(name) == len(attr.categories) - 1
+    # a bad explanatory attribute fails before any label is scored
+    BoundMetric(MetricKind(DIFF, spec.explanatory), s, labels[0]).resolve(cleaned)
     y = cleaned.codes(s) == len(p_attr.categories) - 1
     scores = logistic_label_scores(indicators, y.astype(float), labels)
     top = scores.top_labels(spec.top_k)
@@ -430,14 +435,13 @@ def _decile_summary(view: Dataset, bound: BoundMetric) -> DecileDisplay:
     return DecileDisplay(bound.protected, bound.output, tuple(rows))
 
 
-def validate(trained: TrainedInvestigation, test_view: Dataset,
-             threads: int | None = None) -> ValidationResult:
+def validate(trained: TrainedInvestigation, test_view: Dataset) -> ValidationResult:
     """Re-materialize every candidate context on held-out test rows, test it,
     and correct the whole family of hypotheses together.
 
     Non-global contexts with fewer than min_size/2 test rows are dropped with
-    a note. Results are bit-identical for any thread count: each task derives
-    its own RNG stream from the master seed and its task index.
+    a note. The i-th context that keeps enough rows draws its RNG stream from
+    the master seed and ``(_VALIDATE_STREAM, i)``.
     """
     spec = trained.spec
     cfg = spec.stats
@@ -451,7 +455,7 @@ def validate(trained: TrainedInvestigation, test_view: Dataset,
         unit.bound.resolve(cleaned)  # a misconfigured metric fails before any test runs
 
     min_test = spec.tree.min_size // 2
-    tasks: list[tuple[TrainUnit, ContextNode, Dataset]] = []
+    findings: list[Finding | None] = []
     dropped_contexts = 0
     # test view of each predicate prefix, each built once from its parent's view
     views: dict[tuple[ContextPredicate, ...], Dataset] = {(): cleaned}
@@ -467,18 +471,13 @@ def validate(trained: TrainedInvestigation, test_view: Dataset,
                 logger.info("dropped context %s: only %d test rows",
                             [p.describe() for p in node.predicates], ctx.n_rows)
                 continue
-            tasks.append((unit, node, ctx))
-
-    def run_task(item: tuple[int, tuple[TrainUnit, ContextNode, Dataset]]) -> Finding | None:
-        i, (unit, node, ctx) = item
-        return _test_context(unit, node, ctx, cfg, (_VALIDATE_STREAM, i))
-
-    indexed = list(enumerate(tasks))
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            findings = list(pool.map(run_task, indexed))
-    else:
-        findings = [run_task(item) for item in indexed]
+            try:
+                findings.append(_test_context(unit, node, ctx, cfg, (_VALIDATE_STREAM, len(findings))))
+            except DataError as exc:  # the global population is untestable
+                if not dropped_test:
+                    raise
+                raise DataError(f"{exc}{_dropped_note(test_view, spec, dropped_test, 'test')}"
+                                ) from None
 
     kept = [f for f in findings if f is not None]
     dropped_contexts += len(findings) - len(kept)
@@ -673,19 +672,17 @@ class InvestigationRun:
     reports: list[ReportModel]
 
 
-def run_investigation(spec: InvestigationSpec, source: DataSource,
-                      threads: int | None = None) -> InvestigationRun:
+def run_investigation(spec: InvestigationSpec, source: DataSource) -> InvestigationRun:
     """Train on the source's training set, validate on the next budgeted test
     set, and build the filtered, ranked reports."""
     trained = train(spec, source.train)
-    validated = validate(trained, source.next_test_set(), threads=threads)
+    validated = validate(trained, source.next_test_set())
     reports = filter_and_rank(validated)
     return InvestigationRun(trained, validated, reports)
 
 
 def debug_with_explanatory(trained: TrainedInvestigation, explanatory: str,
-                           fresh_test: Dataset, threads: int | None = None
-                           ) -> InvestigationRun:
+                           fresh_test: Dataset) -> InvestigationRun:
     """Re-validate the same trained contexts with the metric conditioned on an
     explanatory attribute, on a fresh budgeted test set."""
     spec = replace(trained.spec, explanatory=explanatory)
@@ -694,6 +691,6 @@ def debug_with_explanatory(trained: TrainedInvestigation, explanatory: str,
              for u in trained.units]
     debug_trained = TrainedInvestigation(spec, units, trained.train_size,
                                          trained.dropped_train, trained.output_display)
-    validated = validate(debug_trained, fresh_test, threads=threads)
+    validated = validate(debug_trained, fresh_test)
     reports = filter_and_rank(validated)
     return InvestigationRun(debug_trained, validated, reports)

@@ -20,9 +20,9 @@ anything when the Holm runs with every unread p at that floor and at 1 agree,
 and otherwise unread p-values are drawn only until they agree. Reports are
 the same as when every p-value is drawn at once.
 
-Every randomized procedure is reproducible from (seed, input); callers that
-parallelize must derive one entropy tuple per task so results do not depend
-on execution order.
+Every randomized procedure is reproducible from (seed, input). Callers give
+each hypothesis its own entropy tuple, hence its own stream, so that lazy
+draws yield the same numbers whichever hypothesis is read first.
 """
 
 from __future__ import annotations
@@ -100,8 +100,8 @@ class TestedMetric:
     ``corrected_cis`` records (None until then); given values are kept.
     ``apply_corrections`` leaves ``corrected_p`` to its first read, which
     reads unread p-values of the family only until the Holm bounds
-    ``corrected_p_bounds`` agree. None of these first reads may race with
-    another thread's. Equality compares the fields below, CIs included.
+    ``corrected_p_bounds`` agree. Equality compares the fields below, CIs
+    included.
     """
 
     __test__ = False  # not a pytest class, despite the name

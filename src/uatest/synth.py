@@ -303,8 +303,7 @@ class BenchResult:
 def run_detection_benchmark(n: int, n_plants: int, delta: float, plant_size: int,
                             seed: int, conf: float = 0.95, min_size: int = 100,
                             max_depth: int = 5, train_fraction: float = 0.4,
-                            small_sample_threshold: int = 1000,
-                            threads: int | None = None) -> BenchResult:
+                            small_sample_threshold: int = 1000) -> BenchResult:
     """Generate a planted population, run a Testing investigation on it, and
     score recall and false discoveries against the ground truth.
 
@@ -330,7 +329,7 @@ def run_detection_benchmark(n: int, n_plants: int, delta: float, plant_size: int
     )
     trained = train(spec, source.train)
     test = source.next_test_set()
-    validated = validate(trained, test, threads=threads)
+    validated = validate(trained, test)
     report = filter_and_rank(validated)[0]
     score = score_detection(report, plants, test)
     return BenchResult(delta, plant_size, seed, score.recall, score.false_discoveries,

@@ -234,6 +234,23 @@ def test_with_column_alignment():
         sel.with_column(AttributeSchema("age", "continuous"), [0.0] * sel.n_rows)
 
 
+def test_with_encoded_on_a_view_leaves_its_relatives_alone():
+    # views share their parent's schema and columns; a new column is the new view's own
+    d = random_dataset(300, seed=15)
+    ca = d.select([ContextPredicate("state", "in", values=("CA",))])
+    ny = d.select([ContextPredicate("state", "in", values=("NY",))])
+    flag = AttributeSchema("flag", "categorical", "output", ("0", "1"))
+    marked = ca.with_encoded(flag, np.ones(ca.n_rows, dtype=np.int32))
+    assert marked.attribute_names() == ("state", "race", "age", "flag")
+    assert marked.codes("flag").tolist() == [1] * ca.n_rows
+    for other in (d, ca, ny):
+        assert other.attribute_names() == ("state", "race", "age")
+        with pytest.raises(DataError, match="no attribute named 'flag'"):
+            other.codes("flag")
+    # the sibling can still add a column of the same name, with its own values
+    assert ny.with_encoded(flag, np.zeros(ny.n_rows, dtype=np.int32)).codes("flag").sum() == 0
+
+
 def test_inference_counts_nan_cells_as_one_number(tmp_path):
     # 1, 2 and nan are three distinct numbers however many nan rows there are
     path = write_csv(tmp_path, "n.csv", "x\n" + "\n".join(["1", "2", "nan"] * 20) + "\n")

@@ -379,13 +379,13 @@ def test_missing_rows_dropped_and_counted():
 def test_pipeline_bit_determinism_and_thread_invariance():
     d = binary_testing_dataset(8000, seed=12)
     texts = []
-    for threads in (None, 4):
+    for _ in range(2):
         ds = make_datasource(d, budget=1, train_fraction=0.5, seed=12)
         spec = InvestigationSpec(kind=TESTING, protected=("income",), output="price",
                                  contextual=("state",), stats=StatConfig(seed=12),
                                  tree=TreeParams(min_size=100, max_depth=3))
         trained = train(spec, ds.train)
-        validated = validate(trained, ds.next_test_set(), threads=threads)
+        validated = validate(trained, ds.next_test_set())
         texts.append("".join(render_text(r) for r in filter_and_rank(validated)))
     assert texts[0] == texts[1]
     ds = make_datasource(d, budget=1, train_fraction=0.5, seed=12)
@@ -511,7 +511,7 @@ def test_debug_strata_follow_the_conditional_metric():
                              tree=TreeParams(min_size=100, max_depth=1))
     run = run_investigation(spec, ds)
     fresh = ds.next_test_set()
-    dbg = debug_with_explanatory(run.trained, "e", fresh, threads=2)
+    dbg = debug_with_explanatory(run.trained, "e", fresh)
     cats = d.attribute("e").categories
     notes = {"below minimum stratum size", "DIFF undefined on this population"}
     for f in dbg.validated.findings:
