@@ -12,9 +12,11 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 budget exhausted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 import sys
 
@@ -65,6 +67,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, help="accepted, for scripts that pass it, and ignored")
     p.add_argument("--format", choices=("text", "json"), default="text", help="report format")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
+    _add_verbose(p)
+
+
+def _add_verbose(p: argparse.ArgumentParser) -> None:
+    p.add_argument("-v", "--verbose", action="count", default=0,
+                   help="log progress on stderr: -v for info, -vv for debug")
 
 
 def _add_data(p: argparse.ArgumentParser) -> None:
@@ -119,6 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, help="accepted, for scripts that pass it, and ignored")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
+    _add_verbose(p)
 
     p = sub.add_parser("bench", help="planted-disparity detection benchmark",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
@@ -146,6 +155,26 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w") as fh:
             fh.write(text)
+
+
+@contextlib.contextmanager
+def _log_to_stderr(verbosity: int):
+    """Show the package's log messages on stderr while the block runs: info
+    messages from ``verbosity`` 1, debug messages from 2."""
+    if not verbosity:
+        yield
+        return
+    package = logging.getLogger(__package__)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(levelname)s: %(message)s"))
+    level = package.level
+    package.addHandler(handler)
+    package.setLevel(logging.INFO if verbosity == 1 else logging.DEBUG)
+    try:
+        yield
+    finally:
+        package.removeHandler(handler)
+        package.setLevel(level)
 
 
 def _load_dataset(args):
@@ -375,29 +404,30 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage problems
         return 0 if exc.code == 0 else USAGE_ERROR
-    try:
-        if args.command == "testing":
-            return _run_investigation_cmd(args, TESTING)
-        if args.command == "discovery":
-            return _run_investigation_cmd(args, DISCOVERY)
-        if args.command == "error-profile":
-            return _run_investigation_cmd(args, ERROR_PROFILING)
-        if args.command == "debug":
-            return _debug_cmd(args)
-        if args.command == "bench":
-            return _bench_cmd(args)
-        if args.command == "tree-vs-itemsets":
-            return _tree_vs_itemsets_cmd(args)
-        parser.error(f"unknown command {args.command!r}")
-    except BudgetError as exc:
-        sys.stderr.write(f"uatest: {exc}\n")
-        return BUDGET_ERROR
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"uatest: {exc}\n")
-        return DATA_ERROR
-    except (DataError, MetricError, StatsError) as exc:
-        sys.stderr.write(f"uatest: {exc}\n")
-        return DATA_ERROR
+    with _log_to_stderr(args.verbose):
+        try:
+            if args.command == "testing":
+                return _run_investigation_cmd(args, TESTING)
+            if args.command == "discovery":
+                return _run_investigation_cmd(args, DISCOVERY)
+            if args.command == "error-profile":
+                return _run_investigation_cmd(args, ERROR_PROFILING)
+            if args.command == "debug":
+                return _debug_cmd(args)
+            if args.command == "bench":
+                return _bench_cmd(args)
+            if args.command == "tree-vs-itemsets":
+                return _tree_vs_itemsets_cmd(args)
+            parser.error(f"unknown command {args.command!r}")
+        except BudgetError as exc:
+            sys.stderr.write(f"uatest: {exc}\n")
+            return BUDGET_ERROR
+        except FileNotFoundError as exc:
+            sys.stderr.write(f"uatest: {exc}\n")
+            return DATA_ERROR
+        except (DataError, MetricError, StatsError) as exc:
+            sys.stderr.write(f"uatest: {exc}\n")
+            return DATA_ERROR
     return 0
 
 

@@ -8,9 +8,12 @@ disjoint test sets, one per adaptive investigation.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
+import logging
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -20,6 +23,8 @@ CONTINUOUS = "continuous"
 KINDS = (CATEGORICAL, ORDINAL, CONTINUOUS)
 
 ROLES = ("protected", "contextual", "explanatory", "output", "ignored")
+
+logger = logging.getLogger(__name__)
 
 MISSING = ""  # missing-value token in CSV files
 
@@ -160,7 +165,7 @@ class Dataset:
         schema = list(schema)
         if set(raw) != {a.name for a in schema}:
             raise DataError("column names do not match schema")
-        encoded = [_encode_column(a.name, raw[a.name], a) for a in schema]
+        encoded = [_encode_column(a.name, *_factorize(raw[a.name]), a) for a in schema]
         return cls([a for a, _ in encoded], {a.name: col for a, col in encoded})
 
     # -- basic access ------------------------------------------------------
@@ -273,7 +278,7 @@ class Dataset:
 
     def with_column(self, attr: AttributeSchema, values: Sequence) -> "Dataset":
         """New view with an extra column of raw cells aligned to this view's rows."""
-        return self.with_encoded(*_encode_column(attr.name, values, attr))
+        return self.with_encoded(*_encode_column(attr.name, *_factorize(values), attr))
 
     def with_encoded(self, attr: AttributeSchema, column: np.ndarray) -> "Dataset":
         """New view with an extra column already in storage form, aligned to
@@ -308,17 +313,17 @@ def _factorize(values: Sequence) -> tuple[list, np.ndarray]:
     return distinct, np.fromiter(map(position.__getitem__, values), dtype=np.intp, count=len(values))
 
 
-def _encode_column(name: str, values: Sequence,
+def _encode_column(name: str, cells: Sequence, rows: np.ndarray,
                    attr: AttributeSchema | None = None) -> tuple[AttributeSchema, np.ndarray]:
-    """Schema and stored array of one column of raw cells; ``attr=None``
-    infers the schema as :func:`load_csv` describes.
+    """Schema and stored array of one column, given as its distinct ``cells``
+    and each row's index into them (what :func:`_factorize` returns);
+    ``attr=None`` infers the schema as :func:`load_csv` describes.
 
     This is the only reader of raw cells, and its rules run once per distinct
     cell: ``None`` and ``""`` are missing, continuous cells parse with
     ``float()``, other cells are coded by ``str()`` into the pinned or
     first-appearance category list. An error names the cell's first row.
     """
-    cells, rows = _factorize(values)
     if attr is None or attr.kind == CONTINUOUS:
         numbers, bad = [], None  # None marks a missing cell
         for k, c in enumerate(cells):
@@ -352,9 +357,17 @@ def _encode_column(name: str, values: Sequence,
 
 # -- CSV loading -----------------------------------------------------------
 
+# Limits of the numpy tokenizer; larger files and wider cells go to csv.reader.
+MAX_TOKENIZED_FILE_BYTES = 2**31 - 1  # byte positions are int32
+MAX_TOKENIZED_CELL_BYTES = 64
+
+_CHUNK_BYTES = 1 << 20  # delimiter positions are found this many bytes at a time
+_BLOCK_ROWS = 4096  # cell widths are measured this many rows at a time
+_KEY_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
 
 def load_csv(path, schema="infer") -> Dataset:
-    """Load a comma-separated file with a mandatory header row.
+    """Load a comma-separated UTF-8 file with a mandatory header row.
 
     ``schema`` is either ``"infer"``, a full list of :class:`AttributeSchema`
     covering exactly the header columns, or a partial ``{name: schema}``
@@ -362,9 +375,159 @@ def load_csv(path, schema="infer") -> Dataset:
     continuous when every non-missing cell parses as a number and there are
     more than 10 distinct numbers, where every ``nan`` cell counts as one
     number; otherwise categorical. Columns are encoded one at a time.
+
+    A file with no ``"`` or NUL byte, no ``\\r`` outside a ``\\r\\n`` line end,
+    the header's field count on every line up to the trailing blank ones and
+    no cell wider than 64 bytes is split by a numpy tokenizer; any other file
+    is read by :func:`csv.reader`. Both give the same dataset, and the same
+    error for a file they reject. A file that is not UTF-8 text or holds a
+    cell longer than ``csv.field_size_limit()`` is a :class:`DataError`.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    text = _decode(raw, path)
+    try:
+        header, columns = _split_unquoted(raw)
+    except _NeedsCsvReader as exc:
+        logger.debug("read %s with csv.reader: the file has %s", path, exc)
+        header, columns = _split_csv(text, path)
+    else:
+        logger.debug("read %s with the numpy tokenizer", path)
+    return _encode_table(header, columns, schema)
+
+
+def _decode(raw: bytes, path) -> str:
+    """The text of a file's bytes, less a leading byte order mark."""
+    try:
+        return raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # utf-8-sig reports offsets past the byte order mark
+        offset = exc.start + (len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0)
+        line = raw.count(b"\n", 0, offset) + 1
+        raise DataError(f"{path} is not UTF-8 text: byte 0x{raw[offset]:02x} on line {line} "
+                        f"(byte offset {offset})") from None
+
+
+class _NeedsCsvReader(Exception):
+    """The numpy tokenizer does not read this file; the message says why."""
+
+
+def _split_unquoted(raw: bytes) -> tuple[list[str], Iterator[tuple[list, np.ndarray]]]:
+    """Header and columns of a CSV file's bytes, split with numpy.
+
+    Each column comes as its distinct cells and each row's index into them,
+    as :func:`_factorize` gives, and is gathered only when the iterator
+    reaches it. Raises :class:`_NeedsCsvReader` for a file that csv.reader
+    could read differently or that must fail with csv.reader's error.
+    """
+    if len(raw) > MAX_TOKENIZED_FILE_BYTES:
+        raise _NeedsCsvReader("2 GiB or more")
+    for byte, what in ((b'"', "a quote"), (b"\0", "a NUL byte")):
+        if byte in raw:
+            raise _NeedsCsvReader(f"{what} at byte offset {raw.index(byte)}")
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    if b"\r" in raw:
+        after_cr = np.flatnonzero(buf == 13) + 1
+        if after_cr[-1] == len(buf) or (buf[after_cr] != 10).any():
+            raise _NeedsCsvReader("a carriage return outside a \\r\\n line end")
+    first = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+    end = len(raw)
+    while end > first and raw[end - 1] in b"\r\n":
+        end -= 1  # blank lines at the end of the file
+    if end == first:
+        raise _NeedsCsvReader("no header row")
+    ends = _field_ends(buf, first, end)
+    newline = buf[ends[:-1]] == 10
+    if not newline.any():
+        raise _NeedsCsvReader("no data rows")
+    n_fields = int(np.argmax(newline)) + 1
+    if len(ends) % n_fields or not np.array_equal(
+            np.flatnonzero(newline), np.arange(n_fields - 1, len(ends) - 1, n_fields)):
+        raise _NeedsCsvReader("a line whose field count is not the header's")
+    grid = ends.reshape(-1, n_fields)
+    header = raw[first:grid[0, -1]].decode("utf-8").removesuffix("\r")
+    if not header or n_fields == 1 and not _cell_spans(buf, grid, 0)[1].all():
+        raise _NeedsCsvReader("a blank line before the last row")
+    header = header.split(",")
+    if len(set(header)) != len(header):
+        raise _NeedsCsvReader("duplicate column names")
+    widths = _column_widths(buf, grid)
+    if widths.max() > MAX_TOKENIZED_CELL_BYTES:
+        raise _NeedsCsvReader(f"a cell wider than {MAX_TOKENIZED_CELL_BYTES} bytes in column "
+                              f"{header[int(np.argmax(widths))]!r}")
+    return header, (_factorize_spans(buf, *_cell_spans(buf, grid, j), int(width))
+                    for j, width in enumerate(widths))
+
+
+def _field_ends(buf: np.ndarray, first: int, end: int) -> np.ndarray:
+    """Position of every comma and newline in ``buf[first:end]``, then ``end``
+    itself as the last line's end; int32, and found a chunk at a time so that
+    no int64 array spans the file."""
+    parts = []
+    for start in range(first, end, _CHUNK_BYTES):
+        chunk = buf[start:min(start + _CHUNK_BYTES, end)]
+        parts.append(np.flatnonzero((chunk == 44) | (chunk == 10)).astype(np.int32) + start)
+    parts.append(np.array([end], dtype=np.int32))
+    return np.concatenate(parts)
+
+
+def _cell_spans(buf: np.ndarray, grid: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length in bytes of column ``j``'s cell on every data row;
+    ``grid`` holds each field's end position, one line per row."""
+    ends = grid[1:, j]
+    starts = grid[:-1, -1] + 1 if j == 0 else grid[1:, j - 1] + 1
+    if j == grid.shape[1] - 1:
+        ends = ends - (buf[ends - 1] == 13)  # the \r of a \r\n line end
+    return starts, ends - starts
+
+
+def _column_widths(buf: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The widest data cell of each column in bytes, as :func:`_cell_spans`
+    measures cells, taken a block of rows at a time to read ``grid`` in order."""
+    widths = np.zeros(grid.shape[1], dtype=grid.dtype)
+    for row in range(1, len(grid), _BLOCK_ROWS):
+        ends = grid[row:row + _BLOCK_ROWS]
+        starts = np.empty_like(ends)
+        starts[:, 0] = grid[row - 1:row - 1 + len(ends), -1] + 1
+        starts[:, 1:] = ends[:, :-1] + 1
+        lengths = ends - starts
+        lengths[:, -1] -= buf[ends[:, -1] - 1] == 13
+        np.maximum(widths, lengths.max(axis=0), out=widths)
+    return widths
+
+
+def _factorize_spans(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                     width: int) -> tuple[list[str], np.ndarray]:
+    """:func:`_factorize` of the cells at byte spans of ``buf``, none wider
+    than ``width``. Each cell is zero-padded into one integer key, or into a
+    fixed-width string past 8 bytes, which identifies it because no cell
+    holds a NUL byte."""
+    size = next((b for b in _KEY_DTYPES if width <= b), width)
+    packed = np.zeros((len(starts), size), dtype=np.uint8)
+    for k in range(width):
+        packed[:, k] = np.where(lengths > k, buf.take(starts + k, mode="clip"), 0)
+    keys = packed.view(_KEY_DTYPES.get(size, f"S{size}")).ravel()
+    if size <= 2:  # every possible key is its own id, with no sort
+        universe, ids = np.arange(256**size, dtype=keys.dtype), keys
+    else:
+        universe, ids = np.unique(keys, return_inverse=True)
+    first = np.full(len(universe), len(keys))
+    np.minimum.at(first, ids, np.arange(len(keys)))
+    seen = np.flatnonzero(first < len(keys))
+    order = seen[np.argsort(first[seen])]  # ids in first-appearance order
+    code = np.zeros(len(universe), dtype=np.intp)
+    code[order] = np.arange(len(order))
+    cells = [c.decode("utf-8") for c in universe[order].view(f"S{size}").tolist()]
+    return cells, code[ids]
+
+
+def _split_csv(text: str, path) -> tuple[list[str], Iterator[tuple[list, np.ndarray]]]:
+    """Header and factorized columns of a CSV text read by :func:`csv.reader`."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     while rows and not rows[-1]:
         rows.pop()  # blank lines at the end of the file
     if not rows:
@@ -378,7 +541,13 @@ def load_csv(path, schema="infer") -> Dataset:
     if set(map(len, body)) != {len(header)}:
         i, row = next((i, row) for i, row in enumerate(body) if len(row) != len(header))
         raise DataError(f"row {i + 1} has {len(row)} fields, expected {len(header)}")
+    return header, map(_factorize, zip(*body))
 
+
+def _encode_table(header: list[str], columns: Iterable[tuple[list, np.ndarray]],
+                  schema) -> Dataset:
+    """Dataset of a file's header and factorized columns under ``schema``
+    (see :func:`load_csv`)."""
     if schema == "infer":
         attrs = [None] * len(header)
     elif isinstance(schema, Mapping):
@@ -399,8 +568,8 @@ def load_csv(path, schema="infer") -> Dataset:
                 attrs = [by_name[name] for name in header]
             else:
                 raise DataError("schema names do not match the file header")
-    encoded = [_encode_column(name, values, attr)
-               for name, attr, values in zip(header, attrs, zip(*body))]
+    encoded = [_encode_column(name, cells, rows, attr)
+               for name, attr, (cells, rows) in zip(header, attrs, columns)]
     return Dataset([a for a, _ in encoded], {a.name: col for a, col in encoded})
 
 

@@ -334,6 +334,41 @@ def test_csv_with_byte_order_mark(tmp_path, capsys):
     assert "Report of associations of O=o on S=g" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("last_row", [b"b\xff,1\n", b"b" * 200_000 + b",1\n"],
+                         ids=["not utf-8", "over-long cell"])
+def test_unreadable_csv_exits_2_naming_the_file(tmp_path, capsys, last_row):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"g,o\n" + b"a,0\nb,1\n" * 150 + last_row)
+    assert main(["testing", "--data", str(path), "--protected", "g", "--output", "o",
+                 "--min-size", "50", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("uatest: "), lines
+    assert str(path) in lines[0] and "line 302" in lines[0], lines[0]
+
+
+def test_verbose_logs_on_stderr_and_leaves_the_report_alone(tmp_path, capsys):
+    rows = "".join(f"{'ab'[i % 2]},{'xyz'[i % 3]},{i % 5 % 2}\n" for i in range(300))
+    path = tmp_path / "d.csv"
+    path.write_text("g,c,o\n" + rows)
+    argv = ["testing", "--data", str(path), "--protected", "g", "--output", "o",
+            "--min-size", "50", "--seed", "1"]
+    assert main(argv) == 0
+    quiet = capsys.readouterr()
+    assert quiet.err == ""
+    assert main([*argv, "-v"]) == 0
+    info = capsys.readouterr()
+    assert info.out == quiet.out
+    assert "DEBUG" not in info.err
+    assert main([*argv, "-vv"]) == 0
+    debug = capsys.readouterr()
+    assert debug.out == quiet.out
+    assert f"uatest.dataset: DEBUG: read {path} with the numpy tokenizer\n" in debug.err
+    assert main(argv) == 0
+    assert capsys.readouterr() == quiet
+
+
 @pytest.fixture()
 def shift_tagged_csv(tmp_path):
     """Two labels shown by race, a region context and a shift column to

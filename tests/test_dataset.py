@@ -1,12 +1,14 @@
 import csv
+import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import uatest
@@ -21,6 +23,7 @@ from uatest.dataset import (
     save_csv,
     schema_from_json,
 )
+from uatest.dataset import _encode_table, _NeedsCsvReader, _split_csv, _split_unquoted
 
 
 def write_csv(tmp_path, name, text):
@@ -425,6 +428,125 @@ def test_trailing_blank_lines_are_ignored(tmp_path):
 def test_blank_line_between_rows_is_named(tmp_path):
     path = write_csv(tmp_path, "b.csv", "a,b\nx,1\n\ny,2\n")
     with pytest.raises(DataError, match=r"^row 2 has 0 fields, expected 2$"):
+        load_csv(path)
+
+
+# -- the numpy tokenizer against csv.reader ----------------------------------
+
+
+def read_with_csv_reader(path, schema="infer"):
+    """What :func:`load_csv` gives when csv.reader reads the file."""
+    text = path.read_bytes().decode("utf-8-sig")
+    return _encode_table(*_split_csv(text, path), schema)
+
+
+def read_with_tokenizer(path, schema="infer"):
+    """What :func:`load_csv` gives when the numpy tokenizer reads the file;
+    raises ``_NeedsCsvReader`` for a file it declines."""
+    return _encode_table(*_split_unquoted(path.read_bytes()), schema)
+
+
+UNQUOTED_CELLS = st.one_of(
+    TEXT_CELLS.filter(lambda c: "," not in c and '"' not in c),
+    # line breaks to str.splitlines but not to csv.reader, a byte order mark, a space
+    st.sampled_from(["\u2028", "\x0b", "\x0c", "\x1c", "\x85", "\ufeff", " "]),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_numpy_tokenizer_matches_csv_reader(tmp_path_factory, data):
+    names = [f"c{j}" for j in range(data.draw(st.integers(1, 3)))]
+    n = data.draw(st.integers(1, 14))
+    numeric = st.integers(0, 15).map(str)  # enough distinct numbers to infer continuous
+    columns = {name: draw_column(data, st.one_of(numeric, UNQUOTED_CELLS), n) for name in names}
+    lines = [",".join(names)] + [",".join(row) for row in zip(*columns.values())]
+    for _ in range(data.draw(st.integers(0, 2))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        fault = data.draw(st.sampled_from(["blank line", "extra field", "missing field"]))
+        if fault == "blank line":
+            lines.insert(i, "")
+        elif fault == "extra field" or len(names) == 1:
+            lines[i] += ","
+        else:
+            lines[i] = lines[i].rpartition(",")[0]
+    eol = data.draw(st.sampled_from(["\n", "\r\n"]))
+    text = ("\ufeff" if data.draw(st.booleans()) else "") + eol.join(lines)
+    text += eol * data.draw(st.integers(0, 3))  # no final newline, or trailing blank lines
+    path = tmp_path_factory.mktemp("tok") / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    schema = {}
+    for name in names:
+        attr = draw_schema(data, name, columns[name], infer=True)
+        if attr is not None:
+            schema[name] = attr
+
+    expected = outcome(lambda: read_with_csv_reader(path, schema))
+    assert outcome(lambda: load_csv(path, schema)) == expected
+    # the tokenizer reads every file whose lines up to the trailing blank ones
+    # carry the header's field count; csv.reader reads a blank line as no field
+    kept = len(lines)
+    while kept and not lines[kept - 1]:
+        kept -= 1
+    regular = kept > 1 and all(line and line.count(",") == len(names) - 1
+                               for line in lines[:kept])
+    event("numpy tokenizer" if regular else "csv.reader")
+    if regular:
+        assert outcome(lambda: read_with_tokenizer(path, schema)) == expected
+    else:
+        with pytest.raises(_NeedsCsvReader):
+            read_with_tokenizer(path, schema)
+
+
+@pytest.mark.parametrize("text, reason, column", [
+    ('a,b\n"x,y",1\nz,2\n', "a quote at byte offset 4", ["x,y", "z"]),
+    ("a,b\nx,1\ry,2\n", r"a carriage return outside a \\r\\n line end", ["x", "y"]),
+    ("a,b\nx\0,1\ny,2\n", "a NUL byte at byte offset 5", ["x\0", "y"]),
+    ("a,b\n" + "é" * 33 + ",1\ny,2\n", "a cell wider than 64 bytes in column 'a'",
+     ["é" * 33, "y"]),
+])
+def test_csv_reader_reads_what_the_tokenizer_declines(tmp_path, text, reason, column):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(_NeedsCsvReader, match=f"^{reason}$"):
+        read_with_tokenizer(path)
+    assert load_csv(path).values("a") == column
+    assert stored(load_csv(path)) == stored(read_with_csv_reader(path))
+
+
+def test_tokenizer_reads_cells_of_64_bytes(tmp_path):
+    wide = "é" * 32
+    path = tmp_path / "d.csv"
+    path.write_bytes(f"a,b\r\n{wide},1\r\ny,2\r\n".encode("utf-8"))
+    assert read_with_tokenizer(path).values("a") == [wide, "y"]
+    assert stored(load_csv(path)) == stored(read_with_csv_reader(path))
+
+
+def test_load_csv_logs_which_reader_ran(tmp_path, caplog):
+    plain = write_csv(tmp_path, "p.csv", "a,b\nx,1\n")
+    quoted = write_csv(tmp_path, "q.csv", 'a,b\n"x",1\n')
+    with caplog.at_level(logging.DEBUG, logger="uatest.dataset"):
+        load_csv(plain)
+        load_csv(quoted)
+    assert caplog.messages == [f"read {plain} with the numpy tokenizer",
+                               f"read {quoted} with csv.reader: the file has a quote "
+                               "at byte offset 4"]
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+def test_non_utf8_file_is_a_data_error(tmp_path, bom):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(bom + b"a,b\nx,1\ny\xff,2\n")
+    message = f"{path} is not UTF-8 text: byte 0xff on line 3 (byte offset {len(bom) + 9})"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        load_csv(path)
+
+
+def test_cell_over_the_csv_field_limit_is_a_data_error(tmp_path):
+    limit = csv.field_size_limit()
+    path = write_csv(tmp_path, "long.csv", "a,b\nx,1\n" + "y" * (limit + 1) + ",2\n")
+    message = f"{path}: line 3: field larger than field limit ({limit})"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         load_csv(path)
 
 
