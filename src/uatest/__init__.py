@@ -36,7 +36,7 @@ from .stats import (
     holm_bonferroni,
     test_metric,
 )
-from .tree import ContextNode, TreeParams, TreeStats, enumerate_splits, find_contexts
+from .tree import ContextNode, TreeParams, TreeStats, find_contexts
 from .investigations import (
     DISCOVERY,
     ERROR_PROFILING,

@@ -431,9 +431,13 @@ def _split_unquoted(raw: bytes) -> tuple[list[str], Iterator[tuple[list, np.ndar
         if after_cr[-1] == len(buf) or (buf[after_cr] != 10).any():
             raise _NeedsCsvReader("a carriage return outside a \\r\\n line end")
     first = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+    header_end = raw.find(b"\n", first)
     end = len(raw)
-    while end > first and raw[end - 1] in b"\r\n":
-        end -= 1  # blank lines at the end of the file
+    if b"," in raw[first:header_end if header_end >= 0 else end]:
+        while end > first and raw[end - 1] in b"\r\n":
+            end -= 1  # blank lines at the end of the file
+    else:  # one column: a blank line is a missing cell, as in _split_csv
+        end -= raw.endswith(b"\n") + raw.endswith(b"\r\n")
     if end == first:
         raise _NeedsCsvReader("no header row")
     ends = _field_ends(buf, first, end)
@@ -446,8 +450,8 @@ def _split_unquoted(raw: bytes) -> tuple[list[str], Iterator[tuple[list, np.ndar
         raise _NeedsCsvReader("a line whose field count is not the header's")
     grid = ends.reshape(-1, n_fields)
     header = raw[first:grid[0, -1]].decode("utf-8").removesuffix("\r")
-    if not header or n_fields == 1 and not _cell_spans(buf, grid, 0)[1].all():
-        raise _NeedsCsvReader("a blank line before the last row")
+    if not header:
+        raise _NeedsCsvReader("a blank header line")
     header = header.split(",")
     if len(set(header)) != len(header):
         raise _NeedsCsvReader("duplicate column names")
@@ -528,6 +532,10 @@ def _split_csv(text: str, path) -> tuple[list[str], Iterator[tuple[list, np.ndar
         rows = list(reader)
     except csv.Error as exc:
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    if rows and len(rows[0]) == 1:
+        # in a one-column file every line after the header is a row, and a
+        # blank one is a missing cell; only the final line end ends the file
+        rows[1:] = [row or [MISSING] for row in rows[1:]]
     while rows and not rows[-1]:
         rows.pop()  # blank lines at the end of the file
     if not rows:

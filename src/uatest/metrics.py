@@ -226,14 +226,54 @@ def grouped_correlation(x: np.ndarray, y: np.ndarray, key: np.ndarray,
     """Pearson correlation of ``x`` and ``y`` within each of ``groups`` groups
     of ``key``, and the group sizes. Moments are taken about each group's
     mean; NaN marks groups of fewer than 3 rows or with a constant column."""
+    moments = grouped_moments(x, y, key, groups)
+    return moment_correlation(moments), moments[0]
+
+
+def grouped_moments(x: np.ndarray, y: np.ndarray, key: np.ndarray,
+                    groups: int) -> tuple[np.ndarray, ...]:
+    """Paired moments of each of ``groups`` groups of ``key``: the row count,
+    the sums of ``x`` and ``y``, and the sums of squares and of products of
+    their deviations from the group's own means."""
     sizes = np.bincount(key, minlength=groups)
+    sum_x = np.bincount(key, x, groups)
+    sum_y = np.bincount(key, y, groups)
     with np.errstate(invalid="ignore", divide="ignore"):
-        dx = x - (np.bincount(key, x, groups) / sizes)[key]
-        dy = y - (np.bincount(key, y, groups) / sizes)[key]
-        sxx = np.bincount(key, dx * dx, groups)
-        syy = np.bincount(key, dy * dy, groups)
-        r = np.clip(np.bincount(key, dx * dy, groups) / np.sqrt(sxx * syy), -1.0, 1.0)
-    return np.where((sizes >= 3) & (sxx > 0) & (syy > 0), r, np.nan), sizes
+        dx = x - (sum_x / sizes)[key]
+        dy = y - (sum_y / sizes)[key]
+    return (sizes, sum_x, sum_y, np.bincount(key, dx * dx, groups),
+            np.bincount(key, dy * dy, groups), np.bincount(key, dx * dy, groups))
+
+
+def merged_moments(moments: tuple[np.ndarray, ...], members: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The ``grouped_moments`` of unions of groups, where ``members[..., g]``
+    (bool) marks the unions that hold group g. Each group's deviations are
+    shifted to the union's own mean (the pairwise update of Chan, Golub and
+    LeVeque, 1979), never taken from raw-moment sums, so a union of one
+    group keeps that group's moments exactly."""
+    sizes, sum_x, sum_y, sxx, syy, sxy = moments
+
+    def total(v: np.ndarray) -> np.ndarray:
+        return np.where(members, v, 0).sum(axis=-1)
+
+    n, sx, sy = total(sizes), total(sum_x), total(sum_y)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # each group's mean less the union's; an empty group's term is 0
+        mean_x = np.divide(sum_x, sizes, out=np.zeros(len(sizes)), where=sizes > 0)
+        mean_y = np.divide(sum_y, sizes, out=np.zeros(len(sizes)), where=sizes > 0)
+        ex = mean_x - (sx / n)[..., None]
+        ey = mean_y - (sy / n)[..., None]
+        return (n, sx, sy, total(sxx) + total(sizes * ex * ex),
+                total(syy) + total(sizes * ey * ey), total(sxy) + total(sizes * ex * ey))
+
+
+def moment_correlation(moments: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Pearson correlation from ``grouped_moments``; NaN for fewer than 3 rows
+    or a constant column."""
+    sizes, _, _, sxx, syy, sxy = moments
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0)
+    return np.where((sizes >= 3) & (sxx > 0) & (syy > 0), r, np.nan)
 
 
 # -- strata ----------------------------------------------------------------------
@@ -500,14 +540,39 @@ class BoundMetric:
         the number of rows counted in each group. NaN marks groups where the
         metric is undefined. Tables come from one bincount, correlations
         from per-group moments."""
+        summary = self._group_summary(view, key, groups)
         if self.tabular:
-            tables = joint_counts(view, (self.output, self.protected), key, groups)
-            return self.value_from_tables(view, tables), tables.sum(axis=(-2, -1))
+            return self.value_from_tables(view, summary), summary.sum(axis=(-2, -1))
+        return moment_correlation(summary), summary[0]
+
+    def threshold_values(self, view: Dataset, bins: np.ndarray, n_bins: int) -> np.ndarray:
+        """Base (unconditional) metric on both sides of every threshold
+        between ``n_bins`` ordered bins, where ``bins`` holds each row's bin
+        (-1 for none) and threshold j's left part holds bins 0..j: values
+        with shape (n_bins - 1, 2), NaN where undefined. A left table is the
+        cumulative sum of the bins' tables and a right table the total less
+        the left, so both are exact. Moments are merged per side
+        (``merged_moments``), so a correlation can differ from the side's
+        ``group_values`` in the last digits."""
+        summary = self._group_summary(view, bins, n_bins)
+        if self.tabular:
+            left = np.cumsum(summary, axis=0)[:-1]
+            return self.value_from_tables(view, np.stack([left, summary.sum(axis=0) - left],
+                                                         axis=1))
+        in_left = np.arange(n_bins) <= np.arange(n_bins - 1)[:, None]
+        return moment_correlation(merged_moments(summary, np.stack([in_left, ~in_left], axis=1)))
+
+    def _group_summary(self, view: Dataset, key: np.ndarray,
+                       groups: int) -> np.ndarray | tuple[np.ndarray, ...]:
+        """Per-group tables (``joint_counts``) of a table metric, or per-group
+        ``grouped_moments`` of CORR, over the rows ``key`` puts in a group."""
+        if self.tabular:
+            return joint_counts(view, (self.output, self.protected), key, groups)
         if self.kind.name == CORR:
             x = view.scalar_values(self.protected)
             y = view.scalar_values(self.output)
             ok = (key >= 0) & ~(np.isnan(x) | np.isnan(y))
-            return grouped_correlation(x[ok], y[ok], key[ok], groups)
+            return grouped_moments(x[ok], y[ok], key[ok], groups)
         raise MetricError(f"metric {self.kind.name!r} cannot be evaluated by group")
 
     def guidance(self, view: Dataset) -> float:

@@ -6,10 +6,19 @@ between the protected attribute and the output, registering every visited
 subpopulation of sufficient size as a candidate context. Candidates are
 hypotheses only; their validation happens later on held-out test data.
 
-A candidate split is a row-to-part key over the node's rows. Every part of a
-split is scored at once by ``BoundMetric.group_values`` (one bincount of
-per-part contingency tables, or per-part correlation moments); ``Dataset``
-views are built only for the parts of the winning split.
+A categorical attribute splits by value. A continuous or ordinal attribute
+splits at each of its deduplicated within-node quantile thresholds. Every
+candidate split of one attribute is scored from one count of the node's
+rows. A categorical split is scored by one ``BoundMetric.group_values`` call
+over the category codes. A scalar attribute's rows fall into bins between
+its thresholds, each side of a threshold is a run of bins, and
+``BoundMetric.threshold_values`` sums the per-bin contingency tables, or
+merges the per-bin correlation moments, over each side (histogram split
+finding, as in Chen and Guestrin, KDD 2016, Alg. 2). Row keys and
+``Dataset`` views are built only for the parts of the winning split. A
+registered context carries the metric of its own view, bit for bit: tables
+are exact, and the correlations of a winning threshold split's parts are
+taken again from its key by ``BoundMetric.group_values``.
 """
 
 from __future__ import annotations
@@ -76,58 +85,87 @@ class TreeStats:
 
 
 @dataclass(frozen=True)
-class Partition:
-    """One candidate split: per-part predicates and, for each row of the
-    split view, the index of its part (-1 for a row in no part)."""
+class Splits:
+    """The candidate splits of a node on one contextual attribute, each row
+    of the node in a bin: ``bins`` holds its bin, -1 for a missing value.
+
+    A categorical attribute's bins are its category codes, and it has one
+    split, with a part for each code in ``present``. A scalar attribute's
+    bins lie between ``cuts``, its deduplicated within-node quantile
+    thresholds: bin b holds the values v with cuts[b-1] < v <= cuts[b]. It
+    has a binary split at each cut j in ``kept``, whose left part (``le``)
+    holds bins 0..j and whose right part (``gt``) holds the rest.
+    """
 
     attribute: str
-    predicates: tuple[ContextPredicate, ...]
-    key: np.ndarray
-    threshold: float | None = None
+    bins: np.ndarray
+    present: np.ndarray | None = None
+    categories: tuple[str, ...] = ()
+    cuts: np.ndarray | None = None
+    kept: np.ndarray | None = None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The number of splits, and of parts in each."""
+        return (1, len(self.present)) if self.cuts is None else (len(self.kept), 2)
+
+    def part_values(self, view: Dataset, metric: BoundMetric) -> np.ndarray:
+        """The base metric of every part of every split, an array of
+        ``shape`` (NaN where undefined), from one count of the node's rows."""
+        if self.cuts is None:
+            return metric.group_values(view, self.bins, len(self.categories))[0][self.present][None]
+        return metric.threshold_values(view, self.bins, len(self.cuts) + 1)[self.kept]
+
+    def predicates(self, j: int) -> tuple[ContextPredicate, ...]:
+        """The predicate of each part of split ``j``."""
+        if self.cuts is None:
+            return tuple(ContextPredicate(self.attribute, "in", values=(self.categories[c],))
+                         for c in self.present)
+        t = float(self.cuts[self.kept[j]])
+        return (ContextPredicate(self.attribute, "le", threshold=t),
+                ContextPredicate(self.attribute, "gt", threshold=t))
+
+    def key(self, j: int) -> np.ndarray:
+        """Each row's part in split ``j`` (-1 for a row in no part)."""
+        if self.cuts is None:
+            part_of = np.full(len(self.categories), -1)
+            part_of[self.present] = np.arange(len(self.present))
+        else:
+            part_of = (np.arange(len(self.cuts) + 1) > self.kept[j]).astype(np.intp)
+        return np.where(self.bins >= 0, part_of[self.bins], -1)
 
 
-def enumerate_splits(view: Dataset, attribute: str, params: TreeParams) -> list[Partition]:
-    """Candidate partitions of ``view`` on one contextual attribute.
-
-    Categorical attributes yield the single partition by value; scalar ones
-    yield one binary partition per deduplicated within-node quantile
-    threshold. A partition containing a part with fewer than 2 rows is
-    disqualified.
-    """
+def candidate_splits(view: Dataset, attribute: str, params: TreeParams) -> Splits | None:
+    """The candidate splits of ``view`` on one contextual attribute (see
+    ``Splits``), or None if there are none. A scalar attribute's thresholds
+    are up to ``params.quantile_splits`` quantiles of the node's values. A
+    split with a part of fewer than 2 rows is dropped."""
     attr = view.attribute(attribute)
     if attr.kind == CATEGORICAL:
-        codes = view.codes(attribute)
-        sizes = np.bincount(codes[codes >= 0], minlength=len(attr.categories))
+        bins = view.codes(attribute)
+        sizes = np.bincount(bins[bins >= 0], minlength=len(attr.categories))
         present = np.flatnonzero(sizes)
         if len(present) < 2 or sizes[present].min() < 2:
-            return []
-        part_of = np.full(len(attr.categories), -1)
-        part_of[present] = np.arange(len(present))
-        preds = tuple(ContextPredicate(attribute, "in", values=(attr.categories[code],))
-                      for code in present)
-        return [Partition(attribute, preds, np.where(codes >= 0, part_of[codes], -1))]
+            return None
+        return Splits(attribute, bins, present=present, categories=attr.categories)
 
     values = view.scalar_values(attribute)
-    finite = values[~np.isnan(values)]
+    missing = np.isnan(values)
+    finite = values[~missing]
     if len(finite) < 4:
-        return []
+        return None
     q = params.quantile_splits
-    probs = [(i + 1) / (q + 1) for i in range(q)]
-    thresholds = np.unique(np.quantile(finite, probs))
-    out = []
-    for t in thresholds:
-        left = values <= t
-        right = values > t
-        if left.sum() < 2 or right.sum() < 2:
-            continue
-        out.append(Partition(
-            attribute,
-            (ContextPredicate(attribute, "le", threshold=float(t)),
-             ContextPredicate(attribute, "gt", threshold=float(t))),
-            np.where(left, 0, np.where(right, 1, -1)),
-            threshold=float(t),
-        ))
-    return out
+    # infinite values can give a NaN cut; it sorts above every value, so its
+    # right part is empty and its split is dropped below
+    with np.errstate(invalid="ignore"):
+        cuts = np.unique(np.quantile(finite, [(i + 1) / (q + 1) for i in range(q)]))
+    # v <= cuts[j] exactly when searchsorted puts v in a bin b <= j
+    bins = np.where(missing, -1, np.searchsorted(cuts, values))
+    left = np.cumsum(np.bincount(bins[~missing], minlength=len(cuts) + 1))[:-1]
+    kept = np.flatnonzero((left >= 2) & (len(finite) - left >= 2))
+    if len(kept) == 0:
+        return None
+    return Splits(attribute, bins, cuts=cuts, kept=kept)
 
 
 def _part_value(part: Dataset, metric: BoundMetric) -> float:
@@ -143,12 +181,13 @@ def find_contexts(train: Dataset, protected: str, output: str, params: TreeParam
     """Grow the guided tree on the training set and return all registered
     contexts in deterministic depth-first order (root first).
 
-    At each node every contextual attribute's partitions are scored; a
-    partition is eligible only if some part beats the node's own
+    At each node every candidate split of every contextual attribute is
+    scored; a split is eligible only if some part beats the node's own
     association, and the recursion descends into every part of the best
-    split only when that split's mean score beats the node. Contexts are
-    registered when they hold at least ``params.min_size`` training rows;
-    the root is always registered.
+    split only when that split's mean score beats the node. Ties go to the
+    earlier attribute, then to the lower threshold. Contexts are registered
+    when they hold at least ``params.min_size`` training rows; the root is
+    always registered.
     """
     if contextual is None:
         contextual = [a.name for a in train.schema if a.role == "contextual"]
@@ -156,10 +195,7 @@ def find_contexts(train: Dataset, protected: str, output: str, params: TreeParam
     stats = stats if stats is not None else TreeStats()
     registered: list[ContextNode] = []
 
-    def evaluate(view: Dataset, partition: Partition) -> np.ndarray:
-        """Guidance value of every part (NaN where undefined)."""
-        stats.n_metric_evals += len(partition.predicates)
-        values, _ = metric.group_values(view, partition.key, len(partition.predicates))
+    def guidance(values: np.ndarray) -> np.ndarray:
         return np.abs(values) if metric.kind.signed else values
 
     def recurse(view: Dataset, predicates: tuple[ContextPredicate, ...], value: float) -> None:
@@ -175,26 +211,30 @@ def find_contexts(train: Dataset, protected: str, output: str, params: TreeParam
         if len(predicates) >= params.max_depth or math.isnan(value):
             return
 
-        best_key = None
-        best_parts = None
-        for attr_idx, attr in enumerate(contextual):
-            for partition in enumerate_splits(view, attr, params):
-                part_values = evaluate(view, partition)
-                zeroed = np.where(np.isnan(part_values), 0.0, part_values)
-                if not (zeroed > value).any():
-                    continue  # ineligible split scores 0 and can never win
-                score = float(np.mean(zeroed))
-                thr = partition.threshold if partition.threshold is not None else -math.inf
-                key = (-score, attr_idx, thr)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_parts = (partition, part_values)
-        if best_key is None or -best_key[0] <= value:
+        best_score, best = -math.inf, None
+        for attr in contextual:
+            splits = candidate_splits(view, attr, params)
+            if splits is None:
+                continue
+            stats.n_metric_evals += math.prod(splits.shape)
+            part_values = guidance(splits.part_values(view, metric))
+            zeroed = np.where(np.isnan(part_values), 0.0, part_values)
+            # a split is eligible only if some part beats the node
+            scores = np.where((zeroed > value).any(axis=1), zeroed.mean(axis=1), -math.inf)
+            j = int(np.argmax(scores))  # the first best: the lowest threshold
+            if scores[j] > best_score:
+                best_score, best = float(scores[j]), (splits, j, part_values[j])
+        if best is None or best_score <= value:
             return
-        partition, part_values = best_parts
-        for i, pred in enumerate(partition.predicates):
-            part = view._subset(np.flatnonzero(partition.key == i))
-            recurse(part, predicates + (pred,), float(part_values[i]))
+        splits, j, part_values = best
+        key = splits.key(j)
+        if splits.cuts is not None and not metric.tabular:
+            # merged moments can miss the correlation of a part's own rows
+            # in the last digits, so take it from them
+            part_values = guidance(metric.group_values(view, key, 2)[0])
+        for i, pred in enumerate(splits.predicates(j)):
+            recurse(view._subset(np.flatnonzero(key == i)), predicates + (pred,),
+                    float(part_values[i]))
 
     stats.n_metric_evals += 1
     recurse(train, (), _part_value(train, metric))

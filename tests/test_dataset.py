@@ -431,6 +431,22 @@ def test_blank_line_between_rows_is_named(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("text,cells", [
+    ("x\na\n\n\n", ["a", None, None]),
+    ("x\na\n\nb\n", ["a", None, "b"]),
+    ("x\r\na\r\n\r\nb", ["a", None, "b"]),
+])
+def test_blank_line_in_one_column_file_is_a_missing_cell(tmp_path, text, cells):
+    # one field per line: a blank line is an empty field, and only the
+    # final line end ends the file
+    path = tmp_path / "one.csv"
+    path.write_bytes(text.encode())
+    for read in (load_csv, read_with_csv_reader, read_with_tokenizer):
+        d = read(path)
+        assert d.attribute_names() == ("x",)
+        assert d.values("x") == cells
+
+
 # -- the numpy tokenizer against csv.reader ----------------------------------
 
 
@@ -483,13 +499,20 @@ def test_numpy_tokenizer_matches_csv_reader(tmp_path_factory, data):
 
     expected = outcome(lambda: read_with_csv_reader(path, schema))
     assert outcome(lambda: load_csv(path, schema)) == expected
-    # the tokenizer reads every file whose lines up to the trailing blank ones
-    # carry the header's field count; csv.reader reads a blank line as no field
-    kept = len(lines)
-    while kept and not lines[kept - 1]:
-        kept -= 1
-    regular = kept > 1 and all(line and line.count(",") == len(names) - 1
-                               for line in lines[:kept])
+    # the tokenizer reads every file with a data row whose lines up to the
+    # trailing blank ones carry the header's field count and whose header
+    # names differ; csv.reader reads a blank line as no field, except in a
+    # one-column file, where it is a missing cell up to the final line end
+    header = lines[0].split(",")
+    if len(header) == 1:
+        body = text.removeprefix("\ufeff").removesuffix(eol)
+        regular = bool(lines[0]) and "," not in body and eol in body
+    else:
+        kept = len(lines)
+        while kept and not lines[kept - 1]:
+            kept -= 1
+        regular = (kept > 1 and len(set(header)) == len(header)
+                   and all(line and line.count(",") == len(header) - 1 for line in lines[:kept]))
     event("numpy tokenizer" if regular else "csv.reader")
     if regular:
         assert outcome(lambda: read_with_tokenizer(path, schema)) == expected

@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uatest.dataset import AttributeSchema, ContextPredicate, Dataset
+from uatest import metrics
+from uatest.dataset import CATEGORICAL, AttributeSchema, ContextPredicate, Dataset
 from uatest.metrics import BoundMetric, MetricError, MetricKind
 from uatest.tree import (
     TreeParams,
     TreeStats,
-    enumerate_splits,
+    candidate_splits,
     exhaustive_contexts,
     find_contexts,
 )
@@ -39,20 +44,20 @@ def planted_dataset(n=4000, seed=0, delta=0.2, attrs=4):
     return build(cols)
 
 
-def test_enumerate_splits_binary_categorical():
+def test_candidate_splits_binary_categorical():
     d = planted_dataset(500, seed=1)
-    parts = enumerate_splits(d, "x0", TreeParams(min_size=10))
-    assert len(parts) == 1
-    assert np.array_equal(np.unique(parts[0].key), [0, 1])
-    assert {p.describe() for p in parts[0].predicates} == {"x0: 0", "x0: 1"}
+    splits = candidate_splits(d, "x0", TreeParams(min_size=10))
+    assert splits.shape == (1, 2)
+    assert np.array_equal(np.unique(splits.key(0)), [0, 1])
+    assert {p.describe() for p in splits.predicates(0)} == {"x0: 0", "x0: 1"}
 
 
-def test_enumerate_splits_constant_attribute():
+def test_candidate_splits_constant_attribute():
     d = build({"c": ["k"] * 100, "s": [0, 1] * 50, "o": [0, 1] * 50})
-    assert enumerate_splits(d, "c", TreeParams(min_size=10)) == []
+    assert candidate_splits(d, "c", TreeParams(min_size=10)) is None
 
 
-def test_enumerate_splits_continuous_quantiles():
+def test_candidate_splits_continuous_quantiles():
     rng = np.random.default_rng(3)
     n = 400
     cols = {"s": [str(v) for v in rng.integers(0, 2, n)],
@@ -62,12 +67,151 @@ def test_enumerate_splits_continuous_quantiles():
               AttributeSchema("o", "categorical", "output", ("0", "1"))]
     d = Dataset.from_columns(schema, {"age": list(rng.uniform(0, 100, n)), **cols})
     params = TreeParams(min_size=10, quantile_splits=8)
-    candidates = enumerate_splits(d, "age", params)
-    assert 1 <= len(candidates) <= 8
-    for cand in candidates:
-        assert len(cand.key) == n
-        assert np.bincount(cand.key, minlength=2).min() >= 2
-        assert cand.predicates[0].op == "le" and cand.predicates[1].op == "gt"
+    splits = candidate_splits(d, "age", params)
+    assert 1 <= splits.shape[0] <= 8 and splits.shape[1] == 2
+    for j in range(splits.shape[0]):
+        key = splits.key(j)
+        assert len(key) == n
+        assert np.bincount(key, minlength=2).min() >= 2
+        preds = splits.predicates(j)
+        assert preds[0].op == "le" and preds[1].op == "gt"
+        assert np.array_equal(key == 0, d.scalar_values("age") <= preds[0].threshold)
+
+
+def brute_force_splits(view, attribute, metric, params):
+    """Reference scorer: every candidate split as its own full-length key,
+    scored by one ``group_values`` call per split. Returns (threshold, part
+    values) pairs, the threshold None for the split by category."""
+    attr = view.attribute(attribute)
+    if attr.kind == CATEGORICAL:
+        codes = view.codes(attribute)
+        sizes = np.bincount(codes[codes >= 0], minlength=len(attr.categories))
+        present = np.flatnonzero(sizes)
+        if len(present) < 2 or sizes[present].min() < 2:
+            return []
+        part_of = np.full(len(attr.categories), -1)
+        part_of[present] = np.arange(len(present))
+        key = np.where(codes >= 0, part_of[codes], -1)
+        return [(None, metric.group_values(view, key, len(present))[0])]
+    values = view.scalar_values(attribute)
+    finite = values[~np.isnan(values)]
+    if len(finite) < 4:
+        return []
+    q = params.quantile_splits
+    with np.errstate(invalid="ignore"):
+        thresholds = np.unique(np.quantile(finite, [(i + 1) / (q + 1) for i in range(q)]))
+    out = []
+    for t in thresholds:
+        left, right = values <= t, values > t
+        if left.sum() >= 2 and right.sum() >= 2:
+            key = np.where(left, 0, np.where(right, 1, -1))
+            out.append((float(t), metric.group_values(view, key, 2)[0]))
+    return out
+
+
+def _oracle_column(data, kind, n):
+    """A context column of ``kind``: repeated values, so that some equal a
+    quantile threshold, with missing and infinite cells."""
+    if kind == "continuous":
+        pool = st.one_of(st.integers(-3, 3).map(float), st.floats(-50, 50, width=16),
+                         st.sampled_from([math.nan, math.inf, -math.inf]))
+        return np.array(data.draw(st.lists(pool, min_size=n, max_size=n)), dtype=np.float64)
+    return np.array(data.draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n)),
+                    dtype=np.int32)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_binned_scorer_matches_per_threshold_scoring(data):
+    # the binned scorer gives every split the brute-force scorer keeps, with
+    # equal part values: exactly for the table metrics, within 1e-12 for
+    # CORR, whose moments are merged per part instead of summed per part
+    n = data.draw(st.integers(0, 60))
+    name = data.draw(st.sampled_from(["diff", "ratio", "nmi", "corr"]))
+    kind = data.draw(st.sampled_from(["continuous", "ordinal", "categorical"]))
+    cats = ("1", "2", "3.5", "10")
+    schema = [AttributeSchema("x", kind, "contextual", None if kind == "continuous" else cats)]
+    columns = {"x": _oracle_column(data, kind, n)}
+    if name == "corr":
+        # dyadic values sum exactly, so a constant part has zero variance in both scorers
+        pool = st.one_of(st.integers(-4, 4).map(lambda v: v / 4), st.just(math.nan))
+        for col, role in (("s", "protected"), ("o", "output")):
+            schema.append(AttributeSchema(col, "continuous", role))
+            columns[col] = np.array(data.draw(st.lists(pool, min_size=n, max_size=n)))
+    else:
+        outputs = ("a", "b", "c") if name == "nmi" and data.draw(st.booleans()) else ("a", "b")
+        for col, role, labels in (("s", "protected", ("f", "m")), ("o", "output", outputs)):
+            schema.append(AttributeSchema(col, "categorical", role, labels))
+            codes = st.integers(-1, len(labels) - 1)
+            columns[col] = np.array(data.draw(st.lists(codes, min_size=n, max_size=n)),
+                                    dtype=np.int32)
+    view = Dataset(schema, columns)
+    metric = BoundMetric(MetricKind(name), "s", "o").resolve(view)
+    params = TreeParams(min_size=10, quantile_splits=data.draw(st.integers(2, 8)))
+
+    expected = brute_force_splits(view, "x", metric, params)
+    splits = candidate_splits(view, "x", params)
+    if splits is None:
+        assert expected == []
+        return
+    thresholds = [None] if splits.cuts is None else splits.cuts[splits.kept].tolist()
+    assert thresholds == [t for t, _ in expected]
+    values = splits.part_values(view, metric)
+    assert values.shape == splits.shape
+    for j, (_, want) in enumerate(expected):
+        if name == "corr":
+            np.testing.assert_allclose(values[j], want, rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(values[j], want)
+        key = splits.key(j)
+        assert np.array_equal(metric.group_values(view, key, len(want))[0], want,
+                              equal_nan=True)
+
+
+def continuous_context_dataset(n, seed):
+    """Three continuous contexts and one categorical, a binary DIFF pair and a
+    continuous CORR pair whose association depends on the contexts."""
+    rng = np.random.default_rng(seed)
+    a, b, c = rng.uniform(0, 100, (3, n))
+    x = rng.integers(0, 3, n)
+    s = rng.integers(0, 2, n)
+    p = np.where((a > 50) & (b < 30), np.where(s == 1, 0.8, 0.3), 0.5)
+    u = rng.normal(size=n)
+    schema = [AttributeSchema("a", "continuous", "contextual"),
+              AttributeSchema("b", "continuous", "contextual"),
+              AttributeSchema("c", "continuous", "contextual"),
+              AttributeSchema("x", "categorical", "contextual", ("0", "1", "2")),
+              AttributeSchema("s", "categorical", "protected", ("0", "1")),
+              AttributeSchema("o", "categorical", "output", ("0", "1")),
+              AttributeSchema("u", "continuous", "protected"),
+              AttributeSchema("v", "continuous", "output")]
+    return Dataset(schema, {"a": a, "b": b, "c": c, "x": x.astype(np.int32),
+                            "s": s.astype(np.int32),
+                            "o": (rng.random(n) < p).astype(np.int32), "u": u,
+                            "v": np.where(a > 50, 1.0, -0.5) * u + rng.normal(size=n)})
+
+
+@pytest.mark.parametrize("name,protected,output", [("diff", "s", "o"), ("corr", "u", "v")])
+def test_tree_counts_once_per_node_and_attribute(monkeypatch, name, protected, output):
+    # per split node: one count per contextual attribute, whatever its number
+    # of thresholds; plus the root's, and for CORR one per winning threshold
+    # split, whose parts' correlations are taken again from their rows
+    calls = []
+    for fn in ("joint_counts", "grouped_moments"):
+        real = getattr(metrics, fn)
+        monkeypatch.setattr(metrics, fn,
+                            lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
+    d = continuous_context_dataset(6000, seed=19)
+    params = TreeParams(min_size=100, max_depth=3)
+    contextual = ["a", "b", "c", "x"]
+    contexts = find_contexts(d, protected, output, params,
+                             BoundMetric(MetricKind(name), protected, output), contextual)
+    split_nodes = sum(c.depth < params.max_depth and c.n_train >= params.min_size
+                      and not math.isnan(c.train_metric) for c in contexts)
+    assert split_nodes > 1
+    assert any(p.op == "le" for c in contexts for p in c.predicates)
+    per_node = len(contextual) + (name == "corr")
+    assert 0 < len(calls) <= 1 + split_nodes * per_node
 
 
 def test_split_parts_scored_by_absolute_value():
