@@ -15,16 +15,11 @@ from .dataset import (
 )
 from .metrics import (
     BoundMetric,
-    ContingencyTable,
     MetricError,
     MetricKind,
     MetricValue,
     RegressionScores,
-    binary_difference,
-    binary_ratio,
-    contingency,
     logistic_label_scores,
-    mutual_information,
     pearson_correlation,
 )
 from .stats import (
@@ -32,7 +27,6 @@ from .stats import (
     StatsError,
     TestedMetric,
     apply_corrections,
-    corrected_cis,
     holm_bonferroni,
     test_metric,
 )

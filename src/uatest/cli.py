@@ -177,11 +177,25 @@ def _log_to_stderr(verbosity: int):
         package.setLevel(level)
 
 
+def _read_json(path: str, what: str, parse):
+    """``parse`` of the JSON document in ``path``. A document that is not
+    JSON, or that ``parse`` rejects or cannot read (a missing field, a value
+    of the wrong type), is a DataError naming the ``what`` file."""
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"{what} file {path} is not valid JSON: {exc}") from None
+    try:
+        return parse(obj)
+    except KeyError as exc:
+        raise DataError(f"{what} file {path} lacks the field {exc}") from None
+    except (TypeError, AttributeError, ValueError, DataError, MetricError, StatsError) as exc:
+        raise DataError(f"{what} file {path}: {exc}") from None
+
+
 def _load_dataset(args):
-    schema = "infer"
-    if args.schema:
-        with open(args.schema) as fh:
-            schema = schema_from_json(json.load(fh))
+    schema = _read_json(args.schema, "schema", schema_from_json) if args.schema else "infer"
     return load_csv(args.data, schema)
 
 
@@ -282,13 +296,21 @@ def _save_state(path: str, args, spec: InvestigationSpec, source: DataSource,
         json.dump(state, fh, indent=2)
 
 
-def _restore_state(path: str, data_path: str):
-    with open(path) as fh:
-        state = json.load(fh)
+def _restore_state(state, data_path: str,
+                   data) -> tuple[dict, DataSource, TrainedInvestigation]:
+    """A state document, its data split of ``data`` with the consumed test
+    sets spent, and the trained investigation it records; ``data_path``
+    must be the data file it was saved for."""
+    if not isinstance(state, dict):
+        raise DataError("not a JSON object")
     if state.get("version") != STATE_VERSION:
-        raise DataError(f"unsupported state file version in {path}")
+        raise DataError(f"unsupported version {state.get('version')!r}")
     if state["data_sha256"] != _file_sha256(data_path):
-        raise DataError("data file does not match the one recorded in the state file")
+        raise DataError(f"it was saved for another data file than {data_path}")
+    ds = state["datasource"]
+    source = DataSource(data, ds["budget"], ds["train_fraction"], ds["seed"], ds["min_size"])
+    for _ in range(ds["consumed"]):
+        source.next_test_set()
     spec_obj = state["spec"]
     spec = InvestigationSpec(
         kind=spec_obj["kind"],
@@ -314,7 +336,7 @@ def _restore_state(path: str, data_path: str):
                                _bound_from_obj(uo["bound"]), contexts, TreeStats()))
     trained = TrainedInvestigation(spec, units, state["train_size"],
                                    state["dropped_train"], state["output_display"])
-    return state, trained
+    return state, source, trained
 
 
 # -- subcommand implementations ------------------------------------------------
@@ -355,13 +377,9 @@ def _run_investigation_cmd(args, kind: str) -> int:
 
 
 def _debug_cmd(args) -> int:
-    state, trained = _restore_state(args.state, args.data)
     data = _load_dataset(args)
-    ds_obj = state["datasource"]
-    source = DataSource(data, budget=ds_obj["budget"], train_fraction=ds_obj["train_fraction"],
-                        seed=ds_obj["seed"], min_size=ds_obj["min_size"])
-    for _ in range(ds_obj["consumed"]):
-        source.next_test_set()
+    state, source, trained = _read_json(args.state, "state",
+                                        lambda obj: _restore_state(obj, args.data, data))
     fresh = source.next_test_set()
     run = debug_with_explanatory(trained, args.explanatory, fresh)
     _emit(_reports_text(run.reports, args.format), args.out)

@@ -587,9 +587,16 @@ def schema_from_json(obj: Mapping) -> dict[str, AttributeSchema]:
     Format: ``{"column": {"kind": ..., "role": ..., "categories": [...]}}``
     with every field optional.
     """
+    if not isinstance(obj, Mapping):
+        raise DataError(f"expected a JSON object of column settings, got {type(obj).__name__}")
     out: dict[str, AttributeSchema] = {}
     for name, spec in obj.items():
+        if not isinstance(spec, Mapping):
+            raise DataError(f"the settings of column {name!r} must be a JSON object, "
+                            f"got {spec!r}")
         cats = spec.get("categories")
+        if cats is not None and not isinstance(cats, list):
+            raise DataError(f"the categories of column {name!r} must be a JSON list, got {cats!r}")
         out[name] = AttributeSchema(
             name,
             kind=spec.get("kind", CATEGORICAL),
@@ -675,10 +682,6 @@ class DataSource:
         test = self._tests[self._consumed]
         self._consumed += 1
         return test
-
-    def peek_test_sets(self) -> tuple[Dataset, ...]:
-        """All test partitions regardless of consumption (for verification)."""
-        return tuple(self._tests)
 
 
 def make_datasource(data: Dataset, budget: int, train_fraction: float = 0.5,

@@ -36,7 +36,7 @@ from .metrics import (
     BoundMetric,
     MetricError,
     MetricKind,
-    contingency,
+    joint_counts,
     logistic_label_scores,
 )
 from .stats import StatConfig, StatsError, TestedMetric, apply_corrections, test_metric
@@ -95,6 +95,26 @@ class InvestigationSpec:
                 raise DataError("error profiling requires a ground-truth column")
             if self.error_kind not in (ABSOLUTE, ZERO_ONE):
                 raise DataError(f"unknown error kind {self.error_kind!r}")
+        self._check_roles()
+
+    def _check_roles(self) -> None:
+        """Each attribute plays at most one of the roles protected, output
+        (label, for discovery), explanatory and ground truth, and is named at
+        most once as protected or as a label; contextual attributes are
+        unrestricted."""
+        outputs = self.output if isinstance(self.output, tuple) else (self.output,)
+        roles = ([(p, "protected") for p in self.protected]
+                 + [(o, "label" if self.kind == DISCOVERY else "output") for o in outputs]
+                 + [(self.explanatory, "explanatory"), (self.ground_truth, "ground truth")])
+        seen: dict[str, str] = {}
+        for name, role in roles:
+            if name is None:
+                continue
+            if name in seen:
+                both = (f"twice as {role}" if seen[name] == role
+                        else f"as both {seen[name]} and {role}")
+                raise DataError(f"attribute {name!r} is named {both}")
+            seen[name] = role
 
     def used_attributes(self) -> tuple[str, ...]:
         names = list(self.protected) + list(self.contextual)
@@ -406,13 +426,13 @@ class ValidationResult:
 def _make_display(view: Dataset, bound: BoundMetric) -> TableDisplay | DecileDisplay | None:
     if bound.kind.name == CORR:
         return _decile_summary(view, bound)
-    table = contingency(view, bound.protected, bound.output)
+    counts = joint_counts(view, (bound.output, bound.protected))
     return TableDisplay(
         row_attr=bound.output,
         col_attr=bound.protected,
-        row_labels=table.row_labels,
-        col_labels=table.col_labels,
-        counts=tuple(tuple(int(x) for x in row) for row in table.counts),
+        row_labels=view.attribute(bound.output).categories,
+        col_labels=view.attribute(bound.protected).categories,
+        counts=tuple(tuple(int(x) for x in row) for row in counts),
     )
 
 

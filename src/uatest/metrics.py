@@ -1,11 +1,13 @@
 """Canonical association metrics over contingency tables and scalar columns.
 
-All metric functions are pure. Table-based metrics (difference, ratio,
-normalized mutual information) also come in vectorized form over stacks of
-tables, which the resampling and tree-search code paths rely on. A bound
-metric is the size-weighted mean of its base metric over strata: the
-categories of an explanatory attribute, or a single stratum when it is
-unconditional; the stratum rule is defined here only.
+Every stage evaluates a metric through ``BoundMetric``: a metric kind bound
+to its protected and output attributes. It counts tables with
+``joint_counts`` (one bincount, one table per row group) and scores stacks
+of them with the vectorized kernels (``mi_from_tables``,
+``diff_from_tables``, ``ratio_from_tables``); correlations come from
+per-group moments. A bound metric is the size-weighted mean of its base
+metric over strata: the categories of an explanatory attribute, or a single
+stratum when it is unconditional; the stratum rule is defined here only.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from .dataset import CATEGORICAL, CONTINUOUS, ORDINAL, Dataset
 DIFF = "diff"
 RATIO = "ratio"
 NMI = "nmi"
-MI = "mi"
 CORR = "corr"
-METRIC_NAMES = (DIFF, RATIO, NMI, MI, CORR)
+METRIC_NAMES = (DIFF, RATIO, NMI, CORR)
 
 MIN_STRATUM = 10
 
@@ -58,27 +59,6 @@ class MetricKind:
 class MetricValue:
     kind: MetricKind
     value: float
-
-
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Frequency cross-tabulation: output categories as rows, protected as columns."""
-
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
-    counts: np.ndarray  # (r, c) int64
-
-
-def contingency(view: Dataset, protected: str, output: str) -> ContingencyTable:
-    """Cross-tabulate ``output`` (rows) against ``protected`` (columns).
-
-    The table layout follows the schema's category order so that equal
-    populations always produce identical tables. Rows with a missing value
-    in either attribute are not counted.
-    """
-    counts = joint_counts(view, (output, protected))
-    return ContingencyTable(view.attribute(output).categories,
-                            view.attribute(protected).categories, counts)
 
 
 def joint_counts(view: Dataset, names: Sequence[str], key: np.ndarray | None = None,
@@ -152,55 +132,6 @@ def ratio_from_tables(tables: np.ndarray, target_row: int, col_a: int, col_b: in
         out = pa / pb - 1.0
     bad = (na == 0) | (nb == 0) | (t[..., target_row, col_b] == 0)
     return np.where(bad, np.nan, out)
-
-
-# -- scalar metric operations ------------------------------------------------
-
-
-def mutual_information(table: ContingencyTable, normalized: bool = True) -> MetricValue:
-    """Plug-in mutual information in nats; the normalized variant divides by
-    the smaller marginal entropy and lies in [0, 1]."""
-    value = float(mi_from_tables(table.counts, normalized))
-    if np.isnan(value):
-        raise MetricError("no variation: a marginal of the contingency table is degenerate")
-    return MetricValue(MetricKind(NMI if normalized else MI), value)
-
-
-def binary_difference(table: ContingencyTable, target_output: str,
-                      group_a: str, group_b: str) -> MetricValue:
-    """Pr(target | group_a) - Pr(target | group_b) on a 2x2 table."""
-    ti, ja, jb = _resolve_binary(table, target_output, group_a, group_b)
-    value = float(diff_from_tables(table.counts, ti, ja, jb))
-    if np.isnan(value):
-        raise MetricError("empty group column in contingency table")
-    return MetricValue(MetricKind(DIFF), value)
-
-
-def binary_ratio(table: ContingencyTable, target_output: str,
-                 group_a: str, group_b: str) -> MetricValue:
-    """Pr(target | group_a) / Pr(target | group_b) - 1 on a 2x2 table."""
-    ti, ja, jb = _resolve_binary(table, target_output, group_a, group_b)
-    value = float(ratio_from_tables(table.counts, ti, ja, jb))
-    if np.isnan(value):
-        raise MetricError("undefined ratio: reference proportion is zero")
-    return MetricValue(MetricKind(RATIO), value)
-
-
-def _resolve_binary(table: ContingencyTable, target_output: str,
-                    group_a: str, group_b: str) -> tuple[int, int, int]:
-    if table.counts.shape != (2, 2):
-        raise MetricError(
-            f"binary metric requires a 2x2 table, got {table.counts.shape[0]}x{table.counts.shape[1]}"
-        )
-    try:
-        ti = table.row_labels.index(target_output)
-        ja = table.col_labels.index(group_a)
-        jb = table.col_labels.index(group_b)
-    except ValueError as exc:
-        raise MetricError(f"unknown table label: {exc}") from None
-    if ja == jb:
-        raise MetricError("group_a and group_b must differ")
-    return ti, ja, jb
 
 
 def pearson_correlation(x: np.ndarray, y: np.ndarray) -> MetricValue:
@@ -316,14 +247,11 @@ def stratum_mean(vals: np.ndarray, sizes: np.ndarray, floor: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RegressionScores:
-    """Per-label logistic coefficients, rough standard errors, and intercept."""
+    """Per-label logistic coefficients and rough standard errors."""
 
     labels: tuple[str, ...]
     coefficients: np.ndarray
     stderr: np.ndarray
-    intercept: float
-    intercept_stderr: float
-    converged: bool
 
     def scores(self) -> np.ndarray:
         """Ranking scores |coefficient| / stderr, one per label."""
@@ -367,7 +295,6 @@ def logistic_label_scores(indicators: np.ndarray, protected: np.ndarray,
         return ll - 0.5 * float(np.sum(pen * bt * bt))
 
     obj = objective(beta)
-    converged = False
     hess = np.eye(d + 1)
     for _ in range(max_iter):
         eta = np.clip(x @ beta, -30, 30)
@@ -389,19 +316,12 @@ def logistic_label_scores(indicators: np.ndarray, protected: np.ndarray,
         beta = beta + scale * step
         obj = objective(beta)
         if np.max(np.abs(scale * step)) < tol:
-            converged = True
             break
 
     cov = np.linalg.inv(hess)
     se = np.sqrt(np.clip(np.diag(cov), 1e-300, None))
-    return RegressionScores(
-        labels=tuple(labels),
-        coefficients=beta[1:].copy(),
-        stderr=se[1:].copy(),
-        intercept=float(beta[0]),
-        intercept_stderr=float(se[0]),
-        converged=converged,
-    )
+    return RegressionScores(labels=tuple(labels), coefficients=beta[1:].copy(),
+                            stderr=se[1:].copy())
 
 
 # -- bound metrics and conditioning -------------------------------------------
@@ -467,12 +387,10 @@ class BoundMetric:
                 if len(attr.categories or ()) < 2:
                     raise MetricError(f"no variation: attribute {name!r} has fewer than 2 categories")
             return self
-        if self.kind.name == CORR:
-            for name, role in ((self.protected, "protected"), (self.output, "output")):
-                if not view.attribute(name).is_scalar:
-                    raise MetricError(f"CORR requires a scalar {role} attribute, got {name!r}")
-            return self
-        raise MetricError(f"metric {self.kind.name!r} cannot be evaluated directly on a view")
+        for name, role in ((self.protected, "protected"), (self.output, "output")):  # CORR
+            if not view.attribute(name).is_scalar:
+                raise MetricError(f"CORR requires a scalar {role} attribute, got {name!r}")
+        return self
 
     def _indices(self, view: Dataset) -> tuple[int, int, int]:
         o = view.attribute(self.output)
@@ -568,12 +486,10 @@ class BoundMetric:
         ``grouped_moments`` of CORR, over the rows ``key`` puts in a group."""
         if self.tabular:
             return joint_counts(view, (self.output, self.protected), key, groups)
-        if self.kind.name == CORR:
-            x = view.scalar_values(self.protected)
-            y = view.scalar_values(self.output)
-            ok = (key >= 0) & ~(np.isnan(x) | np.isnan(y))
-            return grouped_moments(x[ok], y[ok], key[ok], groups)
-        raise MetricError(f"metric {self.kind.name!r} cannot be evaluated by group")
+        x = view.scalar_values(self.protected)
+        y = view.scalar_values(self.output)
+        ok = (key >= 0) & ~(np.isnan(x) | np.isnan(y))
+        return grouped_moments(x[ok], y[ok], key[ok], groups)
 
     def guidance(self, view: Dataset) -> float:
         """Tree-search score: |value| for signed metrics so that opposing

@@ -96,8 +96,8 @@ class TestedMetric:
     spread. ``_recipe`` may be a function that draws it; it is called on the
     first read of ``ci``, ``corrected_ci`` or ``_recipe``, after reading
     ``p``, and its result kept. A ``ci`` of None is derived from the recipe
-    at level ``conf``, a ``corrected_ci`` of None at the level
-    ``corrected_cis`` records (None until then); given values are kept.
+    at level ``conf``, a ``corrected_ci`` of None at the Bonferroni level
+    ``apply_corrections`` records (None until then); given values are kept.
     ``apply_corrections`` leaves ``corrected_p`` to its first read, which
     reads unread p-values of the family only until the Holm bounds
     ``corrected_p_bounds`` agree. Equality compares the fields below, CIs
@@ -215,22 +215,6 @@ def holm_bonferroni(pvalues: Sequence[float]) -> list[float]:
     return adjusted.tolist()
 
 
-def corrected_cis(tested: Sequence[TestedMetric], conf: float) -> list[TestedMetric]:
-    """Set each ``corrected_ci`` to the CI at the Bonferroni level
-    1 - (1-conf)/m, computed on its first read.
-
-    The widened intervals are simultaneously valid and always contain the
-    raw intervals.
-    """
-    m = len(tested)
-    if m == 0:
-        return []
-    level = 1.0 - (1.0 - conf) / m
-    for t in tested:
-        t._level, t._corrected_ci = level, None
-    return list(tested)
-
-
 class _HolmFamily:
     """The members of one Holm family with bounds on their corrected p.
 
@@ -273,11 +257,13 @@ class _HolmFamily:
 def apply_corrections(tested: Sequence[TestedMetric], conf: float) -> None:
     """Attach Holm-corrected p-values and Bonferroni-corrected CIs in place;
     both are fixed on first read, and a corrected p reads the family's
-    unread p-values only while its Holm bounds disagree."""
+    unread p-values only while its Holm bounds disagree. A corrected CI is
+    the CI at the Bonferroni level 1 - (1-conf)/m, so the widened intervals
+    are simultaneously valid and always contain the raw intervals."""
     family = _HolmFamily(tested)
     for i, t in enumerate(tested):
         t._holm = (family, i)
-    corrected_cis(tested, conf)
+        t._level, t._corrected_ci = 1.0 - (1.0 - conf) / len(tested), None
 
 
 def _ci_from_recipe(recipe: tuple, level: float) -> tuple[float, float]:

@@ -724,3 +724,100 @@ def test_degenerate_output_and_context_exit_cleanly(case, n, seed):
     columns[column] = DEGENERATE_COLUMN[case](rng, n)
     _exits_cleanly(columns, column, ("testing", "discovery") if column == "state" else
                    ("testing",))
+
+
+@pytest.mark.parametrize("flag, content", [
+    ("--state", "{not json"),
+    ("--state", '{"version": 1}'),
+    ("--schema", "gender: protected\n"),
+    ("--schema", '["gender", "admitted"]'),
+    ("--schema", '{"s": "categorical"}'),
+    ("--schema", '{"gender": {"categories": "FM"}}'),
+], ids=["state not json", "state without fields", "schema not json", "schema list",
+        "schema entry not an object", "schema categories not a list"])
+def test_malformed_state_or_schema_file_exits_2_naming_it(berkeley_csv, tmp_path, capsys,
+                                                          flag, content):
+    data, _ = berkeley_csv
+    path = tmp_path / "malformed.json"
+    path.write_text(content)
+    if flag == "--state":
+        argv = ["debug", "--data", data, "--state", str(path), "--explanatory", "department"]
+    else:
+        argv = ["testing", "--data", data, "--schema", str(path), "--protected", "gender",
+                "--output", "admitted"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("uatest: "), lines
+    assert str(path) in lines[0], lines[0]
+
+
+@pytest.fixture()
+def roles_csv(tmp_path):
+    """Binary protected ``s``, output ``o``, labels ``l1,l2``, ground truth
+    ``g``, and a three-valued context ``c``."""
+    rng = np.random.default_rng(11)
+    n = 800
+    s = rng.choice(["a", "b"], n)
+    o, l1, l2, g = rng.integers(0, 2, (4, n))
+    c = rng.choice(["x", "y", "z"], n)
+    rows = ["s,o,l1,l2,g,c"] + [",".join(map(str, r)) for r in zip(s, o, l1, l2, g, c)]
+    path = tmp_path / "roles.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["testing", "--protected", "s,s", "--output", "o"],
+     "attribute 's' is named twice as protected"),
+    (["discovery", "--protected", "s", "--output", "l1,l1"],
+     "attribute 'l1' is named twice as label"),
+    (["testing", "--protected", "s", "--output", "s"],
+     "attribute 's' is named as both protected and output"),
+    (["discovery", "--protected", "s", "--output", "l1,s"],
+     "attribute 's' is named as both protected and label"),
+    (["testing", "--protected", "s", "--output", "o", "--explanatory", "o"],
+     "attribute 'o' is named as both output and explanatory"),
+    (["testing", "--protected", "s", "--output", "o", "--explanatory", "s"],
+     "attribute 's' is named as both protected and explanatory"),
+    (["error-profile", "--protected", "s", "--output", "o", "--ground-truth", "o",
+      "--error", "zero_one"],
+     "attribute 'o' is named as both output and ground truth"),
+    (["error-profile", "--protected", "g", "--output", "o", "--ground-truth", "g",
+      "--error", "zero_one"],
+     "attribute 'g' is named as both protected and ground truth"),
+], ids=["protected twice", "label twice", "protected is output", "protected is label",
+        "explanatory is output", "explanatory is protected", "ground truth is output",
+        "ground truth is protected"])
+def test_colliding_roles_exit_2_before_training(roles_csv, tmp_path, capsys, monkeypatch,
+                                                argv, message):
+    from uatest import investigations
+
+    def no_tree(*args, **kwargs):
+        raise AssertionError("a tree was trained")
+
+    monkeypatch.setattr(investigations, "find_contexts", no_tree)
+    out, state = tmp_path / "r.txt", tmp_path / "state.json"
+    assert main([*argv, "--data", roles_csv, "--context", "c", "--min-size", "50",
+                 "--seed", "1", "--out", str(out), "--state", str(state)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"uatest: {message}\n"
+    assert captured.out == ""
+    assert not out.exists() and not state.exists()
+
+
+def test_debug_rejects_protected_as_explanatory(roles_csv, tmp_path, capsys):
+    state = tmp_path / "state.json"
+    assert main(["testing", "--data", roles_csv, "--protected", "s", "--output", "o",
+                 "--context", "c", "--min-size", "50", "--budget", "2", "--seed", "1",
+                 "--state", str(state), "--out", str(tmp_path / "r1.txt")]) == 0
+    saved = state.read_bytes()
+    capsys.readouterr()
+    out = tmp_path / "r2.txt"
+    assert main(["debug", "--data", roles_csv, "--state", str(state), "--explanatory", "s",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "uatest: attribute 's' is named as both protected and explanatory\n"
+    assert not out.exists()
+    assert state.read_bytes() == saved  # no test set spent

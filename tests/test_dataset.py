@@ -109,17 +109,17 @@ def test_datasource_split_sizes_and_determinism():
     ds1 = make_datasource(d, budget=2, train_fraction=0.5, seed=7)
     ds2 = make_datasource(d, budget=2, train_fraction=0.5, seed=7)
     assert ds1.train.n_rows == 500
-    tests1 = ds1.peek_test_sets()
+    tests1 = [ds1.next_test_set() for _ in range(ds1.budget)]
     assert [t.n_rows for t in tests1] == [250, 250]
     assert np.array_equal(ds1.train.row_ids(), ds2.train.row_ids())
-    for a, b in zip(tests1, ds2.peek_test_sets()):
+    for a, b in zip(tests1, [ds2.next_test_set() for _ in range(ds2.budget)]):
         assert np.array_equal(a.row_ids(), b.row_ids())
 
 
 def test_datasource_partition_property():
     d = random_dataset(997, seed=5)
     ds = make_datasource(d, budget=3, train_fraction=0.4, seed=1, min_size=30)
-    pieces = [ds.train.row_ids()] + [t.row_ids() for t in ds.peek_test_sets()]
+    pieces = [ds.train.row_ids()] + [ds.next_test_set().row_ids() for _ in range(ds.budget)]
     merged = np.concatenate(pieces)
     assert len(merged) == 997
     assert np.array_equal(np.sort(merged), np.arange(997))

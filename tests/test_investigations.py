@@ -99,7 +99,7 @@ def test_attached_errors_match_decoded_cell_comparison():
         [AttributeSchema("pred", "categorical", "ignored", ("b", "a")),
          AttributeSchema("truth", "categorical", "ignored", ("a", "c", "b"))],
         {"pred": pred, "truth": truth})
-    spec = InvestigationSpec(kind=ERROR_PROFILING, protected=("pred",), output="pred",
+    spec = InvestigationSpec(kind=ERROR_PROFILING, protected=("s",), output="pred",
                              ground_truth="truth", error_kind="zero_one")
     view = d.select([ContextPredicate("truth", "in", values=("a", "b", "c"))])
     got = _attach_error(view, spec)
@@ -112,7 +112,7 @@ def test_attached_errors_match_decoded_cell_comparison():
         [AttributeSchema("pred", "continuous"),
          AttributeSchema("truth", "ordinal", "ignored", ("1", "2.5"))],
         {"pred": [3.0, None, 1.5, 0.25], "truth": ["2.5", "1", "", "1"]})
-    spec = InvestigationSpec(kind=ERROR_PROFILING, protected=("pred",), output="pred",
+    spec = InvestigationSpec(kind=ERROR_PROFILING, protected=("s",), output="pred",
                              ground_truth="truth")
     got = _attach_error(d, spec).scalar_values("Abs. Error(pred)")
     assert np.array_equal(got, [0.5, np.nan, np.nan, 0.75], equal_nan=True)
@@ -127,6 +127,8 @@ def test_spec_validation():
         InvestigationSpec(kind=ERROR_PROFILING, protected=("a",), output="o")
     with pytest.raises(DataError):
         InvestigationSpec(kind=DISCOVERY, protected=("a",), output="o")
+    with pytest.raises(DataError, match="'a' is named as both protected and explanatory"):
+        InvestigationSpec(kind=TESTING, protected=("a",), output="o", explanatory="a")
 
 
 def test_pipeline_end_to_end_and_leakage():

@@ -6,20 +6,26 @@ import pytest
 from uatest.dataset import AttributeSchema, Dataset
 from uatest.metrics import (
     BoundMetric,
-    ContingencyTable,
     MetricError,
     MetricKind,
-    binary_difference,
-    binary_ratio,
-    contingency,
+    diff_from_tables,
+    joint_counts,
     logistic_label_scores,
-    mutual_information,
+    mi_from_tables,
     pearson_correlation,
 )
 
 
-def table(counts, rows=("No", "Yes"), cols=("Female", "Male")):
-    return ContingencyTable(tuple(rows), tuple(cols), np.asarray(counts, dtype=np.int64))
+def table(counts):
+    return np.asarray(counts, dtype=np.int64)
+
+
+def table_metric(name, counts, target="Yes", group_a="Female", group_b="Male"):
+    """DIFF or RATIO of the rows of a (admitted x gender) table, through
+    ``BoundMetric``."""
+    d = dataset_from_table(counts)
+    return BoundMetric(MetricKind(name), "gender", "admitted", target, group_a,
+                       group_b).resolve(d).value(d)
 
 
 def dataset_from_table(counts, protected="gender", output="admitted",
@@ -44,53 +50,64 @@ PRICING_GLOBAL = [[15301, 13867], [234167, 231101]]
 
 def test_contingency_reproduces_reference_table():
     d = dataset_from_table(DEPT_A_SAMPLE)
-    t = contingency(d, "gender", "admitted")
-    assert t.counts.sum() == 490
-    assert t.row_labels == ("No", "Yes")
-    assert t.col_labels == ("Female", "Male")
-    assert np.array_equal(t.counts, DEPT_A_SAMPLE)
+    counts = joint_counts(d, ("admitted", "gender"))
+    assert counts.sum() == 490
+    assert d.attribute("admitted").categories == ("No", "Yes")
+    assert d.attribute("gender").categories == ("Female", "Male")
+    assert np.array_equal(counts, DEPT_A_SAMPLE)
+
+
+def test_contingency_schema_order_and_missing_rows():
+    schema = [AttributeSchema("gender", "categorical", "protected", ("Male", "Female")),
+              AttributeSchema("admitted", "categorical", "output", ("Yes", "No"))]
+    d = Dataset.from_columns(schema, {
+        "gender": ["Female", "Male", "Male", None, "Female"],
+        "admitted": ["Yes", "No", None, "Yes", "Yes"],
+    })
+    # axes follow the schema's category order, not the order of first sight;
+    # a row missing either value is not counted
+    assert np.array_equal(joint_counts(d, ("admitted", "gender")), [[0, 2], [1, 0]])
 
 
 def test_contingency_degenerate_views():
     d = dataset_from_table([[1, 0], [0, 0]])
     empty = d._subset(np.array([], dtype=np.int64))
-    t = contingency(empty, "gender", "admitted")
-    assert t.counts.sum() == 0
-    single = contingency(d, "gender", "admitted")
-    assert single.counts[0][0] == 1 and single.counts.sum() == 1
+    assert joint_counts(empty, ("admitted", "gender")).sum() == 0
+    single = joint_counts(d, ("admitted", "gender"))
+    assert single[0][0] == 1 and single.sum() == 1
 
 
 def test_contingency_requires_categorical():
     schema = [AttributeSchema("x", "continuous", "protected"),
               AttributeSchema("o", "categorical", "output", ("a", "b"))]
     d = Dataset.from_columns(schema, {"x": [1.0, 2.0], "o": ["a", "b"]})
-    with pytest.raises(MetricError):
-        contingency(d, "x", "o")
+    with pytest.raises(MetricError, match="'x'"):
+        joint_counts(d, ("o", "x"))
 
 
 def test_mutual_information_perfect_dependence():
     t = table([[50, 0], [0, 50]])
-    assert mutual_information(t, normalized=False).value == pytest.approx(math.log(2), abs=1e-12)
-    assert mutual_information(t, normalized=True).value == pytest.approx(1.0, abs=1e-12)
+    assert float(mi_from_tables(t, normalized=False)) == pytest.approx(math.log(2), abs=1e-12)
+    assert float(mi_from_tables(t, normalized=True)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mutual_information_independence():
     t = table([[25, 25], [25, 25]])
-    assert mutual_information(t, normalized=False).value == pytest.approx(0.0, abs=1e-12)
-    assert mutual_information(t, normalized=True).value == pytest.approx(0.0, abs=1e-12)
+    assert float(mi_from_tables(t, normalized=False)) == pytest.approx(0.0, abs=1e-12)
+    assert float(mi_from_tables(t, normalized=True)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_nmi_staples_global_inside_reported_interval():
-    t = table(PRICING_GLOBAL, rows=("High", "Low"), cols=("<50K", ">=50K"))
-    nmi = mutual_information(t).value
+    nmi = float(mi_from_tables(table(PRICING_GLOBAL), normalized=True))
     assert 0.0001 <= nmi <= 0.0005
 
 
 def test_mutual_information_degenerate_errors():
-    with pytest.raises(MetricError, match="no variation"):
-        mutual_information(table([[10, 20], [0, 0]]))
-    with pytest.raises(MetricError, match="no variation"):
-        mutual_information(table([[10, 0], [20, 0]]))
+    for counts in ([[10, 20], [0, 0]], [[10, 0], [20, 0]]):
+        assert np.isnan(mi_from_tables(table(counts), normalized=True))
+        d = dataset_from_table(counts)
+        with pytest.raises(MetricError, match="NMI undefined"):
+            BoundMetric(MetricKind("nmi"), "gender", "admitted").resolve(d).value(d)
 
 
 def test_nmi_range_and_transpose_symmetry():
@@ -99,45 +116,40 @@ def test_nmi_range_and_transpose_symmetry():
         r, c = rng.integers(2, 5, 2)
         counts = rng.integers(0, 40, (r, c))
         counts[0, 0] += 1
-        t = ContingencyTable(tuple(f"o{i}" for i in range(r)),
-                             tuple(f"s{j}" for j in range(c)), counts)
-        tt = ContingencyTable(t.col_labels, t.row_labels, counts.T)
-        try:
-            v = mutual_information(t).value
-        except MetricError:
+        v = float(mi_from_tables(counts, normalized=True))
+        if np.isnan(v):
             continue
         assert 0.0 <= v <= 1.0 + 1e-12
-        mi = mutual_information(t, normalized=False).value
-        mi_t = mutual_information(tt, normalized=False).value
+        mi = float(mi_from_tables(counts, normalized=False))
+        mi_t = float(mi_from_tables(counts.T, normalized=False))
         assert mi == pytest.approx(mi_t, abs=1e-12)
         assert mi >= -1e-12
 
 
 def test_binary_difference_berkeley_department_a():
-    t = table(DEPT_A_SAMPLE)
-    v = binary_difference(t, "Yes", "Female", "Male").value
+    v = table_metric("diff", DEPT_A_SAMPLE)
     assert v == pytest.approx(51 / 60 - 269 / 430, abs=1e-12)
     assert abs(v - 0.2244) < 1e-4
+    assert v == float(diff_from_tables(table(DEPT_A_SAMPLE), 1, 0, 1))
 
 
 def test_binary_difference_antisymmetry_and_extremes():
-    t = table(DEPT_A_SAMPLE)
-    a = binary_difference(t, "Yes", "Female", "Male").value
-    b = binary_difference(t, "Yes", "Male", "Female").value
+    a = table_metric("diff", DEPT_A_SAMPLE, "Yes", "Female", "Male")
+    b = table_metric("diff", DEPT_A_SAMPLE, "Yes", "Male", "Female")
     assert a == pytest.approx(-b, abs=1e-15)
-    assert binary_difference(table([[10, 0], [0, 10]]), "No", "Female", "Male").value == 1.0
-    assert binary_difference(table([[30, 60], [10, 20]]), "Yes", "Female", "Male").value == pytest.approx(0.0)
-    with pytest.raises(MetricError, match="empty group"):
-        binary_difference(table([[5, 0], [5, 0]]), "Yes", "Female", "Male")
+    assert table_metric("diff", [[10, 0], [0, 10]], "No", "Female", "Male") == 1.0
+    assert table_metric("diff", [[30, 60], [10, 20]]) == pytest.approx(0.0)
+    assert np.isnan(diff_from_tables(table([[5, 0], [5, 0]]), 1, 0, 1))
+    with pytest.raises(MetricError, match="DIFF undefined"):
+        table_metric("diff", [[5, 0], [5, 0]])
 
 
 def test_binary_ratio():
-    t = table([[30, 40], [20, 10]])  # Pr(Yes|F)=0.4, Pr(Yes|M)=0.2
-    assert binary_ratio(t, "Yes", "Female", "Male").value == pytest.approx(1.0)
-    eq = table([[30, 60], [10, 20]])
-    assert binary_ratio(eq, "Yes", "Female", "Male").value == pytest.approx(0.0)
-    with pytest.raises(MetricError, match="undefined ratio"):
-        binary_ratio(table([[10, 10], [5, 0]]), "Yes", "Female", "Male")
+    # Pr(Yes|F)=0.4, Pr(Yes|M)=0.2
+    assert table_metric("ratio", [[30, 40], [20, 10]]) == pytest.approx(1.0)
+    assert table_metric("ratio", [[30, 60], [10, 20]]) == pytest.approx(0.0)
+    with pytest.raises(MetricError, match="RATIO undefined"):
+        table_metric("ratio", [[10, 10], [5, 0]])
 
 
 def test_pearson_correlation_basics():
@@ -256,8 +268,7 @@ def test_conditional_metric_berkeley_weighted_mean():
     for dept in "ABCDEF":
         sub = d.select([__import__("uatest.dataset", fromlist=["ContextPredicate"])
                        .ContextPredicate("department", "in", values=(dept,))])
-        t = contingency(sub, "gender", "admitted")
-        v = binary_difference(t, "Yes", "Female", "Male").value
+        v = float(diff_from_tables(joint_counts(sub, ("admitted", "gender")), 1, 0, 1))
         total += sub.n_rows * v
         weight += sub.n_rows
     assert aggregate == pytest.approx(total / weight, abs=1e-12)

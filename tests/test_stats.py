@@ -10,8 +10,6 @@ from uatest.metrics import (
     BoundMetric,
     MetricError,
     MetricKind,
-    binary_difference,
-    contingency,
     diff_from_tables,
     grouped_correlation,
     joint_counts,
@@ -23,7 +21,6 @@ from uatest.stats import (
     StatsError,
     TestedMetric,
     apply_corrections,
-    corrected_cis,
     holm_bonferroni,
 )
 from uatest.stats import _chunks, _ci_from_recipe, _perm_pvalue
@@ -254,7 +251,7 @@ def test_resampling_draws_follow_the_reference_stream():
 
     def table_reference(view, bound):
         bound = bound.resolve(view)
-        counts = contingency(view, bound.protected, bound.output).counts
+        counts = joint_counts(view, (bound.output, bound.protected))
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, *entropy]))
         col_tot, row_tot = counts.sum(axis=0), counts.sum(axis=1)
         if len(row_tot) == 2:
@@ -373,8 +370,7 @@ def test_batched_resample_statistics_match_conditional_metric():
     def stratum_value(rows, name):
         if name == "corr":
             return pearson_correlation(x[rows], y[rows]).value
-        table = contingency(d._subset(rows), "s", "o")
-        return binary_difference(table, diff.target, diff.group_a, diff.group_b).value
+        return diff.unconditional().value(d._subset(rows))
 
     def reference(bound):
         out = []
@@ -543,11 +539,11 @@ def make_tested(est, se, conf=0.95):
 
 def test_corrected_cis_identity_and_containment():
     one = [make_tested(0.4, 0.05)]
-    corrected_cis(one, 0.95)
+    apply_corrections(one, 0.95)
     assert one[0].corrected_ci == pytest.approx(one[0].ci, abs=1e-12)
 
     many = [make_tested(0.1 * i, 0.05) for i in range(1, 21)]
-    corrected_cis(many, 0.95)
+    apply_corrections(many, 0.95)
     for t in many:
         assert t.corrected_ci[0] <= t.ci[0] + 1e-12
         assert t.corrected_ci[1] >= t.ci[1] - 1e-12
@@ -555,7 +551,7 @@ def test_corrected_cis_identity_and_containment():
 
 def test_corrected_wald_width_scales_with_z_quantile_ratio():
     tested = [make_tested(0.0, 0.1) for _ in range(20)]
-    corrected_cis(tested, 0.95)
+    apply_corrections(tested, 0.95)
     raw_width = tested[0].ci[1] - tested[0].ci[0]
     corr_width = tested[0].corrected_ci[1] - tested[0].corrected_ci[0]
     expected = sps.norm.ppf(1 - 0.05 / 20 / 2) / sps.norm.ppf(1 - 0.05 / 2)

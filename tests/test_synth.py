@@ -3,7 +3,7 @@ import pytest
 
 from uatest.dataset import ContextPredicate, DataError
 from uatest.investigations import Finding, ReportModel
-from uatest.metrics import MetricKind, MetricValue, binary_difference, contingency
+from uatest.metrics import BoundMetric, MetricKind, MetricValue
 from uatest.stats import TestedMetric
 from uatest.synth import (
     CategoricalSpec,
@@ -18,8 +18,8 @@ from uatest.synth import (
 
 
 def global_diff(d):
-    t = contingency(d, "income", "output")
-    return binary_difference(t, "1", "low", "high").value
+    """DIFF of Pr(output = 1) between the low and the high income group."""
+    return BoundMetric(MetricKind("diff"), "income", "output", "1", "low", "high").value(d)
 
 
 def test_generate_null_has_no_global_effect():
@@ -47,8 +47,7 @@ def test_generate_planted_contexts_have_target_effect():
     d = generate(pop, plants, seed=2)
     for plant in plants:
         ctx = d.select(list(plant.predicates))
-        t = contingency(ctx, "income", "output")
-        v = binary_difference(t, "1", "low", "high").value
+        v = global_diff(ctx)
         assert v == pytest.approx(-0.30, abs=0.03)
 
 
