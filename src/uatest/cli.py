@@ -59,13 +59,11 @@ def _default_seed() -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--conf", type=float, default=0.95, help="confidence level")
     p.add_argument("--seed", type=int, default=None,
                    help="master seed (falls back to UATEST_SEED, then 0)")
     p.add_argument("--min-size", type=int, default=100, help="minimum context size")
     p.add_argument("--max-depth", type=int, default=5, help="maximum context depth")
     p.add_argument("--threads", type=int, help="accepted, for scripts that pass it, and ignored")
-    p.add_argument("--format", choices=("text", "json"), default="text", help="report format")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     _add_verbose(p)
 
@@ -92,6 +90,8 @@ def _add_investigation(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=1, help="number of adaptive investigations")
     p.add_argument("--train-fraction", type=float, default=0.5, help="training split fraction")
     p.add_argument("--state", default=None, help="state file for follow-up debug runs")
+    p.add_argument("--conf", type=float, default=0.95, help="confidence level")
+    p.add_argument("--format", choices=("text", "json"), default="text", help="report format")
     _add_common(p)
 
 
@@ -137,6 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=2000, help="expected plant size in rows")
     p.add_argument("--dump-data", default=None,
                    help="also write the generated population as CSV")
+    p.add_argument("--conf", type=float, default=0.95, help="confidence level")
     _add_common(p)
 
     p = sub.add_parser("tree-vs-itemsets", help="guided tree vs unguided itemset enumeration",
@@ -259,25 +260,11 @@ def _save_state(path: str, args, spec: InvestigationSpec, source: DataSource,
             "min_size": source.min_size,
             "consumed": source.consumed,
         },
-        "spec": {
-            "kind": spec.kind,
-            "protected": list(spec.protected),
-            "output": list(spec.output) if isinstance(spec.output, tuple) else spec.output,
-            "contextual": list(spec.contextual),
-            "metric": spec.metric,
-            "top_k": spec.top_k,
-            "ground_truth": spec.ground_truth,
-            "error_kind": spec.error_kind,
-            "tree": dataclasses.asdict(spec.tree),
-            "stats": dataclasses.asdict(spec.stats),
-        },
+        "spec": dataclasses.asdict(spec),
         "train_size": trained.train_size,
         "dropped_train": trained.dropped_train,
-        "output_display": trained.output_display,
         "units": [
             {
-                "protected": u.protected,
-                "output": u.output,
                 "label": u.label,
                 "bound": _bound_to_obj(u.bound),
                 "contexts": [
@@ -312,18 +299,8 @@ def _restore_state(state, data_path: str,
     for _ in range(ds["consumed"]):
         source.next_test_set()
     spec_obj = state["spec"]
-    spec = InvestigationSpec(
-        kind=spec_obj["kind"],
-        protected=tuple(spec_obj["protected"]),
-        output=tuple(spec_obj["output"]) if isinstance(spec_obj["output"], list) else spec_obj["output"],
-        contextual=tuple(spec_obj["contextual"]),
-        metric=spec_obj.get("metric"),
-        top_k=spec_obj["top_k"],
-        ground_truth=spec_obj.get("ground_truth"),
-        error_kind=spec_obj.get("error_kind", "absolute"),
-        tree=TreeParams(**spec_obj["tree"]),
-        stats=StatConfig(**spec_obj["stats"]),
-    )
+    spec = InvestigationSpec(**{**spec_obj, "tree": TreeParams(**spec_obj["tree"]),
+                                "stats": StatConfig(**spec_obj["stats"])})
     units = []
     for uo in state["units"]:
         contexts = []
@@ -332,10 +309,9 @@ def _restore_state(state, data_path: str,
             metric_value = co["train_metric"]
             contexts.append(ContextNode(preds, co["n_train"],
                                         float("nan") if metric_value is None else metric_value))
-        units.append(TrainUnit(uo["protected"], uo["output"], uo.get("label"),
-                               _bound_from_obj(uo["bound"]), contexts, TreeStats()))
-    trained = TrainedInvestigation(spec, units, state["train_size"],
-                                   state["dropped_train"], state["output_display"])
+        units.append(TrainUnit(uo.get("label"), _bound_from_obj(uo["bound"]), contexts,
+                               TreeStats()))
+    trained = TrainedInvestigation(spec, units, state["train_size"], state["dropped_train"])
     return state, source, trained
 
 

@@ -651,7 +651,6 @@ class DataSource:
             )
         rng = np.random.default_rng(seed)
         perm = rng.permutation(n)
-        self._data = data
         self._train = data._subset(perm[:n_train])
         sizes = [n_rest // budget + (1 if i < n_rest % budget else 0) for i in range(budget)]
         self._tests = []

@@ -88,6 +88,9 @@ class InvestigationSpec:
                 raise DataError("discovery requires a tuple of label indicator columns as output")
             if self.top_k < 1:
                 raise DataError("top_k must be at least 1")
+            if self.metric not in (None, DIFF):
+                raise DataError(f"discovery tests DIFF only, but the metric is set to "
+                                f"{self.metric!r}")
         elif not isinstance(self.output, str):
             raise DataError(f"{self.kind} requires a single output attribute")
         if self.kind == ERROR_PROFILING:
@@ -95,6 +98,9 @@ class InvestigationSpec:
                 raise DataError("error profiling requires a ground-truth column")
             if self.error_kind not in (ABSOLUTE, ZERO_ONE):
                 raise DataError(f"unknown error kind {self.error_kind!r}")
+        elif self.ground_truth is not None:
+            raise DataError(f"only error profiling takes a ground truth, but {self.kind} has "
+                            f"ground_truth set to {self.ground_truth!r}")
         self._check_roles()
 
     def _check_roles(self) -> None:
@@ -198,10 +204,8 @@ def select_metric(view: Dataset, protected: str, output: str,
 @dataclass
 class TrainUnit:
     """One protected attribute (and, for discovery, one label) with its
-    guidance metric and trained candidate contexts."""
+    metric, which names both attributes, and trained candidate contexts."""
 
-    protected: str
-    output: str
     label: str | None
     bound: BoundMetric
     contexts: list[ContextNode]
@@ -214,7 +218,6 @@ class TrainedInvestigation:
     units: list[TrainUnit]
     train_size: int
     dropped_train: int
-    output_display: str
 
 
 def _output_display(spec: InvestigationSpec) -> str:
@@ -270,14 +273,14 @@ def train(spec: InvestigationSpec, train_view: Dataset) -> TrainedInvestigation:
                 bound = select_metric(cleaned, s, output_col, spec)
                 guide = bound.unconditional()  # contexts are found on the raw metric
                 stats = TreeStats()
-                contexts = find_contexts(cleaned, s, output_col, spec.tree, guide,
-                                         contextual=contextual, stats=stats)
-                units.append(TrainUnit(s, output_col, None, bound, contexts, stats))
+                contexts = find_contexts(cleaned, spec.tree, guide, contextual=contextual,
+                                         stats=stats)
+                units.append(TrainUnit(None, bound, contexts, stats))
     except MetricError as exc:
         if not dropped:
             raise
         raise DataError(f"{exc}{_dropped_note(train_view, spec, dropped, 'training')}") from None
-    return TrainedInvestigation(spec, units, cleaned.n_rows, dropped, _output_display(spec))
+    return TrainedInvestigation(spec, units, cleaned.n_rows, dropped)
 
 
 def _train_discovery_units(spec: InvestigationSpec, cleaned: Dataset, s: str,
@@ -308,9 +311,9 @@ def _train_discovery_units(spec: InvestigationSpec, cleaned: Dataset, s: str,
     for label in top:
         bound = BoundMetric(MetricKind(DIFF, spec.explanatory), s, label).resolve(cleaned)
         stats = TreeStats()
-        contexts = find_contexts(cleaned, s, label, spec.tree, bound.unconditional(),
+        contexts = find_contexts(cleaned, spec.tree, bound.unconditional(),
                                  contextual=contextual, stats=stats)
-        units.append(TrainUnit(s, label, label, bound, contexts, stats))
+        units.append(TrainUnit(label, bound, contexts, stats))
     return units
 
 
@@ -420,7 +423,6 @@ class ValidationResult:
     dropped_train: int
     dropped_test: int
     dropped_contexts: int
-    output_display: str
 
 
 def _make_display(view: Dataset, bound: BoundMetric) -> TableDisplay | DecileDisplay | None:
@@ -515,7 +517,6 @@ def validate(trained: TrainedInvestigation, test_view: Dataset) -> ValidationRes
         dropped_train=trained.dropped_train,
         dropped_test=dropped_test,
         dropped_contexts=dropped_contexts,
-        output_display=trained.output_display,
     )
 
 
@@ -526,17 +527,17 @@ def _test_context(unit: TrainUnit, node: ContextNode, ctx: Dataset, cfg: StatCon
         tested = test_metric(ctx, bound, cfg, entropy)
     except MetricError as exc:
         if node.depth == 0:
-            what = f"label {unit.label!r}" if unit.label is not None else f"output {unit.output!r}"
+            what = f"label {unit.label!r}" if unit.label is not None else f"output {bound.output!r}"
             raise DataError(f"global population untestable for protected attribute "
-                            f"{unit.protected!r} and {what} on the test rows: {exc}") from None
+                            f"{bound.protected!r} and {what} on the test rows: {exc}") from None
         logger.info("context %s untestable: %s", [p.describe() for p in node.predicates], exc)
         return None
     strata: tuple[StratumFinding, ...] = ()
     if bound.conditional:
         strata = _test_strata(ctx, bound, cfg, entropy)
     return Finding(
-        protected=unit.protected,
-        output=unit.output,
+        protected=bound.protected,
+        output=bound.output,
         label=unit.label,
         predicates=node.predicates,
         size=ctx.n_rows,
@@ -600,13 +601,12 @@ class ReportModel:
     findings: tuple[Finding, ...]
 
 
-def filter_and_rank(result: ValidationResult, conf: float | None = None) -> list[ReportModel]:
+def filter_and_rank(result: ValidationResult) -> list[ReportModel]:
     """Keep corrected-significant contexts whose effect strictly exceeds every
     surviving ancestor's, ranked by corrected-CI strength; the global
     population always leads its report regardless of significance."""
     spec = result.spec
-    conf = spec.stats.conf if conf is None else conf
-    alpha = 1.0 - conf
+    alpha = 1.0 - spec.stats.conf
     reports = []
     for s in spec.protected:
         findings = [f for f in result.findings if f.protected == s]
@@ -638,21 +638,13 @@ def filter_and_rank(result: ValidationResult, conf: float | None = None) -> list
             ranked.append(f)
         for f in ([global_finding] if global_finding is not None else []) + ranked:
             _draw_cis(f, strata=True)
-        if global_finding is not None:
-            metric_display = global_finding.metric
-        elif ranked:
-            metric_display = ranked[0].metric
-        elif findings:
-            metric_display = findings[0].metric
-        else:
-            metric_display = "DIFF" if spec.kind == DISCOVERY else (spec.metric or "").upper()
         reports.append(ReportModel(
             kind=spec.kind,
             protected=s,
-            output=result.output_display,
+            output=_output_display(spec),
             explanatory=spec.explanatory,
-            metric=metric_display,
-            conf=conf,
+            metric=findings[0].metric,  # every unit's root is a finding, all of one metric
+            conf=spec.stats.conf,
             family_size=result.family_size,
             train_size=result.train_size,
             test_size=result.test_size,
@@ -706,11 +698,8 @@ def debug_with_explanatory(trained: TrainedInvestigation, explanatory: str,
     """Re-validate the same trained contexts with the metric conditioned on an
     explanatory attribute, on a fresh budgeted test set."""
     spec = replace(trained.spec, explanatory=explanatory)
-    units = [TrainUnit(u.protected, u.output, u.label,
-                       u.bound.conditioned_on(explanatory), u.contexts, u.tree_stats)
-             for u in trained.units]
-    debug_trained = TrainedInvestigation(spec, units, trained.train_size,
-                                         trained.dropped_train, trained.output_display)
+    units = [replace(u, bound=u.bound.conditioned_on(explanatory)) for u in trained.units]
+    debug_trained = TrainedInvestigation(spec, units, trained.train_size, trained.dropped_train)
     validated = validate(debug_trained, fresh_test)
     reports = filter_and_rank(validated)
     return InvestigationRun(debug_trained, validated, reports)

@@ -244,6 +244,12 @@ def stratum_mean(vals: np.ndarray, sizes: np.ndarray, floor: int) -> np.ndarray:
 
 # -- regression label scoring -------------------------------------------------
 
+# the ridge penalty, and the Newton iteration limit and step tolerance, of
+# logistic_label_scores
+L2_PENALTY = 1e-3
+MAX_NEWTON_ITER = 100
+NEWTON_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class RegressionScores:
@@ -263,8 +269,7 @@ class RegressionScores:
 
 
 def logistic_label_scores(indicators: np.ndarray, protected: np.ndarray,
-                          labels: Sequence[str], l2: float = 1e-3,
-                          max_iter: int = 100, tol: float = 1e-8) -> RegressionScores:
+                          labels: Sequence[str]) -> RegressionScores:
     """Fit Pr[S=1 | label indicators] with an L2-penalized logistic model.
 
     The ridge penalty (excluding the intercept) keeps every coefficient
@@ -285,7 +290,7 @@ def logistic_label_scores(indicators: np.ndarray, protected: np.ndarray,
 
     n, d = b.shape
     x = np.hstack([np.ones((n, 1)), b])
-    pen = np.full(d + 1, float(l2))
+    pen = np.full(d + 1, L2_PENALTY)
     pen[0] = 0.0
     beta = np.zeros(d + 1)
 
@@ -296,7 +301,7 @@ def logistic_label_scores(indicators: np.ndarray, protected: np.ndarray,
 
     obj = objective(beta)
     hess = np.eye(d + 1)
-    for _ in range(max_iter):
+    for _ in range(MAX_NEWTON_ITER):
         eta = np.clip(x @ beta, -30, 30)
         p = expit(eta)
         w = np.clip(p * (1.0 - p), 1e-10, None)
@@ -315,7 +320,7 @@ def logistic_label_scores(indicators: np.ndarray, protected: np.ndarray,
             scale *= 0.5
         beta = beta + scale * step
         obj = objective(beta)
-        if np.max(np.abs(scale * step)) < tol:
+        if np.max(np.abs(scale * step)) < NEWTON_TOL:
             break
 
     cov = np.linalg.inv(hess)

@@ -381,8 +381,7 @@ def tree_vs_itemsets(n: int, n_attrs: int, seed: int, min_size: int = 500,
     contextual = [a.name for a in attrs]
 
     stats = TreeStats()
-    contexts = find_contexts(source.train, "income", "output", params, metric,
-                             contextual=contextual, stats=stats)
+    contexts = find_contexts(source.train, params, metric, contextual=contextual, stats=stats)
     test = source.next_test_set()
 
     def test_association(predicates) -> float:
@@ -395,8 +394,7 @@ def tree_vs_itemsets(n: int, n_attrs: int, seed: int, min_size: int = 500,
     tree_vals = sorted((test_association(c.predicates) for c in contexts), reverse=True)
     tree_row = StrategyRow("guided-tree", stats.n_metric_evals, float(np.mean(tree_vals[:3])))
 
-    itemsets = exhaustive_contexts(source.train, "income", "output", params, metric,
-                                   contextual=contextual)
+    itemsets = exhaustive_contexts(source.train, params, metric, contextual=contextual)
     retained = sorted(itemsets, key=lambda row: -(0.0 if math.isnan(row[2]) else row[2]))
     retained = retained[:max(len(contexts), 3)]
     item_vals = sorted((test_association(preds) for preds, _, _ in retained), reverse=True)

@@ -175,8 +175,8 @@ def _part_value(part: Dataset, metric: BoundMetric) -> float:
         return math.nan
 
 
-def find_contexts(train: Dataset, protected: str, output: str, params: TreeParams,
-                  metric: BoundMetric, contextual: list[str] | None = None,
+def find_contexts(train: Dataset, params: TreeParams, metric: BoundMetric,
+                  contextual: list[str] | None = None,
                   stats: TreeStats | None = None) -> list[ContextNode]:
     """Grow the guided tree on the training set and return all registered
     contexts in deterministic depth-first order (root first).
@@ -241,8 +241,8 @@ def find_contexts(train: Dataset, protected: str, output: str, params: TreeParam
     return registered
 
 
-def exhaustive_contexts(train: Dataset, protected: str, output: str, params: TreeParams,
-                        metric: BoundMetric, contextual: list[str] | None = None
+def exhaustive_contexts(train: Dataset, params: TreeParams, metric: BoundMetric,
+                        contextual: list[str] | None = None
                         ) -> list[tuple[tuple[ContextPredicate, ...], int, float]]:
     """Brute-force baseline: every conjunction of single-category predicates
     over categorical contextual attributes, up to ``max_depth`` clauses and

@@ -278,9 +278,9 @@ def test_criterion_7g_tree_oracle_equivalence():
     worst = 1.0
     for seed in range(20):
         d = skewed_planted_dataset(4000, 300 + seed)
-        contexts = find_contexts(d, "s", "o", params, metric)
+        contexts = find_contexts(d, params, metric)
         tree_best = max(c.train_metric for c in contexts)
-        oracle = exhaustive_contexts(d, "s", "o", params, metric)
+        oracle = exhaustive_contexts(d, params, metric)
         oracle_best = max(v for _, _, v in oracle if not np.isnan(v))
         worst = min(worst, tree_best / oracle_best)
         assert tree_best >= 0.9 * oracle_best

@@ -47,7 +47,7 @@ def test_find_contexts_takes_stats_by_keyword(tracer):
     assert param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY)
 
     stats = TreeStats()
-    contexts = investigations.find_contexts(planted_dataset(1000, seed=2), "s", "o",
+    contexts = investigations.find_contexts(planted_dataset(1000, seed=2),
                                             TreeParams(min_size=100, max_depth=2), DIFF,
                                             stats=stats)
     info = tracer._find_contexts_info((), {"stats": stats}, contexts)

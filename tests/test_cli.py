@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uatest.cli import main
+from uatest.cli import build_parser, main
 from uatest.data import berkeley_admissions
 from uatest.dataset import save_csv
 
@@ -821,3 +821,86 @@ def test_debug_rejects_protected_as_explanatory(roles_csv, tmp_path, capsys):
     assert captured.err == "uatest: attribute 's' is named as both protected and explanatory\n"
     assert not out.exists()
     assert state.read_bytes() == saved  # no test set spent
+
+
+@pytest.mark.parametrize("metric", ["ratio", "nmi", "corr"])
+def test_discovery_rejects_a_metric_other_than_diff(roles_csv, tmp_path, capsys, monkeypatch,
+                                                    metric):
+    from uatest import investigations
+
+    def no_tree(*args, **kwargs):
+        raise AssertionError("a tree was trained")
+
+    monkeypatch.setattr(investigations, "find_contexts", no_tree)
+    out = tmp_path / "r.txt"
+    assert main(["discovery", "--data", roles_csv, "--protected", "s", "--output", "l1,l2",
+                 "--context", "c", "--min-size", "50", "--metric", metric,
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"uatest: discovery tests DIFF only, but the metric is set to "
+                            f"{metric!r}\n")
+    assert not out.exists()
+
+
+def _older_state_layout(state: dict, output_display: str) -> dict:
+    """``state`` in the older layout: each unit also names its protected
+    attribute and output, the report's output name is stored beside the
+    training counts, and the spec has no explanatory attribute."""
+    older = {}
+    for key, value in state.items():
+        if key == "spec":
+            value = {k: v for k, v in value.items() if k != "explanatory"}
+        elif key == "units":
+            value = [{"protected": u["bound"]["protected"], "output": u["bound"]["output"], **u}
+                     for u in value]
+        older[key] = value
+        if key == "dropped_train":
+            older["output_display"] = output_display
+    return older
+
+
+@pytest.mark.parametrize("argv, output_display", [
+    (["testing", "--protected", "s", "--output", "o"], "o"),
+    (["discovery", "--protected", "s", "--output", "l1,l2"], "Labels"),
+    (["error-profile", "--protected", "s", "--output", "o", "--ground-truth", "g",
+      "--error", "zero_one"], "0/1 Error(o)"),
+], ids=["testing", "discovery", "error-profile"])
+def test_older_state_layout_debugs_to_the_same_report(roles_csv, tmp_path, argv,
+                                                      output_display):
+    saved = tmp_path / "saved.json"
+    assert main([*argv, "--data", roles_csv, "--context", "c", "--min-size", "50",
+                 "--budget", "2", "--seed", "1", "--state", str(saved),
+                 "--out", str(tmp_path / "r.txt")]) == 0
+    state = json.loads(saved.read_text())
+    assert state["spec"]["explanatory"] is None
+    assert not {"protected", "output"} & set(state["units"][0])
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps(_older_state_layout(state, output_display), indent=2))
+    reports = []
+    for path in (saved, older):
+        out = tmp_path / f"debug-{path.stem}.json"
+        assert main(["debug", "--data", roles_csv, "--state", str(path), "--explanatory", "c",
+                     "--format", "json", "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["reports"][0]["output"] == output_display
+
+
+def test_bench_commands_take_no_report_options(tmp_path, capsys):
+    # both always write CSV, and tree-vs-itemsets has no confidence level;
+    # --threads stays, because the benchmark harness appends it to every
+    # invocation
+    out = tmp_path / "out.csv"
+    for argv in (["bench", "--n", "20000", "--plants", "3", "--size", "400", "--format", "json"],
+                 ["tree-vs-itemsets", "--n", "6000", "--attrs", "8", "--min-size", "300",
+                  "--format", "json"],
+                 ["tree-vs-itemsets", "--n", "6000", "--attrs", "8", "--min-size", "300",
+                  "--conf", "0.5"]):
+        assert main([*argv, "--out", str(out)]) == 1, argv
+        assert not out.exists() and capsys.readouterr().out == ""
+    required = {"testing": ["--data", "d.csv"], "discovery": ["--data", "d.csv"],
+                "error-profile": ["--data", "d.csv", "--ground-truth", "g"],
+                "debug": ["--data", "d.csv", "--state", "s.json", "--explanatory", "e"],
+                "bench": [], "tree-vs-itemsets": []}
+    for cmd, argv in required.items():
+        assert build_parser().parse_args([cmd, *argv, "--threads", "2"]).threads == 2

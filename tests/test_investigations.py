@@ -131,6 +131,15 @@ def test_spec_validation():
         InvestigationSpec(kind=TESTING, protected=("a",), output="o", explanatory="a")
 
 
+@pytest.mark.parametrize("kind, output", [(TESTING, "o"), (DISCOVERY, ("l1", "l2"))],
+                         ids=[TESTING, DISCOVERY])
+def test_ground_truth_outside_error_profiling_is_a_data_error(kind, output):
+    # the column would take a role and drop the rows where it is missing
+    with pytest.raises(DataError, match=f"only error profiling takes a ground truth, but {kind} "
+                                        "has ground_truth set to 'g'"):
+        InvestigationSpec(kind=kind, protected=("s",), output=output, ground_truth="g")
+
+
 def test_pipeline_end_to_end_and_leakage():
     d = binary_testing_dataset(6000, seed=3)
     ds = make_datasource(d, budget=1, train_fraction=0.5, seed=3)
@@ -194,7 +203,7 @@ def fake_result(findings):
                              contextual=("state",))
     return ValidationResult(spec=spec, findings=findings, family_size=len(findings),
                             train_size=1000, test_size=1000, dropped_train=0,
-                            dropped_test=0, dropped_contexts=0, output_display="price")
+                            dropped_test=0, dropped_contexts=0)
 
 
 P_CA = ContextPredicate("state", "in", values=("A",))
@@ -205,7 +214,7 @@ def test_filter_and_rank_nesting_rule():
     parent = finding([P_CA], 0.09, 0.08, 0.12, 0.001)
     child = finding([P_CA, P_RACE], 0.06, 0.05, 0.30, 0.001, size=300)
     g = finding([], 0.01, 0.001, 0.02, 0.001, size=1000, is_global=True)
-    rm = filter_and_rank(fake_result([g, parent, child]), conf=0.95)[0]
+    rm = filter_and_rank(fake_result([g, parent, child]))[0]
     ranked = [f.predicates for f in rm.findings]
     assert (P_CA,) in ranked
     assert (P_CA, P_RACE) not in ranked  # child lower bound 0.05 <= parent's 0.08
@@ -216,7 +225,7 @@ def test_filter_and_rank_orders_by_lower_bound():
     a = finding([P_CA], 0.01, 0.0051, 0.0203, 0.001)
     b = finding([ContextPredicate("state", "in", values=("B",))], 0.02, 0.0040, 0.0975, 0.001)
     g = finding([], 0.0002, 0.0001, 0.0005, 1e-9, is_global=True)
-    rm = filter_and_rank(fake_result([g, a, b]), conf=0.95)[0]
+    rm = filter_and_rank(fake_result([g, a, b]))[0]
     assert [f.tested.corrected_ci[0] for f in rm.findings] == [0.0051, 0.0040]
     assert [f.rank for f in rm.findings] == [1, 2]
 
@@ -224,7 +233,7 @@ def test_filter_and_rank_orders_by_lower_bound():
 def test_filter_and_rank_insignificant_report():
     g = finding([], 0.01, -0.01, 0.03, 0.6, is_global=True, kind="diff")
     sub = finding([P_CA], 0.05, -0.01, 0.11, 0.2, kind="diff")
-    rm = filter_and_rank(fake_result([g, sub]), conf=0.95)[0]
+    rm = filter_and_rank(fake_result([g, sub]))[0]
     assert rm.findings == ()
     assert rm.global_finding is not None
     text = render_text(rm)

@@ -1,0 +1,40 @@
+"""Checks on the package source itself, read with ``ast``."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "uatest"
+
+
+def unread_parameters(source: str) -> list[tuple[int, str, str]]:
+    """(line, function, parameter) of every function parameter that the
+    function's body never reads; ``self``, ``cls`` and dunder methods are
+    exempt. A nested function's reads count for the functions around it."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [(node.lineno, node.name, p) for p in params
+                   if p not in ("self", "cls") and p not in read]
+    return unread
+
+
+def test_unread_parameters_are_found():
+    source = ("def f(a, b, *args, c, **kw):\n    return a + kw['x']\n"
+              "class C:\n    def m(self, x):\n        pass\n    def __exit__(self, *exc):\n        pass\n"
+              "def outer(n):\n    def inner():\n        return n\n    return inner\n")
+    assert unread_parameters(source) == [(1, "f", "b"), (1, "f", "c"), (1, "f", "args"),
+                                         (4, "m", "x")]
+
+
+def test_every_function_parameter_is_read():
+    unread = [f"{path.name}:{line} {func}({param})" for path in sorted(SRC.glob("*.py"))
+              for line, func, param in unread_parameters(path.read_text())]
+    assert unread == []

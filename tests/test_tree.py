@@ -204,8 +204,8 @@ def test_tree_counts_once_per_node_and_attribute(monkeypatch, name, protected, o
     d = continuous_context_dataset(6000, seed=19)
     params = TreeParams(min_size=100, max_depth=3)
     contextual = ["a", "b", "c", "x"]
-    contexts = find_contexts(d, protected, output, params,
-                             BoundMetric(MetricKind(name), protected, output), contextual)
+    contexts = find_contexts(d, params, BoundMetric(MetricKind(name), protected, output),
+                             contextual)
     split_nodes = sum(c.depth < params.max_depth and c.n_train >= params.min_size
                       and not math.isnan(c.train_metric) for c in contexts)
     assert split_nodes > 1
@@ -228,13 +228,13 @@ def test_split_parts_scored_by_absolute_value():
     s1, o1, x1 = part(+1)
     s2, o2, x2 = part(-1)
     d = build({"s": s1 + s2, "o": o1 + o2, "x": x1 + x2})
-    contexts = find_contexts(d, "s", "o", TreeParams(min_size=10, max_depth=1), DIFF)
+    contexts = find_contexts(d, TreeParams(min_size=10, max_depth=1), DIFF)
     assert [c.train_metric for c in contexts[1:]] == pytest.approx([0.3, 0.3], abs=1e-12)
 
 
 def test_find_contexts_depth_zero_returns_root_only():
     d = planted_dataset(2000, seed=5)
-    contexts = find_contexts(d, "s", "o", TreeParams(min_size=100, max_depth=0), DIFF)
+    contexts = find_contexts(d, TreeParams(min_size=100, max_depth=0), DIFF)
     assert len(contexts) == 1
     assert contexts[0].predicates == ()
 
@@ -250,8 +250,7 @@ def test_find_contexts_recovers_planted_context():
     hits = 0
     for seed in range(10):
         d = generate(PopulationSpec.default(50_000), (plant,), seed=seed, min_size=50)
-        contexts = find_contexts(d, "income", "output",
-                                 TreeParams(min_size=50, max_depth=3), metric)
+        contexts = find_contexts(d, TreeParams(min_size=50, max_depth=3), metric)
         hits += any(set(plant.predicates) <= set(c.predicates) for c in contexts)
     assert hits >= 9
 
@@ -259,7 +258,7 @@ def test_find_contexts_recovers_planted_context():
 def test_find_contexts_structural_invariants():
     d = planted_dataset(5000, seed=7)
     params = TreeParams(min_size=100, max_depth=4)
-    contexts = find_contexts(d, "s", "o", params, DIFF)
+    contexts = find_contexts(d, params, DIFF)
     by_preds = {frozenset(c.predicates): c for c in contexts}
     assert contexts[0].predicates == ()
     for c in contexts:
@@ -273,8 +272,8 @@ def test_find_contexts_structural_invariants():
 def test_find_contexts_deterministic():
     d = planted_dataset(4000, seed=9)
     params = TreeParams(min_size=100, max_depth=3)
-    a = find_contexts(d, "s", "o", params, DIFF)
-    b = find_contexts(d, "s", "o", params, DIFF)
+    a = find_contexts(d, params, DIFF)
+    b = find_contexts(d, params, DIFF)
     assert [c.predicates for c in a] == [c.predicates for c in b]
     assert [c.train_metric for c in a] == [c.train_metric for c in b]
 
@@ -282,7 +281,7 @@ def test_find_contexts_deterministic():
 def test_find_contexts_counts_metric_evaluations():
     d = planted_dataset(3000, seed=11)
     stats = TreeStats()
-    find_contexts(d, "s", "o", TreeParams(min_size=100, max_depth=3), DIFF, stats=stats)
+    find_contexts(d, TreeParams(min_size=100, max_depth=3), DIFF, stats=stats)
     assert stats.n_metric_evals > 0
     assert stats.n_nodes > 0
 
@@ -290,7 +289,7 @@ def test_find_contexts_counts_metric_evaluations():
 def test_find_contexts_root_metric_undefined():
     d = build({"s": ["a"] * 50 + ["b"] * 50, "o": ["1"] * 100, "x": [0, 1] * 50})
     with pytest.raises(MetricError):
-        find_contexts(d, "s", "o", TreeParams(min_size=10, max_depth=2), DIFF)
+        find_contexts(d, TreeParams(min_size=10, max_depth=2), DIFF)
 
 
 def test_null_data_grows_but_respects_invariants():
@@ -298,7 +297,7 @@ def test_null_data_grows_but_respects_invariants():
     # registered set must stay structurally valid (validation prunes later).
     d = planted_dataset(8000, seed=13, delta=0.0)
     params = TreeParams(min_size=100, max_depth=5)
-    contexts = find_contexts(d, "s", "o", params, DIFF)
+    contexts = find_contexts(d, params, DIFF)
     assert all(c.n_train >= params.min_size for c in contexts)
     assert all(c.depth <= params.max_depth for c in contexts)
 
@@ -323,9 +322,9 @@ def test_tree_against_exhaustive_oracle_small_scale():
     params = TreeParams(min_size=100, max_depth=2)
     for seed in range(5):
         d = skewed_planted_dataset(4000, 300 + seed)
-        contexts = find_contexts(d, "s", "o", params, DIFF)
+        contexts = find_contexts(d, params, DIFF)
         tree_best = max(c.train_metric for c in contexts)
-        oracle = exhaustive_contexts(d, "s", "o", params, DIFF)
+        oracle = exhaustive_contexts(d, params, DIFF)
         oracle_best = max(v for _, _, v in oracle if not np.isnan(v))
         assert tree_best >= 0.9 * oracle_best
 
@@ -333,7 +332,7 @@ def test_tree_against_exhaustive_oracle_small_scale():
 def test_exhaustive_contexts_respects_support_and_depth():
     d = planted_dataset(2000, seed=15, attrs=4)
     params = TreeParams(min_size=300, max_depth=2)
-    rows = exhaustive_contexts(d, "s", "o", params, DIFF)
+    rows = exhaustive_contexts(d, params, DIFF)
     assert all(support >= 300 for _, support, _ in rows)
     assert all(len(preds) <= 2 for preds, _, _ in rows)
     assert rows[0][0] == ()
@@ -362,8 +361,7 @@ def test_registered_metrics_match_per_view_guidance():
     # a CORR root is scored by the same grouped moments as its children
     for name, protected, output in (("diff", "s", "o"), ("nmi", "s", "o"), ("corr", "u", "v")):
         metric = BoundMetric(MetricKind(name), protected, output).resolve(d)
-        contexts = find_contexts(d, protected, output, TreeParams(min_size=100, max_depth=3),
-                                 metric)
+        contexts = find_contexts(d, TreeParams(min_size=100, max_depth=3), metric)
         assert {p.attribute for c in contexts for p in c.predicates} == {"x", "age"}
         for c in contexts:
             assert c.train_metric == metric.guidance(d.select(c.predicates))
