@@ -35,10 +35,13 @@ from .investigations import (
     DISCOVERY,
     ERROR_PROFILING,
     TESTING,
+    DiscoverySpec,
+    ErrorProfilingSpec,
     Finding,
     InvestigationRun,
     InvestigationSpec,
     ReportModel,
+    TestingSpec,
     ValidationResult,
     compute_error,
     debug_with_explanatory,

@@ -29,10 +29,11 @@ from .dataset import (
     schema_from_json,
 )
 from .investigations import (
-    DISCOVERY,
-    ERROR_PROFILING,
-    TESTING,
+    ERROR_KINDS,
+    DiscoverySpec,
+    ErrorProfilingSpec,
     InvestigationSpec,
+    TestingSpec,
     TrainedInvestigation,
     TrainUnit,
     debug_with_explanatory,
@@ -53,13 +54,8 @@ BUDGET_ERROR = 3
 STATE_VERSION = 1
 
 
-def _default_seed() -> int:
-    env = os.environ.get("UATEST_SEED")
-    return int(env) if env else 0
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=int, default=int(os.environ.get("UATEST_SEED") or 0),
                    help="master seed (falls back to UATEST_SEED, then 0)")
     p.add_argument("--min-size", type=int, default=100, help="minimum context size")
     p.add_argument("--max-depth", type=int, default=5, help="maximum context depth")
@@ -106,18 +102,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("testing", help="test a suspected association",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     _add_investigation(p)
+    p.set_defaults(run=lambda args: _run_investigation_cmd(args, TestingSpec))
 
     p = sub.add_parser("discovery", help="rank a label space and test the strongest labels",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     _add_investigation(p)
-    p.add_argument("--top-k", type=int, default=35, help="labels to test per protected attribute")
+    p.add_argument("--top-k", type=int, default=DiscoverySpec.top_k,
+                   help="labels to test per protected attribute")
+    p.set_defaults(run=lambda args: _run_investigation_cmd(args, DiscoverySpec, top_k=args.top_k))
 
     p = sub.add_parser("error-profile", help="test per-user prediction error for associations",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     _add_investigation(p)
     p.add_argument("--ground-truth", required=True, help="ground-truth column for the output")
-    p.add_argument("--error", choices=("absolute", "zero_one"), default="absolute",
+    p.add_argument("--error", choices=ERROR_KINDS, default=ErrorProfilingSpec.error_kind,
                    help="error function")
+    p.set_defaults(run=lambda args: _run_investigation_cmd(
+        args, ErrorProfilingSpec, ground_truth=args.ground_truth, error_kind=args.error))
 
     p = sub.add_parser("debug", help="re-validate a saved run's contexts with an explanatory attribute",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
@@ -128,6 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
     _add_verbose(p)
+    p.set_defaults(run=_debug_cmd)
 
     p = sub.add_parser("bench", help="planted-disparity detection benchmark",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
@@ -139,13 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the generated population as CSV")
     p.add_argument("--conf", type=float, default=0.95, help="confidence level")
     _add_common(p)
+    p.set_defaults(run=_bench_cmd)
 
     p = sub.add_parser("tree-vs-itemsets", help="guided tree vs unguided itemset enumeration",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--n", type=int, default=10_000, help="population size")
     p.add_argument("--attrs", type=int, default=15, help="number of contextual attributes")
     _add_common(p)
-    p.set_defaults(min_size=500)
+    p.set_defaults(min_size=500, run=_tree_vs_itemsets_cmd)
 
     return parser
 
@@ -200,16 +203,15 @@ def _load_dataset(args):
     return load_csv(args.data, schema)
 
 
-def _roles_from(args, data) -> tuple[tuple[str, ...], tuple[str, ...] | str, tuple[str, ...], str | None]:
-    def listed(flag):
-        return tuple(s.strip() for s in flag.split(",") if s.strip()) if flag else ()
+def _roles_from(args, data) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], str | None]:
+    def named(flag, role):
+        """The names listed in ``flag``, or else the schema's attributes of ``role``."""
+        listed = tuple(s.strip() for s in flag.split(",") if s.strip()) if flag else ()
+        return listed or tuple(a.name for a in data.schema if a.role == role)
 
-    protected = listed(args.protected) or tuple(
-        a.name for a in data.schema if a.role == "protected")
-    outputs = listed(args.output) or tuple(
-        a.name for a in data.schema if a.role == "output")
-    context = listed(args.context) or tuple(
-        a.name for a in data.schema if a.role == "contextual")
+    protected = named(args.protected, "protected")
+    outputs = named(args.output, "output")
+    context = named(args.context, "contextual")
     explanatory = args.explanatory or next(
         (a.name for a in data.schema if a.role == "explanatory"), None)
     if not protected:
@@ -248,24 +250,38 @@ def _bound_from_obj(obj: dict) -> BoundMetric:
                        obj.get("group_a"), obj.get("group_b"))
 
 
+_SOURCE_SETTINGS = ("budget", "train_fraction", "seed", "min_size")  # DataSource's arguments
+_SPEC_TYPES = {t.kind: t for t in (TestingSpec, DiscoverySpec, ErrorProfilingSpec)}
+# older state files store every kind's settings, at these values for the kinds that ignore them
+_OLDER_SETTINGS = {"top_k": DiscoverySpec.top_k, "ground_truth": None,
+                   "error_kind": ErrorProfilingSpec.error_kind}
+
+
+def _spec_from_obj(obj: dict) -> InvestigationSpec:
+    """The spec of the kind ``obj["kind"]`` names; a setting that kind does
+    not take is a DataError naming it."""
+    spec_type = _SPEC_TYPES.get(obj["kind"])
+    if spec_type is None:
+        raise DataError(f"unknown investigation kind {obj['kind']!r}")
+    settings = {f.name: obj[f.name] for f in dataclasses.fields(spec_type) if f.name in obj}
+    for name, value in obj.items():
+        if name not in settings and name != "kind" and (name, value) not in _OLDER_SETTINGS.items():
+            raise DataError(f"a spec of kind {obj['kind']!r} takes no setting {name!r}")
+    return spec_type(**{**settings, "tree": TreeParams(**obj["tree"]),
+                        "stats": StatConfig(**obj["stats"])})
+
+
 def _save_state(path: str, args, spec: InvestigationSpec, source: DataSource,
                 trained: TrainedInvestigation, reports) -> None:
     state = {
         "version": STATE_VERSION,
         "data_sha256": _file_sha256(args.data),
-        "datasource": {
-            "budget": source.budget,
-            "train_fraction": source.train_fraction,
-            "seed": source.seed,
-            "min_size": source.min_size,
-            "consumed": source.consumed,
-        },
-        "spec": dataclasses.asdict(spec),
+        "datasource": {name: getattr(source, name) for name in (*_SOURCE_SETTINGS, "consumed")},
+        "spec": {"kind": spec.kind, **dataclasses.asdict(spec)},
         "train_size": trained.train_size,
         "dropped_train": trained.dropped_train,
         "units": [
             {
-                "label": u.label,
                 "bound": _bound_to_obj(u.bound),
                 "contexts": [
                     {"predicates": [_predicate_to_obj(p) for p in c.predicates],
@@ -295,12 +311,10 @@ def _restore_state(state, data_path: str,
     if state["data_sha256"] != _file_sha256(data_path):
         raise DataError(f"it was saved for another data file than {data_path}")
     ds = state["datasource"]
-    source = DataSource(data, ds["budget"], ds["train_fraction"], ds["seed"], ds["min_size"])
+    source = DataSource(data, **{name: ds[name] for name in _SOURCE_SETTINGS})
     for _ in range(ds["consumed"]):
         source.next_test_set()
-    spec_obj = state["spec"]
-    spec = InvestigationSpec(**{**spec_obj, "tree": TreeParams(**spec_obj["tree"]),
-                                "stats": StatConfig(**spec_obj["stats"])})
+    spec = _spec_from_obj(state["spec"])
     units = []
     for uo in state["units"]:
         contexts = []
@@ -309,8 +323,7 @@ def _restore_state(state, data_path: str,
             metric_value = co["train_metric"]
             contexts.append(ContextNode(preds, co["n_train"],
                                         float("nan") if metric_value is None else metric_value))
-        units.append(TrainUnit(uo.get("label"), _bound_from_obj(uo["bound"]), contexts,
-                               TreeStats()))
+        units.append(TrainUnit(_bound_from_obj(uo["bound"]), contexts, TreeStats()))
     trained = TrainedInvestigation(spec, units, state["train_size"], state["dropped_train"])
     return state, source, trained
 
@@ -318,31 +331,21 @@ def _restore_state(state, data_path: str,
 # -- subcommand implementations ------------------------------------------------
 
 
-def _run_investigation_cmd(args, kind: str) -> int:
+def _run_investigation_cmd(args, spec_type: type[InvestigationSpec], **settings) -> int:
     data = _load_dataset(args)
     protected, outputs, context, explanatory = _roles_from(args, data)
-    seed = args.seed if args.seed is not None else _default_seed()
-    if kind == DISCOVERY:
-        output = outputs
-    else:
-        if len(outputs) != 1:
-            raise DataError(f"{kind} takes exactly one output attribute, got {list(outputs)}")
-        output = outputs[0]
-    spec = InvestigationSpec(
-        kind=kind,
+    spec = spec_type(
         protected=protected,
-        output=output,
+        output=outputs,
         contextual=context,
         explanatory=explanatory,
         metric=args.metric,
-        top_k=getattr(args, "top_k", 35),
-        ground_truth=getattr(args, "ground_truth", None),
-        error_kind=getattr(args, "error", "absolute"),
         tree=TreeParams(min_size=args.min_size, max_depth=args.max_depth),
-        stats=StatConfig(conf=args.conf, seed=seed),
+        stats=StatConfig(conf=args.conf, seed=args.seed),
+        **settings,
     )
     source = DataSource(data, budget=args.budget, train_fraction=args.train_fraction,
-                        seed=seed, min_size=args.min_size)
+                        seed=args.seed, min_size=args.min_size)
     trained = train(spec, source.train)
     validated = validate(trained, source.next_test_set())
     reports = filter_and_rank(validated)
@@ -367,10 +370,9 @@ def _debug_cmd(args) -> int:
 
 
 def _bench_cmd(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     result = run_detection_benchmark(
         n=args.n, n_plants=args.plants, delta=args.delta, plant_size=args.size,
-        seed=seed, conf=args.conf, min_size=args.min_size, max_depth=args.max_depth,
+        seed=args.seed, conf=args.conf, min_size=args.min_size, max_depth=args.max_depth,
     )
     lines = ["delta,size,recall,false_discoveries,seed",
              f"{result.delta},{result.plant_size},{result.recall},"
@@ -382,8 +384,7 @@ def _bench_cmd(args) -> int:
 
 
 def _tree_vs_itemsets_cmd(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    rows = tree_vs_itemsets(n=args.n, n_attrs=args.attrs, seed=seed,
+    rows = tree_vs_itemsets(n=args.n, n_attrs=args.attrs, seed=args.seed,
                             min_size=args.min_size, max_depth=args.max_depth)
     lines = ["strategy,candidates_considered,top3_mean_association"]
     lines += [f"{r.strategy},{r.candidates_considered},{r.top3_mean_association}" for r in rows]
@@ -392,37 +393,20 @@ def _tree_vs_itemsets_cmd(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage problems
         return 0 if exc.code == 0 else USAGE_ERROR
     with _log_to_stderr(args.verbose):
         try:
-            if args.command == "testing":
-                return _run_investigation_cmd(args, TESTING)
-            if args.command == "discovery":
-                return _run_investigation_cmd(args, DISCOVERY)
-            if args.command == "error-profile":
-                return _run_investigation_cmd(args, ERROR_PROFILING)
-            if args.command == "debug":
-                return _debug_cmd(args)
-            if args.command == "bench":
-                return _bench_cmd(args)
-            if args.command == "tree-vs-itemsets":
-                return _tree_vs_itemsets_cmd(args)
-            parser.error(f"unknown command {args.command!r}")
+            return args.run(args)
         except BudgetError as exc:
             sys.stderr.write(f"uatest: {exc}\n")
             return BUDGET_ERROR
-        except FileNotFoundError as exc:
+        except (FileNotFoundError, DataError, MetricError, StatsError) as exc:
             sys.stderr.write(f"uatest: {exc}\n")
             return DATA_ERROR
-        except (DataError, MetricError, StatsError) as exc:
-            sys.stderr.write(f"uatest: {exc}\n")
-            return DATA_ERROR
-    return 0
 
 
 if __name__ == "__main__":

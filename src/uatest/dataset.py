@@ -276,10 +276,6 @@ class Dataset:
             return self
         return self._subset(np.flatnonzero(mask))
 
-    def with_column(self, attr: AttributeSchema, values: Sequence) -> "Dataset":
-        """New view with an extra column of raw cells aligned to this view's rows."""
-        return self.with_encoded(*_encode_column(attr.name, *_factorize(values), attr))
-
     def with_encoded(self, attr: AttributeSchema, column: np.ndarray) -> "Dataset":
         """New view with an extra column already in storage form, aligned to
         this view's rows: float64 (NaN missing) for a continuous ``attr``,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -47,37 +48,31 @@ logger = logging.getLogger(__name__)
 TESTING = "testing"
 DISCOVERY = "discovery"
 ERROR_PROFILING = "error_profiling"
-KINDS = (TESTING, DISCOVERY, ERROR_PROFILING)
 
 ABSOLUTE = "absolute"
 ZERO_ONE = "zero_one"
+ERROR_KINDS = (ABSOLUTE, ZERO_ONE)
 
 _VALIDATE_STREAM = 1
 
 
 @dataclass(frozen=True)
 class InvestigationSpec:
-    """What to investigate: attribute roles, metric, and search/stat knobs."""
+    """What to investigate: attribute roles, metric, and search/stat knobs.
+    Each kind has a subclass, which adds the settings only that kind reads."""
 
-    kind: str
+    kind: ClassVar[str]
     protected: tuple[str, ...]
     output: str | tuple[str, ...]
     contextual: tuple[str, ...] = ()
     explanatory: str | None = None
     metric: str | None = None
-    top_k: int = 35
-    ground_truth: str | None = None
-    error_kind: str = ABSOLUTE
     tree: TreeParams = field(default_factory=TreeParams)
     stats: StatConfig = field(default_factory=StatConfig)
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise DataError(f"unknown investigation kind {self.kind!r}")
-        if isinstance(self.protected, str):
-            object.__setattr__(self, "protected", (self.protected,))
-        else:
-            object.__setattr__(self, "protected", tuple(self.protected))
+        protected = (self.protected,) if isinstance(self.protected, str) else self.protected
+        object.__setattr__(self, "protected", tuple(protected))
         if not self.protected:
             raise DataError("an investigation needs at least one protected attribute")
         if isinstance(self.output, (list, tuple)):
@@ -86,36 +81,25 @@ class InvestigationSpec:
         if self.kind == DISCOVERY:
             if not isinstance(self.output, tuple) or len(self.output) < 1:
                 raise DataError("discovery requires a tuple of label indicator columns as output")
-            if self.top_k < 1:
-                raise DataError("top_k must be at least 1")
-            if self.metric not in (None, DIFF):
-                raise DataError(f"discovery tests DIFF only, but the metric is set to "
-                                f"{self.metric!r}")
+        elif isinstance(self.output, tuple) and len(self.output) == 1:
+            object.__setattr__(self, "output", self.output[0])  # one output, given as a sequence
         elif not isinstance(self.output, str):
-            raise DataError(f"{self.kind} requires a single output attribute")
-        if self.kind == ERROR_PROFILING:
-            if self.ground_truth is None:
-                raise DataError("error profiling requires a ground-truth column")
-            if self.error_kind not in (ABSOLUTE, ZERO_ONE):
-                raise DataError(f"unknown error kind {self.error_kind!r}")
-        elif self.ground_truth is not None:
-            raise DataError(f"only error profiling takes a ground truth, but {self.kind} has "
-                            f"ground_truth set to {self.ground_truth!r}")
+            raise DataError(f"{self.kind} takes exactly one output attribute, got {self.output!r}")
         self._check_roles()
 
-    def _check_roles(self) -> None:
-        """Each attribute plays at most one of the roles protected, output
-        (label, for discovery), explanatory and ground truth, and is named at
-        most once as protected or as a label; contextual attributes are
-        unrestricted."""
+    def _roles(self) -> list[tuple[str, str]]:
+        """(attribute, role) of every attribute named for a role other than
+        contextual: protected, output (label, for discovery), explanatory."""
         outputs = self.output if isinstance(self.output, tuple) else (self.output,)
         roles = ([(p, "protected") for p in self.protected]
-                 + [(o, "label" if self.kind == DISCOVERY else "output") for o in outputs]
-                 + [(self.explanatory, "explanatory"), (self.ground_truth, "ground truth")])
+                 + [(o, "label" if self.kind == DISCOVERY else "output") for o in outputs])
+        return (roles + [(self.explanatory, "explanatory")]) if self.explanatory else roles
+
+    def _check_roles(self) -> None:
+        """Each attribute plays at most one role, and is named at most once as
+        protected or as a label; contextual attributes are unrestricted."""
         seen: dict[str, str] = {}
-        for name, role in roles:
-            if name is None:
-                continue
+        for name, role in self._roles():
             if name in seen:
                 both = (f"twice as {role}" if seen[name] == role
                         else f"as both {seen[name]} and {role}")
@@ -123,16 +107,49 @@ class InvestigationSpec:
             seen[name] = role
 
     def used_attributes(self) -> tuple[str, ...]:
-        names = list(self.protected) + list(self.contextual)
-        if self.explanatory:
-            names.append(self.explanatory)
-        names += list(self.output) if isinstance(self.output, tuple) else [self.output]
-        if self.ground_truth:
-            names.append(self.ground_truth)
-        seen: dict[str, None] = {}
-        for n in names:
-            seen.setdefault(n)
-        return tuple(seen)
+        return tuple(dict.fromkeys([*self.protected, *self.contextual,
+                                    *(name for name, _ in self._roles())]))
+
+
+@dataclass(frozen=True)
+class TestingSpec(InvestigationSpec):
+    """Test a suspected association of the protected attributes with one output."""
+
+    kind: ClassVar[str] = TESTING
+    __test__ = False  # not a pytest class, despite the name
+
+
+@dataclass(frozen=True)
+class DiscoverySpec(InvestigationSpec):
+    """Test the ``top_k`` labels of ``output`` that score highest per protected attribute."""
+
+    kind: ClassVar[str] = DISCOVERY
+    top_k: int = 35
+
+    def __post_init__(self) -> None:
+        if self.top_k < 1:
+            raise DataError("top_k must be at least 1")
+        if self.metric not in (None, DIFF):
+            raise DataError(f"discovery tests DIFF only, but the metric is set to "
+                            f"{self.metric!r}")
+        super().__post_init__()
+
+
+@dataclass(frozen=True, kw_only=True)
+class ErrorProfilingSpec(InvestigationSpec):
+    """Test the per-row ``error_kind`` error of the predictions ``output`` on ``ground_truth``."""
+
+    kind: ClassVar[str] = ERROR_PROFILING
+    ground_truth: str
+    error_kind: str = ABSOLUTE
+
+    def __post_init__(self) -> None:
+        if self.error_kind not in ERROR_KINDS:
+            raise DataError(f"unknown error kind {self.error_kind!r}")
+        super().__post_init__()
+
+    def _roles(self) -> list[tuple[str, str]]:
+        return super()._roles() + [(self.ground_truth, "ground truth")]
 
 
 def compute_error(predictions: np.ndarray, truth: np.ndarray, kind: str) -> np.ndarray:
@@ -154,19 +171,23 @@ def compute_error(predictions: np.ndarray, truth: np.ndarray, kind: str) -> np.n
     raise DataError(f"unknown error kind {kind!r}")
 
 
-def _attach_error(view: Dataset, spec: InvestigationSpec) -> Dataset:
+def _attach_error(view: Dataset, spec: ErrorProfilingSpec) -> Dataset:
     pred_attr = view.attribute(spec.output)
     truth_attr = view.attribute(spec.ground_truth)
     name = _output_display(spec)
-    if spec.error_kind == ABSOLUTE:
-        if not (pred_attr.is_scalar and truth_attr.is_scalar):
-            raise DataError("absolute error requires scalar prediction and truth columns")
+    absolute = spec.error_kind == ABSOLUTE
+    unfit = [f"{role} {a.name!r} is {a.kind}"
+             for role, a in (("prediction", pred_attr), ("truth", truth_attr))
+             if (not a.is_scalar if absolute else a.kind != CATEGORICAL)]
+    if unfit:
+        need = "scalar (continuous or ordinal)" if absolute else "categorical"
+        raise DataError(f"{spec.error_kind} error requires {need} prediction and truth "
+                        f"columns, but {' and '.join(unfit)}")
+    if absolute:
         values = compute_error(view.scalar_values(spec.output),
                                view.scalar_values(spec.ground_truth), ABSOLUTE)
         attr = AttributeSchema(name, CONTINUOUS, "output")
     else:
-        if pred_attr.kind != CATEGORICAL or truth_attr.kind != CATEGORICAL:
-            raise DataError("zero_one error requires categorical prediction and truth columns")
         # truth codes recoded into the prediction's categories; an unshared category never matches
         index = {c: i for i, c in enumerate(pred_attr.categories or ())}
         recode = np.array([index.get(c, len(index)) for c in truth_attr.categories or ()] + [-1])
@@ -206,7 +227,6 @@ class TrainUnit:
     """One protected attribute (and, for discovery, one label) with its
     metric, which names both attributes, and trained candidate contexts."""
 
-    label: str | None
     bound: BoundMetric
     contexts: list[ContextNode]
     tree_stats: TreeStats
@@ -275,7 +295,7 @@ def train(spec: InvestigationSpec, train_view: Dataset) -> TrainedInvestigation:
                 stats = TreeStats()
                 contexts = find_contexts(cleaned, spec.tree, guide, contextual=contextual,
                                          stats=stats)
-                units.append(TrainUnit(None, bound, contexts, stats))
+                units.append(TrainUnit(bound, contexts, stats))
     except MetricError as exc:
         if not dropped:
             raise
@@ -283,7 +303,7 @@ def train(spec: InvestigationSpec, train_view: Dataset) -> TrainedInvestigation:
     return TrainedInvestigation(spec, units, cleaned.n_rows, dropped)
 
 
-def _train_discovery_units(spec: InvestigationSpec, cleaned: Dataset, s: str,
+def _train_discovery_units(spec: DiscoverySpec, cleaned: Dataset, s: str,
                            contextual: list[str]) -> list[TrainUnit]:
     p_attr = cleaned.attribute(s)
     if p_attr.kind != CATEGORICAL or len(p_attr.categories or ()) != 2:
@@ -313,7 +333,7 @@ def _train_discovery_units(spec: InvestigationSpec, cleaned: Dataset, s: str,
         stats = TreeStats()
         contexts = find_contexts(cleaned, spec.tree, bound.unconditional(),
                                  contextual=contextual, stats=stats)
-        units.append(TrainUnit(label, bound, contexts, stats))
+        units.append(TrainUnit(bound, contexts, stats))
     return units
 
 
@@ -466,7 +486,6 @@ def validate(trained: TrainedInvestigation, test_view: Dataset) -> ValidationRes
     the master seed and ``(_VALIDATE_STREAM, i)``.
     """
     spec = trained.spec
-    cfg = spec.stats
     cleaned = _drop_missing(test_view, spec, "test")
     dropped_test = test_view.n_rows - cleaned.n_rows
     if dropped_test:
@@ -494,7 +513,7 @@ def validate(trained: TrainedInvestigation, test_view: Dataset) -> ValidationRes
                             [p.describe() for p in node.predicates], ctx.n_rows)
                 continue
             try:
-                findings.append(_test_context(unit, node, ctx, cfg, (_VALIDATE_STREAM, len(findings))))
+                findings.append(_test_context(unit, node, ctx, spec, (_VALIDATE_STREAM, len(findings))))
             except DataError as exc:  # the global population is untestable
                 if not dropped_test:
                     raise
@@ -507,7 +526,7 @@ def validate(trained: TrainedInvestigation, test_view: Dataset) -> ValidationRes
     for f in kept:
         family.append(f.tested)
         family.extend(sf.tested for sf in f.strata if sf.tested is not None)
-    apply_corrections(family, cfg.conf)
+    apply_corrections(family, spec.stats.conf)
     return ValidationResult(
         spec=spec,
         findings=kept,
@@ -520,25 +539,26 @@ def validate(trained: TrainedInvestigation, test_view: Dataset) -> ValidationRes
     )
 
 
-def _test_context(unit: TrainUnit, node: ContextNode, ctx: Dataset, cfg: StatConfig,
+def _test_context(unit: TrainUnit, node: ContextNode, ctx: Dataset, spec: InvestigationSpec,
                   entropy: tuple[int, ...]) -> Finding | None:
     bound = unit.bound
+    label = bound.output if spec.kind == DISCOVERY else None
     try:
-        tested = test_metric(ctx, bound, cfg, entropy)
+        tested = test_metric(ctx, bound, spec.stats, entropy)
     except MetricError as exc:
         if node.depth == 0:
-            what = f"label {unit.label!r}" if unit.label is not None else f"output {bound.output!r}"
+            what = f"label {label!r}" if label is not None else f"output {bound.output!r}"
             raise DataError(f"global population untestable for protected attribute "
                             f"{bound.protected!r} and {what} on the test rows: {exc}") from None
         logger.info("context %s untestable: %s", [p.describe() for p in node.predicates], exc)
         return None
     strata: tuple[StratumFinding, ...] = ()
     if bound.conditional:
-        strata = _test_strata(ctx, bound, cfg, entropy)
+        strata = _test_strata(ctx, bound, spec.stats, entropy)
     return Finding(
         protected=bound.protected,
         output=bound.output,
-        label=unit.label,
+        label=label,
         predicates=node.predicates,
         size=ctx.n_rows,
         metric=bound.kind.display,
@@ -610,12 +630,10 @@ def filter_and_rank(result: ValidationResult) -> list[ReportModel]:
     reports = []
     for s in spec.protected:
         findings = [f for f in result.findings if f.protected == s]
-        if spec.kind == DISCOVERY:
-            global_finding = None
-            candidates = findings
-        else:
-            global_finding = next((f for f in findings if f.is_global), None)
-            candidates = [f for f in findings if not f.is_global]
+        # discovery ranks each label's root population among its candidates
+        global_finding = (None if spec.kind == DISCOVERY
+                          else next((f for f in findings if f.is_global), None))
+        candidates = [f for f in findings if f is not global_finding]
 
         significant = [f for f in candidates if f.tested.significant(alpha)]
         pool = list(significant)

@@ -18,9 +18,8 @@ import numpy as np
 
 from .dataset import AttributeSchema, CATEGORICAL, ContextPredicate, DataError, Dataset, make_datasource
 from .investigations import (
-    InvestigationSpec,
     ReportModel,
-    TESTING,
+    TestingSpec,
     filter_and_rank,
     train,
     validate,
@@ -319,8 +318,7 @@ def run_detection_benchmark(n: int, n_plants: int, delta: float, plant_size: int
     data = generate(pop, plants, seed, min_size=min_size)
     source = make_datasource(data, budget=1, train_fraction=train_fraction, seed=seed,
                              min_size=min_size)
-    spec = InvestigationSpec(
-        kind=TESTING,
+    spec = TestingSpec(
         protected=(pop.protected.name,),
         output=pop.output_name,
         contextual=tuple(a.name for a in pop.attributes),

@@ -10,8 +10,7 @@ from scipy import stats as sps
 from uatest.data import berkeley_admissions
 from uatest.dataset import AttributeSchema, Dataset, make_datasource
 from uatest.investigations import (
-    InvestigationSpec,
-    TESTING,
+    TestingSpec,
     debug_with_explanatory,
     filter_and_rank,
     run_investigation,
@@ -107,8 +106,8 @@ def test_criterion_4_berkeley_simpsons_paradox():
     seed = 2  # fixed 50/50 split; see decisions ledger for the power analysis
     data = berkeley_admissions()
     source = make_datasource(data, budget=2, train_fraction=0.5, seed=seed)
-    spec = InvestigationSpec(kind=TESTING, protected=("gender",), output="admitted",
-                             contextual=("department",), stats=StatConfig(seed=seed))
+    spec = TestingSpec(protected=("gender",), output="admitted",
+                       contextual=("department",), stats=StatConfig(seed=seed))
     trained = train(spec, source.train)
     first = filter_and_rank(validate(trained, source.next_test_set()))[0]
     g1 = first.global_finding
@@ -305,9 +304,9 @@ def test_criterion_7h_pipeline_bit_determinism_across_threads():
     texts = []
     for _ in range(3):
         source = make_datasource(data, budget=1, train_fraction=0.5, seed=4)
-        spec = InvestigationSpec(kind=TESTING, protected=("income",), output="output",
-                                 contextual=("state",), stats=StatConfig(seed=4),
-                                 tree=TreeParams(min_size=100, max_depth=3))
+        spec = TestingSpec(protected=("income",), output="output",
+                           contextual=("state",), stats=StatConfig(seed=4),
+                           tree=TreeParams(min_size=100, max_depth=3))
         run = run_investigation(spec, source)
         texts.append("".join(render_text(r) for r in run.reports))
     ok = texts[0] == texts[1] == texts[2]

@@ -220,7 +220,7 @@ def scored_csv(tmp_path):
     data = berkeley_admissions()
     score = np.random.default_rng(7).uniform(0, 100, data.n_rows)
     path = tmp_path / "scored.csv"
-    save_csv(data.with_column(AttributeSchema("score", "continuous"), score), path)
+    save_csv(data.with_encoded(AttributeSchema("score", "continuous"), score), path)
     return str(path)
 
 
@@ -273,9 +273,11 @@ def test_inferred_continuous_output_points_at_schema(tmp_path, capsys):
     import numpy as np
     from uatest.dataset import AttributeSchema
     data = berkeley_admissions()
-    score = np.random.default_rng(3).integers(0, 41, data.n_rows).astype(str)
+    score = np.random.default_rng(3).integers(0, 41, data.n_rows)
     path = tmp_path / "scores.csv"
-    save_csv(data.with_column(AttributeSchema("score", "categorical"), list(score)), path)
+    save_csv(data.with_encoded(AttributeSchema("score", "categorical",
+                                               categories=tuple(map(str, range(41)))), score),
+             path)
     argv = ["testing", "--data", str(path), "--protected", "gender", "--output", "score",
             "--context", "department", "--seed", "1"]
     assert main(argv) == 2
@@ -842,12 +844,24 @@ def test_discovery_rejects_a_metric_other_than_diff(roles_csv, tmp_path, capsys,
     assert not out.exists()
 
 
+def _flat_spec_layout(state: dict) -> dict:
+    """``state`` in the flat-spec layout: the spec stores every kind's
+    settings, at their defaults where its kind ignores them, and each unit
+    stores its label, the output it tests for discovery and None otherwise."""
+    spec = state["spec"]
+    units = [{"label": u["bound"]["output"] if spec["kind"] == "discovery" else None, **u}
+             for u in state["units"]]
+    return {**state, "units": units,
+            "spec": {"top_k": 35, "ground_truth": None, "error_kind": "absolute", **spec}}
+
+
 def _older_state_layout(state: dict, output_display: str) -> dict:
-    """``state`` in the older layout: each unit also names its protected
-    attribute and output, the report's output name is stored beside the
-    training counts, and the spec has no explanatory attribute."""
+    """``state`` in the older layout: the flat-spec layout, where each unit
+    also names its protected attribute and output, the report's output name
+    is stored beside the training counts, and the spec has no explanatory
+    attribute."""
     older = {}
-    for key, value in state.items():
+    for key, value in _flat_spec_layout(state).items():
         if key == "spec":
             value = {k: v for k, v in value.items() if k != "explanatory"}
         elif key == "units":
@@ -859,31 +873,89 @@ def _older_state_layout(state: dict, output_display: str) -> dict:
     return older
 
 
-@pytest.mark.parametrize("argv, output_display", [
-    (["testing", "--protected", "s", "--output", "o"], "o"),
-    (["discovery", "--protected", "s", "--output", "l1,l2"], "Labels"),
+ROLE_RUNS = [
+    (["testing", "--protected", "s", "--output", "o"], "o", set()),
+    (["discovery", "--protected", "s", "--output", "l1,l2"], "Labels", {"top_k"}),
     (["error-profile", "--protected", "s", "--output", "o", "--ground-truth", "g",
-      "--error", "zero_one"], "0/1 Error(o)"),
-], ids=["testing", "discovery", "error-profile"])
+      "--error", "zero_one"], "0/1 Error(o)", {"ground_truth", "error_kind"}),
+]
+
+
+@pytest.mark.parametrize("argv, output_display, own", ROLE_RUNS,
+                         ids=["testing", "discovery", "error-profile"])
 def test_older_state_layout_debugs_to_the_same_report(roles_csv, tmp_path, argv,
-                                                      output_display):
+                                                      output_display, own):
     saved = tmp_path / "saved.json"
     assert main([*argv, "--data", roles_csv, "--context", "c", "--min-size", "50",
                  "--budget", "2", "--seed", "1", "--state", str(saved),
                  "--out", str(tmp_path / "r.txt")]) == 0
     state = json.loads(saved.read_text())
     assert state["spec"]["explanatory"] is None
-    assert not {"protected", "output"} & set(state["units"][0])
-    older = tmp_path / "older.json"
+    assert {"top_k", "ground_truth", "error_kind"} & set(state["spec"]) == own
+    assert not {"protected", "output", "label"} & set(state["units"][0])
+    flat, older = tmp_path / "flat.json", tmp_path / "older.json"
+    flat.write_text(json.dumps(_flat_spec_layout(state), indent=2))
     older.write_text(json.dumps(_older_state_layout(state, output_display), indent=2))
     reports = []
-    for path in (saved, older):
+    for path in (saved, flat, older):
         out = tmp_path / f"debug-{path.stem}.json"
         assert main(["debug", "--data", roles_csv, "--state", str(path), "--explanatory", "c",
                      "--format", "json", "--out", str(out)]) == 0
         reports.append(out.read_bytes())
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
     assert json.loads(reports[0])["reports"][0]["output"] == output_display
+
+
+@pytest.mark.parametrize("run, setting, value, message", [
+    (0, "top_k", 0, "a spec of kind 'testing' takes no setting 'top_k'"),
+    (0, "error_kind", "bogus", "a spec of kind 'testing' takes no setting 'error_kind'"),
+    (1, "ground_truth", "g", "a spec of kind 'discovery' takes no setting 'ground_truth'"),
+    (1, "error_kind", "zero_one", "a spec of kind 'discovery' takes no setting 'error_kind'"),
+    (2, "top_k", 5, "a spec of kind 'error_profiling' takes no setting 'top_k'"),
+    (0, "kind", "nope", "unknown investigation kind 'nope'"),
+], ids=["testing top_k", "testing error_kind", "discovery ground_truth",
+        "discovery error_kind", "error_profiling top_k", "unknown kind"])
+def test_state_spec_setting_its_kind_does_not_take_exits_2(roles_csv, tmp_path, capsys, run,
+                                                           setting, value, message):
+    state = tmp_path / "state.json"
+    assert main([*ROLE_RUNS[run][0], "--data", roles_csv, "--context", "c", "--min-size", "50",
+                 "--budget", "2", "--seed", "1", "--state", str(state),
+                 "--out", str(tmp_path / "r.txt")]) == 0
+    edited = json.loads(state.read_text())
+    edited["spec"][setting] = value
+    state.write_text(json.dumps(edited))
+    capsys.readouterr()
+    out = tmp_path / "debug.txt"
+    assert main(["debug", "--data", roles_csv, "--state", str(state), "--explanatory", "c",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"uatest: state file {state}: {message}\n"
+    assert captured.out == "" and not out.exists()
+    assert json.loads(state.read_text()) == edited  # no test set spent
+
+
+@pytest.mark.parametrize("error, output, message", [
+    ("zero_one", "pred", "zero_one error requires categorical prediction and truth columns, "
+                         "but prediction 'pred' is continuous and truth 'truth' is continuous"),
+    ("absolute", "o", "absolute error requires scalar (continuous or ordinal) prediction and "
+                      "truth columns, but prediction 'o' is categorical"),
+], ids=["zero_one on continuous", "absolute on categorical"])
+def test_error_of_the_wrong_column_kind_exits_2_naming_the_column(tmp_path, capsys, error,
+                                                                  output, message):
+    rng = np.random.default_rng(5)
+    n = 400
+    pred, truth = rng.normal(size=(2, n))
+    rows = ["s,o,pred,truth,c"] + [f"{'ab'[i % 2]},{i % 3 % 2},{p:.6f},{t:.6f},{'xyz'[i % 3]}"
+                                   for i, (p, t) in enumerate(zip(pred, truth))]
+    path = tmp_path / "errors.csv"
+    path.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "r.txt"
+    assert main(["error-profile", "--data", str(path), "--protected", "s", "--output", output,
+                 "--ground-truth", "truth", "--error", error, "--context", "c",
+                 "--min-size", "50", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"uatest: {message}\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_bench_commands_take_no_report_options(tmp_path, capsys):

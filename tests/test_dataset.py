@@ -230,11 +230,11 @@ def test_views_share_row_identity():
 def test_with_column_alignment():
     d = random_dataset(200, seed=14)
     sel = d.select([ContextPredicate("age", "le", threshold=50.0)])
-    marked = sel.with_column(AttributeSchema("flag", "categorical", "output", ("0", "1")),
-                             ["1"] * sel.n_rows)
+    marked = sel.with_encoded(AttributeSchema("flag", "categorical", "output", ("0", "1")),
+                              np.ones(sel.n_rows, dtype=np.int32))
     assert marked.values("flag") == ["1"] * sel.n_rows
     with pytest.raises(DataError):
-        sel.with_column(AttributeSchema("age", "continuous"), [0.0] * sel.n_rows)
+        sel.with_encoded(AttributeSchema("age", "continuous"), np.zeros(sel.n_rows))
 
 
 def test_with_encoded_on_a_view_leaves_its_relatives_alone():

@@ -10,12 +10,15 @@ from uatest.dataset import (
     Dataset,
     make_datasource,
 )
+from uatest.cli import _spec_from_obj
 from uatest.investigations import (
     DISCOVERY,
-    ERROR_PROFILING,
     TESTING,
+    DiscoverySpec,
+    ErrorProfilingSpec,
     Finding,
     InvestigationSpec,
+    TestingSpec,
     ValidationResult,
     _attach_error,
     compute_error,
@@ -51,27 +54,27 @@ def binary_testing_dataset(n=4000, seed=0, effect=0.2):
 
 def test_metric_auto_selection():
     d = binary_testing_dataset(400, seed=1)
-    spec = InvestigationSpec(kind=TESTING, protected=("income",), output="price",
-                             contextual=("state",))
+    spec = TestingSpec(protected=("income",), output="price",
+                       contextual=("state",))
     assert select_metric(d, "income", "price", spec).kind.name == "diff"
 
-    d5 = berkeley_admissions().with_column(
+    d5 = berkeley_admissions().with_encoded(
         AttributeSchema("race", "categorical", "protected", ("a", "b", "c", "d", "e")),
-        ["abcde"[i % 5] for i in range(berkeley_admissions().n_rows)])
-    spec5 = InvestigationSpec(kind=TESTING, protected=("race",), output="admitted",
-                              contextual=("department",))
+        np.arange(berkeley_admissions().n_rows) % 5)
+    spec5 = TestingSpec(protected=("race",), output="admitted",
+                        contextual=("department",))
     assert select_metric(d5, "race", "admitted", spec5).kind.name == "nmi"
 
     schema = [AttributeSchema("age", "continuous", "protected"),
               AttributeSchema("err", "continuous", "output")]
     ds = Dataset(schema, {"age": np.arange(10.0), "err": np.arange(10.0)})
-    spec_c = InvestigationSpec(kind=TESTING, protected=("age",), output="err", contextual=())
+    spec_c = TestingSpec(protected=("age",), output="err", contextual=())
     assert select_metric(ds, "age", "err", spec_c).kind.name == "corr"
 
     mixed = [AttributeSchema("age", "continuous", "protected"),
              AttributeSchema("price", "categorical", "output", ("0", "1"))]
     dm = Dataset(mixed, {"age": np.arange(4.0), "price": np.array([0, 1, 0, 1], dtype=np.int32)})
-    spec_m = InvestigationSpec(kind=TESTING, protected=("age",), output="price", contextual=())
+    spec_m = TestingSpec(protected=("age",), output="price", contextual=())
     with pytest.raises(MetricError, match="no canonical metric"):
         select_metric(dm, "age", "price", spec_m)
 
@@ -99,8 +102,8 @@ def test_attached_errors_match_decoded_cell_comparison():
         [AttributeSchema("pred", "categorical", "ignored", ("b", "a")),
          AttributeSchema("truth", "categorical", "ignored", ("a", "c", "b"))],
         {"pred": pred, "truth": truth})
-    spec = InvestigationSpec(kind=ERROR_PROFILING, protected=("s",), output="pred",
-                             ground_truth="truth", error_kind="zero_one")
+    spec = ErrorProfilingSpec(protected=("s",), output="pred",
+                              ground_truth="truth", error_kind="zero_one")
     view = d.select([ContextPredicate("truth", "in", values=("a", "b", "c"))])
     got = _attach_error(view, spec)
     want = [None if not p or not t else str(int(p != t))
@@ -112,40 +115,67 @@ def test_attached_errors_match_decoded_cell_comparison():
         [AttributeSchema("pred", "continuous"),
          AttributeSchema("truth", "ordinal", "ignored", ("1", "2.5"))],
         {"pred": [3.0, None, 1.5, 0.25], "truth": ["2.5", "1", "", "1"]})
-    spec = InvestigationSpec(kind=ERROR_PROFILING, protected=("s",), output="pred",
-                             ground_truth="truth")
+    spec = ErrorProfilingSpec(protected=("s",), output="pred",
+                              ground_truth="truth")
     got = _attach_error(d, spec).scalar_values("Abs. Error(pred)")
     assert np.array_equal(got, [0.5, np.nan, np.nan, 0.75], equal_nan=True)
 
 
 def test_spec_validation():
+    # the common spec has no kind; an unknown kind in a state file is tested in test_cli
+    with pytest.raises(AttributeError, match="kind"):
+        InvestigationSpec(protected=("a",), output="o")
     with pytest.raises(DataError):
-        InvestigationSpec(kind="nope", protected=("a",), output="o")
+        TestingSpec(protected=(), output="o")
+    with pytest.raises(TypeError, match="ground_truth"):
+        ErrorProfilingSpec(protected=("a",), output="o")
+    with pytest.raises(DataError, match="unknown error kind 'bogus'"):
+        ErrorProfilingSpec(protected=("a",), output="o", ground_truth="g", error_kind="bogus")
     with pytest.raises(DataError):
-        InvestigationSpec(kind=TESTING, protected=(), output="o")
-    with pytest.raises(DataError):
-        InvestigationSpec(kind=ERROR_PROFILING, protected=("a",), output="o")
-    with pytest.raises(DataError):
-        InvestigationSpec(kind=DISCOVERY, protected=("a",), output="o")
+        DiscoverySpec(protected=("a",), output="o")
+    with pytest.raises(DataError, match="top_k must be at least 1"):
+        DiscoverySpec(protected=("a",), output=("l1",), top_k=0)
     with pytest.raises(DataError, match="'a' is named as both protected and explanatory"):
-        InvestigationSpec(kind=TESTING, protected=("a",), output="o", explanatory="a")
+        TestingSpec(protected=("a",), output="o", explanatory="a")
+
+
+@pytest.mark.parametrize("spec_type, output, own, foreign", [
+    (TestingSpec, "o", {}, ("top_k", "ground_truth", "error_kind")),
+    (DiscoverySpec, ("l1", "l2"), {"top_k": 1}, ("ground_truth", "error_kind")),
+    (ErrorProfilingSpec, "o", {"ground_truth": "g", "error_kind": "zero_one"}, ("top_k",)),
+], ids=[TESTING, DISCOVERY, "error_profiling"])
+def test_each_kind_refuses_the_settings_of_the_others(spec_type, output, own, foreign):
+    valid = {"top_k": 5, "ground_truth": "g", "error_kind": "zero_one"}
+    spec_type(protected=("s",), output=output, **own)
+    for name in foreign:
+        with pytest.raises(TypeError, match=name):
+            spec_type(protected=("s",), output=output, **own, **{name: valid[name]})
+    # a kind that ignores a setting refuses even a value its own kind would reject,
+    # as in TestingSpec(..., top_k=0, error_kind="bogus")
+    invalid = {"top_k": 0, "error_kind": "bogus"}
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        spec_type(protected=("s",), output=output, **own,
+                  **{name: invalid[name] for name in foreign if name in invalid})
 
 
 @pytest.mark.parametrize("kind, output", [(TESTING, "o"), (DISCOVERY, ("l1", "l2"))],
                          ids=[TESTING, DISCOVERY])
 def test_ground_truth_outside_error_profiling_is_a_data_error(kind, output):
-    # the column would take a role and drop the rows where it is missing
-    with pytest.raises(DataError, match=f"only error profiling takes a ground truth, but {kind} "
-                                        "has ground_truth set to 'g'"):
-        InvestigationSpec(kind=kind, protected=("s",), output=output, ground_truth="g")
+    # the column would take a role and drop the rows where it is missing: only an
+    # error-profiling spec has the setting, and a saved spec that gives it to
+    # another kind is refused
+    obj = {"kind": kind, "protected": ["s"], "output": output, "tree": {}, "stats": {}}
+    assert _spec_from_obj(obj).kind == kind
+    with pytest.raises(DataError, match=f"a spec of kind '{kind}' takes no setting 'ground_truth'"):
+        _spec_from_obj({**obj, "ground_truth": "g"})
 
 
 def test_pipeline_end_to_end_and_leakage():
     d = binary_testing_dataset(6000, seed=3)
     ds = make_datasource(d, budget=1, train_fraction=0.5, seed=3)
-    spec = InvestigationSpec(kind=TESTING, protected=("income",), output="price",
-                             contextual=("state",), stats=StatConfig(seed=3),
-                             tree=TreeParams(min_size=100, max_depth=3))
+    spec = TestingSpec(protected=("income",), output="price",
+                       contextual=("state",), stats=StatConfig(seed=3),
+                       tree=TreeParams(min_size=100, max_depth=3))
     trained = train(spec, ds.train)
     test_view = ds.next_test_set()
     validated = validate(trained, test_view)
@@ -169,9 +199,9 @@ def test_pipeline_end_to_end_and_leakage():
 def test_validate_drops_tiny_test_contexts(caplog):
     d = binary_testing_dataset(3000, seed=4)
     ds = make_datasource(d, budget=1, train_fraction=0.5, seed=4)
-    spec = InvestigationSpec(kind=TESTING, protected=("income",), output="price",
-                             contextual=("state",), stats=StatConfig(seed=4),
-                             tree=TreeParams(min_size=100, max_depth=2))
+    spec = TestingSpec(protected=("income",), output="price",
+                       contextual=("state",), stats=StatConfig(seed=4),
+                       tree=TreeParams(min_size=100, max_depth=2))
     trained = train(spec, ds.train)
     # fabricate an extra candidate that cannot exist in test data
     unit = trained.units[0]
@@ -199,8 +229,8 @@ def finding(predicates, est, lo, hi, p, size=1000, is_global=False, kind="nmi"):
 
 
 def fake_result(findings):
-    spec = InvestigationSpec(kind=TESTING, protected=("income",), output="price",
-                             contextual=("state",))
+    spec = TestingSpec(protected=("income",), output="price",
+                       contextual=("state",))
     return ValidationResult(spec=spec, findings=findings, family_size=len(findings),
                             train_size=1000, test_size=1000, dropped_train=0,
                             dropped_test=0, dropped_contexts=0)
@@ -260,14 +290,14 @@ def test_discovery_top_k_bounds():
     ds = make_datasource(d, budget=1, train_fraction=0.5, seed=6, min_size=50)
 
     for top_k, expect in ((1, 1), (6, 6), (35, 6)):
-        spec = InvestigationSpec(kind=DISCOVERY, protected=("race",), output=tuple(labels),
-                                 contextual=("grp",), top_k=top_k,
-                                 tree=TreeParams(min_size=200, max_depth=1),
-                                 stats=StatConfig(seed=6))
+        spec = DiscoverySpec(protected=("race",), output=tuple(labels),
+                             contextual=("grp",), top_k=top_k,
+                             tree=TreeParams(min_size=200, max_depth=1),
+                             stats=StatConfig(seed=6))
         trained = train(spec, ds.train)
-        assert len({u.label for u in trained.units}) == expect
+        assert len({u.bound.output for u in trained.units}) == expect
         if top_k == 6:
-            assert trained.units[0].label == "L0"  # strongest label ranks first
+            assert trained.units[0].bound.output == "L0"  # strongest label ranks first
 
 
 def test_error_profiling_zero_one():
@@ -287,10 +317,10 @@ def test_error_profiling_zero_one():
             "truth": [str(v) for v in truth]}
     d = Dataset.from_columns(schema, cols)
     ds = make_datasource(d, budget=1, train_fraction=0.5, seed=8, min_size=50)
-    spec = InvestigationSpec(kind=ERROR_PROFILING, protected=("sex",), output="pred",
-                             ground_truth="truth", error_kind="zero_one",
-                             contextual=("region",), tree=TreeParams(min_size=100, max_depth=2),
-                             stats=StatConfig(seed=8))
+    spec = ErrorProfilingSpec(protected=("sex",), output="pred",
+                              ground_truth="truth", error_kind="zero_one",
+                              contextual=("region",), tree=TreeParams(min_size=100, max_depth=2),
+                              stats=StatConfig(seed=8))
     run = run_investigation(spec, ds)
     rm = run.reports[0]
     assert rm.output == "0/1 Error(pred)"
@@ -301,8 +331,8 @@ def test_error_profiling_zero_one():
 def test_family_of_one_correction_is_identity():
     d = berkeley_admissions()
     ds = make_datasource(d, budget=1, train_fraction=0.5, seed=1)
-    spec = InvestigationSpec(kind=TESTING, protected=("gender",), output="admitted",
-                             contextual=("department",), stats=StatConfig(seed=1))
+    spec = TestingSpec(protected=("gender",), output="admitted",
+                       contextual=("department",), stats=StatConfig(seed=1))
     trained = train(spec, ds.train)
     validated = validate(trained, ds.next_test_set())
     assert validated.family_size == 1  # mean dept score never beats the global here
@@ -329,10 +359,10 @@ def test_error_profiling_debug_with_explanatory_correlation():
                          "urgent": rng.choice(2, n, p=[0.7, 0.3]).astype(np.int32),
                          "pred": pred, "truth": truth})
     ds = make_datasource(d, budget=2, train_fraction=0.4, seed=17)
-    spec = InvestigationSpec(kind=ERROR_PROFILING, protected=("age",), output="pred",
-                             ground_truth="truth", error_kind="absolute",
-                             contextual=("urgent",), tree=TreeParams(min_size=200, max_depth=2),
-                             stats=StatConfig(seed=17))
+    spec = ErrorProfilingSpec(protected=("age",), output="pred",
+                              ground_truth="truth", error_kind="absolute",
+                              contextual=("urgent",), tree=TreeParams(min_size=200, max_depth=2),
+                              stats=StatConfig(seed=17))
     run = run_investigation(spec, ds)
     dbg = debug_with_explanatory(run.trained, "confidence", ds.next_test_set())
     g = dbg.reports[0].global_finding
@@ -346,8 +376,8 @@ def test_error_profiling_debug_with_explanatory_correlation():
 def test_debug_budget_contract():
     d = binary_testing_dataset(6000, seed=9)
     ds = make_datasource(d, budget=2, train_fraction=0.5, seed=9)
-    spec = InvestigationSpec(kind=TESTING, protected=("income",), output="price",
-                             contextual=("state",), stats=StatConfig(seed=9))
+    spec = TestingSpec(protected=("income",), output="price",
+                       contextual=("state",), stats=StatConfig(seed=9))
     run = run_investigation(spec, ds)
     dbg = debug_with_explanatory(run.trained, "state", ds.next_test_set())
     assert dbg.reports[0].explanatory == "state"
@@ -358,11 +388,11 @@ def test_debug_budget_contract():
 
 def test_debug_constant_explanatory_matches_unconditional():
     d = binary_testing_dataset(6000, seed=10)
-    d = d.with_column(AttributeSchema("const", "categorical", "explanatory", ("only",)),
-                      ["only"] * d.n_rows)
+    d = d.with_encoded(AttributeSchema("const", "categorical", "explanatory", ("only",)),
+                       np.zeros(d.n_rows, dtype=np.int32))
     ds = make_datasource(d, budget=2, train_fraction=0.5, seed=10)
-    spec = InvestigationSpec(kind=TESTING, protected=("income",), output="price",
-                             contextual=("state",), stats=StatConfig(seed=10))
+    spec = TestingSpec(protected=("income",), output="price",
+                       contextual=("state",), stats=StatConfig(seed=10))
     run = run_investigation(spec, ds)
     fresh = ds.next_test_set()
     dbg = debug_with_explanatory(run.trained, "const", fresh)
@@ -380,8 +410,8 @@ def test_missing_rows_dropped_and_counted():
     cols = {"income": d.values("income"), "state": d.values("state"), "price": prices}
     d2 = Dataset.from_columns(schema, cols)
     ds = make_datasource(d2, budget=1, train_fraction=0.5, seed=11)
-    spec = InvestigationSpec(kind=TESTING, protected=("income",), output="price",
-                             contextual=("state",), stats=StatConfig(seed=11))
+    spec = TestingSpec(protected=("income",), output="price",
+                       contextual=("state",), stats=StatConfig(seed=11))
     trained = train(spec, ds.train)
     validated = validate(trained, ds.next_test_set())
     assert trained.dropped_train + validated.dropped_test == 1
@@ -392,17 +422,17 @@ def test_pipeline_bit_determinism_and_thread_invariance():
     texts = []
     for _ in range(2):
         ds = make_datasource(d, budget=1, train_fraction=0.5, seed=12)
-        spec = InvestigationSpec(kind=TESTING, protected=("income",), output="price",
-                                 contextual=("state",), stats=StatConfig(seed=12),
-                                 tree=TreeParams(min_size=100, max_depth=3))
+        spec = TestingSpec(protected=("income",), output="price",
+                           contextual=("state",), stats=StatConfig(seed=12),
+                           tree=TreeParams(min_size=100, max_depth=3))
         trained = train(spec, ds.train)
         validated = validate(trained, ds.next_test_set())
         texts.append("".join(render_text(r) for r in filter_and_rank(validated)))
     assert texts[0] == texts[1]
     ds = make_datasource(d, budget=1, train_fraction=0.5, seed=12)
-    spec = InvestigationSpec(kind=TESTING, protected=("income",), output="price",
-                             contextual=("state",), stats=StatConfig(seed=12),
-                             tree=TreeParams(min_size=100, max_depth=3))
+    spec = TestingSpec(protected=("income",), output="price",
+                       contextual=("state",), stats=StatConfig(seed=12),
+                       tree=TreeParams(min_size=100, max_depth=3))
     rerun = run_investigation(spec, ds)
     assert "".join(render_text(r) for r in rerun.reports) == texts[0]
 
@@ -426,10 +456,10 @@ def test_nmi_pipeline_with_ordinal_and_continuous_contexts():
     d = Dataset(schema, {"race": race.astype(np.int32), "education": edu.astype(np.int32),
                          "age": age, "income": income.astype(np.int32)})
     ds = make_datasource(d, budget=1, train_fraction=0.5, seed=21)
-    spec = InvestigationSpec(kind=TESTING, protected=("race",), output="income",
-                             contextual=("education", "age"),
-                             tree=TreeParams(min_size=200, max_depth=3),
-                             stats=StatConfig(seed=21))
+    spec = TestingSpec(protected=("race",), output="income",
+                       contextual=("education", "age"),
+                       tree=TreeParams(min_size=200, max_depth=3),
+                       stats=StatConfig(seed=21))
     run = run_investigation(spec, ds)
     rm = run.reports[0]
     assert rm.metric == "NMI"  # 5-category protected attribute
@@ -464,9 +494,9 @@ def nested_dataset(n, seed):
 
 def test_validate_does_not_depend_on_context_order():
     ds = make_datasource(nested_dataset(8000, seed=21), budget=1, train_fraction=0.5, seed=21)
-    spec = InvestigationSpec(kind=TESTING, protected=("income",), output="price",
-                             contextual=("state", "age"), stats=StatConfig(seed=21),
-                             tree=TreeParams(min_size=100, max_depth=3))
+    spec = TestingSpec(protected=("income",), output="price",
+                       contextual=("state", "age"), stats=StatConfig(seed=21),
+                       tree=TreeParams(min_size=100, max_depth=3))
     trained = train(spec, ds.train)
     assert max(c.depth for c in trained.units[0].contexts) >= 3
     test_view = ds.next_test_set()
@@ -486,9 +516,9 @@ def test_validate_does_not_depend_on_context_order():
 
 def test_debug_strata_on_an_ordinal_explanatory_attribute():
     ds = make_datasource(nested_dataset(8000, seed=22), budget=2, train_fraction=0.5, seed=22)
-    spec = InvestigationSpec(kind=TESTING, protected=("income",), output="price",
-                             contextual=("state",), stats=StatConfig(seed=22),
-                             tree=TreeParams(min_size=100, max_depth=1))
+    spec = TestingSpec(protected=("income",), output="price",
+                       contextual=("state",), stats=StatConfig(seed=22),
+                       tree=TreeParams(min_size=100, max_depth=1))
     run = run_investigation(spec, ds)
     fresh = ds.next_test_set()
     dbg = debug_with_explanatory(run.trained, "level", fresh)
@@ -517,9 +547,9 @@ def test_debug_strata_follow_the_conditional_metric():
                          "state": rng.integers(0, 2, n).astype(np.int32),
                          "e": e.astype(np.int32), "price": o.astype(np.int32)})
     ds = make_datasource(d, budget=2, train_fraction=0.5, seed=31)
-    spec = InvestigationSpec(kind=TESTING, protected=("income",), output="price",
-                             contextual=("state",), stats=StatConfig(seed=31),
-                             tree=TreeParams(min_size=100, max_depth=1))
+    spec = TestingSpec(protected=("income",), output="price",
+                       contextual=("state",), stats=StatConfig(seed=31),
+                       tree=TreeParams(min_size=100, max_depth=1))
     run = run_investigation(spec, ds)
     fresh = ds.next_test_set()
     dbg = debug_with_explanatory(run.trained, "e", fresh)
@@ -561,11 +591,11 @@ def test_validate_builds_each_distinct_context_once(monkeypatch):
         schema.append(AttributeSchema(f"L{j}", "categorical", "output", ("0", "1")))
         cols[f"L{j}"] = (rng.random(n) < p).astype(np.int32)
     ds = make_datasource(Dataset(schema, cols), budget=1, train_fraction=0.5, seed=23)
-    spec = InvestigationSpec(kind=DISCOVERY, protected=("race",),
-                             output=tuple(f"L{j}" for j in range(4)),
-                             contextual=("grp", "region"), top_k=4,
-                             tree=TreeParams(min_size=200, max_depth=2),
-                             stats=StatConfig(seed=23))
+    spec = DiscoverySpec(protected=("race",),
+                         output=tuple(f"L{j}" for j in range(4)),
+                         contextual=("grp", "region"), top_k=4,
+                         tree=TreeParams(min_size=200, max_depth=2),
+                         stats=StatConfig(seed=23))
     trained = train(spec, ds.train)
     assert len(trained.units) >= 3
     non_root = [c.predicates for u in trained.units for c in u.contexts if c.depth > 0]

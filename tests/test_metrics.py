@@ -236,8 +236,8 @@ def berkeley_like_dataset():
 
 def test_conditional_metric_constant_explanatory_equals_unconditional():
     d = dataset_from_table([[40, 60], [60, 40]])
-    d = d.with_column(AttributeSchema("e", "categorical", "explanatory", ("only",)),
-                      ["only"] * d.n_rows)
+    d = d.with_encoded(AttributeSchema("e", "categorical", "explanatory", ("only",)),
+                       np.zeros(d.n_rows, dtype=np.int32))
     bound = BoundMetric(MetricKind("diff", "e"), "gender", "admitted").resolve(d)
     assert bound.value(d) == pytest.approx(bound.unconditional().value(d), abs=1e-12)
 
@@ -277,8 +277,8 @@ def test_conditional_metric_berkeley_weighted_mean():
 
 def test_conditional_metric_small_strata_flagged():
     d = dataset_from_table([[40, 60], [60, 40]])
-    e = ["big"] * (d.n_rows - 4) + ["tiny"] * 4
-    d = d.with_column(AttributeSchema("e", "categorical", "explanatory", ("big", "tiny")), e)
+    e = np.repeat([0, 1], [d.n_rows - 4, 4])  # codes into ("big", "tiny")
+    d = d.with_encoded(AttributeSchema("e", "categorical", "explanatory", ("big", "tiny")), e)
     bound = BoundMetric(MetricKind("diff", "e"), "gender", "admitted").resolve(d)
     kept = bound.aggregate(*bound.group_values(d, *bound.strata(d)))[1]
     kept = {d.attribute("e").categories[k] for k in kept}
