@@ -246,24 +246,33 @@ class Dataset:
         return view
 
     def _predicate_mask(self, pred: ContextPredicate) -> np.ndarray:
-        attr = self.attribute(pred.attribute)
         if pred.op == "in":
-            if attr.kind == CONTINUOUS:
-                raise DataError(f"value-set predicate on {attr.name!r} requires a "
-                                "categorical or ordinal attribute")
-            cats = attr.categories or ()
-            lookup = {c: i for i, c in enumerate(cats)}
-            try:
-                wanted = np.array([lookup[v] for v in pred.values], dtype=np.int32)
-            except KeyError as exc:
-                raise DataError(f"unknown category {exc.args[0]!r} for attribute {attr.name!r}") from None
-            return np.isin(self.codes(attr.name), wanted)
-        if not attr.is_scalar:
-            raise DataError(f"threshold predicate on {attr.name!r} requires a scalar attribute")
-        vals = self.scalar_values(attr.name)
+            wanted = self.value_codes(pred)
+            return np.isin(self.codes(pred.attribute), wanted)
+        vals = self.compared_values(pred)
         if pred.op == "le":
             return vals <= pred.threshold  # NaN compares False, excluding missing rows
         return vals > pred.threshold
+
+    def value_codes(self, pred: ContextPredicate) -> np.ndarray:
+        """The category codes of an ``in`` predicate's values; a DataError for
+        an unknown value or a continuous attribute."""
+        attr = self.attribute(pred.attribute)
+        if attr.kind == CONTINUOUS:
+            raise DataError(f"value-set predicate on {attr.name!r} requires a "
+                            "categorical or ordinal attribute")
+        lookup = {c: i for i, c in enumerate(attr.categories or ())}
+        try:
+            return np.array([lookup[v] for v in pred.values], dtype=np.int32)
+        except KeyError as exc:
+            raise DataError(f"unknown category {exc.args[0]!r} for attribute {attr.name!r}") from None
+
+    def compared_values(self, pred: ContextPredicate) -> np.ndarray:
+        """The scalar values a ``le``/``gt`` predicate compares (NaN missing);
+        a DataError for a categorical attribute."""
+        if not self.attribute(pred.attribute).is_scalar:
+            raise DataError(f"threshold predicate on {pred.attribute!r} requires a scalar attribute")
+        return self.scalar_values(pred.attribute)
 
     def drop_missing(self, attrs: Iterable[str]) -> "Dataset":
         """View without rows that have a missing value in any of ``attrs``."""

@@ -8,16 +8,22 @@ instead of the raw output.
 
 Candidate contexts come from the guided tree on training data; every
 reported statistic is computed on held-out test rows, corrected as one
-family per investigation. Permutation p-values, bootstrap CIs and displays
-are computed on first read, so only the hypotheses a report shows or ranks,
-or whose corrected p depends on them, pay for them.
+family per investigation. Validation builds no view per context: the
+contexts of a unit fall into layers of disjoint contexts, one per tree
+depth, and a layer's key maps each test row to its context. A key is
+derived from the parent layer's key by a code lookup or a threshold
+compare, and one count per layer gives every context's tables. Permutation
+p-values, bootstrap CIs and displays are computed on first read, so only
+the hypotheses a report shows or ranks, or whose corrected p depends on
+them, pay for them.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import ClassVar
+from functools import partial
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -39,8 +45,16 @@ from .metrics import (
     MetricKind,
     joint_counts,
     logistic_label_scores,
+    stratum_weights,
 )
-from .stats import StatConfig, StatsError, TestedMetric, apply_corrections, test_metric
+from .stats import (  # noqa: F401 -- bench/tracer.py times test_metric through this module
+    StatConfig,
+    StatsError,
+    TestedMetric,
+    apply_corrections,
+    test_contexts,
+    test_metric,
+)
 from .tree import ContextNode, TreeParams, TreeStats, find_contexts
 
 logger = logging.getLogger(__name__)
@@ -213,8 +227,14 @@ def select_metric(view: Dataset, protected: str, output: str,
         else:
             # no metric pairs a categorical with a continuous column
             continuous = [repr(a.name) for a in (p, o) if a.kind == CONTINUOUS]
-            hint = (f"pin {' and '.join(continuous)} as categorical with --schema"
-                    if continuous else "pass an explicit metric")
+            if spec.kind == ERROR_PROFILING and o.kind == CONTINUOUS:
+                # the absolute error is derived, so no schema can pin it
+                hint = ("profile a scalar protected attribute (CORR), or the categorical "
+                        "error with --error zero_one")
+            elif continuous:
+                hint = f"pin {' and '.join(continuous)} as categorical with --schema"
+            else:
+                hint = "pass an explicit metric"
             raise MetricError(
                 f"no canonical metric for protected {protected!r} ({p.kind}) vs output "
                 f"{output!r} ({o.kind}); {hint}"
@@ -375,14 +395,14 @@ class DecileDisplay:
 
 class _Display:
     """The ``display`` field of a finding: the value given to the
-    constructor, or else built on first read from the finding's ``_source``
-    (its test view and bound metric) and then kept."""
+    constructor, or else built on first read by the finding's ``_source``
+    and then kept."""
 
     def __get__(self, obj, owner=None):
         if obj is None:
             return None  # the field's default
         if obj._display is None and obj._source is not None:
-            obj._display = _make_display(*obj._source)
+            obj._display = obj._source()
             obj._source = None
         return obj._display
 
@@ -400,7 +420,8 @@ class StratumFinding:
     tested: TestedMetric | None
     note: str | None = None
     display: TableDisplay | DecileDisplay | None = _Display()
-    _source: tuple[Dataset, BoundMetric] | None = field(default=None, compare=False, repr=False)
+    _source: Callable[[], TableDisplay | DecileDisplay] | None = field(
+        default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -418,7 +439,8 @@ class Finding:
     strata: tuple[StratumFinding, ...] = ()
     is_global: bool = False
     rank: int | None = None
-    _source: tuple[Dataset, BoundMetric] | None = field(default=None, compare=False, repr=False)
+    _source: Callable[[], TableDisplay | DecileDisplay] | None = field(
+        default=None, compare=False, repr=False)
 
     def strength(self) -> float:
         """Ranking key: the corrected-CI bound nearest zero, signed metrics
@@ -445,7 +467,13 @@ class ValidationResult:
     dropped_contexts: int
 
 
-def _make_display(view: Dataset, bound: BoundMetric) -> TableDisplay | DecileDisplay | None:
+def _make_display(view: Dataset, predicates: tuple[ContextPredicate, ...], bound: BoundMetric,
+                  stratum: int | None = None) -> TableDisplay | DecileDisplay:
+    """The display of the rows of ``view`` in the context ``predicates``,
+    or in its explanatory stratum of code ``stratum``."""
+    view = view.select(predicates)
+    if stratum is not None:
+        view = view._subset(np.flatnonzero(view.codes(bound.kind.explanatory) == stratum))
     if bound.kind.name == CORR:
         return _decile_summary(view, bound)
     counts = joint_counts(view, (bound.output, bound.protected))
@@ -477,13 +505,119 @@ def _decile_summary(view: Dataset, bound: BoundMetric) -> DecileDisplay:
     return DecileDisplay(bound.protected, bound.output, tuple(rows))
 
 
-def validate(trained: TrainedInvestigation, test_view: Dataset) -> ValidationResult:
-    """Re-materialize every candidate context on held-out test rows, test it,
-    and correct the whole family of hypotheses together.
+# -- context layers --------------------------------------------------------------
 
-    Non-global contexts with fewer than min_size/2 test rows are dropped with
-    a note. The i-th context that keeps enough rows draws its RNG stream from
-    the master seed and ``(_VALIDATE_STREAM, i)``.
+
+@dataclass
+class _Layer:
+    """Disjoint contexts of the test rows: member j holds the rows of member
+    ``parents[j]`` of layer ``parent`` that satisfy ``preds[j]``."""
+
+    parent: int
+    parents: list[int] = field(default_factory=list)
+    preds: list[ContextPredicate | None] = field(default_factory=list)
+
+
+def _disjoint(p: ContextPredicate, q: ContextPredicate) -> bool:
+    """Whether no row can satisfy both predicates; False where unsure."""
+    if p.attribute != q.attribute:
+        return False
+    if p.op == q.op == "in":
+        return set(p.values).isdisjoint(q.values)
+    if {p.op, q.op} == {"le", "gt"}:
+        le, gt = (p, q) if p.op == "le" else (q, p)
+        return le.threshold <= gt.threshold
+    return False
+
+
+def _context_layers(contexts: list[tuple[ContextPredicate, ...]]
+                    ) -> tuple[list[_Layer], list[tuple[int, int]]]:
+    """Layers holding every predicate prefix of ``contexts`` once, and each
+    context's (layer, member). Layer 0 holds the root. A prefix joins the
+    first layer under its parent's layer in which it is disjoint from every
+    sibling (a prefix of the same parent), else opens a new one. So the parts
+    of a tree split share a layer, and a tree has a layer per depth."""
+    layers = [_Layer(-1, [-1], [None])]
+    place = [(0, 0)]  # each prefix's (layer, member); prefix 0 is the root
+    prefix_of: dict[tuple[int, ContextPredicate], int] = {}  # by (parent prefix, last predicate)
+    under: dict[int, list[int]] = {}  # the layers whose parent layer is the key
+    siblings: dict[tuple[int, int], list[ContextPredicate]] = {}  # by (layer, parent member)
+    where = []
+    for preds in contexts:
+        node = 0
+        for pred in preds:
+            child = prefix_of.get((node, pred))
+            if child is None:
+                parent, member = place[node]
+                for li in under.setdefault(parent, []):
+                    if all(_disjoint(pred, q) for q in siblings.get((li, member), ())):
+                        break
+                else:
+                    li = len(layers)
+                    layers.append(_Layer(parent))
+                    under[parent].append(li)
+                siblings.setdefault((li, member), []).append(pred)
+                child = prefix_of[(node, pred)] = len(place)
+                place.append((li, len(layers[li].preds)))
+                layers[li].parents.append(member)
+                layers[li].preds.append(pred)
+            node = child
+        where.append(place[node])
+    return layers, where
+
+
+def _layer_keys(view: Dataset, layers: list[_Layer]) -> list[np.ndarray]:
+    """Each layer's key: every row's member, -1 for a row in none. A key is
+    its parent layer's key mapped through a table per parent member: of
+    category codes for ``in`` predicates, of thresholds for ``le``/``gt``."""
+    keys = [np.zeros(view.n_rows, dtype=np.intp)]
+    for layer in layers[1:]:
+        parent = keys[layer.parent]
+        rows = len(layers[layer.parent].preds) + 1  # index -1, a row in no parent, is the last
+        key = np.full(view.n_rows, -1, dtype=np.intp)
+        by_column: dict[tuple[str, bool], list[int]] = {}
+        for j, pred in enumerate(layer.preds):
+            by_column.setdefault((pred.attribute, pred.op == "in"), []).append(j)
+        for (name, is_in), members in by_column.items():
+            if is_in:
+                wanted = [view.value_codes(layer.preds[j]) for j in members]
+                lut = np.full((rows, len(view.attribute(name).categories) + 1), -1, dtype=np.intp)
+                for j, codes in zip(members, wanted):
+                    lut[layer.parents[j], codes] = j
+                part = lut[parent, view.codes(name)]  # a missing code, -1, reads the last column
+            else:
+                values = view.compared_values(layer.preds[members[0]])
+                thr = np.full((2, rows), np.nan)  # the le and gt thresholds of each parent
+                child = np.full((2, rows), -1, dtype=np.intp)
+                for j in members:
+                    side = int(layer.preds[j].op == "gt")
+                    thr[side, layer.parents[j]] = layer.preds[j].threshold
+                    child[side, layer.parents[j]] = j
+                # NaN compares False, so a missing value or threshold holds no row
+                part = np.where(values <= thr[0, parent], child[0, parent],
+                                np.where(values > thr[1, parent], child[1, parent], -1))
+            np.maximum(key, part, out=key)  # disjoint members: each row gets at most one
+        keys.append(key)
+    return keys
+
+
+# -- validation ----------------------------------------------------------------
+
+
+def validate(trained: TrainedInvestigation, test_view: Dataset) -> ValidationResult:
+    """Test every candidate context on held-out test rows, and correct the
+    whole family of hypotheses together.
+
+    Each unit's contexts are placed in layers of disjoint contexts
+    (``_context_layers``), one layer per tree depth. A layer's key maps each
+    test row to the context that holds it, or -1; it is built from the
+    parent layer's key and each context's last predicate, so no context
+    view is built. One ``test_contexts`` per layer tests all of its
+    contexts from one count of the rows. Non-global contexts with fewer
+    than min_size/2 test rows are dropped. The i-th context that keeps
+    enough rows, testable or not, draws its RNG stream from the master seed
+    and ``(_VALIDATE_STREAM, i)``. A finding's display is built on first
+    read, from ``Dataset.select`` of its predicates.
     """
     spec = trained.spec
     cleaned = _drop_missing(test_view, spec, "test")
@@ -496,107 +630,147 @@ def validate(trained: TrainedInvestigation, test_view: Dataset) -> ValidationRes
         unit.bound.resolve(cleaned)  # a misconfigured metric fails before any test runs
 
     min_test = spec.tree.min_size // 2
-    findings: list[Finding | None] = []
-    dropped_contexts = 0
-    # test view of each predicate prefix, each built once from its parent's view
-    views: dict[tuple[ContextPredicate, ...], Dataset] = {(): cleaned}
+    detail = logger.isEnabledFor(logging.DEBUG)
+    findings: list[Finding] = []
+    too_small = untestable = streams = 0
     for unit in trained.units:
-        for node in unit.contexts:
-            preds = node.predicates
-            for k in range(1, len(preds) + 1):
-                if preds[:k] not in views:
-                    views[preds[:k]] = views[preds[:k - 1]].select(preds[k - 1:k])
-            ctx = views[preds]
-            if node.depth > 0 and ctx.n_rows < min_test:
-                dropped_contexts += 1
-                logger.info("dropped context %s: only %d test rows",
-                            [p.describe() for p in node.predicates], ctx.n_rows)
+        layers, where = _context_layers([node.predicates for node in unit.contexts])
+        keys = _layer_keys(cleaned, layers)
+        sizes = [np.bincount(key + 1, minlength=len(layer.preds) + 1)[1:]
+                 for key, layer in zip(keys, layers)]
+        batches: list[list[tuple[int, int, tuple[int, int]]]] = [[] for _ in layers]
+        for pos, (node, (li, j)) in enumerate(zip(unit.contexts, where)):
+            if node.depth > 0 and sizes[li][j] < min_test:
+                too_small += 1
+                if detail:
+                    logger.debug("dropped context %s: only %d test rows",
+                                 [p.describe() for p in node.predicates], sizes[li][j])
                 continue
-            try:
-                findings.append(_test_context(unit, node, ctx, spec, (_VALIDATE_STREAM, len(findings))))
-            except DataError as exc:  # the global population is untestable
-                if not dropped_test:
-                    raise
-                raise DataError(f"{exc}{_dropped_note(test_view, spec, dropped_test, 'test')}"
-                                ) from None
+            batches[li].append((pos, j, (_VALIDATE_STREAM, streams)))
+            streams += 1
+        results: dict[int, Finding | MetricError] = {}
+        for key, size, batch in zip(keys, sizes, batches):
+            if batch:
+                results.update(_test_layer(unit, spec, cleaned, key, size, batch))
+        for pos in sorted(results):
+            node, found = unit.contexts[pos], results[pos]
+            if isinstance(found, Finding):
+                findings.append(found)
+            elif node.depth == 0:
+                raise _untestable_population(unit, spec, found, test_view, dropped_test)
+            else:
+                untestable += 1
+                if detail:
+                    logger.debug("context %s untestable: %s",
+                                 [p.describe() for p in node.predicates], found)
 
-    kept = [f for f in findings if f is not None]
-    dropped_contexts += len(findings) - len(kept)
     family: list[TestedMetric] = []
-    for f in kept:
+    for f in findings:
         family.append(f.tested)
         family.extend(sf.tested for sf in f.strata if sf.tested is not None)
     apply_corrections(family, spec.stats.conf)
+    logger.info("validated %d contexts: %d tested, %d dropped with fewer than %d test rows, "
+                "%d untestable; a family of %d hypotheses",
+                sum(len(u.contexts) for u in trained.units), len(findings), too_small, min_test,
+                untestable, len(family))
     return ValidationResult(
         spec=spec,
-        findings=kept,
+        findings=findings,
         family_size=len(family),
         train_size=trained.train_size,
         test_size=cleaned.n_rows,
         dropped_train=trained.dropped_train,
         dropped_test=dropped_test,
-        dropped_contexts=dropped_contexts,
+        dropped_contexts=too_small + untestable,
     )
 
 
-def _test_context(unit: TrainUnit, node: ContextNode, ctx: Dataset, spec: InvestigationSpec,
-                  entropy: tuple[int, ...]) -> Finding | None:
+def _untestable_population(unit: TrainUnit, spec: InvestigationSpec, exc: MetricError,
+                           test_view: Dataset, dropped_test: int) -> DataError:
+    """The error for a unit whose global population is untestable."""
     bound = unit.bound
-    label = bound.output if spec.kind == DISCOVERY else None
-    try:
-        tested = test_metric(ctx, bound, spec.stats, entropy)
-    except MetricError as exc:
-        if node.depth == 0:
-            what = f"label {label!r}" if label is not None else f"output {bound.output!r}"
-            raise DataError(f"global population untestable for protected attribute "
-                            f"{bound.protected!r} and {what} on the test rows: {exc}") from None
-        logger.info("context %s untestable: %s", [p.describe() for p in node.predicates], exc)
-        return None
-    strata: tuple[StratumFinding, ...] = ()
-    if bound.conditional:
-        strata = _test_strata(ctx, bound, spec.stats, entropy)
-    return Finding(
-        protected=bound.protected,
-        output=bound.output,
-        label=label,
-        predicates=node.predicates,
-        size=ctx.n_rows,
-        metric=bound.kind.display,
-        tested=tested,
-        strata=strata,
-        is_global=node.depth == 0,
-        _source=(ctx, bound),
-    )
+    what = (f"label {bound.output!r}" if spec.kind == DISCOVERY
+            else f"output {bound.output!r}")
+    note = _dropped_note(test_view, spec, dropped_test, "test") if dropped_test else ""
+    return DataError(f"global population untestable for protected attribute "
+                     f"{bound.protected!r} and {what} on the test rows: {exc}{note}")
 
 
-def _test_strata(ctx: Dataset, bound: BoundMetric, cfg: StatConfig,
-                 entropy: tuple[int, ...]) -> tuple[StratumFinding, ...]:
-    """Test each non-empty explanatory stratum, in category order, with the
-    unconditional base metric; a stratum the conditional aggregate leaves
-    out gets the reason instead. Tested strata join the same correction
-    family as their parent finding."""
+def _test_layer(unit: TrainUnit, spec: InvestigationSpec, cleaned: Dataset, key: np.ndarray,
+                sizes: np.ndarray, batch: list[tuple[int, int, tuple[int, int]]]
+                ) -> dict[int, Finding | MetricError]:
+    """Test the contexts ``batch`` lists of one layer, by (position in
+    ``unit.contexts``, member of the layer, entropy): a finding, or the
+    MetricError of an untestable context, by position."""
+    bound = unit.bound
+    members = [j for _, j, _ in batch]
+    tested = test_contexts(cleaned, bound, key, members, spec.stats, [e for *_, e in batch])
+    strata = (_test_strata(cleaned, bound, key, unit.contexts, batch, tested, spec.stats)
+              if bound.conditional else {})
+    out: dict[int, Finding | MetricError] = {}
+    for (pos, j, _), t in zip(batch, tested):
+        if isinstance(t, MetricError):
+            out[pos] = t
+            continue
+        predicates = unit.contexts[pos].predicates
+        out[pos] = Finding(
+            protected=bound.protected,
+            output=bound.output,
+            label=bound.output if spec.kind == DISCOVERY else None,
+            predicates=predicates,
+            size=int(sizes[j]),
+            metric=bound.kind.display,
+            tested=t,
+            strata=strata.get(pos, ()),
+            is_global=not predicates,
+            _source=partial(_make_display, cleaned, predicates, bound),
+        )
+    return out
+
+
+def _test_strata(cleaned: Dataset, bound: BoundMetric, key: np.ndarray,
+                 contexts: list[ContextNode], batch: list[tuple[int, int, tuple[int, int]]],
+                 tested: list[TestedMetric | MetricError],
+                 cfg: StatConfig) -> dict[int, tuple[StratumFinding, ...]]:
+    """Test each non-empty explanatory stratum of each tested context of a
+    layer, in category order, with the unconditional base metric; a stratum
+    the conditional aggregate leaves out gets the reason instead. Tested
+    strata join the same correction family as their parent finding. The
+    k-th non-empty stratum of a context of entropy e draws from e + (k,)."""
     base = bound.unconditional()
-    key, groups = bound.strata(ctx)
-    vals, sizes = bound.group_values(ctx, key, groups)
-    kept = bound.aggregate(vals, sizes)[1]
-    categories = ctx.attribute(bound.kind.explanatory).categories
-    out = []
-    for k, code in enumerate(np.flatnonzero(sizes)):
-        value, size = categories[code], int(sizes[code])
-        if code not in kept:
-            note = (f"{base.kind.display} undefined on this population"
-                    if size >= bound.min_stratum else "below minimum stratum size")
-            out.append(StratumFinding(value, size, base.kind.display, None, note=note))
-            continue
-        stratum = ctx._subset(np.flatnonzero(key == code))
-        try:
-            tested = test_metric(stratum, base, cfg, entropy + (k,))
-        except MetricError as exc:
-            out.append(StratumFinding(value, size, base.kind.display, None, note=str(exc)))
-            continue
-        out.append(StratumFinding(value, size, base.kind.display, tested,
-                                  _source=(stratum, base)))
-    return tuple(out)
+    strata, groups = bound.strata(cleaned)
+    ckey = np.where((key >= 0) & (strata >= 0), key * groups + strata, -1)
+    n = max(int(np.max(key, initial=-1)), *(j for _, j, _ in batch)) + 1
+    vals, sizes = (a.reshape(n, groups) for a in bound.group_values(cleaned, ckey, n * groups))
+    contexts_tested = [(pos, j) for (pos, j, _), t in zip(batch, tested)
+                       if not isinstance(t, MetricError)]
+    kept = {j: np.flatnonzero(stratum_weights(vals[j], sizes[j], bound.min_stratum))
+            for _, j in contexts_tested}
+    plan = [(j * groups + code, entropy + (k,))  # (member of ckey, entropy) of each kept stratum
+            for (_, j, entropy), t in zip(batch, tested) if not isinstance(t, MetricError)
+            for k, code in enumerate(np.flatnonzero(sizes[j]).tolist()) if code in kept[j]]
+    results = iter(test_contexts(cleaned, base, ckey, [m for m, _ in plan], cfg,
+                                 [e for _, e in plan]) if plan else ())
+    categories = cleaned.attribute(bound.kind.explanatory).categories
+    display = base.kind.display
+    out = {}
+    for pos, j in contexts_tested:
+        found = []
+        for code in np.flatnonzero(sizes[j]).tolist():
+            value, size = categories[code], int(sizes[j, code])
+            if code not in kept[j]:
+                note = (f"{display} undefined on this population"
+                        if size >= bound.min_stratum else "below minimum stratum size")
+                found.append(StratumFinding(value, size, display, None, note=note))
+                continue
+            t = next(results)
+            if isinstance(t, MetricError):
+                found.append(StratumFinding(value, size, display, None, note=str(t)))
+                continue
+            found.append(StratumFinding(value, size, display, t, _source=partial(
+                _make_display, cleaned, contexts[pos].predicates, bound, code)))
+        out[pos] = tuple(found)
+    return out
 
 
 # -- filtering, ranking, reports -------------------------------------------------

@@ -440,16 +440,21 @@ class BoundMetric:
         it keeps none."""
         kept = np.flatnonzero(stratum_weights(vals, sizes, self.min_stratum))
         if len(kept) == 0:
-            if not self.conditional:
-                raise MetricError(f"{self.kind.display} undefined on this population")
-            e = self.kind.explanatory
-            if (sizes >= self.min_stratum).any():
-                raise MetricError(f"{self.unconditional().kind.display} undefined in every stratum "
-                                  f"of explanatory attribute {e!r} with at least "
-                                  f"{self.min_stratum} rows")
-            raise MetricError(f"every stratum of explanatory attribute {e!r} has fewer than "
-                              f"{self.min_stratum} rows")
+            raise self.undefined(sizes)
         return float(weighted_mean(vals[kept], sizes[kept])), kept
+
+    def undefined(self, sizes: np.ndarray) -> MetricError:
+        """Why ``aggregate`` keeps no stratum of a population whose strata
+        have ``sizes``."""
+        if not self.conditional:
+            return MetricError(f"{self.kind.display} undefined on this population")
+        e = self.kind.explanatory
+        if (sizes >= self.min_stratum).any():
+            return MetricError(f"{self.unconditional().kind.display} undefined in every stratum "
+                               f"of explanatory attribute {e!r} with at least "
+                               f"{self.min_stratum} rows")
+        return MetricError(f"every stratum of explanatory attribute {e!r} has fewer than "
+                           f"{self.min_stratum} rows")
 
     def value(self, view: Dataset) -> float:
         """Point estimate on a view: the base metric's ``aggregate`` over the

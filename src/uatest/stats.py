@@ -9,11 +9,13 @@ simultaneous hypotheses are corrected with Holm-Bonferroni p-values and
 Bonferroni-level confidence intervals.
 
 Estimates, asymptotic p-values and the checks that make a population
-untestable run when a metric is tested. A resampled hypothesis draws its
-permutations on the first read of its p-value and its bootstrap on the first
-read of a CI, which reads the p-value first; both come from the hypothesis's
-own RNG stream, permutations then bootstrap, so the numbers are the same in
-any read order, and a hypothesis nobody reads never resamples. A permutation
+untestable run when a metric is tested, over every population of one keyed
+count at once (``test_contexts``); ``test_metric`` is the one-population
+case. A resampled hypothesis draws its permutations on the first read of its
+p-value and its bootstrap on the first read of a CI, which reads the p-value
+first; both come from the hypothesis's own RNG stream, permutations then
+bootstrap, so the numbers are the same in any read order, and a hypothesis
+nobody reads never resamples. A permutation
 p-value is at least 1/(n_permutations+1), and Holm-adjusted p-values never
 decrease when a raw p increases; so a corrected p is fixed without drawing
 anything when the Holm runs with every unread p at that floor and at 1 agree,
@@ -29,11 +31,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
 from .dataset import Dataset
 from .metrics import (
@@ -48,6 +50,7 @@ from .metrics import (
     mi_from_tables,
     pearson_correlation,
     stratum_mean,
+    stratum_weights,
     weighted_mean,
 )
 
@@ -58,6 +61,25 @@ RESAMPLING = "permutation+bootstrap"
 
 _BOOT_CHUNK = 256
 _CHUNK_CELLS = 1 << 20
+
+
+# The normal, chi-squared and Student t tails, from the scipy.special
+# functions behind scipy.stats' distributions, bit for bit: importing
+# scipy.stats costs more than every test of a run.
+def _norm_sf(x):
+    return special.ndtr(-x)
+
+
+def _norm_ppf(q):
+    return special.ndtri(q)
+
+
+def _chi2_sf(g, dof):
+    return special.chdtrc(dof, np.maximum(g, 0.0))  # 1 at and below 0, as chi2.sf
+
+
+def _t_sf(t, df):
+    return special.stdtr(df, -t)
 
 
 class StatsError(Exception):
@@ -196,6 +218,22 @@ def _rng(cfg: StatConfig, entropy: Sequence[int]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([cfg.seed, *entropy]))
 
 
+class _Once:
+    """``fn(*args)``, called on the first call and then kept: a hypothesis's
+    generator, built on its first draw, or its context's rows."""
+
+    __slots__ = ("_call", "_result")
+
+    def __init__(self, fn: Callable, *args) -> None:
+        self._call, self._result = (fn, args), None
+
+    def __call__(self):
+        if self._call is not None:
+            fn, args = self._call
+            self._result, self._call = fn(*args), None
+        return self._result
+
+
 # -- multiple-testing corrections --------------------------------------------
 
 
@@ -277,14 +315,14 @@ def _ci_from_recipe(recipe: tuple, level: float) -> tuple[float, float]:
         return min(float(lo), est), max(float(hi), est)
     if kind == "wald":
         _, est, se = recipe
-        z = sps.norm.ppf(1.0 - alpha / 2.0)
+        z = _norm_ppf(1.0 - alpha / 2.0)
         return est - z * se, est + z * se
     if kind == "fisher":
         _, r, n = recipe
         if n <= 3:
             return -1.0, 1.0
         rc = min(1.0 - 1e-15, max(-1.0 + 1e-15, r))
-        z = sps.norm.ppf(1.0 - alpha / 2.0)
+        z = _norm_ppf(1.0 - alpha / 2.0)
         zr = np.arctanh(rc)
         half = z / np.sqrt(n - 3)
         return float(np.tanh(zr - half)), float(np.tanh(zr + half))
@@ -298,7 +336,23 @@ def _ci_from_recipe(recipe: tuple, level: float) -> tuple[float, float]:
 
 def test_metric(view: Dataset, bound: BoundMetric, cfg: StatConfig,
                 entropy: Sequence[int] = ()) -> TestedMetric:
-    """Point estimate, CI, and p-value for a bound metric on one population.
+    """Point estimate, CI, and p-value for a bound metric on one population:
+    ``test_contexts`` with every row of ``view`` in one context. Raises the
+    MetricError of an untestable population."""
+    (tested,) = test_contexts(view, bound, np.zeros(view.n_rows, dtype=np.intp), [0], cfg,
+                              [entropy])
+    if isinstance(tested, MetricError):
+        raise tested
+    return tested
+
+
+def test_contexts(view: Dataset, bound: BoundMetric, key: np.ndarray, contexts: Sequence[int],
+                  cfg: StatConfig, entropies: Sequence[Sequence[int]]
+                  ) -> list[TestedMetric | MetricError]:
+    """Test a bound metric on many populations of ``view`` at once: context
+    c holds the rows where ``key`` is c (-1 for a row in none). Hypothesis h
+    tests context ``contexts[h]`` with the RNG stream of ``entropies[h]``;
+    an untestable one gives the MetricError that says why.
 
     An unconditional metric on more than ``small_sample_threshold`` rows,
     RATIO excepted, is tested asymptotically: G-test for NMI, z-test and
@@ -311,100 +365,176 @@ def test_metric(view: Dataset, bound: BoundMetric, cfg: StatConfig,
     bootstrap resamples rows of the whole population (multinomially, for
     tables) and re-applies the stratum rule to each resample.
 
-    The estimate, the method, every check that can make the population
-    untestable and an asymptotic p-value are computed here. A permutation
-    p-value and a percentile CI keep the hypothesis's RNG stream (its
-    generator is built on the first draw), the counts or rows to resample
-    and the statistic. The permutations are drawn on the first read
-    of ``p`` and the bootstrap on the first read of a CI, which reads ``p``
-    first; so both give the same numbers whenever they run.
+    Every context's per-stratum tables come from one ``joint_counts``, and
+    its per-stratum correlations from one ``grouped_moments``, whose sums
+    add a context's rows in row order; so each estimate is bit-equal to the
+    one taken on the context's own rows. The estimates, the stratum rule,
+    the checks that make a population untestable and the G- and z-tests
+    run over all hypotheses at once; the t-test takes each context's rows
+    in row order. A permutation p-value and a percentile CI keep the
+    hypothesis's tables or rows, its RNG stream (its generator is built on
+    the first draw) and the statistic. The permutations are drawn on the
+    first read of ``p`` and the bootstrap on the first read of a CI, which
+    reads ``p`` first; so both give the same numbers whenever they run.
     """
     bound = bound.resolve(view)
-    rng = cache(partial(_rng, cfg, entropy))  # the generator, built on the first draw
-    key, groups = bound.strata(view)
+    strata, groups = bound.strata(view)
+    n = max(int(np.max(key, initial=-1)), max(contexts, default=-1)) + 1
+    ckey = (np.where((key >= 0) & (strata >= 0), key * groups + strata, -1)
+            if bound.conditional else key)
+    contexts = np.asarray(contexts, dtype=np.intp)
+    if bound.tabular:
+        tables = joint_counts(view, (bound.output, bound.protected), ckey, n * groups)
+        tables = tables.reshape(n, groups, *tables.shape[1:])[contexts]
+        n_rows = np.bincount(key + 1, minlength=n + 1)[1:][contexts]
+        return _test_tables(view, bound, tables, n_rows, cfg, entropies)
+    if bound.kind.name == CORR:
+        return _test_correlations(view, bound, ckey, groups, n, contexts, cfg, entropies)
+    raise MetricError(f"no statistical test for metric {bound.kind.display!r}")
+
+
+def _test_tables(view: Dataset, bound: BoundMetric, tables: np.ndarray, n_rows: np.ndarray,
+                 cfg: StatConfig, entropies: Sequence[Sequence[int]]
+                 ) -> list[TestedMetric | MetricError]:
+    """``test_contexts`` of a table metric: hypothesis h on its stack of
+    per-stratum ``tables[h]`` and its ``n_rows[h]`` rows."""
+    values = partial(bound.value_from_tables, view)
     floor = bound.min_stratum
-    n_perm = cfg.n_permutations
+    # one stack of (hypothesis, stratum) tables; resampled stacks gain an axis
+    vals = values(tables.reshape(-1, *tables.shape[-2:])).reshape(tables.shape[:2])
+    sizes = tables.sum(axis=(-2, -1))
+    testable = (stratum_weights(vals, sizes, floor) > 0).any(axis=-1)
+    obs = stratum_mean(vals, sizes, floor)
     # RATIO has no asymptotic route here; it always resamples.
     asymptotic = not bound.conditional and bound.kind.name != RATIO
-    if bound.tabular:
-        tensor = joint_counts(view, (bound.output, bound.protected), key, groups)
-        values = partial(bound.value_from_tables, view)
-        vals, sizes = values(tensor), tensor.sum(axis=(-2, -1))
-        obs, kept = bound.aggregate(vals, sizes)
+    asym = np.flatnonzero(testable & (n_rows > cfg.small_sample_threshold) & asymptotic)
+    if bound.kind.name == NMI:  # a G-test with a bootstrap CI
+        tests = {h: (p, None) for h, p in zip(asym.tolist(), _g_test(tables[asym, 0]).tolist())}
+    else:  # a z-test with a Wald CI
+        p, se = _z_test(view, bound, tables[asym, 0], obs[asym])
+        tests = dict(zip(asym.tolist(), zip(p.tolist(), se.tolist())))
 
-        def samples() -> np.ndarray:
-            return _bootstrap_table_stats(
-                tensor, lambda t: stratum_mean(values(t), t.sum(axis=(-2, -1)), floor),
-                cfg.n_bootstrap, rng())
+    def stratum_stat(t: np.ndarray) -> np.ndarray:
+        return stratum_mean(values(t), t.sum(axis=(-2, -1)), floor)
 
-        if asymptotic and view.n_rows > cfg.small_sample_threshold:
-            return _asymptotic_table(view, bound, tensor[0], obs, cfg, samples)
-
-        def permuted(k: int) -> np.ndarray:
-            return values(_fixed_margin_tables(tensor[k], n_perm, rng()))
-    elif bound.kind.name == CORR:
-        x = view.scalar_values(bound.protected)
-        y = view.scalar_values(bound.output)
-        ok = (key >= 0) & ~(np.isnan(x) | np.isnan(y))
-        e, x, y = key[ok], x[ok], y[ok]
-        n = len(e)
-        if asymptotic and n > cfg.small_sample_threshold:
-            return _asymptotic_corr(bound, x, y, cfg)
-        vals, sizes = grouped_correlation(x, y, e, groups)
-        obs, kept = bound.aggregate(vals, sizes)
-
-        def permuted(k: int) -> np.ndarray:
-            return _corr_permutation_stats(x[e == k], y[e == k], n_perm, rng())
-
-        def draw(m: int) -> np.ndarray:
-            out = []
-            for chunk in _chunks(m, n):
-                idx = rng().integers(0, n, size=(chunk, n))
-                rkey = np.arange(chunk)[:, None] * groups + e[idx]
-                v, c = grouped_correlation(x[idx].ravel(), y[idx].ravel(), rkey.ravel(),
-                                           chunk * groups)
-                out.append(stratum_mean(v.reshape(chunk, groups), c.reshape(chunk, groups), floor))
-            return np.concatenate(out)
-
-        samples = partial(_bootstrap, draw, cfg.n_bootstrap)
-    else:
-        raise MetricError(f"no statistical test for metric {bound.kind.display!r}")
-
-    def pvalue() -> float:
-        # the kept strata keep their sizes under permutation; NaN propagates
-        # from any undefined permuted stratum and counts as extreme
-        perm = weighted_mean(np.array([permuted(k) for k in kept]).T, sizes[kept])
-        return _perm_pvalue(perm, obs, two_sided=bound.kind.signed)
-
-    return _percentile(MetricValue(bound.kind, obs), pvalue, RESAMPLING, cfg, samples)
+    out: list[TestedMetric | MetricError] = []
+    for h, (entropy, ok, est) in enumerate(zip(entropies, testable.tolist(), obs.tolist())):
+        if not ok:
+            out.append(bound.undefined(sizes[h]))
+            continue
+        value = MetricValue(bound.kind, est)
+        rng = _Once(_rng, cfg, entropy)
+        samples = partial(_bootstrap_table_stats, tables[h], stratum_stat, cfg.n_bootstrap, rng)
+        if h not in tests:
+            permuted = partial(_permuted_tables, values, tables[h], cfg.n_permutations, rng)
+            pvalue = partial(_permutation_p, permuted, vals[h], sizes[h], floor, est,
+                             bound.kind.signed)
+            out.append(_percentile(value, pvalue, RESAMPLING, cfg, samples))
+        elif tests[h][1] is None:
+            out.append(_percentile(value, tests[h][0], ASYMPTOTIC, cfg, samples))
+        else:
+            p, se = tests[h]
+            if se == 0:
+                out.append(TestedMetric(value, (est, est), p, ASYMPTOTIC,
+                                        _recipe=("degenerate", est)))
+                continue
+            recipe = ("wald", est, se)
+            out.append(TestedMetric(value, _ci_from_recipe(recipe, cfg.conf), p, ASYMPTOTIC,
+                                    _recipe=recipe))
+    return out
 
 
-def _asymptotic_table(view: Dataset, bound: BoundMetric, counts: np.ndarray, obs: float,
-                      cfg: StatConfig, samples: Callable[[], np.ndarray]) -> TestedMetric:
-    """G-test with a bootstrap CI from ``samples`` for NMI; two-proportion
-    z-test with a Wald interval for DIFF."""
-    value = MetricValue(bound.kind, obs)
-    if bound.kind.name == NMI:
-        mi = float(mi_from_tables(counts, normalized=False))
-        g = 2.0 * counts.sum() * mi
-        live_r = int((counts.sum(axis=1) > 0).sum())
-        live_c = int((counts.sum(axis=0) > 0).sum())
-        dof = max(1, (live_r - 1) * (live_c - 1))
-        p = float(sps.chi2.sf(g, dof))
-        return _percentile(value, p, ASYMPTOTIC, cfg, samples)
+def _g_test(counts: np.ndarray) -> np.ndarray:
+    """G-test p-values of independence of a stack of r x c tables."""
+    mi = mi_from_tables(counts, normalized=False)
+    g = 2.0 * counts.sum(axis=(-2, -1)) * mi
+    live_r = (counts.sum(axis=-1) > 0).sum(axis=-1)
+    live_c = (counts.sum(axis=-2) > 0).sum(axis=-1)
+    return _chi2_sf(g, np.maximum(1, (live_r - 1) * (live_c - 1)))
 
+
+def _z_test(view: Dataset, bound: BoundMetric, counts: np.ndarray,
+            obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two-proportion z-test p-values, 1 where the pooled spread is 0, and
+    Wald standard errors of DIFF estimates ``obs`` of a stack of tables."""
     ti, ja, jb = bound._indices(view)
-    xa, xb = counts[ti, ja], counts[ti, jb]
-    na, nb = counts[:, ja].sum(), counts[:, jb].sum()
+    xa, xb = counts[:, ti, ja], counts[:, ti, jb]
+    na, nb = counts[:, :, ja].sum(axis=-1), counts[:, :, jb].sum(axis=-1)
     pa, pb = xa / na, xb / nb
     pooled = (xa + xb) / (na + nb)
     se0 = np.sqrt(pooled * (1.0 - pooled) * (1.0 / na + 1.0 / nb))
-    p = 1.0 if se0 == 0 else float(2.0 * sps.norm.sf(abs(obs) / se0))
-    se1 = float(np.sqrt(pa * (1 - pa) / na + pb * (1 - pb) / nb))
-    if se1 == 0:
-        return TestedMetric(value, (obs, obs), p, ASYMPTOTIC, _recipe=("degenerate", obs))
-    recipe = ("wald", obs, se1)
-    return TestedMetric(value, _ci_from_recipe(recipe, cfg.conf), p, ASYMPTOTIC, _recipe=recipe)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(se0 == 0, 1.0, 2.0 * _norm_sf(np.abs(obs) / se0))
+    return p, np.sqrt(pa * (1 - pa) / na + pb * (1 - pb) / nb)
+
+
+def _test_correlations(view: Dataset, bound: BoundMetric, ckey: np.ndarray, groups: int,
+                       n: int, contexts: np.ndarray, cfg: StatConfig,
+                       entropies: Sequence[Sequence[int]]) -> list[TestedMetric | MetricError]:
+    """``test_contexts`` of CORR, where ``ckey`` holds each row's context
+    times ``groups`` plus its stratum (-1 for none), for ``n`` contexts."""
+    x = view.scalar_values(bound.protected)
+    y = view.scalar_values(bound.output)
+    ok = (ckey >= 0) & ~(np.isnan(x) | np.isnan(y))
+    ckey, x, y = ckey[ok], x[ok], y[ok]
+    context, strata = np.divmod(ckey, groups)
+    vals, sizes = grouped_correlation(x, y, ckey, n * groups)
+    vals, sizes = vals.reshape(n, groups)[contexts], sizes.reshape(n, groups)[contexts]
+    floor = bound.min_stratum
+    testable = (stratum_weights(vals, sizes, floor) > 0).any(axis=-1)
+    obs = stratum_mean(vals, sizes, floor)
+
+    out: list[TestedMetric | MetricError] = []
+    for h, (c, entropy) in enumerate(zip(contexts.tolist(), entropies)):
+        if not bound.conditional and sizes[h].sum() > cfg.small_sample_threshold:
+            rows = np.flatnonzero(context == c)
+            try:
+                out.append(_asymptotic_corr(bound, x[rows], y[rows], cfg))
+            except MetricError as exc:
+                out.append(exc)
+        elif not testable[h]:
+            out.append(bound.undefined(sizes[h]))
+        else:
+            rows = _Once(_context_rows, context, c, x, y, strata)
+            out.append(_resampled_corr(bound, rows, groups, vals[h], sizes[h], float(obs[h]),
+                                       cfg, entropy))
+    return out
+
+
+def _context_rows(context: np.ndarray, c: int, *columns: np.ndarray) -> list[np.ndarray]:
+    """``columns`` at the rows of context ``c``, in row order."""
+    rows = np.flatnonzero(context == c)
+    return [col[rows] for col in columns]
+
+
+def _resampled_corr(bound: BoundMetric, rows: Callable[[], list[np.ndarray]], groups: int,
+                    vals: np.ndarray, sizes: np.ndarray, obs: float, cfg: StatConfig,
+                    entropy: Sequence[int]) -> TestedMetric:
+    """A resampled CORR hypothesis on the context whose ``x``, ``y`` and
+    stratum columns ``rows()`` gives, with per-stratum correlations
+    ``vals`` and sizes ``sizes``."""
+    rng = _Once(_rng, cfg, entropy)
+    floor = bound.min_stratum
+
+    def permuted(k: int) -> np.ndarray:
+        x, y, e = rows()
+        return _corr_permutation_stats(x[e == k], y[e == k], cfg.n_permutations, rng())
+
+    def draw(m: int) -> np.ndarray:
+        x, y, e = rows()
+        n = len(e)
+        out = []
+        for chunk in _chunks(m, n):
+            idx = rng().integers(0, n, size=(chunk, n))
+            rkey = np.arange(chunk)[:, None] * groups + e[idx]
+            v, c = grouped_correlation(x[idx].ravel(), y[idx].ravel(), rkey.ravel(),
+                                       chunk * groups)
+            out.append(stratum_mean(v.reshape(chunk, groups), c.reshape(chunk, groups), floor))
+        return np.concatenate(out)
+
+    pvalue = partial(_permutation_p, permuted, vals, sizes, floor, obs, bound.kind.signed)
+    return _percentile(MetricValue(bound.kind, obs), pvalue, RESAMPLING, cfg,
+                       partial(_bootstrap, draw, cfg.n_bootstrap))
 
 
 def _asymptotic_corr(bound: BoundMetric, x: np.ndarray, y: np.ndarray,
@@ -416,7 +546,7 @@ def _asymptotic_corr(bound: BoundMetric, x: np.ndarray, y: np.ndarray,
         p = 0.0
     else:
         t = obs * np.sqrt((m - 2) / (1.0 - obs * obs))
-        p = float(2.0 * sps.t.sf(abs(t), m - 2))
+        p = float(2.0 * _t_sf(abs(t), m - 2))
     recipe = ("fisher", obs, m)
     return TestedMetric(MetricValue(bound.kind, obs), _ci_from_recipe(recipe, cfg.conf), p,
                         ASYMPTOTIC, _recipe=recipe)
@@ -435,6 +565,24 @@ def _percentile(value: MetricValue, p: float | Callable[[], float], method: str,
     return TestedMetric(value, None, p, method, conf=cfg.conf,
                         _recipe=lambda: ("percentile", samples(), est),
                         p_floor=1.0 / (cfg.n_permutations + 1))
+
+
+def _permutation_p(permuted: Callable[[int], np.ndarray], vals: np.ndarray, sizes: np.ndarray,
+                   floor: int, obs: float, signed: bool) -> float:
+    """The permutation p-value of a stratified statistic ``obs`` with
+    per-stratum values ``vals`` and sizes ``sizes``, from ``permuted(k)``,
+    the permuted statistics of stratum k."""
+    # the strata the aggregate keeps keep their sizes under permutation; NaN
+    # propagates from any undefined permuted stratum and counts as extreme
+    kept = np.flatnonzero(stratum_weights(vals, sizes, floor))
+    perm = weighted_mean(np.array([permuted(k) for k in kept]).T, sizes[kept])
+    return _perm_pvalue(perm, obs, two_sided=signed)
+
+
+def _permuted_tables(values: Callable[[np.ndarray], np.ndarray], tables: np.ndarray, n_perm: int,
+                     rng: Callable[[], np.random.Generator], k: int) -> np.ndarray:
+    """``values`` of ``n_perm`` fixed-margin permutations of stratum k's table."""
+    return values(_fixed_margin_tables(tables[k], n_perm, rng()))
 
 
 def _fixed_margin_tables(counts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -489,16 +637,16 @@ def _bootstrap(draw: Callable[[int], np.ndarray], n_boot: int) -> np.ndarray:
 
 
 def _bootstrap_table_stats(counts: np.ndarray, statistic: Callable[[np.ndarray], np.ndarray],
-                           n_boot: int, rng: np.random.Generator) -> np.ndarray:
+                           n_boot: int, rng: Callable[[], np.random.Generator]) -> np.ndarray:
     """Bootstrap ``statistic`` of a stack of count tables via multinomial
     resampling of the joint counts (equivalent in distribution to resampling
-    rows with replacement)."""
+    rows with replacement), drawing from ``rng()``."""
     flat = counts.ravel().astype(np.int64)
     n = int(flat.sum())
     probs = flat / n
 
     def draw(m: int) -> np.ndarray:
-        return statistic(rng.multinomial(n, probs, size=m).reshape(m, *counts.shape))
+        return statistic(rng().multinomial(n, probs, size=m).reshape(m, *counts.shape))
 
     return _bootstrap(draw, n_boot)
 

@@ -633,11 +633,11 @@ def test_large_family_draws_no_permutations(tmp_path, monkeypatch):
 def _exits_cleanly(columns, culprit, commands):
     """Run each of ``commands`` on a CSV of ``columns`` (name to cells) with
     protected ``s``, output ``o`` or labels ``l1,l2``, and context ``state``.
-    Each run exits 0 with a family of every ``test_metric`` call that
-    returned, or 2 with one line naming ``culprit``."""
+    Each run exits 0 with a family of every hypothesis tested (every
+    ``TestedMetric`` built), or 2 with one line naming ``culprit``."""
     from unittest import mock
 
-    from uatest import investigations
+    from uatest.stats import TestedMetric
     rows = [",".join(columns)] + [",".join(map(str, row)) for row in zip(*columns.values())]
     with tempfile.TemporaryDirectory() as tmp:
         data, out = Path(tmp) / "d.csv", Path(tmp) / "r.json"
@@ -648,15 +648,15 @@ def _exits_cleanly(columns, culprit, commands):
                 "discovery": ["discovery", *common, "--output", "l1,l2"]}
         for argv in (runs[c] for c in commands):
             tested = []
-            test_metric = investigations.test_metric
+            init = TestedMetric.__init__
 
-            def counting(*args):
-                tested.append(test_metric(*args))  # only calls that return
-                return tested[-1]
+            def counting(self, *args, **kwargs):
+                init(self, *args, **kwargs)
+                tested.append(self)  # only hypotheses that are testable
 
             err = io.StringIO()
             with contextlib.redirect_stderr(err), \
-                    mock.patch.object(investigations, "test_metric", counting):
+                    mock.patch.object(TestedMetric, "__init__", counting):
                 code = main(argv)
             assert code in (0, 2), (argv[0], code)
             if code == 2:
@@ -956,6 +956,32 @@ def test_error_of_the_wrong_column_kind_exits_2_naming_the_column(tmp_path, caps
     captured = capsys.readouterr()
     assert captured.err == f"uatest: {message}\n"
     assert captured.out == "" and not out.exists()
+
+
+def test_absolute_error_of_a_categorical_protected_hints_at_fixes_that_work(tmp_path, capsys):
+    # the absolute error is derived, so no schema can pin it categorical; the
+    # hint names the fixes that work, and following it makes the run go
+    rng = np.random.default_rng(6)
+    n = 600
+    age = rng.uniform(20, 70, n)
+    truth = rng.normal(size=n)
+    pred = truth + rng.normal(scale=0.1 + age / 70, size=n)
+    rows = ["s,age,pred,truth,c"] + [f"{'ab'[i % 2]},{a:.3f},{p:.6f},{t:.6f},{'xyz'[i % 3]}"
+                                     for i, (a, p, t) in enumerate(zip(age, pred, truth))]
+    path = tmp_path / "errors.csv"
+    path.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "r.txt"
+    argv = ["error-profile", "--data", str(path), "--output", "pred", "--ground-truth", "truth",
+            "--error", "absolute", "--context", "c", "--min-size", "50", "--out", str(out)]
+    assert main([*argv, "--protected", "s"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("uatest: ")
+    assert "'Abs. Error(pred)' (continuous)" in lines[0]
+    assert "--schema" not in lines[0]
+    assert "scalar protected attribute (CORR)" in lines[0] and "--error zero_one" in lines[0]
+    assert captured.out == "" and not out.exists()
+    assert main([*argv, "--protected", "age"]) == 0
 
 
 def test_bench_commands_take_no_report_options(tmp_path, capsys):

@@ -1,5 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uatest.data import berkeley_admissions
 from uatest.dataset import (
@@ -19,8 +23,11 @@ from uatest.investigations import (
     Finding,
     InvestigationSpec,
     TestingSpec,
+    TrainedInvestigation,
+    TrainUnit,
     ValidationResult,
     _attach_error,
+    _context_layers,
     compute_error,
     debug_with_explanatory,
     filter_and_rank,
@@ -29,11 +36,11 @@ from uatest.investigations import (
     train,
     validate,
 )
-from uatest.metrics import MetricError, MetricKind, MetricValue
+from uatest.metrics import BoundMetric, MetricError, MetricKind, MetricValue
 from uatest.report import render_text
 from uatest.stats import StatConfig, TestedMetric
 from uatest.stats import test_metric as evaluate_metric
-from uatest.tree import TreeParams
+from uatest.tree import ContextNode, TreeParams, TreeStats
 
 
 def binary_testing_dataset(n=4000, seed=0, effect=0.2):
@@ -609,5 +616,180 @@ def test_validate_builds_each_distinct_context_once(monkeypatch):
         return select(self, predicates)
 
     monkeypatch.setattr(Dataset, "select", counting_select)
-    validate(trained, ds.next_test_set())
-    assert len(calls) == len(set(non_root))
+    result = validate(trained, ds.next_test_set())
+    assert calls == []  # a context is a member of a layer key, not a view
+    for unit in trained.units:
+        layers, where = _context_layers([c.predicates for c in unit.contexts])
+        prefixes = {c.predicates[:k] for c in unit.contexts for k in range(c.depth + 1)}
+        assert sum(len(layer.preds) for layer in layers) == len(prefixes)
+        assert len(layers) == 1 + max(c.depth for c in unit.contexts)  # a layer per depth
+        assert len(set(where)) == len({c.predicates for c in unit.contexts})
+    # a display selects its finding's rows when it is read, and only then
+    shown = result.findings[-1]
+    assert shown.display is not None and calls == [shown.predicates]
+
+
+# -- layered validation against one test_metric call per context ------------------
+
+LAYER_METRICS = {"DIFF": ("diff", None), "RATIO": ("ratio", None), "NMI": ("nmi", None),
+                 "CORR": ("corr", None), "COND-DIFF": ("diff", "e"),
+                 "COND-CORR": ("corr", "e")}
+
+
+def _layer_population(seed: int, n: int, nmi: bool) -> Dataset:
+    """Test rows for every metric: binary ``s`` and ``o`` (``o`` with three
+    values for NMI), scalar ``sx`` and ``y``, explanatory ``e`` with a rare
+    value, and context columns ``c`` (categorical, one value absent), ``v``
+    (ordinal) and ``x`` (continuous, with ties, NaN and infinities)."""
+    rng = np.random.default_rng(seed)
+    s = rng.integers(0, 2, n)
+    o = (rng.random(n) < np.where(s == 1, 0.6, 0.4)).astype(np.int32)
+    if nmi:
+        o = np.where(rng.random(n) < 0.3, 2, o).astype(np.int32)
+    sx = rng.normal(size=n)
+    x = rng.integers(-3, 4, n).astype(float)
+    x[rng.random(n) < 0.1] = np.nan
+    x[rng.random(n) < 0.05] = np.inf
+    x[rng.random(n) < 0.05] = -np.inf
+    schema = [AttributeSchema("s", "categorical", "protected", ("a", "b")),
+              AttributeSchema("o", "categorical", "output", ("0", "1", "2") if nmi else ("0", "1")),
+              AttributeSchema("sx", "continuous", "protected"),
+              AttributeSchema("y", "continuous", "output"),
+              AttributeSchema("e", "categorical", "explanatory", ("E0", "E1", "E2")),
+              AttributeSchema("c", "categorical", "contextual", ("p", "q", "r", "t")),
+              AttributeSchema("v", "ordinal", "contextual", ("1", "2", "3")),
+              AttributeSchema("x", "continuous", "contextual")]
+    return Dataset(schema, {
+        "s": s.astype(np.int32), "o": o, "sx": sx, "y": 0.3 * sx + rng.normal(size=n),
+        "e": rng.choice(3, n, p=[0.47, 0.47, 0.06]).astype(np.int32),
+        "c": rng.choice(3, n, p=[0.5, 0.3, 0.2]).astype(np.int32),  # "t" is absent
+        "v": rng.integers(0, 3, n).astype(np.int32), "x": x})
+
+
+SPLITS = {
+    "c": [ContextPredicate("c", "in", values=(v,)) for v in "pqrt"],
+    "v": [ContextPredicate("v", "le", threshold=1.0), ContextPredicate("v", "gt", threshold=1.0)],
+    "x": [ContextPredicate("x", "le", threshold=0.0), ContextPredicate("x", "gt", threshold=0.0)],
+    "x inf": [ContextPredicate("x", "le", threshold=np.inf),
+              ContextPredicate("x", "gt", threshold=np.inf)],
+    "x nan": [ContextPredicate("x", "le", threshold=np.nan),
+              ContextPredicate("x", "gt", threshold=np.nan)],
+    # siblings that may share rows, as a hand-written state file can hold
+    "overlap": [ContextPredicate("c", "in", values=("p", "q")),
+                ContextPredicate("c", "in", values=("q",)),
+                ContextPredicate("x", "le", threshold=1.0),
+                ContextPredicate("x", "le", threshold=-1.0),
+                ContextPredicate("v", "in", values=("2",)),
+                ContextPredicate("e", "in", values=("E0",))],
+}
+
+
+@st.composite
+def context_trees(draw):
+    """Contexts in depth-first order, root first: a random tree of splits
+    up to depth 5, then a duplicate and a ghost path as a state file may
+    hold them."""
+    contexts = [()]
+
+    def grow(prefix):
+        if len(prefix) == 5 or len(contexts) > 24 or not draw(st.booleans()):
+            return
+        for pred in SPLITS[draw(st.sampled_from(sorted(SPLITS)))]:
+            if len(contexts) <= 24:
+                contexts.append(prefix + (pred,))
+                grow(prefix + (pred,))
+
+    grow(())
+    contexts.append(draw(st.sampled_from(contexts)))
+    ghost = draw(st.lists(st.sampled_from([p for ps in SPLITS.values() for p in ps]),
+                          min_size=1, max_size=5))
+    return contexts + [tuple(ghost)]
+
+
+def _reference(cleaned, unit, spec):
+    """(predicates, size, tested, strata) of each finding, from one
+    ``test_metric`` of ``cleaned.select(predicates)`` per context."""
+    bound, cfg = unit.bound, spec.stats
+    out, i = [], 0
+    for node in unit.contexts:
+        ctx = cleaned.select(node.predicates)
+        if node.depth > 0 and ctx.n_rows < spec.tree.min_size // 2:
+            continue
+        entropy, i = (1, i), i + 1
+        try:
+            tested = evaluate_metric(ctx, bound, cfg, entropy)
+        except MetricError:
+            continue
+        strata = []
+        if bound.conditional:
+            key, groups = bound.strata(ctx)
+            vals, sizes = bound.group_values(ctx, key, groups)
+            kept = bound.aggregate(vals, sizes)[1]
+            for k, code in enumerate(np.flatnonzero(sizes)):
+                t = None
+                if code in kept:
+                    try:
+                        t = evaluate_metric(ctx._subset(np.flatnonzero(key == code)),
+                                            bound.unconditional(), cfg, entropy + (k,))
+                    except MetricError:
+                        pass
+                strata.append((ctx.attribute("e").categories[code], int(sizes[code]), t))
+        out.append((node.predicates, ctx.n_rows, tested, strata))
+    return out
+
+
+def _numbers(t):
+    return None if t is None else (t.value.value, t.p, t.ci, t.method)
+
+
+@pytest.mark.parametrize("metric", sorted(LAYER_METRICS))
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(contexts=context_trees(), seed=st.integers(0, 2**16),
+       threshold=st.sampled_from([60, 150, 1000]))
+def test_layered_validation_matches_one_test_per_context(metric, contexts, seed, threshold):
+    name, explanatory = LAYER_METRICS[metric]
+    view = _layer_population(seed, 400, nmi=name == "nmi")
+    corr = name == "corr"
+    spec = TestingSpec(protected=("sx" if corr else "s",), output="y" if corr else "o",
+                       explanatory=explanatory, tree=TreeParams(min_size=20),
+                       stats=StatConfig(seed=seed, small_sample_threshold=threshold,
+                                        n_permutations=100, n_bootstrap=100))
+    bound = BoundMetric(MetricKind(name, explanatory), spec.protected[0], spec.output)
+    unit = TrainUnit(bound.resolve(view), [ContextNode(c, 0, 0.0) for c in contexts],
+                     TreeStats())
+    result = validate(TrainedInvestigation(spec, [unit], view.n_rows, 0), view)
+    cleaned = view.drop_missing(spec.used_attributes())
+    want = _reference(cleaned, unit, spec)
+    assert [f.predicates for f in result.findings] == [w[0] for w in want]
+    for f, (_, size, tested, strata) in zip(result.findings, want):
+        assert f.size == size
+        assert _numbers(f.tested) == _numbers(tested)
+        assert [(sf.value, sf.size, _numbers(sf.tested)) for sf in f.strata] == [
+            (value, n, _numbers(t)) for value, n, t in strata]
+    assert result.dropped_contexts == len(contexts) - len(want)
+
+
+def test_validate_logs_one_summary_line(caplog):
+    d = binary_testing_dataset(3000, seed=4)
+    ds = make_datasource(d, budget=1, train_fraction=0.5, seed=4)
+    spec = TestingSpec(protected=("income",), output="price",
+                       contextual=("state",), stats=StatConfig(seed=4),
+                       tree=TreeParams(min_size=100, max_depth=2))
+    trained = train(spec, ds.train)
+    ghost = (ContextPredicate("state", "in", values=("A",)),
+             ContextPredicate("price", "in", values=("0",)),
+             ContextPredicate("price", "in", values=("1",)))  # no rows
+    trained.units[0].contexts.append(ContextNode(ghost, 150, 0.1))
+    test = ds.next_test_set()
+    with caplog.at_level(logging.INFO, logger="uatest.investigations"):
+        result = validate(trained, test)
+    (line,) = [r.getMessage() for r in caplog.records]
+    contexts = len(trained.units[0].contexts)
+    assert line == (f"validated {contexts} contexts: {len(result.findings)} tested, "
+                    f"1 dropped with fewer than 50 test rows, 0 untestable; "
+                    f"a family of {result.family_size} hypotheses")
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="uatest.investigations"):
+        validate(trained, test)
+    detail = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert detail == ["dropped context ['state: A', 'price: 0', 'price: 1']: only 0 test rows"]

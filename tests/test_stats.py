@@ -2,6 +2,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from uatest.dataset import AttributeSchema, Dataset
@@ -23,7 +25,16 @@ from uatest.stats import (
     apply_corrections,
     holm_bonferroni,
 )
-from uatest.stats import _chunks, _ci_from_recipe, _perm_pvalue
+from uatest.stats import (
+    _chi2_sf,
+    _chunks,
+    _ci_from_recipe,
+    _norm_ppf,
+    _norm_sf,
+    _perm_pvalue,
+    _t_sf,
+)
+from uatest.stats import test_contexts as evaluate_contexts
 from uatest.stats import test_metric as evaluate_metric
 from tests.test_metrics import DEPT_A_SAMPLE, PRICING_GLOBAL, dataset_from_table
 
@@ -704,3 +715,84 @@ def test_metric_handles_absent_categories_in_context():
     tm = evaluate_metric(d, bound, StatConfig(seed=0, n_bootstrap=200))
     assert tm.method == "asymptotic"
     assert tm.p < 1e-6
+
+
+# -- distribution tails without scipy.stats ---------------------------------------
+
+TAIL_INPUTS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                        st.floats(-50, 50), st.sampled_from([0.0, -0.0, -1e-17, 1e-300]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.lists(st.tuples(TAIL_INPUTS, st.floats(0, 1), st.integers(1, 60),
+                               st.one_of(st.integers(1, 60), st.integers(1000, 10**7))),
+                     min_size=1, max_size=40))
+def test_special_tails_are_bit_equal_to_scipy_stats(data):
+    x, q, dof, df = (np.array(column) for column in zip(*data))
+
+    def same(a, b):
+        return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+    assert same(_norm_sf(x), sps.norm.sf(x))
+    assert same(_norm_ppf(q), sps.norm.ppf(q))
+    assert same(_chi2_sf(x, dof), sps.chi2.sf(x, dof))
+    assert same(_t_sf(x, df), sps.t.sf(x, df))
+
+
+# -- null validity of the rewritten routes -------------------------------------------
+
+
+def _null_rejections(p: np.ndarray, draws: int) -> None:
+    """Assert P(p <= alpha) <= alpha + margin at alpha = 0.01 and 0.05 over
+    ``draws`` independent null draws. A valid p-value has P(p <= alpha) <=
+    alpha, so the count of rejections is at most Binomial(draws, alpha) in
+    the stochastic order; the margin is that binomial's upper 1e-4 quantile,
+    over ``draws``, less alpha. A valid test so exceeds it with probability
+    below 1e-4 per level (about 0.016 at alpha = 0.05 and 0.0078 at alpha =
+    0.01 for 2,000 draws; 0.022 and 0.011 for 1,000)."""
+    assert len(p) == draws and not np.isnan(p).any()
+    for alpha in (0.01, 0.05):
+        bound = sps.binom.ppf(1 - 1e-4, draws, alpha) / draws
+        assert np.mean(p <= alpha) <= bound, (alpha, np.mean(p <= alpha), bound)
+
+
+def _replicates(columns: dict, draws: int, n: int, schema) -> tuple[Dataset, np.ndarray]:
+    """``draws`` populations of ``n`` rows stacked in one dataset, with the
+    key that puts each row in its population."""
+    return Dataset(schema, columns), np.repeat(np.arange(draws), n)
+
+
+def test_nmi_g_test_null_validity():
+    # 3 x 3 tables of independent s and o, 600 rows each, above the
+    # small-sample threshold: the asymptotic G-test route
+    draws, n = 2000, 600
+    r = np.random.default_rng(71)
+    schema = [AttributeSchema("s", "categorical", "protected", ("a", "b", "c")),
+              AttributeSchema("o", "categorical", "output", ("x", "y", "z"))]
+    view, key = _replicates({"s": r.choice(3, draws * n, p=[0.5, 0.3, 0.2]).astype(np.int32),
+                             "o": r.choice(3, draws * n, p=[0.2, 0.4, 0.4]).astype(np.int32)},
+                            draws, n, schema)
+    cfg = StatConfig(seed=71, small_sample_threshold=500)
+    tested = evaluate_contexts(view, BoundMetric(MetricKind("nmi"), "s", "o"), key, range(draws),
+                           cfg, [(i,) for i in range(draws)])
+    assert {t.method for t in tested} == {"asymptotic"}
+    _null_rejections(np.array([t.p for t in tested]), draws)
+
+
+def test_conditional_diff_permutation_null_validity():
+    # two strata with different base rates of s and o, s independent of o
+    # within each: the stratified permutation test at its smallest count
+    draws, n = 1000, 200
+    r = np.random.default_rng(72)
+    e = r.integers(0, 2, draws * n)
+    s = (r.random(draws * n) < np.where(e == 0, 0.3, 0.7)).astype(np.int32)
+    o = (r.random(draws * n) < np.where(e == 0, 0.2, 0.6)).astype(np.int32)
+    schema = [AttributeSchema("s", "categorical", "protected", ("a", "b")),
+              AttributeSchema("o", "categorical", "output", ("0", "1")),
+              AttributeSchema("e", "categorical", "explanatory", ("L", "R"))]
+    view, key = _replicates({"s": s, "o": o, "e": e.astype(np.int32)}, draws, n, schema)
+    cfg = StatConfig(seed=72, n_permutations=100, n_bootstrap=100)
+    tested = evaluate_contexts(view, COND_DIFF, key, range(draws), cfg,
+                           [(i,) for i in range(draws)])
+    assert {t.method for t in tested} == {"permutation+bootstrap"}
+    _null_rejections(np.array([t.p for t in tested]), draws)

@@ -1,6 +1,9 @@
-"""Checks on the package source itself, read with ``ast``."""
+"""Checks on the package source itself, read with ``ast``, and on its imports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "uatest"
@@ -38,3 +41,14 @@ def test_every_function_parameter_is_read():
     unread = [f"{path.name}:{line} {func}({param})" for path in sorted(SRC.glob("*.py"))
               for line, func, param in unread_parameters(path.read_text())]
     assert unread == []
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs more to import than every test of a run; the tails
+    # come from scipy.special
+    code = "import sys, uatest.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
