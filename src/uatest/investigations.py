@@ -41,6 +41,7 @@ from .metrics import (
     DIFF,
     NMI,
     BoundMetric,
+    MetricCounts,
     MetricError,
     MetricKind,
     joint_counts,
@@ -311,11 +312,7 @@ def train(spec: InvestigationSpec, train_view: Dataset) -> TrainedInvestigation:
                 units.extend(_train_discovery_units(spec, cleaned, s, contextual))
             else:
                 bound = select_metric(cleaned, s, output_col, spec)
-                guide = bound.unconditional()  # contexts are found on the raw metric
-                stats = TreeStats()
-                contexts = find_contexts(cleaned, spec.tree, guide, contextual=contextual,
-                                         stats=stats)
-                units.append(TrainUnit(bound, contexts, stats))
+                units.append(_grow_tree(spec, cleaned, bound, contextual))
     except MetricError as exc:
         if not dropped:
             raise
@@ -347,14 +344,23 @@ def _train_discovery_units(spec: DiscoverySpec, cleaned: Dataset, s: str,
     top = scores.top_labels(spec.top_k)
     logger.info("discovery on %s: testing top %d of %d labels", s, len(top), len(labels))
 
-    units = []
-    for label in top:
-        bound = BoundMetric(MetricKind(DIFF, spec.explanatory), s, label).resolve(cleaned)
-        stats = TreeStats()
-        contexts = find_contexts(cleaned, spec.tree, bound.unconditional(),
-                                 contextual=contextual, stats=stats)
-        units.append(TrainUnit(bound, contexts, stats))
-    return units
+    return [_grow_tree(spec, cleaned,
+                       BoundMetric(MetricKind(DIFF, spec.explanatory), s, label).resolve(cleaned),
+                       contextual) for label in top]
+
+
+def _grow_tree(spec: InvestigationSpec, cleaned: Dataset, bound: BoundMetric,
+               contextual: list[str]) -> TrainUnit:
+    """The unit of ``bound``, its contexts found on the raw (unconditional)
+    metric; logs what the search did."""
+    stats = TreeStats()
+    contexts = find_contexts(cleaned, spec.tree, bound.unconditional(), contextual=contextual,
+                             stats=stats)
+    logger.info("tree for protected %r and %s %r: %d levels, %d nodes, %d metric evaluations, "
+                "%d contexts registered", bound.protected,
+                "label" if spec.kind == DISCOVERY else "output", bound.output, stats.n_levels,
+                stats.n_nodes, stats.n_metric_evals, len(contexts))
+    return TrainUnit(bound, contexts, stats)
 
 
 # -- findings and validation ---------------------------------------------------
@@ -626,14 +632,15 @@ def validate(trained: TrainedInvestigation, test_view: Dataset) -> ValidationRes
         logger.info("dropped %d test rows with missing values", dropped_test)
     if spec.kind == ERROR_PROFILING:
         cleaned = _attach_error(cleaned, spec)
-    for unit in trained.units:
-        unit.bound.resolve(cleaned)  # a misconfigured metric fails before any test runs
+    # a misconfigured metric fails before any test runs; each unit's columns
+    # are gathered once, for all of its layers
+    counts = [unit.bound.resolve(cleaned).counts(cleaned) for unit in trained.units]
 
     min_test = spec.tree.min_size // 2
     detail = logger.isEnabledFor(logging.DEBUG)
     findings: list[Finding] = []
     too_small = untestable = streams = 0
-    for unit in trained.units:
+    for unit, unit_counts in zip(trained.units, counts):
         layers, where = _context_layers([node.predicates for node in unit.contexts])
         keys = _layer_keys(cleaned, layers)
         sizes = [np.bincount(key + 1, minlength=len(layer.preds) + 1)[1:]
@@ -651,7 +658,7 @@ def validate(trained: TrainedInvestigation, test_view: Dataset) -> ValidationRes
         results: dict[int, Finding | MetricError] = {}
         for key, size, batch in zip(keys, sizes, batches):
             if batch:
-                results.update(_test_layer(unit, spec, cleaned, key, size, batch))
+                results.update(_test_layer(unit, spec, cleaned, unit_counts, key, size, batch))
         for pos in sorted(results):
             node, found = unit.contexts[pos], results[pos]
             if isinstance(found, Finding):
@@ -696,17 +703,20 @@ def _untestable_population(unit: TrainUnit, spec: InvestigationSpec, exc: Metric
                      f"{bound.protected!r} and {what} on the test rows: {exc}{note}")
 
 
-def _test_layer(unit: TrainUnit, spec: InvestigationSpec, cleaned: Dataset, key: np.ndarray,
-                sizes: np.ndarray, batch: list[tuple[int, int, tuple[int, int]]]
+def _test_layer(unit: TrainUnit, spec: InvestigationSpec, cleaned: Dataset,
+                counts: MetricCounts, key: np.ndarray, sizes: np.ndarray,
+                batch: list[tuple[int, int, tuple[int, int]]]
                 ) -> dict[int, Finding | MetricError]:
     """Test the contexts ``batch`` lists of one layer, by (position in
     ``unit.contexts``, member of the layer, entropy): a finding, or the
-    MetricError of an untestable context, by position."""
+    MetricError of an untestable context, by position. ``counts`` is the
+    unit metric's ``BoundMetric.counts`` of ``cleaned``."""
     bound = unit.bound
     members = [j for _, j, _ in batch]
-    tested = test_contexts(cleaned, bound, key, members, spec.stats, [e for *_, e in batch])
-    strata = (_test_strata(cleaned, bound, key, unit.contexts, batch, tested, spec.stats)
-              if bound.conditional else {})
+    tested = test_contexts(cleaned, bound, key, members, spec.stats, [e for *_, e in batch],
+                           counts)
+    strata = (_test_strata(cleaned, bound, counts, key, unit.contexts, batch, tested,
+                           spec.stats) if bound.conditional else {})
     out: dict[int, Finding | MetricError] = {}
     for (pos, j, _), t in zip(batch, tested):
         if isinstance(t, MetricError):
@@ -728,7 +738,7 @@ def _test_layer(unit: TrainUnit, spec: InvestigationSpec, cleaned: Dataset, key:
     return out
 
 
-def _test_strata(cleaned: Dataset, bound: BoundMetric, key: np.ndarray,
+def _test_strata(cleaned: Dataset, bound: BoundMetric, counts: MetricCounts, key: np.ndarray,
                  contexts: list[ContextNode], batch: list[tuple[int, int, tuple[int, int]]],
                  tested: list[TestedMetric | MetricError],
                  cfg: StatConfig) -> dict[int, tuple[StratumFinding, ...]]:
@@ -741,7 +751,7 @@ def _test_strata(cleaned: Dataset, bound: BoundMetric, key: np.ndarray,
     strata, groups = bound.strata(cleaned)
     ckey = np.where((key >= 0) & (strata >= 0), key * groups + strata, -1)
     n = max(int(np.max(key, initial=-1)), *(j for _, j, _ in batch)) + 1
-    vals, sizes = (a.reshape(n, groups) for a in bound.group_values(cleaned, ckey, n * groups))
+    vals, sizes = (a.reshape(n, groups) for a in counts.group_values(ckey, n * groups))
     contexts_tested = [(pos, j) for (pos, j, _), t in zip(batch, tested)
                        if not isinstance(t, MetricError)]
     kept = {j: np.flatnonzero(stratum_weights(vals[j], sizes[j], bound.min_stratum))
@@ -750,7 +760,7 @@ def _test_strata(cleaned: Dataset, bound: BoundMetric, key: np.ndarray,
             for (_, j, entropy), t in zip(batch, tested) if not isinstance(t, MetricError)
             for k, code in enumerate(np.flatnonzero(sizes[j]).tolist()) if code in kept[j]]
     results = iter(test_contexts(cleaned, base, ckey, [m for m, _ in plan], cfg,
-                                 [e for _, e in plan]) if plan else ())
+                                 [e for _, e in plan], counts) if plan else ())
     categories = cleaned.attribute(bound.kind.explanatory).categories
     display = base.kind.display
     out = {}

@@ -5,7 +5,8 @@ to its protected and output attributes. It counts tables with
 ``joint_counts`` (one bincount, one table per row group) and scores stacks
 of them with the vectorized kernels (``mi_from_tables``,
 ``diff_from_tables``, ``ratio_from_tables``); correlations come from
-per-group moments. A bound metric is the size-weighted mean of its base
+per-group moments. ``MetricCounts`` gathers a view's columns once and
+counts them by any row key. A bound metric is the size-weighted mean of its base
 metric over strata: the categories of an explanatory attribute, or a single
 stratum when it is unconditional; the stratum rule is defined here only.
 """
@@ -70,23 +71,43 @@ def joint_counts(view: Dataset, names: Sequence[str], key: np.ndarray | None = N
     With ``key`` (one group index per row, -1 for a row in no group) the
     counts gain a leading axis of ``groups`` groups: one table per group.
     """
+    return keyed_counts(*cell_codes(view, names), key, groups)
+
+
+def cell_codes(view: Dataset, names: Sequence[str]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Each row's cell of the joint table of ``names`` (row-major, one axis
+    per attribute in schema category order), -1 for a row with a missing
+    value in any of them, and the table's shape. A caller that counts the
+    same rows by many keys gathers the columns once, here."""
     attrs = [view.attribute(name) for name in names]
     for attr in attrs:
         if attr.kind not in (CATEGORICAL, ORDINAL):
             raise MetricError(f"contingency requires categorical attributes, got {attr.kind} {attr.name!r}")
-    codes = [view.codes(name) for name in names]
     shape = tuple(len(attr.categories) for attr in attrs)
-    if key is not None:
-        codes.insert(0, key)
-        shape = (groups,) + shape
-    ok = codes[0] >= 0
-    flat = codes[0].astype(np.int64)
-    for c, size in zip(codes[1:], shape[1:]):
+    cells = np.zeros(view.n_rows, dtype=np.int64)
+    ok = np.ones(view.n_rows, dtype=bool)
+    for name, size in zip(names, shape):
+        c = view.codes(name)
         ok &= c >= 0
-        flat = flat * size + c
-    cells = math.prod(shape)
-    # a row with a missing value is counted in one extra cell, then dropped
-    return np.bincount(np.where(ok, flat, cells), minlength=cells + 1)[:cells].reshape(shape)
+        cells = cells * size + c
+    return np.where(ok, cells, -1), shape
+
+
+def keyed_counts(cells: np.ndarray, shape: tuple[int, ...], key: np.ndarray | None = None,
+                 groups: int = 0) -> np.ndarray:
+    """The table of shape ``shape`` counted from ``cell_codes``, from a single
+    bincount; with ``key`` (-1 for a row in no group), one table for each
+    of ``groups`` groups, on a leading axis."""
+    size = math.prod(shape)
+    ok = cells >= 0
+    flat = cells
+    if key is not None:
+        ok = ok & (key >= 0)
+        flat = key.astype(np.int64) * size + cells
+        size *= groups
+        shape = (groups,) + shape
+    # a row in no cell is counted in one extra cell, then dropped
+    return np.bincount(np.where(ok, flat, size), minlength=size + 1)[:size].reshape(shape)
 
 
 # -- vectorized table statistics --------------------------------------------
@@ -177,12 +198,16 @@ def grouped_moments(x: np.ndarray, y: np.ndarray, key: np.ndarray,
 
 
 def merged_moments(moments: tuple[np.ndarray, ...], members: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The ``grouped_moments`` of unions of groups, where ``members[..., g]``
-    (bool) marks the unions that hold group g. Each group's deviations are
-    shifted to the union's own mean (the pairwise update of Chan, Golub and
+    """The ``grouped_moments`` of unions of groups, for each of many nodes:
+    ``moments`` hold one row of groups per node, and ``members[..., g]``
+    (bool) marks the unions that hold group g. Results have shape
+    (nodes,) + ``members.shape[:-1]``. Each group's deviations are shifted
+    to the union's own mean (the pairwise update of Chan, Golub and
     LeVeque, 1979), never taken from raw-moment sums, so a union of one
-    group keeps that group's moments exactly."""
-    sizes, sum_x, sum_y, sxx, syy, sxy = moments
+    group keeps that group's moments exactly. Every sum runs over a node's
+    own groups, so a node's results do not depend on the other nodes."""
+    lead = (slice(None),) + (None,) * (members.ndim - 1)
+    sizes, sum_x, sum_y, sxx, syy, sxy = (m[lead] for m in moments)
 
     def total(v: np.ndarray) -> np.ndarray:
         return np.where(members, v, 0).sum(axis=-1)
@@ -190,8 +215,8 @@ def merged_moments(moments: tuple[np.ndarray, ...], members: np.ndarray) -> tupl
     n, sx, sy = total(sizes), total(sum_x), total(sum_y)
     with np.errstate(invalid="ignore", divide="ignore"):
         # each group's mean less the union's; an empty group's term is 0
-        mean_x = np.divide(sum_x, sizes, out=np.zeros(len(sizes)), where=sizes > 0)
-        mean_y = np.divide(sum_y, sizes, out=np.zeros(len(sizes)), where=sizes > 0)
+        mean_x = np.divide(sum_x, sizes, out=np.zeros(sizes.shape), where=sizes > 0)
+        mean_y = np.divide(sum_y, sizes, out=np.zeros(sizes.shape), where=sizes > 0)
         ex = mean_x - (sx / n)[..., None]
         ey = mean_y - (sy / n)[..., None]
         return (n, sx, sy, total(sxx) + total(sizes * ex * ex),
@@ -465,41 +490,12 @@ class BoundMetric:
                      groups: int) -> tuple[np.ndarray, np.ndarray]:
         """Base (unconditional) metric on each of ``groups`` row groups of
         ``view``, where ``key`` holds each row's group (-1 for none), with
-        the number of rows counted in each group. NaN marks groups where the
-        metric is undefined. Tables come from one bincount, correlations
-        from per-group moments."""
-        summary = self._group_summary(view, key, groups)
-        if self.tabular:
-            return self.value_from_tables(view, summary), summary.sum(axis=(-2, -1))
-        return moment_correlation(summary), summary[0]
+        the number of rows counted in each group: ``MetricCounts.group_values``."""
+        return self.counts(view).group_values(key, groups)
 
-    def threshold_values(self, view: Dataset, bins: np.ndarray, n_bins: int) -> np.ndarray:
-        """Base (unconditional) metric on both sides of every threshold
-        between ``n_bins`` ordered bins, where ``bins`` holds each row's bin
-        (-1 for none) and threshold j's left part holds bins 0..j: values
-        with shape (n_bins - 1, 2), NaN where undefined. A left table is the
-        cumulative sum of the bins' tables and a right table the total less
-        the left, so both are exact. Moments are merged per side
-        (``merged_moments``), so a correlation can differ from the side's
-        ``group_values`` in the last digits."""
-        summary = self._group_summary(view, bins, n_bins)
-        if self.tabular:
-            left = np.cumsum(summary, axis=0)[:-1]
-            return self.value_from_tables(view, np.stack([left, summary.sum(axis=0) - left],
-                                                         axis=1))
-        in_left = np.arange(n_bins) <= np.arange(n_bins - 1)[:, None]
-        return moment_correlation(merged_moments(summary, np.stack([in_left, ~in_left], axis=1)))
-
-    def _group_summary(self, view: Dataset, key: np.ndarray,
-                       groups: int) -> np.ndarray | tuple[np.ndarray, ...]:
-        """Per-group tables (``joint_counts``) of a table metric, or per-group
-        ``grouped_moments`` of CORR, over the rows ``key`` puts in a group."""
-        if self.tabular:
-            return joint_counts(view, (self.output, self.protected), key, groups)
-        x = view.scalar_values(self.protected)
-        y = view.scalar_values(self.output)
-        ok = (key >= 0) & ~(np.isnan(x) | np.isnan(y))
-        return grouped_moments(x[ok], y[ok], key[ok], groups)
+    def counts(self, view: Dataset) -> MetricCounts:
+        """The per-group summaries of ``view``'s rows by any row key."""
+        return MetricCounts(self, view)
 
     def guidance(self, view: Dataset) -> float:
         """Tree-search score: |value| for signed metrics so that opposing
@@ -514,3 +510,79 @@ class BoundMetric:
     def conditioned_on(self, explanatory: str) -> "BoundMetric":
         return BoundMetric(MetricKind(self.kind.name, explanatory), self.protected,
                            self.output, self.target, self.group_a, self.group_b)
+
+
+class MetricCounts:
+    """A bound metric's per-group summaries of the rows of one view, by any
+    row key: the (output, protected) tables of a table metric, counted from
+    each row's cell (``cell_codes``), or the ``grouped_moments`` of CORR over
+    the rows where both columns are defined. The columns are gathered once,
+    here, so every level of the tree and every layer of validation counts
+    its key without gathering them again. Per-group sums add a group's rows
+    in row order, so every value is bit-equal to the one taken on the
+    group's own rows."""
+
+    def __init__(self, metric: BoundMetric, view: Dataset):
+        self.metric = metric
+        self.view = view
+        if metric.tabular:
+            self.cells, self.shape = cell_codes(view, (metric.output, metric.protected))
+        else:
+            self.x = view.scalar_values(metric.protected)
+            self.y = view.scalar_values(metric.output)
+            self.paired = ~(np.isnan(self.x) | np.isnan(self.y))
+
+    def summary(self, key: np.ndarray, groups: int) -> np.ndarray | tuple[np.ndarray, ...]:
+        """Per-group tables (``keyed_counts``) of a table metric, or per-group
+        ``grouped_moments`` of CORR, over the rows ``key`` puts in a group."""
+        if self.metric.tabular:
+            return keyed_counts(self.cells, self.shape, key, groups)
+        ok = (key >= 0) & self.paired
+        return grouped_moments(self.x[ok], self.y[ok], key[ok], groups)
+
+    def group_values(self, key: np.ndarray, groups: int) -> tuple[np.ndarray, np.ndarray]:
+        """Base (unconditional) metric on each of ``groups`` row groups, where
+        ``key`` holds each row's group (-1 for none), with the number of rows
+        counted in each group; NaN where the metric is undefined. Tables
+        come from one bincount, correlations from per-group moments."""
+        summary = self.summary(key, groups)
+        if self.metric.tabular:
+            return self.metric.value_from_tables(self.view, summary), summary.sum(axis=(-2, -1))
+        return moment_correlation(summary), summary[0]
+
+    def threshold_values(self, key: np.ndarray, n_bins: np.ndarray) -> np.ndarray:
+        """Base (unconditional) metric on both sides of every threshold of many
+        nodes, from one count. Node i has ``n_bins[i]`` ordered bins, numbered
+        on from the bins of the nodes before it; ``key`` holds each row's bin
+        (-1 for none), and threshold j of a node has the node's bins 0..j on
+        its left. Values have shape (sum(n_bins - 1), 2), node by node and
+        threshold by threshold; NaN where undefined.
+
+        A left table is the cumulative sum of the node's bin tables and a
+        right table the node's total less the left, so both are exact.
+        Moments are merged per side (``merged_moments``), nodes of one bin
+        count at a time, so that each sum runs over the node's own bins; a
+        correlation can differ from the side's ``group_values`` in the last
+        digits."""
+        summary = self.summary(key, int(n_bins.sum()))
+        first = np.cumsum(n_bins) - n_bins  # each node's first bin
+        cuts = n_bins - 1
+        node = np.repeat(np.arange(len(n_bins)), cuts)
+        cut_first = np.cumsum(cuts) - cuts  # each node's first threshold
+        last_left = first[node] + np.arange(len(node)) - cut_first[node]
+        if self.metric.tabular:
+            total = np.cumsum(summary, axis=0)
+            before = total[first] - summary[first]
+            left = total[last_left] - before[node]
+            right = (total[first + cuts] - before)[node] - left
+            return self.metric.value_from_tables(self.view, np.stack([left, right], axis=1))
+        out = np.empty((len(node), 2))
+        for b in np.unique(n_bins).tolist():
+            nodes = np.flatnonzero(n_bins == b)
+            bins = first[nodes][:, None] + np.arange(b)
+            in_left = np.arange(b) <= np.arange(b - 1)[:, None]
+            merged = merged_moments(tuple(m[bins] for m in summary),
+                                    np.stack([in_left, ~in_left], axis=1))
+            out[(cut_first[nodes][:, None] + np.arange(b - 1)).ravel()] = (
+                moment_correlation(merged).reshape(-1, 2))
+        return out

@@ -43,10 +43,10 @@ from .metrics import (
     NMI,
     RATIO,
     BoundMetric,
+    MetricCounts,
     MetricError,
     MetricValue,
     grouped_correlation,
-    joint_counts,
     mi_from_tables,
     pearson_correlation,
     stratum_mean,
@@ -347,8 +347,8 @@ def test_metric(view: Dataset, bound: BoundMetric, cfg: StatConfig,
 
 
 def test_contexts(view: Dataset, bound: BoundMetric, key: np.ndarray, contexts: Sequence[int],
-                  cfg: StatConfig, entropies: Sequence[Sequence[int]]
-                  ) -> list[TestedMetric | MetricError]:
+                  cfg: StatConfig, entropies: Sequence[Sequence[int]],
+                  counts: MetricCounts | None = None) -> list[TestedMetric | MetricError]:
     """Test a bound metric on many populations of ``view`` at once: context
     c holds the rows where ``key`` is c (-1 for a row in none). Hypothesis h
     tests context ``contexts[h]`` with the RNG stream of ``entropies[h]``;
@@ -365,10 +365,12 @@ def test_contexts(view: Dataset, bound: BoundMetric, key: np.ndarray, contexts: 
     bootstrap resamples rows of the whole population (multinomially, for
     tables) and re-applies the stratum rule to each resample.
 
-    Every context's per-stratum tables come from one ``joint_counts``, and
-    its per-stratum correlations from one ``grouped_moments``, whose sums
-    add a context's rows in row order; so each estimate is bit-equal to the
-    one taken on the context's own rows. The estimates, the stratum rule,
+    Every context's per-stratum tables come from one count, and its
+    per-stratum correlations from one ``grouped_moments``, whose sums add a
+    context's rows in row order; so each estimate is bit-equal to the one
+    taken on the context's own rows. Both read the metric's columns from
+    ``counts``, the ``BoundMetric.counts`` of ``view``, which a caller that
+    tests many keys of one view builds once. The estimates, the stratum rule,
     the checks that make a population untestable and the G- and z-tests
     run over all hypotheses at once; the t-test takes each context's rows
     in row order. A permutation p-value and a percentile CI keep the
@@ -383,13 +385,14 @@ def test_contexts(view: Dataset, bound: BoundMetric, key: np.ndarray, contexts: 
     ckey = (np.where((key >= 0) & (strata >= 0), key * groups + strata, -1)
             if bound.conditional else key)
     contexts = np.asarray(contexts, dtype=np.intp)
+    counts = counts if counts is not None else bound.counts(view)
     if bound.tabular:
-        tables = joint_counts(view, (bound.output, bound.protected), ckey, n * groups)
+        tables = counts.summary(ckey, n * groups)
         tables = tables.reshape(n, groups, *tables.shape[1:])[contexts]
         n_rows = np.bincount(key + 1, minlength=n + 1)[1:][contexts]
         return _test_tables(view, bound, tables, n_rows, cfg, entropies)
     if bound.kind.name == CORR:
-        return _test_correlations(view, bound, ckey, groups, n, contexts, cfg, entropies)
+        return _test_correlations(counts, bound, ckey, groups, n, contexts, cfg, entropies)
     raise MetricError(f"no statistical test for metric {bound.kind.display!r}")
 
 
@@ -468,15 +471,13 @@ def _z_test(view: Dataset, bound: BoundMetric, counts: np.ndarray,
     return p, np.sqrt(pa * (1 - pa) / na + pb * (1 - pb) / nb)
 
 
-def _test_correlations(view: Dataset, bound: BoundMetric, ckey: np.ndarray, groups: int,
+def _test_correlations(counts: MetricCounts, bound: BoundMetric, ckey: np.ndarray, groups: int,
                        n: int, contexts: np.ndarray, cfg: StatConfig,
                        entropies: Sequence[Sequence[int]]) -> list[TestedMetric | MetricError]:
     """``test_contexts`` of CORR, where ``ckey`` holds each row's context
     times ``groups`` plus its stratum (-1 for none), for ``n`` contexts."""
-    x = view.scalar_values(bound.protected)
-    y = view.scalar_values(bound.output)
-    ok = (ckey >= 0) & ~(np.isnan(x) | np.isnan(y))
-    ckey, x, y = ckey[ok], x[ok], y[ok]
+    ok = (ckey >= 0) & counts.paired
+    ckey, x, y = ckey[ok], counts.x[ok], counts.y[ok]
     context, strata = np.divmod(ckey, groups)
     vals, sizes = grouped_correlation(x, y, ckey, n * groups)
     vals, sizes = vals.reshape(n, groups)[contexts], sizes.reshape(n, groups)[contexts]

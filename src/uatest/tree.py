@@ -1,24 +1,32 @@
 """Association-guided decision-tree construction.
 
-Starting from the full training population, the search recursively splits on
+Starting from the full training population, the search splits each node on
 the contextual attribute whose partition has the highest mean association
 between the protected attribute and the output, registering every visited
 subpopulation of sufficient size as a candidate context. Candidates are
 hypotheses only; their validation happens later on held-out test data.
 
 A categorical attribute splits by value. A continuous or ordinal attribute
-splits at each of its deduplicated within-node quantile thresholds. Every
-candidate split of one attribute is scored from one count of the node's
-rows. A categorical split is scored by one ``BoundMetric.group_values`` call
-over the category codes. A scalar attribute's rows fall into bins between
-its thresholds, each side of a threshold is a run of bins, and
-``BoundMetric.threshold_values`` sums the per-bin contingency tables, or
-merges the per-bin correlation moments, over each side (histogram split
-finding, as in Chen and Guestrin, KDD 2016, Alg. 2). Row keys and
-``Dataset`` views are built only for the parts of the winning split. A
-registered context carries the metric of its own view, bit for bit: tables
-are exact, and the correlations of a winning threshold split's parts are
-taken again from its key by ``BoundMetric.group_values``.
+splits at each of its deduplicated within-node quantile thresholds.
+
+The tree grows one level at a time, as SLIQ does (Mehta, Agrawal and
+Rissanen, EDBT 1996). A level is a row key that maps each training row to
+its node of the level, and each contextual attribute scores every
+candidate split of every node of the level from one keyed count of the
+rows (``MetricCounts``). A categorical attribute counts (node, category)
+groups and scores each node's split by ``MetricCounts.group_values``. A
+scalar attribute's defined rows are sorted by value once per tree; each
+level regroups them by node with one stable sort of the key, so each
+node's values are a sorted run from which its cuts are read, bit-equal to
+``np.quantile``. The rows fall into bins between their node's cuts, each
+side of a cut is a run of bins, and ``MetricCounts.threshold_values`` sums
+the per-bin contingency tables, or merges the per-bin correlation moments,
+over each side (histogram split finding, as in Chen and Guestrin, KDD 2016,
+Alg. 2). No ``Dataset`` view is built for a node. A registered context
+carries the metric of its own view, bit for bit: tables are exact, and the
+correlations of a winning threshold split's parts are taken again from a
+key of the parts by ``MetricCounts.group_values``. The contexts come back
+in the order of a depth-first search, root first.
 """
 
 from __future__ import annotations
@@ -26,11 +34,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .dataset import CATEGORICAL, ContextPredicate, DataError, Dataset
-from .metrics import BoundMetric, MetricError
+from .metrics import BoundMetric, MetricCounts, MetricError
 
 logger = logging.getLogger(__name__)
 
@@ -78,94 +87,205 @@ class ContextNode:
 
 @dataclass
 class TreeStats:
-    """Bookkeeping for the search: how many context metric evaluations ran."""
+    """Bookkeeping for the search: how many levels were scored, how many
+    nodes were visited and how many context metric evaluations ran."""
 
     n_metric_evals: int = 0
     n_nodes: int = 0
+    n_levels: int = 0
 
 
-@dataclass(frozen=True)
-class Splits:
-    """The candidate splits of a node on one contextual attribute, each row
-    of the node in a bin: ``bins`` holds its bin, -1 for a missing value.
-
-    A categorical attribute's bins are its category codes, and it has one
-    split, with a part for each code in ``present``. A scalar attribute's
-    bins lie between ``cuts``, its deduplicated within-node quantile
-    thresholds: bin b holds the values v with cuts[b-1] < v <= cuts[b]. It
-    has a binary split at each cut j in ``kept``, whose left part (``le``)
-    holds bins 0..j and whose right part (``gt``) holds the rest.
-    """
-
-    attribute: str
-    bins: np.ndarray
-    present: np.ndarray | None = None
-    categories: tuple[str, ...] = ()
-    cuts: np.ndarray | None = None
-    kept: np.ndarray | None = None
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """The number of splits, and of parts in each."""
-        return (1, len(self.present)) if self.cuts is None else (len(self.kept), 2)
-
-    def part_values(self, view: Dataset, metric: BoundMetric) -> np.ndarray:
-        """The base metric of every part of every split, an array of
-        ``shape`` (NaN where undefined), from one count of the node's rows."""
-        if self.cuts is None:
-            return metric.group_values(view, self.bins, len(self.categories))[0][self.present][None]
-        return metric.threshold_values(view, self.bins, len(self.cuts) + 1)[self.kept]
-
-    def predicates(self, j: int) -> tuple[ContextPredicate, ...]:
-        """The predicate of each part of split ``j``."""
-        if self.cuts is None:
-            return tuple(ContextPredicate(self.attribute, "in", values=(self.categories[c],))
-                         for c in self.present)
-        t = float(self.cuts[self.kept[j]])
-        return (ContextPredicate(self.attribute, "le", threshold=t),
-                ContextPredicate(self.attribute, "gt", threshold=t))
-
-    def key(self, j: int) -> np.ndarray:
-        """Each row's part in split ``j`` (-1 for a row in no part)."""
-        if self.cuts is None:
-            part_of = np.full(len(self.categories), -1)
-            part_of[self.present] = np.arange(len(self.present))
-        else:
-            part_of = (np.arange(len(self.cuts) + 1) > self.kept[j]).astype(np.intp)
-        return np.where(self.bins >= 0, part_of[self.bins], -1)
+Guidance = Callable[[np.ndarray], np.ndarray]
+Part = tuple[ContextPredicate, int, float]  # a split's part: predicate, size, association
 
 
-def candidate_splits(view: Dataset, attribute: str, params: TreeParams) -> Splits | None:
-    """The candidate splits of ``view`` on one contextual attribute (see
-    ``Splits``), or None if there are none. A scalar attribute's thresholds
-    are up to ``params.quantile_splits`` quantiles of the node's values. A
-    split with a part of fewer than 2 rows is dropped."""
-    attr = view.attribute(attribute)
-    if attr.kind == CATEGORICAL:
-        bins = view.codes(attribute)
-        sizes = np.bincount(bins[bins >= 0], minlength=len(attr.categories))
-        present = np.flatnonzero(sizes)
-        if len(present) < 2 or sizes[present].min() < 2:
+class CategorySplits:
+    """The split of the nodes of a level on a categorical attribute: a part
+    for each category that a node holds. A split with a part of fewer than
+    2 rows is dropped."""
+
+    def __init__(self, train: Dataset, name: str):
+        self.name = name
+        self.categories = train.attribute(name).categories
+        self.codes = train.codes(name)
+
+    def score(self, key: np.ndarray, node_values: np.ndarray, counts: MetricCounts,
+              guidance: Guidance) -> np.ndarray | None:
+        """The score of each node's split (-inf for none that is eligible),
+        from one count of (node, category) groups; None if no node has a
+        split. ``key`` maps each row to its node, -1 for none, and
+        ``node_values`` holds each node's own association."""
+        f, c = len(node_values), len(self.categories)
+        if c < 2:
             return None
-        return Splits(attribute, bins, present=present, categories=attr.categories)
+        self.key = np.where((key >= 0) & (self.codes >= 0), key * c + self.codes, -1)
+        sizes = np.bincount(self.key[self.key >= 0], minlength=f * c).reshape(f, c)
+        present = sizes > 0
+        parts = present.sum(axis=1)
+        splits = (parts >= 2) & (np.where(present, sizes, 2).min(axis=1) >= 2)
+        if not splits.any():
+            return None
+        self.sizes, self.present = sizes, present
+        self.part_values = guidance(counts.group_values(self.key, f * c)[0]).reshape(f, c)
+        self.evals = int(parts[splits].sum())
+        scores = np.full(f, -math.inf)
+        # nodes with k parts at a time: each mean sums a node's own parts, unpadded
+        for k in np.unique(parts[splits]).tolist():
+            nodes = np.flatnonzero(splits & (parts == k))
+            scores[nodes] = _split_scores(
+                self.part_values[nodes][present[nodes]].reshape(-1, k), node_values[nodes])
+        return scores
 
-    values = view.scalar_values(attribute)
-    missing = np.isnan(values)
-    finite = values[~missing]
-    if len(finite) < 4:
-        return None
-    q = params.quantile_splits
-    # infinite values can give a NaN cut; it sorts above every value, so its
-    # right part is empty and its split is dropped below
-    with np.errstate(invalid="ignore"):
-        cuts = np.unique(np.quantile(finite, [(i + 1) / (q + 1) for i in range(q)]))
-    # v <= cuts[j] exactly when searchsorted puts v in a bin b <= j
-    bins = np.where(missing, -1, np.searchsorted(cuts, values))
-    left = np.cumsum(np.bincount(bins[~missing], minlength=len(cuts) + 1))[:-1]
-    kept = np.flatnonzero((left >= 2) & (len(finite) - left >= 2))
-    if len(kept) == 0:
-        return None
-    return Splits(attribute, bins, cuts=cuts, kept=kept)
+    def parts(self, i: int) -> list[Part]:
+        """The parts of node i's split."""
+        return [(ContextPredicate(self.name, "in", values=(self.categories[code],)),
+                 int(self.sizes[i, code]), float(self.part_values[i, code]))
+                for code in np.flatnonzero(self.present[i]).tolist()]
+
+    def row_parts(self, key: np.ndarray, split: np.ndarray, out: np.ndarray) -> None:
+        """Write into ``out`` the part of each row of the nodes ``split`` marks."""
+        part_of = np.where(self.present, np.cumsum(self.present, axis=1) - 1, -1).ravel()
+        rows = np.flatnonzero(self.key >= 0)
+        rows = rows[split[key[rows]]]
+        out[rows] = part_of[self.key[rows]]
+
+
+class ThresholdSplits:
+    """The binary splits of the nodes of a level on a scalar attribute, one
+    at each cut of a node: the deduplicated ``quantile_splits`` quantiles of
+    the node's defined values (NaN is missing; infinite values count). The
+    left part holds the values at or below the cut, the right part those
+    above it. A split with a part of fewer than 2 rows is dropped, as is
+    every split of a node with fewer than 4 defined values.
+
+    The defined rows are sorted by value once; tied values fall in one bin,
+    so their order does not matter. Each level keeps the rows still in a
+    node and regroups them by node with one stable sort of the key, so every
+    node's values form a run in the order of the first sort; a node's cuts
+    are read from its run as ``np.quantile`` (method ``linear``) reads them
+    from its sorted values, so they are bit-equal. One search of all cuts in
+    the runs finds where each cut ends a bin of its node's run."""
+
+    def __init__(self, train: Dataset, name: str, quantile_splits: int):
+        self.name = name
+        self.values = train.scalar_values(name)
+        self.order = np.argsort(self.values)[:int((~np.isnan(self.values)).sum())]
+        self.sorted_values = self.values[self.order]
+        self.rank = np.empty(len(self.values), dtype=np.int64)  # each defined row's place in it
+        self.rank[self.order] = np.arange(len(self.order))
+        q = quantile_splits
+        self.probs = np.array([(i + 1) / (q + 1) for i in range(q)])
+        # np.quantile's partition may leave -0.0 and 0.0 in either order, which
+        # sets the sign of a zero cut; where both occur, zero cuts come from it
+        signs = np.signbit(self.values[self.values == 0])
+        self.signed_zeros = bool(signs.any() and not signs.all())
+
+    def score(self, key: np.ndarray, node_values: np.ndarray, counts: MetricCounts,
+              guidance: Guidance) -> np.ndarray | None:
+        """The score of each node's best split (-inf for none that is
+        eligible), from one count of (node, bin) groups; None if no node has
+        a split. Arguments as for ``CategorySplits.score``."""
+        f = len(node_values)
+        node = key[self.order]
+        live = node >= 0
+        self.order, node = self.order[live], node[live]  # a row in no node stays in none
+        by_node = np.argsort(node.astype(np.min_scalar_type(f)), kind="stable")
+        rows, node = self.order[by_node], node[by_node]
+        n = np.bincount(node, minlength=f)
+        self.index = np.full(f, -1)  # each node's row in the per-node arrays below
+        has = np.flatnonzero(n >= 4)
+        if len(has) == 0:
+            return None
+        self.index[has] = np.arange(len(has))
+        self.n = n[has]
+        start = (np.cumsum(n) - n)[has]
+        self.cuts, k = self._cuts(rows, start, self.n)
+        self.n_cuts = k
+        # the runs are sorted by (node, place in the first sort), so one
+        # search of each cut's (node, place of the first value above it)
+        # finds how many of the node's values lie at or below it; a NaN cut
+        # has all of them
+        self.cut_first = np.cumsum(k) - k  # each node's first cut
+        cut_node = np.repeat(np.arange(len(has)), k)
+        cut = np.arange(len(cut_node)) - self.cut_first[cut_node]
+        n_all = len(self.rank)
+        above = np.searchsorted(self.sorted_values, self.cuts[cut_node, cut], side="right")
+        ends = np.searchsorted(node * n_all + self.rank[rows], has[cut_node] * n_all + above)
+        self.left = ends - start[cut_node]
+        # each node's bins, the runs between its cut ends, number its rows
+        n_bins = k + 1
+        first = np.cumsum(n_bins) - n_bins  # each node's first bin
+        upper = np.insert(ends, np.cumsum(k), start + self.n)
+        lower = np.empty_like(upper)
+        lower[1:] = upper[:-1]
+        lower[first] = start
+        inside = self.index[node] >= 0
+        bin_key = np.full(len(key), -1)
+        bin_key[rows[inside]] = np.repeat(np.arange(len(upper)), upper - lower)
+        self.kept = kept = np.flatnonzero((self.left >= 2) & (self.n[cut_node] - self.left >= 2))
+        if len(kept) == 0:
+            return None
+        self.part_values = guidance(counts.threshold_values(bin_key, n_bins))
+        self.evals = 2 * len(kept)
+        scores = np.full(self.cuts.shape, -math.inf)
+        scores[cut_node[kept], cut[kept]] = _split_scores(
+            self.part_values[kept], node_values[has][cut_node[kept]])
+        self.best = np.argmax(scores, axis=1)  # the first best: the lowest cut
+        out = np.full(f, -math.inf)
+        out[has] = scores[np.arange(len(has)), self.best]
+        return out
+
+    def _cuts(self, rows: np.ndarray, start: np.ndarray,
+              n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each node's deduplicated cuts in ascending order, NaN last and as
+        padding, and their number: ``np.unique(np.quantile(...))`` of the
+        values of the node's run ``rows[start:start + n]``."""
+        virtual = (n - 1)[:, None] * self.probs
+        below = np.floor(virtual)  # never the last value: every prob is below 1
+        lo = start[:, None] + below.astype(np.intp)
+        a, b, t = self.values[rows[lo]], self.values[rows[lo + 1]], virtual - below
+        # numpy's _lerp; two infinite values give a NaN cut, which sorts above
+        # every value, so its right part is empty and its split is dropped
+        with np.errstate(invalid="ignore"):
+            cuts = np.sort(np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t), axis=1)
+        repeat = np.zeros(cuts.shape, dtype=bool)
+        repeat[:, 1:] = (cuts[:, 1:] == cuts[:, :-1]) | np.isnan(cuts[:, 1:]) & np.isnan(cuts[:, :-1])
+        k = (~repeat).sum(axis=1)
+        cuts = np.take_along_axis(cuts, np.argsort(repeat, axis=1, kind="stable"), axis=1)
+        cuts[np.arange(cuts.shape[1]) >= k[:, None]] = np.nan
+        if self.signed_zeros:
+            for h in np.flatnonzero((cuts == 0).any(axis=1)).tolist():
+                node_rows = np.sort(rows[start[h]:start[h] + n[h]])
+                with np.errstate(invalid="ignore"):
+                    cuts[h, :k[h]] = np.unique(np.quantile(self.values[node_rows], self.probs))
+        return cuts, k
+
+    def parts(self, i: int) -> list[Part]:
+        """The parts of node i's best split."""
+        h = self.index[i]
+        j = self.best[h]
+        c = self.cut_first[h] + j
+        t = float(self.cuts[h, j])
+        left = int(self.left[c])
+        return [(ContextPredicate(self.name, "le", threshold=t), left,
+                 float(self.part_values[c, 0])),
+                (ContextPredicate(self.name, "gt", threshold=t), int(self.n[h]) - left,
+                 float(self.part_values[c, 1]))]
+
+    def row_parts(self, key: np.ndarray, split: np.ndarray, out: np.ndarray) -> None:
+        """Write into ``out`` the part of each row of the nodes ``split`` marks."""
+        node = key[self.order]
+        chosen = split[node]
+        rows, h = self.order[chosen], self.index[node[chosen]]
+        out[rows] = self.values[rows] > self.cuts[h, self.best[h]]
+
+
+def _split_scores(part_values: np.ndarray, node_values: np.ndarray) -> np.ndarray:
+    """The score of each split, a row of ``part_values``: the mean of its
+    parts (an undefined part counts 0) if some part beats its node's
+    association in ``node_values``, else -inf."""
+    zeroed = np.where(np.isnan(part_values), 0.0, part_values)
+    return np.where((zeroed > node_values[:, None]).any(axis=1), zeroed.mean(axis=1), -math.inf)
 
 
 def _part_value(part: Dataset, metric: BoundMetric) -> float:
@@ -181,63 +301,101 @@ def find_contexts(train: Dataset, params: TreeParams, metric: BoundMetric,
     """Grow the guided tree on the training set and return all registered
     contexts in deterministic depth-first order (root first).
 
-    At each node every candidate split of every contextual attribute is
-    scored; a split is eligible only if some part beats the node's own
-    association, and the recursion descends into every part of the best
-    split only when that split's mean score beats the node. Ties go to the
-    earlier attribute, then to the lower threshold. Contexts are registered
-    when they hold at least ``params.min_size`` training rows; the root is
-    always registered.
+    Every candidate split of every contextual attribute is scored at every
+    node; a split is eligible only if some part beats the node's own
+    association, and the node splits into every part of its best split only
+    when that split's mean score beats the node. Ties go to the earlier
+    attribute, then to the lower threshold. A node splits only if it holds
+    at least ``params.min_size`` training rows, lies above
+    ``params.max_depth`` and has a defined association. Contexts are
+    registered when they hold at least ``params.min_size`` training rows;
+    the root is always registered. The nodes of one depth are scored
+    together, one level at a time.
     """
     if contextual is None:
         contextual = [a.name for a in train.schema if a.role == "contextual"]
     metric = metric.resolve(train)
     stats = stats if stats is not None else TreeStats()
-    registered: list[ContextNode] = []
+    counts = metric.counts(train)
 
     def guidance(values: np.ndarray) -> np.ndarray:
         return np.abs(values) if metric.kind.signed else values
 
-    def recurse(view: Dataset, predicates: tuple[ContextPredicate, ...], value: float) -> None:
-        stats.n_nodes += 1
-        if not predicates and math.isnan(value):
-            raise MetricError(f"{metric.kind.display} undefined on the {view.n_rows} training rows "
-                              f"of protected attribute {metric.protected!r} and output "
-                              f"{metric.output!r}")
-        if not predicates or view.n_rows >= params.min_size:
-            registered.append(ContextNode(predicates, view.n_rows, value))
-        if view.n_rows < params.min_size:
-            return
-        if len(predicates) >= params.max_depth or math.isnan(value):
-            return
+    def grows(node: ContextNode) -> bool:
+        return (node.n_train >= params.min_size and node.depth < params.max_depth
+                and not math.isnan(node.train_metric))
 
-        best_score, best = -math.inf, None
-        for attr in contextual:
-            splits = candidate_splits(view, attr, params)
-            if splits is None:
-                continue
-            stats.n_metric_evals += math.prod(splits.shape)
-            part_values = guidance(splits.part_values(view, metric))
-            zeroed = np.where(np.isnan(part_values), 0.0, part_values)
-            # a split is eligible only if some part beats the node
-            scores = np.where((zeroed > value).any(axis=1), zeroed.mean(axis=1), -math.inf)
-            j = int(np.argmax(scores))  # the first best: the lowest threshold
-            if scores[j] > best_score:
-                best_score, best = float(scores[j]), (splits, j, part_values[j])
-        if best is None or best_score <= value:
-            return
-        splits, j, part_values = best
-        key = splits.key(j)
-        if splits.cuts is not None and not metric.tabular:
-            # merged moments can miss the correlation of a part's own rows
-            # in the last digits, so take it from them
-            part_values = guidance(metric.group_values(view, key, 2)[0])
-        for i, pred in enumerate(splits.predicates(j)):
-            recurse(view._subset(np.flatnonzero(key == i)), predicates + (pred,),
-                    float(part_values[i]))
-
+    root = ContextNode((), train.n_rows, _part_value(train, metric))
     stats.n_metric_evals += 1
-    recurse(train, (), _part_value(train, metric))
+    stats.n_nodes += 1
+    if math.isnan(root.train_metric):
+        raise MetricError(f"{metric.kind.display} undefined on the {train.n_rows} training rows "
+                          f"of protected attribute {metric.protected!r} and output "
+                          f"{metric.output!r}")
+    attributes = [CategorySplits(train, name) if train.attribute(name).kind == CATEGORICAL
+                  else ThresholdSplits(train, name, params.quantile_splits)
+                  for name in contextual]
+    nodes, children = [root], [[]]
+    frontier = [0] if grows(root) else []
+    key = np.zeros(train.n_rows, dtype=np.intp)
+    while frontier:
+        stats.n_levels += 1
+        node_values = np.array([nodes[i].train_metric for i in frontier])
+        best_score = np.full(len(frontier), -math.inf)
+        best = np.full(len(frontier), -1)
+        for a, attr in enumerate(attributes):
+            scores = attr.score(key, node_values, counts, guidance)
+            if scores is None:
+                continue
+            stats.n_metric_evals += attr.evals
+            better = scores > best_score
+            best_score[better], best[better] = scores[better], a
+        splitting = best_score > node_values
+        split = np.flatnonzero(splitting)
+        part = np.full(train.n_rows, -1)  # each row's part of its node's split, -1 for none
+        for a in np.unique(best[split]).tolist():
+            attributes[a].row_parts(key, splitting & (best == a), part)
+        parts = [attributes[best[i]].parts(i) for i in split.tolist()]
+        if not metric.tabular:
+            # merged moments can miss the correlation of a part's own rows in
+            # the last digits, so take it from them
+            again = [s for s, i in enumerate(split.tolist())
+                     if isinstance(attributes[best[i]], ThresholdSplits)]
+            if again:
+                winner = np.full(len(frontier), -1)
+                winner[split[again]] = np.arange(len(again))
+                w = np.where(key >= 0, winner[key], -1)
+                values = counts.group_values(np.where((w >= 0) & (part >= 0), 2 * w + part, -1),
+                                             2 * len(again))[0]
+                for s, v in zip(again, guidance(values).reshape(-1, 2).tolist()):
+                    parts[s] = [(pred, n, value) for (pred, n, _), value in zip(parts[s], v)]
+
+        first_child = np.full(len(frontier), -1)
+        next_of: list[int] = []  # each child's node of the next level, -1 for none
+        next_frontier: list[int] = []
+        for i, split_parts in zip(split.tolist(), parts):
+            first_child[i] = len(next_of)
+            parent = frontier[i]
+            for pred, n_rows, value in split_parts:
+                child = ContextNode(nodes[parent].predicates + (pred,), n_rows, value)
+                children[parent].append(len(nodes))
+                next_of.append(len(next_frontier) if grows(child) else -1)
+                if grows(child):
+                    next_frontier.append(len(nodes))
+                nodes.append(child)
+                children.append([])
+        stats.n_nodes += len(next_of)
+        if next_frontier:
+            child = np.where((key >= 0) & (part >= 0), first_child[key] + part, -1)
+            key = np.where(child >= 0, np.array(next_of)[child], -1)
+        frontier = next_frontier
+
+    registered, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        if i == 0 or nodes[i].n_train >= params.min_size:
+            registered.append(nodes[i])
+        stack.extend(reversed(children[i]))
     return registered
 
 

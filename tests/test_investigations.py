@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uatest import metrics
 from uatest.data import berkeley_admissions
 from uatest.dataset import (
     AttributeSchema,
@@ -616,8 +617,14 @@ def test_validate_builds_each_distinct_context_once(monkeypatch):
         return select(self, predicates)
 
     monkeypatch.setattr(Dataset, "select", counting_select)
+    gathered = []
+    cell_codes = metrics.cell_codes
+    monkeypatch.setattr(metrics, "cell_codes",
+                        lambda view, names: gathered.append(names) or cell_codes(view, names))
     result = validate(trained, ds.next_test_set())
     assert calls == []  # a context is a member of a layer key, not a view
+    # each unit's (output, protected) cells are gathered once, for all its layers
+    assert gathered == [(u.bound.output, "race") for u in trained.units]
     for unit in trained.units:
         layers, where = _context_layers([c.predicates for c in unit.contexts])
         prefixes = {c.predicates[:k] for c in unit.contexts for k in range(c.depth + 1)}
@@ -767,6 +774,36 @@ def test_layered_validation_matches_one_test_per_context(metric, contexts, seed,
         assert [(sf.value, sf.size, _numbers(sf.tested)) for sf in f.strata] == [
             (value, n, _numbers(t)) for value, n, t in strata]
     assert result.dropped_contexts == len(contexts) - len(want)
+
+
+def test_train_logs_one_line_per_tree(caplog):
+    d = binary_testing_dataset(3000, seed=4)
+    spec = TestingSpec(protected=("income",), output="price", contextual=("state",),
+                       tree=TreeParams(min_size=100, max_depth=2))
+    with caplog.at_level(logging.INFO, logger="uatest.investigations"):
+        trained = train(spec, d)
+    (unit,) = trained.units
+    stats = unit.tree_stats
+    # the root's level splits it by state; the three states' level finds no split
+    assert (stats.n_levels, stats.n_nodes, len(unit.contexts)) == (2, 4, 4)
+    (line,) = [r.getMessage() for r in caplog.records]
+    assert line == (f"tree for protected 'income' and output 'price': 2 levels, "
+                    f"{stats.n_nodes} nodes, {stats.n_metric_evals} metric evaluations, "
+                    f"{len(unit.contexts)} contexts registered")
+
+    labels = {f"L{j}": [str(v) for v in np.random.default_rng(j).integers(0, 2, d.n_rows)]
+              for j in range(3)}
+    schema = list(d.schema) + [AttributeSchema(name, "categorical", "output", ("0", "1"))
+                               for name in labels]
+    wide = Dataset.from_columns(schema, {**{a.name: d.values(a.name) for a in d.schema},
+                                         **labels})
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="uatest.investigations"):
+        trained = train(DiscoverySpec(protected=("income",), output=tuple(labels),
+                                      contextual=("state",), top_k=2), wide)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("tree for")]
+    assert [line.split(":")[0] for line in lines] == [
+        f"tree for protected 'income' and label {u.bound.output!r}" for u in trained.units]
 
 
 def test_validate_logs_one_summary_line(caplog):

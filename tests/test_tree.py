@@ -9,9 +9,10 @@ from uatest import metrics
 from uatest.dataset import CATEGORICAL, AttributeSchema, ContextPredicate, Dataset
 from uatest.metrics import BoundMetric, MetricError, MetricKind
 from uatest.tree import (
+    CategorySplits,
+    ThresholdSplits,
     TreeParams,
     TreeStats,
-    candidate_splits,
     exhaustive_contexts,
     find_contexts,
 )
@@ -44,17 +45,39 @@ def planted_dataset(n=4000, seed=0, delta=0.2, attrs=4):
     return build(cols)
 
 
+def node_splits(view, attribute, params, metric=DIFF):
+    """The candidate splits of ``view`` on ``attribute``, scored as the one
+    node of a level, with raw part values (no guidance), or None if it has
+    none."""
+    splits = (CategorySplits(view, attribute)
+              if view.attribute(attribute).kind == CATEGORICAL
+              else ThresholdSplits(view, attribute, params.quantile_splits))
+    scores = splits.score(np.zeros(view.n_rows, dtype=np.intp), np.array([-math.inf]),
+                          metric.resolve(view).counts(view), lambda values: values)
+    return None if scores is None else splits
+
+
+def split_key(splits, n, j=0):
+    """Each row's part in the node's split at kept cut ``j`` (the only split
+    of a categorical attribute), -1 for a row in no part."""
+    if isinstance(splits, ThresholdSplits):
+        splits.best[0] = splits.kept[j]  # make cut j the node's best
+    key = np.full(n, -1)
+    splits.row_parts(np.zeros(n, dtype=np.intp), np.array([True]), key)
+    return key
+
+
 def test_candidate_splits_binary_categorical():
     d = planted_dataset(500, seed=1)
-    splits = candidate_splits(d, "x0", TreeParams(min_size=10))
-    assert splits.shape == (1, 2)
-    assert np.array_equal(np.unique(splits.key(0)), [0, 1])
-    assert {p.describe() for p in splits.predicates(0)} == {"x0: 0", "x0: 1"}
+    splits = node_splits(d, "x0", TreeParams(min_size=10))
+    assert splits.evals == 2 and len(splits.parts(0)) == 2  # one split of two parts
+    assert np.array_equal(np.unique(split_key(splits, d.n_rows)), [0, 1])
+    assert {p.describe() for p, _, _ in splits.parts(0)} == {"x0: 0", "x0: 1"}
 
 
 def test_candidate_splits_constant_attribute():
     d = build({"c": ["k"] * 100, "s": [0, 1] * 50, "o": [0, 1] * 50})
-    assert candidate_splits(d, "c", TreeParams(min_size=10)) is None
+    assert node_splits(d, "c", TreeParams(min_size=10)) is None
 
 
 def test_candidate_splits_continuous_quantiles():
@@ -67,13 +90,13 @@ def test_candidate_splits_continuous_quantiles():
               AttributeSchema("o", "categorical", "output", ("0", "1"))]
     d = Dataset.from_columns(schema, {"age": list(rng.uniform(0, 100, n)), **cols})
     params = TreeParams(min_size=10, quantile_splits=8)
-    splits = candidate_splits(d, "age", params)
-    assert 1 <= splits.shape[0] <= 8 and splits.shape[1] == 2
-    for j in range(splits.shape[0]):
-        key = splits.key(j)
+    splits = node_splits(d, "age", params)
+    assert 1 <= len(splits.kept) <= 8 and splits.evals == 2 * len(splits.kept)
+    for j in range(len(splits.kept)):
+        key = split_key(splits, n, j)
         assert len(key) == n
         assert np.bincount(key, minlength=2).min() >= 2
-        preds = splits.predicates(j)
+        preds = [p for p, _, _ in splits.parts(0)]
         assert preds[0].op == "le" and preds[1].op == "gt"
         assert np.array_equal(key == 0, d.scalar_values("age") <= preds[0].threshold)
 
@@ -150,22 +173,58 @@ def test_binned_scorer_matches_per_threshold_scoring(data):
     params = TreeParams(min_size=10, quantile_splits=data.draw(st.integers(2, 8)))
 
     expected = brute_force_splits(view, "x", metric, params)
-    splits = candidate_splits(view, "x", params)
+    splits = node_splits(view, "x", params, metric)
     if splits is None:
         assert expected == []
         return
-    thresholds = [None] if splits.cuts is None else splits.cuts[splits.kept].tolist()
+    if isinstance(splits, CategorySplits):
+        thresholds = [None]
+        values = splits.part_values[:, splits.present[0]]
+    else:
+        thresholds = splits.cuts[0, splits.kept].tolist()
+        values = splits.part_values[splits.kept]
     assert thresholds == [t for t, _ in expected]
-    values = splits.part_values(view, metric)
-    assert values.shape == splits.shape
+    assert values.shape == (len(expected), len(expected[0][1]))
     for j, (_, want) in enumerate(expected):
         if name == "corr":
             np.testing.assert_allclose(values[j], want, rtol=0, atol=1e-12)
         else:
             np.testing.assert_array_equal(values[j], want)
-        key = splits.key(j)
+        key = split_key(splits, n, j)
         assert np.array_equal(metric.group_values(view, key, len(want))[0], want,
                               equal_nan=True)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_presorted_cuts_are_bit_equal_to_np_quantile(data):
+    # ties, zeros of both signs, and infinite values, whose pairs give a NaN
+    # cut; some nodes have fewer than 4 defined values, and the nodes' rows
+    # are interleaved
+    pool = st.one_of(st.integers(-3, 3).map(float), st.floats(-50, 50, width=16),
+                     st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
+    nodes = data.draw(st.lists(st.lists(pool, max_size=30), min_size=1, max_size=6))
+    q = data.draw(st.integers(2, 8))
+    rows = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(
+        sum(map(len, nodes)))
+    values = np.array([v for node in nodes for v in node], dtype=np.float64)[rows]
+    key = np.repeat(np.arange(len(nodes)), [len(node) for node in nodes])[rows]
+    schema = [AttributeSchema("x", "continuous", "contextual"),
+              AttributeSchema("s", "categorical", "protected", ("0", "1")),
+              AttributeSchema("o", "categorical", "output", ("0", "1"))]
+    d = Dataset(schema, {"x": values, "s": (rows % 2).astype(np.int32),
+                         "o": (rows % 3 == 0).astype(np.int32)})
+    splits = ThresholdSplits(d, "x", q)
+    splits.score(key, np.full(len(nodes), -math.inf), DIFF.resolve(d).counts(d), np.abs)
+    for i in range(len(nodes)):
+        defined = values[(key == i) & ~np.isnan(values)]
+        if len(defined) < 4:
+            assert splits.index[i] == -1  # no cuts, so no split
+            continue
+        with np.errstate(invalid="ignore"):
+            want = np.unique(np.quantile(defined, [(j + 1) / (q + 1) for j in range(q)]))
+        h = splits.index[i]
+        assert splits.cuts[h, :splits.n_cuts[h]].tobytes() == want.tobytes()
 
 
 def continuous_context_dataset(n, seed):
@@ -193,25 +252,27 @@ def continuous_context_dataset(n, seed):
 
 @pytest.mark.parametrize("name,protected,output", [("diff", "s", "o"), ("corr", "u", "v")])
 def test_tree_counts_once_per_node_and_attribute(monkeypatch, name, protected, output):
-    # per split node: one count per contextual attribute, whatever its number
-    # of thresholds; plus the root's, and for CORR one per winning threshold
-    # split, whose parts' correlations are taken again from their rows
+    # per level: one count per contextual attribute, whatever its number of
+    # nodes and thresholds; plus the root's, and for CORR one for the
+    # winning threshold splits of the level, whose parts' correlations are
+    # taken again from their rows
     calls = []
-    for fn in ("joint_counts", "grouped_moments"):
+    for fn in ("keyed_counts", "grouped_moments"):
         real = getattr(metrics, fn)
         monkeypatch.setattr(metrics, fn,
                             lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
     d = continuous_context_dataset(6000, seed=19)
     params = TreeParams(min_size=100, max_depth=3)
     contextual = ["a", "b", "c", "x"]
+    stats = TreeStats()
     contexts = find_contexts(d, params, BoundMetric(MetricKind(name), protected, output),
-                             contextual)
+                             contextual, stats)
     split_nodes = sum(c.depth < params.max_depth and c.n_train >= params.min_size
                       and not math.isnan(c.train_metric) for c in contexts)
-    assert split_nodes > 1
+    assert split_nodes > stats.n_levels == params.max_depth
     assert any(p.op == "le" for c in contexts for p in c.predicates)
-    per_node = len(contextual) + (name == "corr")
-    assert 0 < len(calls) <= 1 + split_nodes * per_node
+    per_level = len(contextual) + (name == "corr")
+    assert 0 < len(calls) <= 1 + stats.n_levels * per_level
 
 
 def test_split_parts_scored_by_absolute_value():
