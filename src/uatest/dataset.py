@@ -345,7 +345,7 @@ def _encode_column(name: str, cells: Sequence, rows: np.ndarray,
             if bad is not None:
                 raise DataError(f"unparseable cell {cells[bad]!r} in continuous column {name!r} "
                                 f"(row {int(np.argmax(rows == bad))})")
-            return attr, np.array(numbers, dtype=np.float64)[rows]
+            return attr, np.array(numbers, dtype=np.float64).take(rows)
     strings = [MISSING if c is None else str(c) for c in cells]
     if attr.categories is None:
         found = tuple(dict.fromkeys(s for s in strings if s != MISSING))
@@ -357,7 +357,7 @@ def _encode_column(name: str, cells: Sequence, rows: np.ndarray,
         bad = codes.index(None)
         raise DataError(f"unparseable cell {strings[bad]!r} in column {name!r}: not among "
                         f"declared categories (row {int(np.argmax(rows == bad))})")
-    return attr, np.array(codes, dtype=np.int32)[rows]
+    return attr, np.array(codes, dtype=np.int32).take(rows)
 
 
 # -- CSV loading -----------------------------------------------------------
@@ -367,8 +367,10 @@ MAX_TOKENIZED_FILE_BYTES = 2**31 - 1  # byte positions are int32
 MAX_TOKENIZED_CELL_BYTES = 64
 
 _CHUNK_BYTES = 1 << 20  # delimiter positions are found this many bytes at a time
-_BLOCK_ROWS = 4096  # cell widths are measured this many rows at a time
-_KEY_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+_BLOCK_FIELDS = 1 << 17  # cells are measured and coded in blocks of rows of about this many fields
+_KEY_DTYPES = {2: np.uint16, 4: np.uint32, 8: np.uint64}
+_EMPTY_FIRST_BYTES = [10, 13, 44]  # the first byte of an empty cell: "\n", "\r" or ","
+_UNSEEN = 255  # code of a first byte not yet seen, above every code: a column has at most 252 cells
 
 
 def load_csv(path, schema="infer") -> Dataset:
@@ -379,23 +381,27 @@ def load_csv(path, schema="infer") -> Dataset:
     mapping whose missing columns are inferred. Inference makes a column
     continuous when every non-missing cell parses as a number and there are
     more than 10 distinct numbers, where every ``nan`` cell counts as one
-    number; otherwise categorical. Columns are encoded one at a time.
+    number; otherwise categorical. Each column is encoded from its distinct
+    cells, so these rules run once per distinct cell.
 
     A file with no ``"`` or NUL byte, no ``\\r`` outside a ``\\r\\n`` line end,
     the header's field count on every line up to the trailing blank ones and
     no cell wider than 64 bytes is split by a numpy tokenizer; any other file
-    is read by :func:`csv.reader`. Both give the same dataset, and the same
+    is read by :func:`csv.reader`. The tokenizer factorizes every column of
+    cells at most one byte wide as one block, from the first byte of each
+    field, in the pass that measures cell widths; it factorizes wider columns
+    one at a time. Both readers give the same dataset, and the same
     error for a file they reject. A file that is not UTF-8 text or holds a
     cell longer than ``csv.field_size_limit()`` is a :class:`DataError`.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    text = _decode(raw, path)
+    _decode(raw, path)  # only csv.reader reads the text, so it is decoded again there
     try:
         header, columns = _split_unquoted(raw)
     except _NeedsCsvReader as exc:
         logger.debug("read %s with csv.reader: the file has %s", path, exc)
-        header, columns = _split_csv(text, path)
+        header, columns = _split_csv(_decode(raw, path), path)
     else:
         logger.debug("read %s with the numpy tokenizer", path)
     return _encode_table(header, columns, schema)
@@ -421,7 +427,8 @@ def _split_unquoted(raw: bytes) -> tuple[list[str], Iterator[tuple[list, np.ndar
     """Header and columns of a CSV file's bytes, split with numpy.
 
     Each column comes as its distinct cells and each row's index into them,
-    as :func:`_factorize` gives, and is gathered only when the iterator
+    as :func:`_factorize` gives. The columns no wider than one byte are coded
+    before this returns; a wider column is gathered only when the iterator
     reaches it. Raises :class:`_NeedsCsvReader` for a file that csv.reader
     could read differently or that must fail with csv.reader's error.
     """
@@ -445,39 +452,50 @@ def _split_unquoted(raw: bytes) -> tuple[list[str], Iterator[tuple[list, np.ndar
         end -= raw.endswith(b"\n") + raw.endswith(b"\r\n")
     if end == first:
         raise _NeedsCsvReader("no header row")
-    ends = _field_ends(buf, first, end)
-    newline = buf[ends[:-1]] == 10
-    if not newline.any():
+    if not first <= header_end < end:
         raise _NeedsCsvReader("no data rows")
-    n_fields = int(np.argmax(newline)) + 1
-    if len(ends) % n_fields or not np.array_equal(
-            np.flatnonzero(newline), np.arange(n_fields - 1, len(ends) - 1, n_fields)):
+    n_fields = raw.count(b",", first, header_end) + 1
+    n_lines = _count_byte(buf, first, end, 10) + 1
+    ends = _field_ends(buf, first, end, _count_byte(buf, first, end, 44) + n_lines)
+    # every line has the header's field count exactly when there are that
+    # many fields per newline and every n_fields-th field end is a newline
+    if len(ends) != n_lines * n_fields or (buf[ends[n_fields - 1:-1:n_fields]] != 10).any():
         raise _NeedsCsvReader("a line whose field count is not the header's")
     grid = ends.reshape(-1, n_fields)
-    header = raw[first:grid[0, -1]].decode("utf-8").removesuffix("\r")
+    header = raw[first:header_end].decode("utf-8").removesuffix("\r")
     if not header:
         raise _NeedsCsvReader("a blank header line")
     header = header.split(",")
     if len(set(header)) != len(header):
         raise _NeedsCsvReader("duplicate column names")
-    widths = _column_widths(buf, grid)
+    widths, one_byte = _scan_cells(buf, grid)
     if widths.max() > MAX_TOKENIZED_CELL_BYTES:
         raise _NeedsCsvReader(f"a cell wider than {MAX_TOKENIZED_CELL_BYTES} bytes in column "
                               f"{header[int(np.argmax(widths))]!r}")
-    return header, (_factorize_spans(buf, *_cell_spans(buf, grid, j), int(width))
+    return header, (one_byte.pop(j) if j in one_byte else
+                    _factorize_spans(buf, *_cell_spans(buf, grid, j), int(width))
                     for j, width in enumerate(widths))
 
 
-def _field_ends(buf: np.ndarray, first: int, end: int) -> np.ndarray:
+def _count_byte(buf: np.ndarray, first: int, end: int, byte: int) -> int:
+    """How often ``byte`` occurs in ``buf[first:end]``, counted a chunk at a time."""
+    return sum(int(np.count_nonzero(buf[start:min(start + _CHUNK_BYTES, end)] == byte))
+               for start in range(first, end, _CHUNK_BYTES))
+
+
+def _field_ends(buf: np.ndarray, first: int, end: int, size: int) -> np.ndarray:
     """Position of every comma and newline in ``buf[first:end]``, then ``end``
-    itself as the last line's end; int32, and found a chunk at a time so that
-    no int64 array spans the file."""
-    parts = []
+    itself as the last line's end: ``size`` int32 positions in all, found a
+    chunk at a time so that no int64 array spans the file."""
+    ends = np.empty(size, dtype=np.int32)
+    at = 0
     for start in range(first, end, _CHUNK_BYTES):
         chunk = buf[start:min(start + _CHUNK_BYTES, end)]
-        parts.append(np.flatnonzero((chunk == 44) | (chunk == 10)).astype(np.int32) + start)
-    parts.append(np.array([end], dtype=np.int32))
-    return np.concatenate(parts)
+        found = np.flatnonzero((chunk == 44) | (chunk == 10))
+        np.add(found, start, out=ends[at:at + len(found)], casting="unsafe")
+        at += len(found)
+    ends[at] = end
+    return ends
 
 
 def _cell_spans(buf: np.ndarray, grid: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -490,19 +508,63 @@ def _cell_spans(buf: np.ndarray, grid: np.ndarray, j: int) -> tuple[np.ndarray, 
     return starts, ends - starts
 
 
-def _column_widths(buf: np.ndarray, grid: np.ndarray) -> np.ndarray:
+def _scan_cells(buf: np.ndarray, grid: np.ndarray
+                ) -> tuple[np.ndarray, dict[int, tuple[list[str], np.ndarray]]]:
     """The widest data cell of each column in bytes, as :func:`_cell_spans`
-    measures cells, taken a block of rows at a time to read ``grid`` in order."""
+    measures cells, and :func:`_factorize` of each column no wider than one
+    byte, by column index; taken a block of rows at a time to read ``grid`` in
+    order, so that no int64 array spans the file.
+
+    A cell's first byte sits one past the previous field's end. For an empty
+    cell that byte is the ``,`` or ``\\n`` that ends it, the ``\\r`` of a
+    ``\\r\\n`` line end, or, for the file's last cell, the end of the file,
+    read clipped as the ``,`` before it. No cell of a one-byte column holds
+    any of these bytes, so its first bytes alone identify its cells, and its
+    codes fit in uint8.
+    """
     widths = np.zeros(grid.shape[1], dtype=grid.dtype)
-    for row in range(1, len(grid), _BLOCK_ROWS):
-        ends = grid[row:row + _BLOCK_ROWS]
+    code = np.full((grid.shape[1], 256), _UNSEEN, dtype=np.uint8)  # of each column's first bytes
+    cells = [[] for _ in widths]
+    coded = codes = None  # the columns one byte wide in the first block, and their rows' codes
+    block_rows = max(1, _BLOCK_FIELDS // grid.shape[1])
+    for row in range(1, len(grid), block_rows):
+        ends = grid[row:row + block_rows]
         starts = np.empty_like(ends)
         starts[:, 0] = grid[row - 1:row - 1 + len(ends), -1] + 1
         starts[:, 1:] = ends[:, :-1] + 1
         lengths = ends - starts
         lengths[:, -1] -= buf[ends[:, -1] - 1] == 13
         np.maximum(widths, lengths.max(axis=0), out=widths)
-    return widths
+        narrow = np.flatnonzero(widths <= 1)
+        if codes is None:
+            coded, codes = narrow, np.empty((len(narrow), len(grid) - 1), dtype=np.uint8)
+        keys = buf.take(starts[:, narrow].T, mode="clip") + (narrow * 256)[:, None]
+        block = code.take(keys)
+        unseen = block == _UNSEEN
+        if unseen.any():
+            _code_new_cells(keys, unseen, code, cells)
+            block = code.take(keys)
+        codes[coded.searchsorted(narrow), row - 1:row - 1 + len(ends)] = block
+    return widths, {j: (cells[j], codes[i]) for i, j in enumerate(coded.tolist()) if widths[j] <= 1}
+
+
+def _code_new_cells(keys: np.ndarray, unseen: np.ndarray, code: np.ndarray,
+                    cells: list[list[str]]) -> None:
+    """Code every first byte of a block not yet coded, in first-appearance
+    order: ``keys`` holds column index * 256 + first byte, a row per column,
+    and ``unseen`` marks the keys that ``code`` does not hold. A column's
+    first uncoded cell is its next cell in that order."""
+    todo = np.arange(len(keys))
+    while True:
+        left = unseen.any(axis=1)
+        if not left.any():
+            return
+        todo, unseen = todo[left], unseen[left]
+        for key in keys[todo, unseen.argmax(axis=1)].tolist():
+            j, byte = divmod(key, 256)
+            code[j, _EMPTY_FIRST_BYTES if byte in _EMPTY_FIRST_BYTES else byte] = len(cells[j])
+            cells[j].append("" if byte in _EMPTY_FIRST_BYTES else bytes([byte]).decode("utf-8"))
+        unseen = code.take(keys[todo]) == _UNSEEN
 
 
 def _factorize_spans(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
@@ -612,20 +674,23 @@ def schema_from_json(obj: Mapping) -> dict[str, AttributeSchema]:
 
 
 def save_csv(data: Dataset, path) -> None:
-    """Serialize a dataset view back to CSV; inverse of :func:`load_csv`."""
-    names = data.attribute_names()
-    columns = {}
-    for name in names:
-        attr = data.attribute(name)
+    """Serialize a dataset view back to CSV; inverse of :func:`load_csv`.
+
+    Each column is decoded whole: categories by one lookup of the codes, in
+    which code -1 finds the missing cell at the end, and numbers by ``repr``.
+    """
+    columns = []
+    for attr in data.schema:
         if attr.kind == CONTINUOUS:
-            columns[name] = [MISSING if v is None else repr(v) for v in data.values(name)]
+            columns.append([MISSING if v != v else repr(v)
+                            for v in data.scalar_values(attr.name).tolist()])
         else:
-            columns[name] = [MISSING if v is None else v for v in data.values(name)]
+            cells = np.array([*(attr.categories or ()), MISSING], dtype=object)
+            columns.append(cells[data.codes(attr.name)].tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(names)
-        for i in range(data.n_rows):
-            writer.writerow([columns[name][i] for name in names])
+        writer.writerow(data.attribute_names())
+        writer.writerows(zip(*columns))
 
 
 # -- budgeted holdout ------------------------------------------------------

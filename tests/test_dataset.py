@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +208,51 @@ def test_csv_roundtrip_exact(tmp_path):
     assert back.values("state") == d.values("state")
     assert back.values("race") == d.values("race")
     assert np.array_equal(back.scalar_values("age"), d.scalar_values("age"))
+
+
+def save_csv_by_rows(data, path):
+    """Reference writer: every row built cell by cell from ``Dataset.values``."""
+    names = data.attribute_names()
+    columns = {}
+    for name in names:
+        cells = data.values(name)
+        if data.attribute(name).kind == "continuous":
+            cells = [None if v is None else repr(v) for v in cells]
+        columns[name] = ["" if v is None else v for v in cells]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for i in range(data.n_rows):
+            writer.writerow([columns[name][i] for name in names])
+
+
+def awkward_dataset():
+    """Missing cells of every kind, signed zeros, infinities and categories
+    that csv.writer must quote."""
+    cats = ("plain", "a,b", 'say "hi"', "two\nlines", "\r", " ", "é")
+    schema = [AttributeSchema("c", "categorical", "contextual", cats),
+              AttributeSchema("x", "continuous"),
+              AttributeSchema("o", "ordinal", "contextual", ("-1", "0.5", "10"))]
+    x = [0.1, -0.0, 0.0, np.inf, -np.inf, np.nan, 1e300, 5e-324, -2.5, 1 / 3, 7.0, np.nan]
+    return Dataset(schema, {"c": np.array([0, 1, 2, 3, 4, 5, 6, -1, -1, 0, 3, 1], dtype=np.int32),
+                            "x": np.array(x),
+                            "o": np.array([0, 1, 2, -1, 0, 1, 2, -1, 0, 1, 2, 0], dtype=np.int32)})
+
+
+@pytest.mark.parametrize("make", [
+    awkward_dataset,
+    lambda: awkward_dataset().select([ContextPredicate("o", "gt", threshold=0.0)]),
+    lambda: awkward_dataset()._subset(np.array([11, 3, 3, 0, 7])),
+    lambda: Dataset([AttributeSchema("c", "categorical", "contextual", ("a", "b"))],
+                    {"c": np.array([0, -1, 1, -1, -1], dtype=np.int32)}),
+    lambda: Dataset([AttributeSchema("x", "continuous")], {"x": np.array([np.nan, -0.0, 2.0])}),
+    lambda: awkward_dataset()._subset(np.array([], dtype=np.int64)),
+], ids=["awkward", "selected", "reordered", "one-column-missing", "one-column-nan", "no-rows"])
+def test_save_csv_writes_the_bytes_of_the_row_writer(tmp_path, make):
+    data = make()
+    save_csv(data, tmp_path / "columns.csv")
+    save_csv_by_rows(data, tmp_path / "rows.csv")
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_ordinal_attributes():
@@ -521,6 +567,82 @@ def test_numpy_tokenizer_matches_csv_reader(tmp_path_factory, data):
             read_with_tokenizer(path, schema)
 
 
+# one byte each: what the tokenizer codes by first bytes, some of them line
+# breaks to str.splitlines but not to csv.reader
+ONE_BYTE_CELLS = st.sampled_from(["", "0", "1", "F", "M", "x", " ", "\t", "\x0b", "\x0c", "\x1c",
+                                  ";", "7", "~"])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_one_byte_columns_match_csv_reader(tmp_path_factory, data):
+    n_columns = data.draw(st.one_of(st.just(1), st.integers(2, 40)))
+    names = [f"c{j}" for j in range(n_columns)]
+    n = data.draw(st.integers(1, 30))
+    wide = st.one_of(st.integers(0, 15).map(str), UNQUOTED_CELLS)
+    columns = [draw_column(data, ONE_BYTE_CELLS if data.draw(st.booleans())
+                           else st.one_of(ONE_BYTE_CELLS, wide), n) for _ in names]
+    for column in {0, n_columns - 1}:  # empty cells in the first and last columns
+        for i in data.draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            columns[column][i] = ""
+    eol = data.draw(st.sampled_from(["\n", "\r\n"]))
+    text = ("\ufeff" if data.draw(st.booleans()) else "") + eol.join(
+        [",".join(names)] + [",".join(row) for row in zip(*columns)])
+    text += eol * data.draw(st.integers(0, 3))  # no final newline, or trailing blank lines
+    path = tmp_path_factory.mktemp("block") / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    schema = {}
+    for name, cells in zip(names, columns):
+        attr = draw_schema(data, name, cells, infer=True)
+        if attr is not None:
+            schema[name] = attr
+
+    expected = outcome(lambda: read_with_csv_reader(path, schema))
+    assert outcome(lambda: load_csv(path, schema)) == expected
+    try:
+        got = outcome(lambda: read_with_tokenizer(path, schema))
+    except _NeedsCsvReader:
+        # a one-column file whose only data row is a final blank line
+        assert n_columns == 1 and text.removeprefix("\ufeff").count(eol) == 1
+        event("csv.reader")
+        return
+    assert got == expected
+    one_byte = sum(all(len(c.encode()) <= 1 for c in column) for column in columns)
+    event("no one-byte column" if not one_byte else
+          "one-byte block: all columns" if one_byte == n_columns else "one-byte block: some columns")
+    if n_columns == 1 and "" in columns[0][:-1]:
+        event("one column with a blank line")
+
+
+def test_one_byte_columns_tokenize_in_a_bounded_multiple_of_the_file():
+    """The traced peak of splitting and factorizing a wide file of one-byte
+    cells stays below 3.5 times the file's size.
+
+    Every field is two bytes of the file, a cell and its delimiter, and
+    takes one int32 field end, so the field ends take 2 times the file, and
+    the uint8 code of every cell 0.5 times. The rest is one chunk's or one
+    block's scratch: a 1 MiB chunk's masks and int64 positions take about
+    7 MB, and a block of 2**17 fields takes under 40 bytes a field, so at
+    most 0.9 times this 8 MB file. Gathering the first bytes through one
+    int64 index of every field would alone add 4 times the file."""
+    rows, n_columns = 20_000, 200
+    grid = np.full((rows, 2 * n_columns), ord(","), dtype=np.uint8)
+    grid[:, 0::2] = np.random.default_rng(0).choice(np.frombuffer(b"01FM", np.uint8),
+                                                    size=(rows, n_columns))
+    grid[:, -1] = ord("\n")
+    raw = (",".join(f"c{j}" for j in range(n_columns)) + "\n").encode() + grid.tobytes()
+    del grid
+    tracemalloc.start()
+    try:
+        header, columns = _split_unquoted(raw)
+        factorized = list(columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(factorized) == n_columns and all(len(codes) == rows for _, codes in factorized)
+    assert peak < 3.5 * len(raw)
+
+
 @pytest.mark.parametrize("text, reason, column", [
     ('a,b\n"x,y",1\nz,2\n', "a quote at byte offset 4", ["x,y", "z"]),
     ("a,b\nx,1\ry,2\n", r"a carriage return outside a \\r\\n line end", ["x", "y"]),
@@ -575,6 +697,7 @@ def test_cell_over_the_csv_field_limit_is_a_data_error(tmp_path):
 
 ROUNDTRIP_SCRIPT = """
 import sys
+import tracemalloc
 from uatest.dataset import AttributeSchema, Dataset, load_csv, save_csv
 cities = ("Z\\u00fcrich", "\\u6771\\u4eac")
 d = Dataset.from_columns([AttributeSchema("city", "categorical", "contextual", cities)],
