@@ -20,7 +20,6 @@ from .metrics import (
     MetricValue,
     RegressionScores,
     logistic_label_scores,
-    pearson_correlation,
 )
 from .stats import (
     StatConfig,

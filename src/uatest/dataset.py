@@ -472,9 +472,25 @@ def _split_unquoted(raw: bytes) -> tuple[list[str], Iterator[tuple[list, np.ndar
     if widths.max() > MAX_TOKENIZED_CELL_BYTES:
         raise _NeedsCsvReader(f"a cell wider than {MAX_TOKENIZED_CELL_BYTES} bytes in column "
                               f"{header[int(np.argmax(widths))]!r}")
-    return header, (one_byte.pop(j) if j in one_byte else
-                    _factorize_spans(buf, *_cell_spans(buf, grid, j), int(width))
-                    for j, width in enumerate(widths))
+    return header, _columns(buf, grid, widths, one_byte)
+
+
+def _columns(buf: np.ndarray, grid: np.ndarray | None, widths: np.ndarray,
+             one_byte: dict[int, tuple[list[str], np.ndarray]]
+             ) -> Iterator[tuple[list[str], np.ndarray]]:
+    """Each column of a file in order, as :func:`_factorize` gives it: the
+    coded one-byte columns from ``one_byte``, the wider ones factorized from
+    their cells in ``grid`` when reached. The grid is let go after the last
+    wider column, so that it is not held while the columns after it are
+    encoded."""
+    last = max((j for j in range(len(widths)) if j not in one_byte), default=-1)
+    for j, width in enumerate(widths.tolist()):
+        if j > last:
+            grid = None  # no later column reads it
+        if j in one_byte:
+            yield one_byte.pop(j)
+        else:
+            yield _factorize_spans(buf, *_cell_spans(buf, grid, j), width)
 
 
 def _count_byte(buf: np.ndarray, first: int, end: int, byte: int) -> int:

@@ -155,24 +155,6 @@ def ratio_from_tables(tables: np.ndarray, target_row: int, col_a: int, col_b: in
     return np.where(bad, np.nan, out)
 
 
-def pearson_correlation(x: np.ndarray, y: np.ndarray) -> MetricValue:
-    """Sample Pearson correlation of two equal-length scalar columns."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise MetricError("columns must have equal length")
-    ok = ~(np.isnan(x) | np.isnan(y))
-    x, y = x[ok], y[ok]
-    if len(x) < 3:
-        raise MetricError("correlation requires at least 3 paired values")
-    sx = x.std()
-    sy = y.std()
-    if sx == 0 or sy == 0:
-        raise MetricError("constant column: correlation undefined")
-    r = float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
-    return MetricValue(MetricKind(CORR), max(-1.0, min(1.0, r)))
-
-
 def grouped_correlation(x: np.ndarray, y: np.ndarray, key: np.ndarray,
                         groups: int) -> tuple[np.ndarray, np.ndarray]:
     """Pearson correlation of ``x`` and ``y`` within each of ``groups`` groups

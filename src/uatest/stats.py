@@ -11,11 +11,14 @@ Bonferroni-level confidence intervals.
 Estimates, asymptotic p-values and the checks that make a population
 untestable run when a metric is tested, over every population of one keyed
 count at once (``test_contexts``); ``test_metric`` is the one-population
-case. A resampled hypothesis draws its permutations on the first read of its
-p-value and its bootstrap on the first read of a CI, which reads the p-value
-first; both come from the hypothesis's own RNG stream, permutations then
-bootstrap, so the numbers are the same in any read order, and a hypothesis
-nobody reads never resamples. A permutation
+case. The count holds each population's tables, or for CORR its moments,
+from which the t-test and the Fisher-z CI read the correlation and the
+paired row count; only a resampled CORR hypothesis gathers its population's
+rows, on its first draw. A resampled hypothesis draws its permutations on
+the first read of its p-value and its bootstrap on the first read of a CI,
+which reads the p-value first; both come from the hypothesis's own RNG
+stream, permutations then bootstrap, so the numbers are the same in any read
+order, and a hypothesis nobody reads never resamples. A permutation
 p-value is at least 1/(n_permutations+1), and Holm-adjusted p-values never
 decrease when a raw p increases; so a corrected p is fixed without drawing
 anything when the Holm runs with every unread p at that floor and at 1 agree,
@@ -48,7 +51,7 @@ from .metrics import (
     MetricValue,
     grouped_correlation,
     mi_from_tables,
-    pearson_correlation,
+    moment_correlation,
     stratum_mean,
     stratum_weights,
     weighted_mean,
@@ -220,7 +223,8 @@ def _rng(cfg: StatConfig, entropy: Sequence[int]) -> np.random.Generator:
 
 class _Once:
     """``fn(*args)``, called on the first call and then kept: a hypothesis's
-    generator, built on its first draw, or its context's rows."""
+    generator, built on its first draw, its context's rows, or the paired
+    rows of a count."""
 
     __slots__ = ("_call", "_result")
 
@@ -326,8 +330,6 @@ def _ci_from_recipe(recipe: tuple, level: float) -> tuple[float, float]:
         zr = np.arctanh(rc)
         half = z / np.sqrt(n - 3)
         return float(np.tanh(zr - half)), float(np.tanh(zr + half))
-    if kind == "degenerate":
-        return recipe[1], recipe[1]
     raise StatsError(f"unknown CI recipe {kind!r}")
 
 
@@ -365,19 +367,20 @@ def test_contexts(view: Dataset, bound: BoundMetric, key: np.ndarray, contexts: 
     bootstrap resamples rows of the whole population (multinomially, for
     tables) and re-applies the stratum rule to each resample.
 
-    Every context's per-stratum tables come from one count, and its
-    per-stratum correlations from one ``grouped_moments``, whose sums add a
-    context's rows in row order; so each estimate is bit-equal to the one
-    taken on the context's own rows. Both read the metric's columns from
-    ``counts``, the ``BoundMetric.counts`` of ``view``, which a caller that
-    tests many keys of one view builds once. The estimates, the stratum rule,
-    the checks that make a population untestable and the G- and z-tests
-    run over all hypotheses at once; the t-test takes each context's rows
-    in row order. A permutation p-value and a percentile CI keep the
-    hypothesis's tables or rows, its RNG stream (its generator is built on
-    the first draw) and the statistic. The permutations are drawn on the
-    first read of ``p`` and the bootstrap on the first read of a CI, which
-    reads ``p`` first; so both give the same numbers whenever they run.
+    Every context's per-stratum tables, or its per-stratum correlation
+    moments, come from one ``MetricCounts.summary`` of ``counts``, the
+    ``BoundMetric.counts`` of ``view``, which a caller that tests many keys
+    of one view builds once. Its sums add a context's rows in row order, so
+    each estimate is bit-equal to the one taken on the context's own rows.
+    The estimates, the stratum rule, the checks that make a population
+    untestable and the asymptotic tests run over all hypotheses at once:
+    CORR's t-test and Fisher-z CI read the moment correlation and the paired
+    row count. A resampled hypothesis keeps its tables, or gathers its
+    context's rows on its first draw, with its RNG stream (its generator is
+    built on the first draw) and the statistic; only these draws differ by
+    kind. The permutations are drawn on the first read of ``p`` and the
+    bootstrap on the first read of a CI, which reads ``p`` first; so both
+    give the same numbers whenever they run.
     """
     bound = bound.resolve(view)
     strata, groups = bound.strata(view)
@@ -386,39 +389,32 @@ def test_contexts(view: Dataset, bound: BoundMetric, key: np.ndarray, contexts: 
             if bound.conditional else key)
     contexts = np.asarray(contexts, dtype=np.intp)
     counts = counts if counts is not None else bound.counts(view)
-    if bound.tabular:
-        tables = counts.summary(ckey, n * groups)
-        tables = tables.reshape(n, groups, *tables.shape[1:])[contexts]
-        n_rows = np.bincount(key + 1, minlength=n + 1)[1:][contexts]
-        return _test_tables(view, bound, tables, n_rows, cfg, entropies)
-    if bound.kind.name == CORR:
-        return _test_correlations(counts, bound, ckey, groups, n, contexts, cfg, entropies)
-    raise MetricError(f"no statistical test for metric {bound.kind.display!r}")
-
-
-def _test_tables(view: Dataset, bound: BoundMetric, tables: np.ndarray, n_rows: np.ndarray,
-                 cfg: StatConfig, entropies: Sequence[Sequence[int]]
-                 ) -> list[TestedMetric | MetricError]:
-    """``test_contexts`` of a table metric: hypothesis h on its stack of
-    per-stratum ``tables[h]`` and its ``n_rows[h]`` rows."""
-    values = partial(bound.value_from_tables, view)
+    summary = counts.summary(ckey, n * groups)
     floor = bound.min_stratum
-    # one stack of (hypothesis, stratum) tables; resampled stacks gain an axis
-    vals = values(tables.reshape(-1, *tables.shape[-2:])).reshape(tables.shape[:2])
-    sizes = tables.sum(axis=(-2, -1))
+    if bound.tabular:
+        values = partial(bound.value_from_tables, view)
+        tables = summary.reshape(n, groups, *summary.shape[1:])[contexts]
+        # one stack of (hypothesis, stratum) tables; resampled stacks gain an axis
+        vals = values(tables.reshape(-1, *tables.shape[-2:])).reshape(tables.shape[:2])
+        sizes = tables.sum(axis=(-2, -1))
+        n_rows = np.bincount(key + 1, minlength=n + 1)[1:][contexts]
+        draws = partial(_table_draws, values, partial(_stratum_statistic, values, floor), tables,
+                        cfg)
+    else:  # CORR, whose counts are over the rows where both columns are defined
+        moments = tuple(m.reshape(n, groups)[contexts] for m in summary)
+        vals, sizes = moment_correlation(moments), moments[0]
+        n_rows = sizes.sum(axis=-1)
+        draws = partial(_row_draws, _Once(_paired_rows, counts, ckey, groups), contexts,
+                        groups, floor, cfg)
     testable = (stratum_weights(vals, sizes, floor) > 0).any(axis=-1)
     obs = stratum_mean(vals, sizes, floor)
     # RATIO has no asymptotic route here; it always resamples.
-    asymptotic = not bound.conditional and bound.kind.name != RATIO
-    asym = np.flatnonzero(testable & (n_rows > cfg.small_sample_threshold) & asymptotic)
-    if bound.kind.name == NMI:  # a G-test with a bootstrap CI
-        tests = {h: (p, None) for h, p in zip(asym.tolist(), _g_test(tables[asym, 0]).tolist())}
-    else:  # a z-test with a Wald CI
-        p, se = _z_test(view, bound, tables[asym, 0], obs[asym])
-        tests = dict(zip(asym.tolist(), zip(p.tolist(), se.tolist())))
-
-    def stratum_stat(t: np.ndarray) -> np.ndarray:
-        return stratum_mean(values(t), t.sum(axis=(-2, -1)), floor)
+    asym = np.flatnonzero(testable & (n_rows > cfg.small_sample_threshold)
+                          & (not bound.conditional and bound.kind.name != RATIO))
+    tests = {}  # (p-value, CI recipe) of each asymptotic hypothesis
+    if len(asym):
+        tests = dict(zip(asym.tolist(), _asymptotic_tests(
+            view, bound, tables[asym, 0] if bound.tabular else None, obs[asym], n_rows[asym])))
 
     out: list[TestedMetric | MetricError] = []
     for h, (entropy, ok, est) in enumerate(zip(entropies, testable.tolist(), obs.tolist())):
@@ -426,25 +422,35 @@ def _test_tables(view: Dataset, bound: BoundMetric, tables: np.ndarray, n_rows: 
             out.append(bound.undefined(sizes[h]))
             continue
         value = MetricValue(bound.kind, est)
-        rng = _Once(_rng, cfg, entropy)
-        samples = partial(_bootstrap_table_stats, tables[h], stratum_stat, cfg.n_bootstrap, rng)
-        if h not in tests:
-            permuted = partial(_permuted_tables, values, tables[h], cfg.n_permutations, rng)
-            pvalue = partial(_permutation_p, permuted, vals[h], sizes[h], floor, est,
-                             bound.kind.signed)
-            out.append(_percentile(value, pvalue, RESAMPLING, cfg, samples))
-        elif tests[h][1] is None:
-            out.append(_percentile(value, tests[h][0], ASYMPTOTIC, cfg, samples))
-        else:
-            p, se = tests[h]
-            if se == 0:
-                out.append(TestedMetric(value, (est, est), p, ASYMPTOTIC,
-                                        _recipe=("degenerate", est)))
-                continue
-            recipe = ("wald", est, se)
-            out.append(TestedMetric(value, _ci_from_recipe(recipe, cfg.conf), p, ASYMPTOTIC,
-                                    _recipe=recipe))
+        p, recipe = tests.get(h, (None, None))
+        if recipe is not None:
+            out.append(TestedMetric(value, None, p, ASYMPTOTIC, _recipe=recipe, conf=cfg.conf))
+            continue
+        permuted, samples = draws(h, _Once(_rng, cfg, entropy))
+        if p is not None:  # a G-test with a bootstrap CI
+            out.append(_percentile(value, p, ASYMPTOTIC, cfg, samples))
+            continue
+        pvalue = partial(_permutation_p, permuted, vals[h], sizes[h], floor, est,
+                         bound.kind.signed)
+        out.append(_percentile(value, pvalue, RESAMPLING, cfg, samples))
     return out
+
+
+def _asymptotic_tests(view: Dataset, bound: BoundMetric, tables: np.ndarray | None,
+                      obs: np.ndarray, n_rows: np.ndarray) -> list[tuple[float, tuple | None]]:
+    """The p-value and CI recipe of each asymptotic hypothesis, with its
+    estimate ``obs``, its ``n_rows`` rows and, for a table metric, its table
+    in ``tables``: a G-test with a bootstrap CI (recipe None) for NMI, a
+    z-test with a Wald CI for DIFF, a t-test with a Fisher-z CI for CORR."""
+    if bound.kind.name == NMI:
+        p, recipes = _g_test(tables), [None] * len(obs)
+    elif bound.kind.name == CORR:
+        p = _t_test(obs, n_rows)
+        recipes = [("fisher", r, m) for r, m in zip(obs.tolist(), n_rows.tolist())]
+    else:  # DIFF
+        p, se = _z_test(view, bound, tables, obs)
+        recipes = [("wald", est, s) for est, s in zip(obs.tolist(), se.tolist())]
+    return list(zip(p.tolist(), recipes))
 
 
 def _g_test(counts: np.ndarray) -> np.ndarray:
@@ -471,51 +477,72 @@ def _z_test(view: Dataset, bound: BoundMetric, counts: np.ndarray,
     return p, np.sqrt(pa * (1 - pa) / na + pb * (1 - pb) / nb)
 
 
-def _test_correlations(counts: MetricCounts, bound: BoundMetric, ckey: np.ndarray, groups: int,
-                       n: int, contexts: np.ndarray, cfg: StatConfig,
-                       entropies: Sequence[Sequence[int]]) -> list[TestedMetric | MetricError]:
-    """``test_contexts`` of CORR, where ``ckey`` holds each row's context
-    times ``groups`` plus its stratum (-1 for none), for ``n`` contexts."""
+def _t_test(r: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Two-sided t-test p-values of Pearson correlations ``r`` of ``m``
+    paired rows each; 0 where |r| is 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = r * np.sqrt((m - 2) / (1.0 - r * r))
+        return np.where(np.abs(r) >= 1.0, 0.0, 2.0 * _t_sf(np.abs(t), m - 2))
+
+
+# -- resampling ----------------------------------------------------------------
+
+
+def _percentile(value: MetricValue, p: float | Callable[[], float], method: str,
+                cfg: StatConfig, samples: Callable[[], np.ndarray]) -> TestedMetric:
+    """A tested metric whose percentile CIs come from ``samples()``, the
+    sorted bootstrap statistics, drawn on the first read of a CI; ``p`` may
+    be a function drawing a permutation p-value, at least
+    1/(n_permutations+1)."""
+    est = value.value
+    return TestedMetric(value, None, p, method, conf=cfg.conf,
+                        _recipe=lambda: ("percentile", samples(), est),
+                        p_floor=1.0 / (cfg.n_permutations + 1))
+
+
+def _table_draws(values: Callable[[np.ndarray], np.ndarray],
+                 statistic: Callable[[np.ndarray], np.ndarray], tables: np.ndarray,
+                 cfg: StatConfig, h: int, rng: Callable[[], np.random.Generator]
+                 ) -> tuple[Callable[[int], np.ndarray], Callable[[], np.ndarray]]:
+    """Hypothesis h's draws from its stack of per-stratum ``tables[h]``:
+    ``permuted(k)``, the ``values`` of permutations of stratum k, and the
+    sorted bootstrap ``statistic``, both from ``rng()``."""
+    own = tables[h]
+    return (partial(_permuted_tables, values, own, cfg.n_permutations, rng),
+            partial(_bootstrap_table_stats, own, statistic, cfg.n_bootstrap, rng))
+
+
+def _stratum_statistic(values: Callable[[np.ndarray], np.ndarray], floor: int,
+                       tables: np.ndarray) -> np.ndarray:
+    """The stratified metric of each stack of per-stratum ``tables``."""
+    return stratum_mean(values(tables), tables.sum(axis=(-2, -1)), floor)
+
+
+def _paired_rows(counts: MetricCounts, ckey: np.ndarray, groups: int) -> list[np.ndarray]:
+    """The context, ``x``, ``y`` and stratum of each row of ``counts`` in a
+    context (``ckey`` is context times ``groups`` plus stratum, -1 for none)
+    with both columns defined, in row order."""
     ok = (ckey >= 0) & counts.paired
-    ckey, x, y = ckey[ok], counts.x[ok], counts.y[ok]
-    context, strata = np.divmod(ckey, groups)
-    vals, sizes = grouped_correlation(x, y, ckey, n * groups)
-    vals, sizes = vals.reshape(n, groups)[contexts], sizes.reshape(n, groups)[contexts]
-    floor = bound.min_stratum
-    testable = (stratum_weights(vals, sizes, floor) > 0).any(axis=-1)
-    obs = stratum_mean(vals, sizes, floor)
-
-    out: list[TestedMetric | MetricError] = []
-    for h, (c, entropy) in enumerate(zip(contexts.tolist(), entropies)):
-        if not bound.conditional and sizes[h].sum() > cfg.small_sample_threshold:
-            rows = np.flatnonzero(context == c)
-            try:
-                out.append(_asymptotic_corr(bound, x[rows], y[rows], cfg))
-            except MetricError as exc:
-                out.append(exc)
-        elif not testable[h]:
-            out.append(bound.undefined(sizes[h]))
-        else:
-            rows = _Once(_context_rows, context, c, x, y, strata)
-            out.append(_resampled_corr(bound, rows, groups, vals[h], sizes[h], float(obs[h]),
-                                       cfg, entropy))
-    return out
+    context, strata = np.divmod(ckey[ok], groups)
+    return [context, counts.x[ok], counts.y[ok], strata]
 
 
-def _context_rows(context: np.ndarray, c: int, *columns: np.ndarray) -> list[np.ndarray]:
-    """``columns`` at the rows of context ``c``, in row order."""
+def _context_rows(paired: Callable[[], list[np.ndarray]], c: int) -> list[np.ndarray]:
+    """The ``x``, ``y`` and stratum columns of ``paired()`` at the rows of
+    context ``c``, in row order."""
+    context, *columns = paired()
     rows = np.flatnonzero(context == c)
     return [col[rows] for col in columns]
 
 
-def _resampled_corr(bound: BoundMetric, rows: Callable[[], list[np.ndarray]], groups: int,
-                    vals: np.ndarray, sizes: np.ndarray, obs: float, cfg: StatConfig,
-                    entropy: Sequence[int]) -> TestedMetric:
-    """A resampled CORR hypothesis on the context whose ``x``, ``y`` and
-    stratum columns ``rows()`` gives, with per-stratum correlations
-    ``vals`` and sizes ``sizes``."""
-    rng = _Once(_rng, cfg, entropy)
-    floor = bound.min_stratum
+def _row_draws(paired: Callable[[], list[np.ndarray]], contexts: np.ndarray, groups: int,
+               floor: int, cfg: StatConfig, h: int, rng: Callable[[], np.random.Generator]
+               ) -> tuple[Callable[[int], np.ndarray], Callable[[], np.ndarray]]:
+    """Hypothesis h's draws from the rows of its context ``contexts[h]``,
+    gathered on the first draw: ``permuted(k)``, the correlations of
+    permutations of stratum k, and the sorted bootstrap statistics, both
+    from ``rng()``."""
+    rows = _Once(_context_rows, paired, contexts[h])
 
     def permuted(k: int) -> np.ndarray:
         x, y, e = rows()
@@ -533,39 +560,7 @@ def _resampled_corr(bound: BoundMetric, rows: Callable[[], list[np.ndarray]], gr
             out.append(stratum_mean(v.reshape(chunk, groups), c.reshape(chunk, groups), floor))
         return np.concatenate(out)
 
-    pvalue = partial(_permutation_p, permuted, vals, sizes, floor, obs, bound.kind.signed)
-    return _percentile(MetricValue(bound.kind, obs), pvalue, RESAMPLING, cfg,
-                       partial(_bootstrap, draw, cfg.n_bootstrap))
-
-
-def _asymptotic_corr(bound: BoundMetric, x: np.ndarray, y: np.ndarray,
-                     cfg: StatConfig) -> TestedMetric:
-    """t-test with a Fisher-z interval on the Pearson correlation."""
-    obs = pearson_correlation(x, y).value
-    m = len(x)
-    if abs(obs) >= 1.0:
-        p = 0.0
-    else:
-        t = obs * np.sqrt((m - 2) / (1.0 - obs * obs))
-        p = float(2.0 * _t_sf(abs(t), m - 2))
-    recipe = ("fisher", obs, m)
-    return TestedMetric(MetricValue(bound.kind, obs), _ci_from_recipe(recipe, cfg.conf), p,
-                        ASYMPTOTIC, _recipe=recipe)
-
-
-# -- resampling ----------------------------------------------------------------
-
-
-def _percentile(value: MetricValue, p: float | Callable[[], float], method: str,
-                cfg: StatConfig, samples: Callable[[], np.ndarray]) -> TestedMetric:
-    """A tested metric whose percentile CIs come from ``samples()``, the
-    sorted bootstrap statistics, drawn on the first read of a CI; ``p`` may
-    be a function drawing a permutation p-value, at least
-    1/(n_permutations+1)."""
-    est = value.value
-    return TestedMetric(value, None, p, method, conf=cfg.conf,
-                        _recipe=lambda: ("percentile", samples(), est),
-                        p_floor=1.0 / (cfg.n_permutations + 1))
+    return permuted, partial(_bootstrap, draw, cfg.n_bootstrap)
 
 
 def _permutation_p(permuted: Callable[[int], np.ndarray], vals: np.ndarray, sizes: np.ndarray,

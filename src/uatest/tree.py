@@ -310,7 +310,9 @@ def find_contexts(train: Dataset, params: TreeParams, metric: BoundMetric,
     ``params.max_depth`` and has a defined association. Contexts are
     registered when they hold at least ``params.min_size`` training rows;
     the root is always registered. The nodes of one depth are scored
-    together, one level at a time.
+    together, one level at a time. The association is the metric's base
+    (unconditional) metric, at the root as in every part, from one
+    ``MetricCounts`` of the training rows.
     """
     if contextual is None:
         contextual = [a.name for a in train.schema if a.role == "contextual"]
@@ -325,7 +327,8 @@ def find_contexts(train: Dataset, params: TreeParams, metric: BoundMetric,
         return (node.n_train >= params.min_size and node.depth < params.max_depth
                 and not math.isnan(node.train_metric))
 
-    root = ContextNode((), train.n_rows, _part_value(train, metric))
+    (root_value,), _ = counts.group_values(np.zeros(train.n_rows, dtype=np.intp), 1)
+    root = ContextNode((), train.n_rows, float(guidance(root_value)))
     stats.n_metric_evals += 1
     stats.n_nodes += 1
     if math.isnan(root.train_metric):

@@ -643,6 +643,41 @@ def test_one_byte_columns_tokenize_in_a_bounded_multiple_of_the_file():
     assert peak < 3.5 * len(raw)
 
 
+def test_load_csv_lets_go_of_the_field_ends_after_the_last_wide_column(tmp_path):
+    """The traced peak of ``load_csv`` on a wide file of one-byte cells
+    whose two wider columns come first stays below 4.5 times the file.
+
+    As in the test above, the int32 field ends take 2 times the file, the
+    uint8 codes of the one-byte cells 0.5 times and one chunk's or block's
+    scratch at most 0.9 times; the file's own bytes take 1 time, and the
+    stored int32 columns 2 times, like the field ends. While the cells are
+    measured the peak is at most 1 + 2 + 0.5 + 0.9 = 4.4 times the file, and
+    after the field ends are let go the columns take 1 + 0.5 + 2 = 3.5 times
+    and one column's scratch. Field ends kept until the last column is
+    encoded would add their 2 times to that: 5.5 times."""
+    rows, n_columns = 20_000, 200
+    rng = np.random.default_rng(1)
+    grid = np.full((rows, 10 + 2 * n_columns), ord(","), dtype=np.uint8)
+    for start in (0, 5):  # two columns of cells "w" and 3 binary digits
+        grid[:, start] = ord("w")
+        grid[:, start + 1:start + 4] = rng.choice(np.frombuffer(b"01", np.uint8), size=(rows, 3))
+    grid[:, 10::2] = rng.choice(np.frombuffer(b"01FM", np.uint8), size=(rows, n_columns))
+    grid[:, -1] = ord("\n")
+    path = tmp_path / "wide.csv"
+    path.write_bytes((",".join(["a", "b"] + [f"c{j}" for j in range(n_columns)]) + "\n").encode()
+                     + grid.tobytes())
+    del grid
+    tracemalloc.start()
+    try:
+        data = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.n_rows == rows and len(data.schema) == n_columns + 2
+    assert len(data.attribute("a").categories) == 8
+    assert peak < 4.5 * path.stat().st_size
+
+
 @pytest.mark.parametrize("text, reason, column", [
     ('a,b\n"x,y",1\nz,2\n', "a quote at byte offset 4", ["x,y", "z"]),
     ("a,b\nx,1\ry,2\n", r"a carriage return outside a \\r\\n line end", ["x", "y"]),

@@ -9,10 +9,10 @@ from uatest.metrics import (
     MetricError,
     MetricKind,
     diff_from_tables,
+    grouped_correlation,
     joint_counts,
     logistic_label_scores,
     mi_from_tables,
-    pearson_correlation,
 )
 
 
@@ -152,13 +152,35 @@ def test_binary_ratio():
         table_metric("ratio", [[10, 10], [5, 0]])
 
 
+def pearson(x, y):
+    """Pearson correlation of two columns as every stage takes it: from
+    their moments (``grouped_correlation``), over one group of all rows."""
+    return float(grouped_correlation(x, y, np.zeros(len(x), dtype=np.intp), 1)[0][0])
+
+
+def corr_value(x, y):
+    """CORR of columns ``x`` and ``y`` through ``BoundMetric``."""
+    schema = [AttributeSchema("x", "continuous", "protected"),
+              AttributeSchema("y", "continuous", "output")]
+    d = Dataset(schema, {"x": np.asarray(x, dtype=np.float64),
+                         "y": np.asarray(y, dtype=np.float64)})
+    return BoundMetric(MetricKind("corr"), "x", "y").value(d)
+
+
 def test_pearson_correlation_basics():
     x = np.arange(10.0)
-    assert pearson_correlation(x, x).value == pytest.approx(1.0)
-    r = pearson_correlation(np.array([1.0, 2, 3]), np.array([1.0, 2, 4])).value
-    assert r == pytest.approx(3 / math.sqrt(2 * 14 / 3), abs=1e-12)
-    with pytest.raises(MetricError, match="constant column"):
-        pearson_correlation(x, np.zeros(10))
+    assert pearson(x, x) == pytest.approx(1.0)
+    assert corr_value(x, x) == pytest.approx(1.0)
+    r = 3 / math.sqrt(2 * 14 / 3)
+    assert pearson(np.array([1.0, 2, 3]), np.array([1.0, 2, 4])) == pytest.approx(r, abs=1e-12)
+    # a row with a missing value in either column is left out
+    assert corr_value([1.0, 2, np.nan, 3], [1.0, 2, 7, 4]) == pytest.approx(r, abs=1e-12)
+    # a constant column or fewer than 3 rows: undefined
+    assert np.isnan(pearson(x, np.zeros(10)))
+    assert np.isnan(pearson(x[:2], x[:2]))
+    for xs, ys in ((x, np.zeros(10)), (x[:2], x[:2])):
+        with pytest.raises(MetricError, match="^CORR undefined on this population$"):
+            corr_value(xs, ys)
 
 
 def test_pearson_affine_invariance_and_sign_flip():
@@ -166,10 +188,10 @@ def test_pearson_affine_invariance_and_sign_flip():
     for _ in range(50):
         x = rng.normal(size=100)
         y = x + rng.normal(scale=0.6, size=100)
-        r = pearson_correlation(x, y).value
-        r2 = pearson_correlation(3.5 * x + 11.0, 0.25 * y - 4.0).value
+        r = pearson(x, y)
+        r2 = pearson(3.5 * x + 11.0, 0.25 * y - 4.0)
         assert r2 == pytest.approx(r, abs=1e-12)
-        assert pearson_correlation(-x, y).value == pytest.approx(-r, abs=1e-12)
+        assert pearson(-x, y) == pytest.approx(-r, abs=1e-12)
 
 
 def test_logistic_scores_null_rarely_exceeds_three():
