@@ -12,6 +12,7 @@ import codecs
 import csv
 import io
 import logging
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -118,7 +119,7 @@ class ContextPredicate:
 
 
 def _fmt_number(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
+    if math.isfinite(x) and x == int(x) and abs(x) < 1e15:
         return str(int(x))
     return f"{x:g}"
 
@@ -235,44 +236,70 @@ class Dataset:
     def select(self, predicates: Sequence[ContextPredicate]) -> "Dataset":
         """Row-filtered view satisfying the conjunction of ``predicates``.
 
-        Each predicate is applied to the rows the previous ones kept, so a
-        view equals its parent's view filtered by its last predicate:
-        ``d.select(p[:k])`` has the rows of ``d.select(p[:k-1]).select(p[k-1:k])``
-        in the same order. An empty list returns this view itself.
+        Each predicate is a one-member ``layer_key`` of the rows the previous
+        ones kept, so a view equals its parent's view filtered by its last
+        predicate: ``d.select(p[:k])`` has the rows of
+        ``d.select(p[:k-1]).select(p[k-1:k])`` in the same order. An empty
+        list returns this view itself.
         """
         view = self
         for pred in predicates:
-            view = view._subset(np.flatnonzero(view._predicate_mask(pred)))
+            key = view.layer_key(np.zeros(view.n_rows, dtype=np.intp), [0], [pred])
+            view = view._subset(np.flatnonzero(key == 0))
         return view
 
-    def _predicate_mask(self, pred: ContextPredicate) -> np.ndarray:
-        if pred.op == "in":
-            wanted = self.value_codes(pred)
-            return np.isin(self.codes(pred.attribute), wanted)
-        vals = self.compared_values(pred)
-        if pred.op == "le":
-            return vals <= pred.threshold  # NaN compares False, excluding missing rows
-        return vals > pred.threshold
+    def layer_key(self, parent: np.ndarray, parents: Sequence[int],
+                  preds: Sequence[ContextPredicate]) -> np.ndarray:
+        """Each row's member of a layer, -1 for a row in none: member j holds
+        the rows of parent member ``parents[j]`` that satisfy ``preds[j]``,
+        where ``parent`` holds each row's parent member (-1 for none). The
+        members of one parent must be disjoint.
 
-    def value_codes(self, pred: ContextPredicate) -> np.ndarray:
-        """The category codes of an ``in`` predicate's values; a DataError for
-        an unknown value or a continuous attribute."""
-        attr = self.attribute(pred.attribute)
-        if attr.kind == CONTINUOUS:
-            raise DataError(f"value-set predicate on {attr.name!r} requires a "
-                            "categorical or ordinal attribute")
-        lookup = {c: i for i, c in enumerate(attr.categories or ())}
-        try:
-            return np.array([lookup[v] for v in pred.values], dtype=np.int32)
-        except KeyError as exc:
-            raise DataError(f"unknown category {exc.args[0]!r} for attribute {attr.name!r}") from None
-
-    def compared_values(self, pred: ContextPredicate) -> np.ndarray:
-        """The scalar values a ``le``/``gt`` predicate compares (NaN missing);
-        a DataError for a categorical attribute."""
-        if not self.attribute(pred.attribute).is_scalar:
-            raise DataError(f"threshold predicate on {pred.attribute!r} requires a scalar attribute")
-        return self.scalar_values(pred.attribute)
+        The members on one attribute are read from one table per layer, by
+        parent member and the row's category code for ``in`` predicates, or
+        its side of the parent's thresholds for ``le``/``gt``. A missing
+        cell satisfies no predicate. A DataError for an unknown attribute or
+        category, a value set on a continuous attribute or a threshold on a
+        categorical one."""
+        rows = max(int(parent.max(initial=-1)), max(parents, default=-1)) + 2
+        key = np.full(self.n_rows, -1, dtype=np.intp)
+        by_column: dict[tuple[str, bool], list[int]] = {}
+        for j, pred in enumerate(preds):
+            by_column.setdefault((pred.attribute, pred.op == "in"), []).append(j)
+        for (name, is_in), members in by_column.items():
+            attr = self.attribute(name)
+            if is_in:
+                if attr.kind == CONTINUOUS:
+                    raise DataError(f"value-set predicate on {name!r} requires a "
+                                    "categorical or ordinal attribute")
+                lookup = {c: i for i, c in enumerate(attr.categories or ())}
+                # the last column is -1 in every row, so a missing code, -1,
+                # reads -1 from the row before (or from the table's end)
+                table = np.full((rows, len(lookup) + 1), -1, dtype=np.intp)
+                for j in members:
+                    try:
+                        table[parents[j], [lookup[v] for v in preds[j].values]] = j
+                    except KeyError as exc:
+                        raise DataError(f"unknown category {exc.args[0]!r} for attribute "
+                                        f"{name!r}") from None
+                column = self.codes(name)
+            else:
+                if not attr.is_scalar:
+                    raise DataError(f"threshold predicate on {name!r} requires a scalar attribute")
+                values = self.scalar_values(name)
+                thr = np.full((2, rows), np.nan)  # each parent's le and gt threshold
+                table = np.full((rows, 3), -1, dtype=np.intp)  # neither, le, gt
+                for j in members:
+                    side = int(preds[j].op == "gt")
+                    thr[side, parents[j]] = preds[j].threshold
+                    table[parents[j], side + 1] = j
+                # NaN compares False, so a missing value or threshold holds no row
+                le, gt = values <= thr[0][parent], values > thr[1][parent]
+                column = le.view(np.int8) + 2 * gt.view(np.int8)
+            # a flat index: a row in no parent, -1, reads the table's last row
+            part = table.ravel()[parent * table.shape[1] + column]
+            np.maximum(key, part, out=key)  # disjoint members: each row gets at most one
+        return key
 
     def drop_missing(self, attrs: Iterable[str]) -> "Dataset":
         """View without rows that have a missing value in any of ``attrs``."""

@@ -11,11 +11,11 @@ reported statistic is computed on held-out test rows, corrected as one
 family per investigation. Validation builds no view per context: the
 contexts of a unit fall into layers of disjoint contexts, one per tree
 depth, and a layer's key maps each test row to its context. A key is
-derived from the parent layer's key by a code lookup or a threshold
-compare, and one count per layer gives every context's tables. Permutation
-p-values, bootstrap CIs and displays are computed on first read, so only
-the hypotheses a report shows or ranks, or whose corrected p depends on
-them, pay for them.
+derived from the parent layer's key by ``Dataset.layer_key``, the rule by
+which the tree advanced its own keys on the training rows, and one count
+per layer gives every context's tables. Permutation p-values, bootstrap
+CIs and displays are computed on first read, so only the hypotheses a
+report shows or ranks, or whose corrected p depends on them, pay for them.
 """
 
 from __future__ import annotations
@@ -573,37 +573,11 @@ def _context_layers(contexts: list[tuple[ContextPredicate, ...]]
 
 
 def _layer_keys(view: Dataset, layers: list[_Layer]) -> list[np.ndarray]:
-    """Each layer's key: every row's member, -1 for a row in none. A key is
-    its parent layer's key mapped through a table per parent member: of
-    category codes for ``in`` predicates, of thresholds for ``le``/``gt``."""
+    """Each layer's key: every row's member, -1 for a row in none, from its
+    parent layer's key by ``Dataset.layer_key``."""
     keys = [np.zeros(view.n_rows, dtype=np.intp)]
     for layer in layers[1:]:
-        parent = keys[layer.parent]
-        rows = len(layers[layer.parent].preds) + 1  # index -1, a row in no parent, is the last
-        key = np.full(view.n_rows, -1, dtype=np.intp)
-        by_column: dict[tuple[str, bool], list[int]] = {}
-        for j, pred in enumerate(layer.preds):
-            by_column.setdefault((pred.attribute, pred.op == "in"), []).append(j)
-        for (name, is_in), members in by_column.items():
-            if is_in:
-                wanted = [view.value_codes(layer.preds[j]) for j in members]
-                lut = np.full((rows, len(view.attribute(name).categories) + 1), -1, dtype=np.intp)
-                for j, codes in zip(members, wanted):
-                    lut[layer.parents[j], codes] = j
-                part = lut[parent, view.codes(name)]  # a missing code, -1, reads the last column
-            else:
-                values = view.compared_values(layer.preds[members[0]])
-                thr = np.full((2, rows), np.nan)  # the le and gt thresholds of each parent
-                child = np.full((2, rows), -1, dtype=np.intp)
-                for j in members:
-                    side = int(layer.preds[j].op == "gt")
-                    thr[side, layer.parents[j]] = layer.preds[j].threshold
-                    child[side, layer.parents[j]] = j
-                # NaN compares False, so a missing value or threshold holds no row
-                part = np.where(values <= thr[0, parent], child[0, parent],
-                                np.where(values > thr[1, parent], child[1, parent], -1))
-            np.maximum(key, part, out=key)  # disjoint members: each row gets at most one
-        keys.append(key)
+        keys.append(view.layer_key(keys[layer.parent], layer.parents, layer.preds))
     return keys
 
 
@@ -616,13 +590,14 @@ def validate(trained: TrainedInvestigation, test_view: Dataset) -> ValidationRes
 
     Each unit's contexts are placed in layers of disjoint contexts
     (``_context_layers``), one layer per tree depth. A layer's key maps each
-    test row to the context that holds it, or -1; it is built from the
-    parent layer's key and each context's last predicate, so no context
-    view is built. One ``test_contexts`` per layer tests all of its
-    contexts from one count of the rows. Non-global contexts with fewer
-    than min_size/2 test rows are dropped. The i-th context that keeps
-    enough rows, testable or not, draws its RNG stream from the master seed
-    and ``(_VALIDATE_STREAM, i)``. A finding's display is built on first
+    test row to the context that holds it, or -1; ``Dataset.layer_key``
+    builds it from the parent layer's key and each context's last
+    predicate, as the tree built its levels, so no context view is built.
+    One ``test_contexts`` per layer tests all of its contexts from one
+    count of the rows. Non-global contexts with fewer than min_size/2 test
+    rows are dropped. The i-th context that keeps enough rows, testable or
+    not, draws its RNG stream from the master seed and
+    ``(_VALIDATE_STREAM, i)``. A finding's display is built on first
     read, from ``Dataset.select`` of its predicates.
     """
     spec = trained.spec

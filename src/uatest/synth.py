@@ -120,20 +120,16 @@ def generate(pop: PopulationSpec, plants: tuple[PlantSpec, ...] | list[PlantSpec
     schema.append(AttributeSchema(pop.protected.name, CATEGORICAL, "protected",
                                   pop.protected.categories))
 
-    lookup = {a.name: a for a in pop.attributes}
+    sampled = Dataset(schema, columns)
     masks = []
     for plant in plants:
+        mask = np.zeros(n, dtype=bool)
+        mask[sampled.select(plant.predicates).row_ids()] = True
         expected = n * _expected_fraction(pop, plant.predicates)
         if expected < 4 * min_size:
             raise DataError(
                 f"plant expected size {expected:.0f} is below 4 * min_size = {4 * min_size}"
             )
-        mask = np.ones(n, dtype=bool)
-        for pred in plant.predicates:
-            attr = lookup[pred.attribute]
-            codes = columns[pred.attribute]
-            wanted = [attr.categories.index(v) for v in pred.values]
-            mask &= np.isin(codes, wanted)
         masks.append(mask)
     for i, j in itertools.combinations(range(len(masks)), 2):
         if np.any(masks[i] & masks[j]):

@@ -22,11 +22,13 @@ node's values are a sorted run from which its cuts are read, bit-equal to
 side of a cut is a run of bins, and ``MetricCounts.threshold_values`` sums
 the per-bin contingency tables, or merges the per-bin correlation moments,
 over each side (histogram split finding, as in Chen and Guestrin, KDD 2016,
-Alg. 2). No ``Dataset`` view is built for a node. A registered context
-carries the metric of its own view, bit for bit: tables are exact, and the
-correlations of a winning threshold split's parts are taken again from a
-key of the parts by ``MetricCounts.group_values``. The contexts come back
-in the order of a depth-first search, root first.
+Alg. 2). No ``Dataset`` view is built for a node: the next level's key
+comes from the winning splits' predicates by ``Dataset.layer_key``, the
+rule that validation applies to the test rows. A registered context
+carries the metric of its own view, bit for bit: tables are exact, and for
+CORR every child's correlation is taken from that key of the children by
+``MetricCounts.group_values``. The contexts come back in the order of a
+depth-first search, root first.
 """
 
 from __future__ import annotations
@@ -118,15 +120,15 @@ class CategorySplits:
         f, c = len(node_values), len(self.categories)
         if c < 2:
             return None
-        self.key = np.where((key >= 0) & (self.codes >= 0), key * c + self.codes, -1)
-        sizes = np.bincount(self.key[self.key >= 0], minlength=f * c).reshape(f, c)
+        cell = np.where((key >= 0) & (self.codes >= 0), key * c + self.codes, -1)
+        sizes = np.bincount(cell[cell >= 0], minlength=f * c).reshape(f, c)
         present = sizes > 0
         parts = present.sum(axis=1)
         splits = (parts >= 2) & (np.where(present, sizes, 2).min(axis=1) >= 2)
         if not splits.any():
             return None
         self.sizes, self.present = sizes, present
-        self.part_values = guidance(counts.group_values(self.key, f * c)[0]).reshape(f, c)
+        self.part_values = guidance(counts.group_values(cell, f * c)[0]).reshape(f, c)
         self.evals = int(parts[splits].sum())
         scores = np.full(f, -math.inf)
         # nodes with k parts at a time: each mean sums a node's own parts, unpadded
@@ -141,13 +143,6 @@ class CategorySplits:
         return [(ContextPredicate(self.name, "in", values=(self.categories[code],)),
                  int(self.sizes[i, code]), float(self.part_values[i, code]))
                 for code in np.flatnonzero(self.present[i]).tolist()]
-
-    def row_parts(self, key: np.ndarray, split: np.ndarray, out: np.ndarray) -> None:
-        """Write into ``out`` the part of each row of the nodes ``split`` marks."""
-        part_of = np.where(self.present, np.cumsum(self.present, axis=1) - 1, -1).ravel()
-        rows = np.flatnonzero(self.key >= 0)
-        rows = rows[split[key[rows]]]
-        out[rows] = part_of[self.key[rows]]
 
 
 class ThresholdSplits:
@@ -272,13 +267,6 @@ class ThresholdSplits:
                 (ContextPredicate(self.name, "gt", threshold=t), int(self.n[h]) - left,
                  float(self.part_values[c, 1]))]
 
-    def row_parts(self, key: np.ndarray, split: np.ndarray, out: np.ndarray) -> None:
-        """Write into ``out`` the part of each row of the nodes ``split`` marks."""
-        node = key[self.order]
-        chosen = split[node]
-        rows, h = self.order[chosen], self.index[node[chosen]]
-        out[rows] = self.values[rows] > self.cuts[h, self.best[h]]
-
 
 def _split_scores(part_values: np.ndarray, node_values: np.ndarray) -> np.ndarray:
     """The score of each split, a row of ``part_values``: the mean of its
@@ -310,9 +298,11 @@ def find_contexts(train: Dataset, params: TreeParams, metric: BoundMetric,
     ``params.max_depth`` and has a defined association. Contexts are
     registered when they hold at least ``params.min_size`` training rows;
     the root is always registered. The nodes of one depth are scored
-    together, one level at a time. The association is the metric's base
-    (unconditional) metric, at the root as in every part, from one
-    ``MetricCounts`` of the training rows.
+    together, one level at a time, and each level's row key is the last
+    one advanced by its children's predicates (``Dataset.layer_key``). The
+    association is the metric's base (unconditional) metric, at the root
+    as in every part, from one ``MetricCounts`` of the training rows; for
+    CORR, the children's correlations are counted again from their key.
     """
     if contextual is None:
         contextual = [a.name for a in train.schema if a.role == "contextual"]
@@ -353,43 +343,32 @@ def find_contexts(train: Dataset, params: TreeParams, metric: BoundMetric,
             stats.n_metric_evals += attr.evals
             better = scores > best_score
             best_score[better], best[better] = scores[better], a
-        splitting = best_score > node_values
-        split = np.flatnonzero(splitting)
-        part = np.full(train.n_rows, -1)  # each row's part of its node's split, -1 for none
-        for a in np.unique(best[split]).tolist():
-            attributes[a].row_parts(key, splitting & (best == a), part)
-        parts = [attributes[best[i]].parts(i) for i in split.tolist()]
-        if not metric.tabular:
+        split = np.flatnonzero(best_score > node_values)
+        parts = [(i, *part) for i in split.tolist() for part in attributes[best[i]].parts(i)]
+        parents, preds = [part[0] for part in parts], [part[1] for part in parts]
+        child = None  # each row's child, -1 for none
+        if parts and not metric.tabular:
             # merged moments can miss the correlation of a part's own rows in
-            # the last digits, so take it from them
-            again = [s for s, i in enumerate(split.tolist())
-                     if isinstance(attributes[best[i]], ThresholdSplits)]
-            if again:
-                winner = np.full(len(frontier), -1)
-                winner[split[again]] = np.arange(len(again))
-                w = np.where(key >= 0, winner[key], -1)
-                values = counts.group_values(np.where((w >= 0) & (part >= 0), 2 * w + part, -1),
-                                             2 * len(again))[0]
-                for s, v in zip(again, guidance(values).reshape(-1, 2).tolist()):
-                    parts[s] = [(pred, n, value) for (pred, n, _), value in zip(parts[s], v)]
+            # the last digits, so every child's is taken from its rows
+            child = train.layer_key(key, parents, preds)
+            values = guidance(counts.group_values(child, len(parts))[0]).tolist()
+            parts = [(i, pred, n, value) for (i, pred, n, _), value in zip(parts, values)]
 
-        first_child = np.full(len(frontier), -1)
         next_of: list[int] = []  # each child's node of the next level, -1 for none
         next_frontier: list[int] = []
-        for i, split_parts in zip(split.tolist(), parts):
-            first_child[i] = len(next_of)
+        for i, pred, n_rows, value in parts:
             parent = frontier[i]
-            for pred, n_rows, value in split_parts:
-                child = ContextNode(nodes[parent].predicates + (pred,), n_rows, value)
-                children[parent].append(len(nodes))
-                next_of.append(len(next_frontier) if grows(child) else -1)
-                if grows(child):
-                    next_frontier.append(len(nodes))
-                nodes.append(child)
-                children.append([])
+            node = ContextNode(nodes[parent].predicates + (pred,), n_rows, value)
+            children[parent].append(len(nodes))
+            next_of.append(len(next_frontier) if grows(node) else -1)
+            if grows(node):
+                next_frontier.append(len(nodes))
+            nodes.append(node)
+            children.append([])
         stats.n_nodes += len(next_of)
         if next_frontier:
-            child = np.where((key >= 0) & (part >= 0), first_child[key] + part, -1)
+            if child is None:
+                child = train.layer_key(key, parents, preds)
             key = np.where(child >= 0, np.array(next_of)[child], -1)
         frontier = next_frontier
 

@@ -200,6 +200,14 @@ def test_predicate_canonical_form_and_describe():
     assert ContextPredicate("hours", "gt", threshold=55.5).describe() == "hours > 55.5"
 
 
+def test_describe_non_finite_threshold():
+    # a tree split between an infinite value and finite ones can cut at ±inf
+    assert ContextPredicate("x", "le", threshold=-np.inf).describe() == "x <= -inf"
+    assert ContextPredicate("x", "gt", threshold=-np.inf).describe() == "x > -inf"
+    assert ContextPredicate("x", "le", threshold=np.inf).describe() == "x <= inf"
+    assert ContextPredicate("x", "gt", threshold=np.nan).describe() == "x > nan"
+
+
 def test_csv_roundtrip_exact(tmp_path):
     d = random_dataset(300, seed=12)
     path = tmp_path / "out.csv"
@@ -820,6 +828,75 @@ def test_select_matches_mask_conjunction(data):
     at = data.draw(st.integers(0, len(predicates)))
     with pytest.raises(DataError):
         view.select(predicates[:at] + [bad] + predicates[at:])
+
+
+BAD_MESSAGES = (
+    "unknown category 'zz' for attribute 'c'",
+    "unknown category '4' for attribute 'r'",
+    "value-set predicate on 'x' requires a categorical or ordinal attribute",
+    "threshold predicate on 'c' requires a scalar attribute",
+    "no attribute named 'missing'",
+)
+
+
+def draw_children(data, m):
+    """Disjoint children of some of the ``m`` parent members: a le/gt pair
+    (or one side of it) on a scalar column, or single-value ``in``s of
+    distinct categories; a parent may have none."""
+    parents, preds = [], []
+    for member in range(m):
+        shape = data.draw(st.sampled_from(("none", "threshold", "values")))
+        if shape == "threshold":
+            column = data.draw(st.sampled_from(("x", "r")))
+            t = data.draw(st.sampled_from(THRESHOLDS + (np.inf, -np.inf)))
+            ops = data.draw(st.sampled_from((("le", "gt"), ("le",), ("gt",))))
+            kids = [ContextPredicate(column, op, threshold=t) for op in ops]
+        elif shape == "values":
+            column = data.draw(st.sampled_from(("c", "r")))
+            cats = SELECT_SCHEMA[0 if column == "c" else 1].categories
+            picked = data.draw(st.lists(st.sampled_from(cats), min_size=1, max_size=3, unique=True))
+            kids = [ContextPredicate(column, "in", values=(v,)) for v in picked]
+        else:
+            kids = []
+        parents += [member] * len(kids)
+        preds += kids
+    order = data.draw(st.permutations(range(len(preds))))
+    return [parents[j] for j in order], [preds[j] for j in order]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_layer_key_matches_reference(data):
+    # member j holds the rows of parent member parents[j] that the reference
+    # finds for preds[j]; rows in no parent (-1) or under a parent without
+    # children are in no member
+    n = data.draw(st.integers(0, 30))
+    cells = X_CELLS + (np.inf, -np.inf)
+    cols = {
+        "c": np.array(data.draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n)), dtype=np.int32),
+        "r": np.array(data.draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n)), dtype=np.int32),
+        "x": np.array(data.draw(st.lists(st.sampled_from(cells), min_size=n, max_size=n))),
+    }
+    rows = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
+    view = Dataset(SELECT_SCHEMA, cols, np.array(rows, dtype=np.int64))
+    m = data.draw(st.integers(0, 4))
+    parent = np.array(data.draw(st.lists(st.integers(-1, m - 1), min_size=view.n_rows,
+                                         max_size=view.n_rows)), dtype=np.intp)
+    parents, preds = draw_children(data, m)
+
+    key = view.layer_key(parent, parents, preds)
+    want = np.full(view.n_rows, -1)
+    for j, (p, pred) in enumerate(zip(parents, preds)):
+        holds = np.isin(view.row_ids(), select_reference(view, [pred])) & (parent == p)
+        assert not (holds & (want >= 0)).any()  # the members are disjoint
+        want[holds] = j
+    assert np.array_equal(key, want)
+
+    b = data.draw(st.integers(0, len(BAD_PREDICATES) - 1))
+    at = data.draw(st.integers(0, len(preds)))
+    with pytest.raises(DataError, match=f"^{re.escape(BAD_MESSAGES[b])}$"):
+        view.layer_key(parent, parents[:at] + [max(m - 1, 0)] + parents[at:],
+                       preds[:at] + [BAD_PREDICATES[b]] + preds[at:])
 
 
 def test_select_raises_after_an_empty_view():

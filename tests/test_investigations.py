@@ -248,7 +248,29 @@ P_CA = ContextPredicate("state", "in", values=("A",))
 P_RACE = ContextPredicate("income", "in", values=("low",))  # stands in for any refinement
 
 
+
+def test_report_renders_a_context_at_an_infinite_threshold():
+    # the quantile between the last -inf and the first finite value is -inf,
+    # so the tree splits at x <= -inf: 12 rows where the output equals s
+    n = 106
+    x = np.concatenate([np.full(12, -np.inf), np.linspace(0, 1, n - 12)])
+    s = np.arange(n) % 2
+    o = np.where(np.arange(n) < 12, s, 0)
+    schema = [AttributeSchema("x", "continuous", "contextual"),
+              AttributeSchema("s", "categorical", "protected", ("0", "1")),
+              AttributeSchema("o", "categorical", "output", ("0", "1"))]
+    view = Dataset(schema, {"x": x, "s": s.astype(np.int32), "o": o.astype(np.int32)})
+    spec = TestingSpec(protected=("s",), output="o", contextual=("x",),
+                       tree=TreeParams(min_size=10, max_depth=1))
+    trained = train(spec, view)
+    assert [[p.describe() for p in c.predicates] for c in trained.units[0].contexts] == [
+        [], ["x <= -inf"], ["x > -inf"]]
+    text = "".join(render_text(r) for r in filter_and_rank(validate(trained, view)))
+    assert "Context = x <= -inf\n" in text
+
+
 def test_filter_and_rank_nesting_rule():
+
     parent = finding([P_CA], 0.09, 0.08, 0.12, 0.001)
     child = finding([P_CA, P_RACE], 0.06, 0.05, 0.30, 0.001, size=300)
     g = finding([], 0.01, 0.001, 0.02, 0.001, size=1000, is_global=True)

@@ -74,7 +74,16 @@ def test_generate_rejects_overlap_and_small_plants():
         generate(pop, (tiny,), seed=0, min_size=100)
 
 
+
+def test_generate_rejects_an_unknown_plant_category():
+    pop = PopulationSpec.default(10_000)
+    plant = PlantSpec((ContextPredicate("state", "in", values=("S99",)),), 0.2)
+    with pytest.raises(DataError, match="unknown category 'S99' for attribute 'state'"):
+        generate(pop, (plant,), seed=0)
+
+
 def test_make_disjoint_plants_sizes_and_disjointness():
+
     pop = PopulationSpec.default(100_000)
     plants = make_disjoint_plants(pop, 10, 0.15, 2000, seed=4)
     assert len(plants) == 10

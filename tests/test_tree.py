@@ -57,21 +57,21 @@ def node_splits(view, attribute, params, metric=DIFF):
     return None if scores is None else splits
 
 
-def split_key(splits, n, j=0):
+def split_key(view, splits, j=0):
     """Each row's part in the node's split at kept cut ``j`` (the only split
-    of a categorical attribute), -1 for a row in no part."""
+    of a categorical attribute), -1 for a row in no part, from the parts'
+    predicates by ``Dataset.layer_key``."""
     if isinstance(splits, ThresholdSplits):
         splits.best[0] = splits.kept[j]  # make cut j the node's best
-    key = np.full(n, -1)
-    splits.row_parts(np.zeros(n, dtype=np.intp), np.array([True]), key)
-    return key
+    preds = [pred for pred, _, _ in splits.parts(0)]
+    return view.layer_key(np.zeros(view.n_rows, dtype=np.intp), [0] * len(preds), preds)
 
 
 def test_candidate_splits_binary_categorical():
     d = planted_dataset(500, seed=1)
     splits = node_splits(d, "x0", TreeParams(min_size=10))
     assert splits.evals == 2 and len(splits.parts(0)) == 2  # one split of two parts
-    assert np.array_equal(np.unique(split_key(splits, d.n_rows)), [0, 1])
+    assert np.array_equal(np.unique(split_key(d, splits)), [0, 1])
     assert {p.describe() for p, _, _ in splits.parts(0)} == {"x0: 0", "x0: 1"}
 
 
@@ -93,7 +93,7 @@ def test_candidate_splits_continuous_quantiles():
     splits = node_splits(d, "age", params)
     assert 1 <= len(splits.kept) <= 8 and splits.evals == 2 * len(splits.kept)
     for j in range(len(splits.kept)):
-        key = split_key(splits, n, j)
+        key = split_key(d, splits, j)
         assert len(key) == n
         assert np.bincount(key, minlength=2).min() >= 2
         preds = [p for p, _, _ in splits.parts(0)]
@@ -190,7 +190,7 @@ def test_binned_scorer_matches_per_threshold_scoring(data):
             np.testing.assert_allclose(values[j], want, rtol=0, atol=1e-12)
         else:
             np.testing.assert_array_equal(values[j], want)
-        key = split_key(splits, n, j)
+        key = split_key(view, splits, j)
         assert np.array_equal(metric.group_values(view, key, len(want))[0], want,
                               equal_nan=True)
 
@@ -253,9 +253,8 @@ def continuous_context_dataset(n, seed):
 @pytest.mark.parametrize("name,protected,output", [("diff", "s", "o"), ("corr", "u", "v")])
 def test_tree_counts_once_per_node_and_attribute(monkeypatch, name, protected, output):
     # per level: one count per contextual attribute, whatever its number of
-    # nodes and thresholds; plus the root's, and for CORR one for the
-    # winning threshold splits of the level, whose parts' correlations are
-    # taken again from their rows
+    # nodes and thresholds; plus the root's, and for CORR one of the level's
+    # children, whose correlations are taken from their rows
     calls = []
     for fn in ("keyed_counts", "grouped_moments"):
         real = getattr(metrics, fn)
