@@ -6,7 +6,7 @@ an explanatory attribute on the next budgeted test set), bench (planted
 disparity recall benchmark), and tree-vs-itemsets (guided vs unguided
 subpopulation search comparison).
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 budget exhausted.
+Exit codes: 0 success, 1 usage error, 2 data or file error, 3 budget exhausted.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ STATE_VERSION = 1
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=int(os.environ.get("UATEST_SEED") or 0),
+    p.add_argument("--seed", type=int, default=None,
                    help="master seed (falls back to UATEST_SEED, then 0)")
     p.add_argument("--min-size", type=int, default=100, help="minimum context size")
     p.add_argument("--max-depth", type=int, default=5, help="maximum context depth")
@@ -398,13 +398,20 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage problems
         return 0 if exc.code == 0 else USAGE_ERROR
+    if vars(args).get("seed", 0) is None:  # a command that takes --seed, run without it
+        env = os.environ.get("UATEST_SEED") or "0"
+        try:
+            args.seed = int(env)
+        except ValueError:
+            sys.stderr.write(f"uatest: UATEST_SEED must be an integer, got {env!r}\n")
+            return USAGE_ERROR
     with _log_to_stderr(args.verbose):
         try:
             return args.run(args)
         except BudgetError as exc:
             sys.stderr.write(f"uatest: {exc}\n")
             return BUDGET_ERROR
-        except (FileNotFoundError, DataError, MetricError, StatsError) as exc:
+        except (OSError, DataError, MetricError, StatsError) as exc:
             sys.stderr.write(f"uatest: {exc}\n")
             return DATA_ERROR
 

@@ -46,7 +46,6 @@ from .metrics import (
     MetricKind,
     joint_counts,
     logistic_label_scores,
-    stratum_weights,
 )
 from .stats import (  # noqa: F401 -- bench/tracer.py times test_metric through this module
     StatConfig,
@@ -594,7 +593,8 @@ def validate(trained: TrainedInvestigation, test_view: Dataset) -> ValidationRes
     builds it from the parent layer's key and each context's last
     predicate, as the tree built its levels, so no context view is built.
     One ``test_contexts`` per layer tests all of its contexts from one
-    count of the rows. Non-global contexts with fewer than min_size/2 test
+    count of the rows, and for a conditional metric one more tests their
+    strata (``_test_layer``). Non-global contexts with fewer than min_size/2 test
     rows are dropped. The i-th context that keeps enough rows, testable or
     not, draws its RNG stream from the master seed and
     ``(_VALIDATE_STREAM, i)``. A finding's display is built on first
@@ -685,19 +685,38 @@ def _test_layer(unit: TrainUnit, spec: InvestigationSpec, cleaned: Dataset,
     """Test the contexts ``batch`` lists of one layer, by (position in
     ``unit.contexts``, member of the layer, entropy): a finding, or the
     MetricError of an untestable context, by position. ``counts`` is the
-    unit metric's ``BoundMetric.counts`` of ``cleaned``."""
+    unit metric's ``BoundMetric.counts`` of ``cleaned``, and ``sizes`` the
+    layer's row count of each member. A conditional finding lists the
+    non-empty strata of its context in category order. One more
+    ``test_contexts`` tests, with the base metric, every (context, stratum)
+    member of ``BoundMetric.stratum_key`` with at least ``min_stratum`` rows,
+    and these tests join the family; a smaller or untestable stratum gets
+    the reason. The k-th stratum of a context of entropy e draws from e + (k,)."""
     bound = unit.bound
-    members = [j for _, j, _ in batch]
-    tested = test_contexts(cleaned, bound, key, members, spec.stats, [e for *_, e in batch],
-                           counts)
-    strata = (_test_strata(cleaned, bound, counts, key, unit.contexts, batch, tested,
-                           spec.stats) if bound.conditional else {})
+    tested = test_contexts(cleaned, bound, key, [j for _, j, _ in batch], spec.stats,
+                           [e for *_, e in batch], counts)
     out: dict[int, Finding | MetricError] = {}
-    for (pos, j, _), t in zip(batch, tested):
+    plan = []  # (stratum finding, member of ckey, entropy, display) of each stratum to test
+    if bound.conditional:
+        base = bound.unconditional()
+        ckey, groups = bound.stratum_key(cleaned, key)
+        rows = np.bincount(ckey + 1, minlength=len(sizes) * groups + 1)[1:].reshape(-1, groups)
+        categories = cleaned.attribute(bound.kind.explanatory).categories
+    for (pos, j, entropy), t in zip(batch, tested):
         if isinstance(t, MetricError):
             out[pos] = t
             continue
         predicates = unit.contexts[pos].predicates
+        strata = []
+        if bound.conditional:
+            for k, code in enumerate(np.flatnonzero(rows[j]).tolist()):
+                sf = StratumFinding(categories[code], int(rows[j, code]), base.kind.display, None)
+                strata.append(sf)
+                if sf.size < bound.min_stratum:
+                    sf.note = "below minimum stratum size"
+                else:
+                    plan.append((sf, j * groups + code, entropy + (k,),
+                                 partial(_make_display, cleaned, predicates, bound, code)))
         out[pos] = Finding(
             protected=bound.protected,
             output=bound.output,
@@ -706,55 +725,18 @@ def _test_layer(unit: TrainUnit, spec: InvestigationSpec, cleaned: Dataset,
             size=int(sizes[j]),
             metric=bound.kind.display,
             tested=t,
-            strata=strata.get(pos, ()),
+            strata=tuple(strata),
             is_global=not predicates,
             _source=partial(_make_display, cleaned, predicates, bound),
         )
-    return out
-
-
-def _test_strata(cleaned: Dataset, bound: BoundMetric, counts: MetricCounts, key: np.ndarray,
-                 contexts: list[ContextNode], batch: list[tuple[int, int, tuple[int, int]]],
-                 tested: list[TestedMetric | MetricError],
-                 cfg: StatConfig) -> dict[int, tuple[StratumFinding, ...]]:
-    """Test each non-empty explanatory stratum of each tested context of a
-    layer, in category order, with the unconditional base metric; a stratum
-    the conditional aggregate leaves out gets the reason instead. Tested
-    strata join the same correction family as their parent finding. The
-    k-th non-empty stratum of a context of entropy e draws from e + (k,)."""
-    base = bound.unconditional()
-    strata, groups = bound.strata(cleaned)
-    ckey = np.where((key >= 0) & (strata >= 0), key * groups + strata, -1)
-    n = max(int(np.max(key, initial=-1)), *(j for _, j, _ in batch)) + 1
-    vals, sizes = (a.reshape(n, groups) for a in counts.group_values(ckey, n * groups))
-    contexts_tested = [(pos, j) for (pos, j, _), t in zip(batch, tested)
-                       if not isinstance(t, MetricError)]
-    kept = {j: np.flatnonzero(stratum_weights(vals[j], sizes[j], bound.min_stratum))
-            for _, j in contexts_tested}
-    plan = [(j * groups + code, entropy + (k,))  # (member of ckey, entropy) of each kept stratum
-            for (_, j, entropy), t in zip(batch, tested) if not isinstance(t, MetricError)
-            for k, code in enumerate(np.flatnonzero(sizes[j]).tolist()) if code in kept[j]]
-    results = iter(test_contexts(cleaned, base, ckey, [m for m, _ in plan], cfg,
-                                 [e for _, e in plan], counts) if plan else ())
-    categories = cleaned.attribute(bound.kind.explanatory).categories
-    display = base.kind.display
-    out = {}
-    for pos, j in contexts_tested:
-        found = []
-        for code in np.flatnonzero(sizes[j]).tolist():
-            value, size = categories[code], int(sizes[j, code])
-            if code not in kept[j]:
-                note = (f"{display} undefined on this population"
-                        if size >= bound.min_stratum else "below minimum stratum size")
-                found.append(StratumFinding(value, size, display, None, note=note))
-                continue
-            t = next(results)
+    if plan:
+        found, members, entropies, sources = zip(*plan)
+        for sf, source, t in zip(found, sources, test_contexts(cleaned, base, ckey, members,
+                                                               spec.stats, entropies, counts)):
             if isinstance(t, MetricError):
-                found.append(StratumFinding(value, size, display, None, note=str(t)))
-                continue
-            found.append(StratumFinding(value, size, display, t, _source=partial(
-                _make_display, cleaned, contexts[pos].predicates, bound, code)))
-        out[pos] = tuple(found)
+                sf.note = str(t)
+            else:
+                sf.tested, sf._source = t, source
     return out
 
 

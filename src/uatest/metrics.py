@@ -8,7 +8,8 @@ of them with the vectorized kernels (``mi_from_tables``,
 per-group moments. ``MetricCounts`` gathers a view's columns once and
 counts them by any row key. A bound metric is the size-weighted mean of its base
 metric over strata: the categories of an explanatory attribute, or a single
-stratum when it is unconditional; the stratum rule is defined here only.
+stratum when it is unconditional. ``BoundMetric.stratum_key`` keys the strata
+and ``stratum_mean`` applies the stratum rule, for every caller, here only.
 """
 
 from __future__ import annotations
@@ -431,27 +432,20 @@ class BoundMetric:
         metric."""
         return MIN_STRATUM if self.conditional else 1
 
-    def strata(self, view: Dataset) -> tuple[np.ndarray, int]:
-        """Each row's stratum and the number of strata: the explanatory
-        attribute's codes (-1 where missing) for a conditional metric, 0 for
-        every row of an unconditional one."""
+    def stratum_key(self, view: Dataset, key: np.ndarray) -> tuple[np.ndarray, int]:
+        """Each row's (group, stratum) member and the number of strata per
+        group, for groups keyed by ``key`` (-1 for a row in none): member
+        g * groups + code holds the rows of group g whose explanatory code
+        is ``code``, -1 where either is missing, for a conditional metric;
+        ``key`` itself and one stratum for an unconditional one."""
         if not self.conditional:
-            return np.zeros(view.n_rows, dtype=np.int64), 1
+            return key, 1
         e = self.kind.explanatory
-        return view.codes(e), len(view.attribute(e).categories)
-
-    def aggregate(self, vals: np.ndarray, sizes: np.ndarray) -> tuple[float, np.ndarray]:
-        """The metric from its base metric's per-stratum values and sizes
-        (see ``strata``), and the indices of the strata that enter it, those
-        ``stratum_weights`` keeps; raises MetricError naming the cause when
-        it keeps none."""
-        kept = np.flatnonzero(stratum_weights(vals, sizes, self.min_stratum))
-        if len(kept) == 0:
-            raise self.undefined(sizes)
-        return float(weighted_mean(vals[kept], sizes[kept])), kept
+        strata, groups = view.codes(e), len(view.attribute(e).categories)
+        return np.where((key >= 0) & (strata >= 0), key * groups + strata, -1), groups
 
     def undefined(self, sizes: np.ndarray) -> MetricError:
-        """Why ``aggregate`` keeps no stratum of a population whose strata
+        """Why ``stratum_mean`` keeps no stratum of a population whose strata
         have ``sizes``."""
         if not self.conditional:
             return MetricError(f"{self.kind.display} undefined on this population")
@@ -464,16 +458,14 @@ class BoundMetric:
                            f"{self.min_stratum} rows")
 
     def value(self, view: Dataset) -> float:
-        """Point estimate on a view: the base metric's ``aggregate`` over the
-        ``strata``; raises MetricError when undefined."""
-        return self.aggregate(*self.group_values(view, *self.strata(view)))[0]
-
-    def group_values(self, view: Dataset, key: np.ndarray,
-                     groups: int) -> tuple[np.ndarray, np.ndarray]:
-        """Base (unconditional) metric on each of ``groups`` row groups of
-        ``view``, where ``key`` holds each row's group (-1 for none), with
-        the number of rows counted in each group: ``MetricCounts.group_values``."""
-        return self.counts(view).group_values(key, groups)
+        """Point estimate on a view: the ``stratum_mean`` of the base metric over
+        the strata of ``stratum_key``; raises MetricError if it keeps none."""
+        ckey, groups = self.stratum_key(view, np.zeros(view.n_rows, dtype=np.intp))
+        vals, sizes = self.counts(view).group_values(ckey, groups)
+        out = float(stratum_mean(vals, sizes, self.min_stratum))
+        if math.isnan(out):
+            raise self.undefined(sizes)
+        return out
 
     def counts(self, view: Dataset) -> MetricCounts:
         """The per-group summaries of ``view``'s rows by any row key."""

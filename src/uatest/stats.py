@@ -360,7 +360,7 @@ def test_contexts(view: Dataset, bound: BoundMetric, key: np.ndarray, contexts: 
     RATIO excepted, is tested asymptotically: G-test for NMI, z-test and
     Wald CI for DIFF, t-test and Fisher-z CI for CORR. Every other metric is
     resampled as a stratified metric, the size-weighted mean of its base
-    metric over the strata of ``BoundMetric.strata``; an unconditional
+    metric over the strata of ``BoundMetric.stratum_key``; an unconditional
     metric has one stratum. The permutation shuffles the protected column
     within each stratum that enters the aggregate; for tables it draws
     fixed-margin tables, exactly the distribution such shuffles induce. The
@@ -383,10 +383,8 @@ def test_contexts(view: Dataset, bound: BoundMetric, key: np.ndarray, contexts: 
     give the same numbers whenever they run.
     """
     bound = bound.resolve(view)
-    strata, groups = bound.strata(view)
+    ckey, groups = bound.stratum_key(view, key)
     n = max(int(np.max(key, initial=-1)), max(contexts, default=-1)) + 1
-    ckey = (np.where((key >= 0) & (strata >= 0), key * groups + strata, -1)
-            if bound.conditional else key)
     contexts = np.asarray(contexts, dtype=np.intp)
     counts = counts if counts is not None else bound.counts(view)
     summary = counts.summary(ckey, n * groups)

@@ -159,6 +159,36 @@ def test_seed_env_fallback(berkeley_csv, tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_bad_seed_variable_is_a_usage_error_only_without_seed(berkeley_csv, tmp_path,
+                                                             monkeypatch, capsys):
+    data, schema = berkeley_csv
+    monkeypatch.setenv("UATEST_SEED", "abc")
+    assert main(["testing", "--help"]) == 0
+    assert main(["testing", "--data", data, "--schema", schema, "--seed", "9",
+                 "--out", str(tmp_path / "r.txt")]) == 0
+    capsys.readouterr()
+    assert main(["testing", "--data", data, "--schema", schema]) == 1
+    assert "UATEST_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+
+
+def test_a_directory_for_a_file_exits_2_naming_it(berkeley_csv, tmp_path, capsys):
+    data, schema = berkeley_csv
+    state = tmp_path / "state.json"
+    assert main(["testing", "--data", data, "--schema", schema, "--budget", "2",
+                 "--state", str(state), "--out", str(tmp_path / "r.txt")]) == 0
+    capsys.readouterr()
+    for argv in (["testing", "--data", str(tmp_path), "--schema", schema],
+                 ["testing", "--data", data, "--schema", schema, "--out", str(tmp_path)],
+                 ["testing", "--data", data, "--schema", schema, "--state", str(tmp_path),
+                  "--out", str(tmp_path / "r.txt")],
+                 ["debug", "--data", data, "--state", str(tmp_path),
+                  "--explanatory", "department"]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("uatest: ") and err.count("\n") == 1, err
+        assert repr(str(tmp_path)) in err, err
+
+
 def test_data_error_exit_code(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,a\n1,2\n")

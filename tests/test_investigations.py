@@ -37,7 +37,7 @@ from uatest.investigations import (
     train,
     validate,
 )
-from uatest.metrics import BoundMetric, MetricError, MetricKind, MetricValue
+from uatest.metrics import BoundMetric, MetricError, MetricKind, MetricValue, stratum_weights
 from uatest.report import render_text
 from uatest.stats import StatConfig, TestedMetric
 from uatest.stats import test_metric as evaluate_metric
@@ -751,9 +751,9 @@ def _reference(cleaned, unit, spec):
             continue
         strata = []
         if bound.conditional:
-            key, groups = bound.strata(ctx)
-            vals, sizes = bound.group_values(ctx, key, groups)
-            kept = bound.aggregate(vals, sizes)[1]
+            key, groups = bound.stratum_key(ctx, np.zeros(ctx.n_rows, dtype=np.intp))
+            vals, sizes = bound.counts(ctx).group_values(key, groups)
+            kept = np.flatnonzero(stratum_weights(vals, sizes, bound.min_stratum))
             for k, code in enumerate(np.flatnonzero(sizes)):
                 t = None
                 if code in kept:

@@ -847,6 +847,41 @@ def test_corr_fisher_z_ci_coverage():
     assert lo <= coverage <= hi, (lo, coverage, hi)
 
 
+def test_conditional_corr_permutation_null_validity():
+    # two strata with different means of x and y, x independent of y within
+    # each, so the pooled correlation is far from 0: the stratified row
+    # permutation of COND-CORR at its smallest count
+    draws, n = 1000, 200
+    r = np.random.default_rng(75)
+    e = r.integers(0, 2, draws * n)
+    columns = _normal_pairs(r, draws * n, 0.0)
+    columns = {"x": columns["x"] + 2.0 * e, "y": columns["y"] + 3.0 * e, "e": e.astype(np.int32)}
+    schema = CORR_SCHEMA + [AttributeSchema("e", "categorical", "explanatory", ("L", "R"))]
+    view, key = _replicates(columns, draws, n, schema)
+    cfg = StatConfig(seed=75, n_permutations=100, n_bootstrap=100)
+    tested = evaluate_contexts(view, BoundMetric(MetricKind("corr", "e"), "x", "y"), key,
+                               range(draws), cfg, [(i,) for i in range(draws)])
+    assert {t.method for t in tested} == {"permutation+bootstrap"}
+    _null_rejections(np.array([t.p for t in tested]), draws)
+
+
+def test_ratio_permutation_null_validity():
+    # independent binary s and o, 200 rows each: RATIO has no asymptotic
+    # route, so every draw takes the fixed-margin permutation test
+    draws, n = 1000, 200
+    r = np.random.default_rng(76)
+    schema = [AttributeSchema("s", "categorical", "protected", ("a", "b")),
+              AttributeSchema("o", "categorical", "output", ("0", "1"))]
+    view, key = _replicates({"s": (r.random(draws * n) < 0.4).astype(np.int32),
+                             "o": (r.random(draws * n) < 0.3).astype(np.int32)},
+                            draws, n, schema)
+    cfg = StatConfig(seed=76, n_permutations=100, n_bootstrap=100)
+    tested = evaluate_contexts(view, BoundMetric(MetricKind("ratio"), "s", "o"), key,
+                               range(draws), cfg, [(i,) for i in range(draws)])
+    assert {t.method for t in tested} == {"permutation+bootstrap"}
+    _null_rejections(np.array([t.p for t in tested]), draws)
+
+
 @pytest.mark.parametrize("o, est", [("11", 0.0), ("10", 1.0)])
 def test_asymptotic_diff_with_no_spread_has_a_point_ci(o, est):
     # above the threshold with both groups' rates at 1, or at 1 and 0: the

@@ -43,6 +43,40 @@ def test_every_function_parameter_is_read():
     assert unread == []
 
 
+def unreferenced_private(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(file, line, name) of every function, method and class of ``sources``
+    (source text by file name) whose name starts with a single ``_`` and
+    that no name, attribute or import in any of them reads."""
+    defined, read = [], set()
+    for file, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.append((file, node.lineno, node.name))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [d for d in defined if d[2] not in read]
+
+
+def test_unreferenced_private_definitions_are_found():
+    a = ("def _called():\n    pass\ndef _dead():\n    pass\n"
+         "class _Dead:\n    def _method(self):\n        pass\n    def __init__(self):\n"
+         "        _called()\n"
+         "def _imported():\n    pass\ndef public():\n    pass\n")
+    b = "from a import _imported\nx._method()\n"
+    assert unreferenced_private({"a.py": a, "b.py": b}) == [("a.py", 3, "_dead"),
+                                                            ("a.py", 5, "_Dead")]
+
+
+def test_every_private_definition_is_referenced():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert [f"{file}:{line} {name}" for file, line, name in unreferenced_private(sources)] == []
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats costs more to import than every test of a run; the tails
     # come from scipy.special

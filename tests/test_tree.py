@@ -115,7 +115,7 @@ def brute_force_splits(view, attribute, metric, params):
         part_of = np.full(len(attr.categories), -1)
         part_of[present] = np.arange(len(present))
         key = np.where(codes >= 0, part_of[codes], -1)
-        return [(None, metric.group_values(view, key, len(present))[0])]
+        return [(None, metric.counts(view).group_values(key, len(present))[0])]
     values = view.scalar_values(attribute)
     finite = values[~np.isnan(values)]
     if len(finite) < 4:
@@ -128,7 +128,7 @@ def brute_force_splits(view, attribute, metric, params):
         left, right = values <= t, values > t
         if left.sum() >= 2 and right.sum() >= 2:
             key = np.where(left, 0, np.where(right, 1, -1))
-            out.append((float(t), metric.group_values(view, key, 2)[0]))
+            out.append((float(t), metric.counts(view).group_values(key, 2)[0]))
     return out
 
 
@@ -191,7 +191,7 @@ def test_binned_scorer_matches_per_threshold_scoring(data):
         else:
             np.testing.assert_array_equal(values[j], want)
         key = split_key(view, splits, j)
-        assert np.array_equal(metric.group_values(view, key, len(want))[0], want,
+        assert np.array_equal(metric.counts(view).group_values(key, len(want))[0], want,
                               equal_nan=True)
 
 

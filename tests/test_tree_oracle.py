@@ -112,7 +112,7 @@ def recursive_contexts(train, params, metric, contextual, stats):
                 continue
             bins, present, categories, cuts, kept = found
             if cuts is None:
-                part_values = metric.group_values(view, bins, len(categories))[0][present][None]
+                part_values = metric.counts(view).group_values(bins, len(categories))[0][present][None]
             else:
                 part_values = _threshold_values(metric, view, bins, len(cuts) + 1)[kept]
             stats.n_metric_evals += part_values.size
@@ -136,7 +136,7 @@ def recursive_contexts(train, params, metric, contextual, stats):
                      ContextPredicate(attr, "gt", threshold=t)]
         key = np.where(bins >= 0, part_of[bins], -1)
         if cuts is not None and not metric.tabular:
-            part_values = guidance(metric.group_values(view, key, 2)[0])
+            part_values = guidance(metric.counts(view).group_values(key, 2)[0])
         for i, pred in enumerate(preds):
             recurse(view._subset(np.flatnonzero(key == i)), predicates + (pred,),
                     float(part_values[i]))
