@@ -42,7 +42,7 @@ from .investigations import (
     validate,
 )
 from .metrics import BoundMetric, MetricError, MetricKind
-from .report import _predicate_from_obj, _predicate_to_obj, render_text, report_to_obj
+from .report import predicate_from_obj, predicate_to_obj, render_text, report_to_obj
 from .stats import StatConfig, StatsError
 from .synth import run_detection_benchmark, tree_vs_itemsets
 from .tree import ContextNode, TreeParams, TreeStats
@@ -151,6 +151,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(min_size=500, run=_tree_vs_itemsets_cmd)
 
     return parser
+
+
+def _check_paths(args) -> None:
+    """A DataError naming ``--out``, or an investigation's ``--state``, when
+    the run could not write it: it is a directory, or its directory does not
+    exist. Checked before any data is read."""
+    for flag in ("out",) if args.command == "debug" else ("out", "state"):
+        path = vars(args).get(flag)
+        if path is not None and os.path.isdir(path):
+            raise DataError(f"--{flag} {path!r} is a directory")
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise DataError(f"--{flag} {path!r}: no directory {os.path.dirname(path)!r}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -284,7 +296,7 @@ def _save_state(path: str, args, spec: InvestigationSpec, source: DataSource,
             {
                 "bound": _bound_to_obj(u.bound),
                 "contexts": [
-                    {"predicates": [_predicate_to_obj(p) for p in c.predicates],
+                    {"predicates": [predicate_to_obj(p) for p in c.predicates],
                      "n_train": c.n_train,
                      "train_metric": None if c.train_metric != c.train_metric
                      else c.train_metric}
@@ -319,7 +331,7 @@ def _restore_state(state, data_path: str,
     for uo in state["units"]:
         contexts = []
         for co in uo["contexts"]:
-            preds = tuple(_predicate_from_obj(p) for p in co["predicates"])
+            preds = tuple(predicate_from_obj(p) for p in co["predicates"])
             metric_value = co["train_metric"]
             contexts.append(ContextNode(preds, co["n_train"],
                                         float("nan") if metric_value is None else metric_value))
@@ -407,6 +419,7 @@ def main(argv: list[str] | None = None) -> int:
             return USAGE_ERROR
     with _log_to_stderr(args.verbose):
         try:
+            _check_paths(args)
             return args.run(args)
         except BudgetError as exc:
             sys.stderr.write(f"uatest: {exc}\n")

@@ -165,6 +165,11 @@ class ErrorProfilingSpec(InvestigationSpec):
     def _roles(self) -> list[tuple[str, str]]:
         return super()._roles() + [(self.ground_truth, "ground truth")]
 
+    def used_attributes(self) -> tuple[str, ...]:
+        """The named attributes and the derived error column: a row whose error
+        is undefined (a prediction and truth both infinite) misses a value."""
+        return super().used_attributes() + (_output_display(self),)
+
 
 def compute_error(predictions: np.ndarray, truth: np.ndarray, kind: str) -> np.ndarray:
     """Per-row error of predictions against ground truth.
@@ -177,7 +182,8 @@ def compute_error(predictions: np.ndarray, truth: np.ndarray, kind: str) -> np.n
     if len(predictions) != len(truth):
         raise DataError("prediction and truth columns must have equal length")
     if kind == ABSOLUTE:
-        return np.abs(predictions - truth)
+        with np.errstate(invalid="ignore"):  # inf - inf: an undefined, missing error
+            return np.abs(predictions - truth)
     if kind == ZERO_ONE:
         codes = (predictions != truth).astype(np.int32)
         codes[(predictions < 0) | (truth < 0)] = -1
@@ -293,15 +299,14 @@ def _dropped_note(view: Dataset, spec: InvestigationSpec, dropped: int, which: s
 def train(spec: InvestigationSpec, train_view: Dataset) -> TrainedInvestigation:
     """Derive candidate contexts on the training set for every protected
     attribute (and each top-ranked label, for discovery)."""
+    output_col: str | tuple[str, ...] = spec.output
+    if spec.kind == ERROR_PROFILING:
+        train_view = _attach_error(train_view, spec)
+        output_col = _output_display(spec)
     cleaned = _drop_missing(train_view, spec, "training")
     dropped = train_view.n_rows - cleaned.n_rows
     if dropped:
         logger.info("dropped %d training rows with missing values", dropped)
-
-    output_col: str | tuple[str, ...] = spec.output
-    if spec.kind == ERROR_PROFILING:
-        cleaned = _attach_error(cleaned, spec)
-        output_col = _output_display(spec)
 
     contextual = list(spec.contextual)
     units: list[TrainUnit] = []
@@ -472,13 +477,10 @@ class ValidationResult:
     dropped_contexts: int
 
 
-def _make_display(view: Dataset, predicates: tuple[ContextPredicate, ...], bound: BoundMetric,
-                  stratum: int | None = None) -> TableDisplay | DecileDisplay:
-    """The display of the rows of ``view`` in the context ``predicates``,
-    or in its explanatory stratum of code ``stratum``."""
+def _make_display(view: Dataset, predicates: tuple[ContextPredicate, ...],
+                  bound: BoundMetric) -> TableDisplay | DecileDisplay:
+    """The display of the rows of ``view`` in the context ``predicates``."""
     view = view.select(predicates)
-    if stratum is not None:
-        view = view._subset(np.flatnonzero(view.codes(bound.kind.explanatory) == stratum))
     if bound.kind.name == CORR:
         return _decile_summary(view, bound)
     counts = joint_counts(view, (bound.output, bound.protected))
@@ -601,15 +603,15 @@ def validate(trained: TrainedInvestigation, test_view: Dataset) -> ValidationRes
     read, from ``Dataset.select`` of its predicates.
     """
     spec = trained.spec
+    if spec.kind == ERROR_PROFILING:
+        test_view = _attach_error(test_view, spec)
     cleaned = _drop_missing(test_view, spec, "test")
     dropped_test = test_view.n_rows - cleaned.n_rows
     if dropped_test:
         logger.info("dropped %d test rows with missing values", dropped_test)
-    if spec.kind == ERROR_PROFILING:
-        cleaned = _attach_error(cleaned, spec)
     # a misconfigured metric fails before any test runs; each unit's columns
     # are gathered once, for all of its layers
-    counts = [unit.bound.resolve(cleaned).counts(cleaned) for unit in trained.units]
+    counts = [unit.bound.counts(cleaned) for unit in trained.units]
 
     min_test = spec.tree.min_size // 2
     detail = logger.isEnabledFor(logging.DEBUG)
@@ -685,23 +687,25 @@ def _test_layer(unit: TrainUnit, spec: InvestigationSpec, cleaned: Dataset,
     """Test the contexts ``batch`` lists of one layer, by (position in
     ``unit.contexts``, member of the layer, entropy): a finding, or the
     MetricError of an untestable context, by position. ``counts`` is the
-    unit metric's ``BoundMetric.counts`` of ``cleaned``, and ``sizes`` the
+    unit metric on ``cleaned`` (``BoundMetric.counts``), and ``sizes`` the
     layer's row count of each member. A conditional finding lists the
     non-empty strata of its context in category order. One more
-    ``test_contexts`` tests, with the base metric, every (context, stratum)
-    member of ``BoundMetric.stratum_key`` with at least ``min_stratum`` rows,
-    and these tests join the family; a smaller or untestable stratum gets
-    the reason. The k-th stratum of a context of entropy e draws from e + (k,)."""
+    ``test_contexts``, of ``counts.unconditional()``, tests every (context,
+    stratum) member of ``MetricCounts.stratum_key`` with at least
+    ``min_stratum`` rows, and these tests join the family; a smaller or
+    untestable stratum gets the reason. The k-th stratum of a context of
+    entropy e draws from e + (k,)."""
     bound = unit.bound
-    tested = test_contexts(cleaned, bound, key, [j for _, j, _ in batch], spec.stats,
-                           [e for *_, e in batch], counts)
+    tested = test_contexts(counts, key, [j for _, j, _ in batch], spec.stats,
+                           [e for *_, e in batch])
     out: dict[int, Finding | MetricError] = {}
     plan = []  # (stratum finding, member of ckey, entropy, display) of each stratum to test
     if bound.conditional:
-        base = bound.unconditional()
-        ckey, groups = bound.stratum_key(cleaned, key)
+        base = counts.unconditional()
+        ckey, groups = counts.stratum_key(key)
         rows = np.bincount(ckey + 1, minlength=len(sizes) * groups + 1)[1:].reshape(-1, groups)
-        categories = cleaned.attribute(bound.kind.explanatory).categories
+        e = bound.kind.explanatory
+        categories = cleaned.attribute(e).categories
     for (pos, j, entropy), t in zip(batch, tested):
         if isinstance(t, MetricError):
             out[pos] = t
@@ -710,13 +714,15 @@ def _test_layer(unit: TrainUnit, spec: InvestigationSpec, cleaned: Dataset,
         strata = []
         if bound.conditional:
             for k, code in enumerate(np.flatnonzero(rows[j]).tolist()):
-                sf = StratumFinding(categories[code], int(rows[j, code]), base.kind.display, None)
+                sf = StratumFinding(categories[code], int(rows[j, code]),
+                                    base.metric.kind.display, None)
                 strata.append(sf)
                 if sf.size < bound.min_stratum:
                     sf.note = "below minimum stratum size"
                 else:
+                    stratum = ContextPredicate(e, "in", values=(categories[code],))
                     plan.append((sf, j * groups + code, entropy + (k,),
-                                 partial(_make_display, cleaned, predicates, bound, code)))
+                                 partial(_make_display, cleaned, predicates + (stratum,), bound)))
         out[pos] = Finding(
             protected=bound.protected,
             output=bound.output,
@@ -731,8 +737,8 @@ def _test_layer(unit: TrainUnit, spec: InvestigationSpec, cleaned: Dataset,
         )
     if plan:
         found, members, entropies, sources = zip(*plan)
-        for sf, source, t in zip(found, sources, test_contexts(cleaned, base, ckey, members,
-                                                               spec.stats, entropies, counts)):
+        for sf, source, t in zip(found, sources, test_contexts(base, ckey, members, spec.stats,
+                                                               entropies)):
             if isinstance(t, MetricError):
                 sf.note = str(t)
             else:

@@ -1,15 +1,15 @@
 """Canonical association metrics over contingency tables and scalar columns.
 
 Every stage evaluates a metric through ``BoundMetric``: a metric kind bound
-to its protected and output attributes. It counts tables with
-``joint_counts`` (one bincount, one table per row group) and scores stacks
-of them with the vectorized kernels (``mi_from_tables``,
-``diff_from_tables``, ``ratio_from_tables``); correlations come from
-per-group moments. ``MetricCounts`` gathers a view's columns once and
-counts them by any row key. A bound metric is the size-weighted mean of its base
-metric over strata: the categories of an explanatory attribute, or a single
-stratum when it is unconditional. ``BoundMetric.stratum_key`` keys the strata
-and ``stratum_mean`` applies the stratum rule, for every caller, here only.
+to its protected and output attributes. On a view it is a ``MetricCounts``,
+the one home of the metric's reads of the view, which counts tables by any
+row key (one bincount, one table per row group) and scores stacks of them
+with the vectorized kernels (``mi_from_tables``, ``diff_from_tables``,
+``ratio_from_tables``), or correlations from per-group moments. A bound
+metric is the size-weighted mean of its base metric over strata: the
+categories of an explanatory attribute, or a single stratum when it is
+unconditional. ``MetricCounts.stratum_key`` keys the strata and
+``stratum_mean`` applies the stratum rule, for every caller, here only.
 """
 
 from __future__ import annotations
@@ -135,25 +135,25 @@ def mi_from_tables(tables: np.ndarray, normalized: bool) -> np.ndarray:
     return np.where(bad, np.nan, out)
 
 
-def diff_from_tables(tables: np.ndarray, target_row: int, col_a: int, col_b: int) -> np.ndarray:
+def two_groups(tables: np.ndarray, row: int, a: int, b: int) -> tuple[np.ndarray, ...]:
+    """Each table's counts of ``row`` in columns ``a`` and ``b``, and the two
+    columns' totals, as floats."""
     t = np.asarray(tables, dtype=np.float64)
-    na, nb = t[..., col_a].sum(axis=-1), t[..., col_b].sum(axis=-1)
+    return t[..., row, a], t[..., row, b], t[..., a].sum(axis=-1), t[..., b].sum(axis=-1)
+
+
+def diff_from_tables(tables: np.ndarray, target_row: int, col_a: int, col_b: int) -> np.ndarray:
+    xa, xb, na, nb = two_groups(tables, target_row, col_a, col_b)
     with np.errstate(divide="ignore", invalid="ignore"):
-        pa = t[..., target_row, col_a] / na
-        pb = t[..., target_row, col_b] / nb
-        out = pa - pb
+        out = xa / na - xb / nb
     return np.where((na == 0) | (nb == 0), np.nan, out)
 
 
 def ratio_from_tables(tables: np.ndarray, target_row: int, col_a: int, col_b: int) -> np.ndarray:
-    t = np.asarray(tables, dtype=np.float64)
-    na, nb = t[..., col_a].sum(axis=-1), t[..., col_b].sum(axis=-1)
+    xa, xb, na, nb = two_groups(tables, target_row, col_a, col_b)
     with np.errstate(divide="ignore", invalid="ignore"):
-        pa = t[..., target_row, col_a] / na
-        pb = t[..., target_row, col_b] / nb
-        out = pa / pb - 1.0
-    bad = (na == 0) | (nb == 0) | (t[..., target_row, col_b] == 0)
-    return np.where(bad, np.nan, out)
+        out = (xa / na) / (xb / nb) - 1.0
+    return np.where((na == 0) | (nb == 0) | (xb == 0), np.nan, out)
 
 
 def grouped_correlation(x: np.ndarray, y: np.ndarray, key: np.ndarray,
@@ -405,44 +405,12 @@ class BoundMetric:
                 raise MetricError(f"CORR requires a scalar {role} attribute, got {name!r}")
         return self
 
-    def _indices(self, view: Dataset) -> tuple[int, int, int]:
-        o = view.attribute(self.output)
-        p = view.attribute(self.protected)
-        return (
-            o.categories.index(self.target),
-            p.categories.index(self.group_a),
-            p.categories.index(self.group_b),
-        )
-
-    def value_from_tables(self, view: Dataset, tables: np.ndarray) -> np.ndarray:
-        """Vectorized base metric over a stack of tables (NaN where undefined)."""
-        if self.kind.name == NMI:
-            return mi_from_tables(tables, normalized=True)
-        ti, ja, jb = self._indices(view)
-        if self.kind.name == DIFF:
-            return diff_from_tables(tables, ti, ja, jb)
-        if self.kind.name == RATIO:
-            return ratio_from_tables(tables, ti, ja, jb)
-        raise MetricError(f"metric {self.kind.name!r} is not table-based")
-
     @property
     def min_stratum(self) -> int:
         """Fewest rows a stratum needs to enter the aggregate: MIN_STRATUM for
         an explanatory stratum, 1 for the one stratum of an unconditional
         metric."""
         return MIN_STRATUM if self.conditional else 1
-
-    def stratum_key(self, view: Dataset, key: np.ndarray) -> tuple[np.ndarray, int]:
-        """Each row's (group, stratum) member and the number of strata per
-        group, for groups keyed by ``key`` (-1 for a row in none): member
-        g * groups + code holds the rows of group g whose explanatory code
-        is ``code``, -1 where either is missing, for a conditional metric;
-        ``key`` itself and one stratum for an unconditional one."""
-        if not self.conditional:
-            return key, 1
-        e = self.kind.explanatory
-        strata, groups = view.codes(e), len(view.attribute(e).categories)
-        return np.where((key >= 0) & (strata >= 0), key * groups + strata, -1), groups
 
     def undefined(self, sizes: np.ndarray) -> MetricError:
         """Why ``stratum_mean`` keeps no stratum of a population whose strata
@@ -459,16 +427,16 @@ class BoundMetric:
 
     def value(self, view: Dataset) -> float:
         """Point estimate on a view: the ``stratum_mean`` of the base metric over
-        the strata of ``stratum_key``; raises MetricError if it keeps none."""
-        ckey, groups = self.stratum_key(view, np.zeros(view.n_rows, dtype=np.intp))
-        vals, sizes = self.counts(view).group_values(ckey, groups)
+        the strata of ``MetricCounts.stratum_key``; MetricError if none is kept."""
+        counts = self.counts(view)
+        vals, sizes = counts.group_values(*counts.stratum_key(np.zeros(view.n_rows, np.intp)))
         out = float(stratum_mean(vals, sizes, self.min_stratum))
         if math.isnan(out):
             raise self.undefined(sizes)
         return out
 
     def counts(self, view: Dataset) -> MetricCounts:
-        """The per-group summaries of ``view``'s rows by any row key."""
+        """This metric on ``view``: its summaries and values of any row key."""
         return MetricCounts(self, view)
 
     def guidance(self, view: Dataset) -> float:
@@ -487,24 +455,58 @@ class BoundMetric:
 
 
 class MetricCounts:
-    """A bound metric's per-group summaries of the rows of one view, by any
-    row key: the (output, protected) tables of a table metric, counted from
-    each row's cell (``cell_codes``), or the ``grouped_moments`` of CORR over
-    the rows where both columns are defined. The columns are gathered once,
-    here, so every level of the tree and every layer of validation counts
-    its key without gathering them again. Per-group sums add a group's rows
-    in row order, so every value is bit-equal to the one taken on the
-    group's own rows."""
+    """A bound metric, resolved, on one view, whose columns it reads once:
+    each row's cell of a table metric's (output, protected) table, or CORR's
+    columns and the rows where both are defined; DIFF's and RATIO's
+    orientation (the ``two_groups`` of ``values``); a conditional metric's
+    explanatory codes. So every tree level and validation layer counts its
+    key, and reads its values, without reading the view again. Per-group
+    sums add a group's rows in row order, so every value is bit-equal to
+    the one taken on the group's own rows."""
 
     def __init__(self, metric: BoundMetric, view: Dataset):
-        self.metric = metric
-        self.view = view
+        self.metric = metric = metric.resolve(view)
         if metric.tabular:
             self.cells, self.shape = cell_codes(view, (metric.output, metric.protected))
         else:
             self.x = view.scalar_values(metric.protected)
             self.y = view.scalar_values(metric.output)
             self.paired = ~(np.isnan(self.x) | np.isnan(self.y))
+        if metric.kind.name in (DIFF, RATIO):
+            o, p = (view.attribute(name).categories for name in (metric.output, metric.protected))
+            self.orientation = (o.index(metric.target), p.index(metric.group_a),
+                                p.index(metric.group_b))
+        if metric.conditional:
+            e = metric.kind.explanatory
+            self.strata, self.n_strata = view.codes(e), len(view.attribute(e).categories)
+
+    def unconditional(self) -> "MetricCounts":
+        """The same gathered columns, read with the base metric."""
+        base = object.__new__(MetricCounts)
+        base.__dict__.update(self.__dict__, metric=self.metric.unconditional())
+        return base
+
+    def stratum_key(self, key: np.ndarray) -> tuple[np.ndarray, int]:
+        """Each row's (group, stratum) member and the number of strata per
+        group, for groups keyed by ``key`` (-1 for a row in none): member
+        g * groups + code holds the rows of group g whose explanatory code
+        is ``code``, -1 where either is missing, for a conditional metric;
+        ``key`` itself and one stratum for an unconditional one."""
+        if not self.metric.conditional:
+            return key, 1
+        return (np.where((key >= 0) & (self.strata >= 0), key * self.n_strata + self.strata, -1),
+                self.n_strata)
+
+    def values(self, summary: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:
+        """The base metric of each group of a ``summary``, or of each table of
+        a stack of tables; NaN where undefined."""
+        name = self.metric.kind.name
+        if name == NMI:
+            return mi_from_tables(summary, normalized=True)
+        if name == CORR:
+            return moment_correlation(summary)
+        kernel = diff_from_tables if name == DIFF else ratio_from_tables
+        return kernel(summary, *self.orientation)
 
     def summary(self, key: np.ndarray, groups: int) -> np.ndarray | tuple[np.ndarray, ...]:
         """Per-group tables (``keyed_counts``) of a table metric, or per-group
@@ -520,9 +522,8 @@ class MetricCounts:
         counted in each group; NaN where the metric is undefined. Tables
         come from one bincount, correlations from per-group moments."""
         summary = self.summary(key, groups)
-        if self.metric.tabular:
-            return self.metric.value_from_tables(self.view, summary), summary.sum(axis=(-2, -1))
-        return moment_correlation(summary), summary[0]
+        return self.values(summary), (summary.sum(axis=(-2, -1)) if self.metric.tabular
+                                      else summary[0])
 
     def threshold_values(self, key: np.ndarray, n_bins: np.ndarray) -> np.ndarray:
         """Base (unconditional) metric on both sides of every threshold of many
@@ -549,7 +550,7 @@ class MetricCounts:
             before = total[first] - summary[first]
             left = total[last_left] - before[node]
             right = (total[first + cuts] - before)[node] - left
-            return self.metric.value_from_tables(self.view, np.stack([left, right], axis=1))
+            return self.values(np.stack([left, right], axis=1))
         out = np.empty((len(node), 2))
         for b in np.unique(n_bins).tolist():
             nodes = np.flatnonzero(n_bins == b)
@@ -558,5 +559,5 @@ class MetricCounts:
             merged = merged_moments(tuple(m[bins] for m in summary),
                                     np.stack([in_left, ~in_left], axis=1))
             out[(cut_first[nodes][:, None] + np.arange(b - 1)).ravel()] = (
-                moment_correlation(merged).reshape(-1, 2))
+                self.values(merged).reshape(-1, 2))
         return out

@@ -66,13 +66,20 @@ def _render_table(t: TableDisplay, indent: str = "") -> list[str]:
         body.append([label] + cells + [f"{row_totals[i]} ({total_col_pcts[i]}%)"])
     bottom = ["Total"] + [f"{col_totals[j]} ({bottom_pcts[j]}%)" for j in range(len(t.col_labels))]
     bottom.append(f"{n} (100%)")
-    rows = [header] + body + [bottom]
-    widths = [max(len(row[k]) for row in rows) for k in range(len(header))]
+    return _grid([header] + body + [bottom], "<" + ">" * (len(header) - 1), (0, len(body)), indent)
+
+
+def _grid(rows: list[list[str]], align: str, rules: Sequence[int], indent: str) -> list[str]:
+    """``rows`` of cells as text lines starting with ``indent``: column k is
+    padded to its widest cell, to the left for ``align[k]`` "<" and to the
+    right for ">", cells are joined by " | ", and a "-+-" rule follows each
+    row whose index is in ``rules``."""
+    widths = [max(len(row[k]) for row in rows) for k in range(len(rows[0]))]
     lines = []
     for idx, row in enumerate(rows):
-        cells = [row[0].ljust(widths[0])] + [row[k].rjust(widths[k]) for k in range(1, len(row))]
-        lines.append(indent + " | ".join(cells))
-        if idx == 0 or idx == len(rows) - 2:
+        lines.append(indent + " | ".join(cell.ljust(w) if a == "<" else cell.rjust(w)
+                                         for cell, w, a in zip(row, widths, align)))
+        if idx in rules:
             lines.append(indent + "-+-".join("-" * w for w in widths))
     return lines
 
@@ -90,13 +97,8 @@ def _render_deciles(d: DecileDisplay, indent: str = "") -> list[str]:
             _fmt_num(row.minimum), _fmt_num(row.q1), _fmt_num(row.median),
             _fmt_num(row.q3), _fmt_num(row.maximum),
         ])
-    widths = [max(len(r[k]) for r in rows) for k in range(len(header))]
     lines = [indent + f"{d.output} by {d.protected} decile:"]
-    for idx, r in enumerate(rows):
-        lines.append(indent + " | ".join(r[k].rjust(widths[k]) for k in range(len(r))))
-        if idx == 0:
-            lines.append(indent + "-+-".join("-" * w for w in widths))
-    return lines
+    return lines + _grid(rows, ">" * len(header), (0,), indent)
 
 
 def _context_line(predicates: Sequence[ContextPredicate]) -> str:
@@ -210,11 +212,7 @@ def _render_discovery(rm: ReportModel) -> list[str]:
             p, ci = _reported(f.tested)
             rows.append([f.label, _label_share(f, 0), _label_share(f, 1),
                          _fmt_ci(ci), _fmt_p(p)])
-        widths = [max(len(r[k]) for r in rows) for k in range(len(header))]
-        for idx, r in enumerate(rows):
-            lines.append("  " + " | ".join(r[k].ljust(widths[k]) for k in range(len(r))))
-            if idx == 0:
-                lines.append("  " + "-+-".join("-" * w for w in widths))
+        lines.extend(_grid(rows, "<" * len(header), (0,), "  "))
         lines.append("")
     for f in subs:
         lines.append(f"{f.rank}. Label = {f.label} ; Subpopulation of size {f.size}")
@@ -228,7 +226,7 @@ def _render_discovery(rm: ReportModel) -> list[str]:
 # -- structured output ---------------------------------------------------------
 
 
-def _predicate_to_obj(p: ContextPredicate) -> dict:
+def predicate_to_obj(p: ContextPredicate) -> dict:
     obj = {"attribute": p.attribute, "op": p.op}
     if p.op == "in":
         obj["values"] = list(p.values)
@@ -237,7 +235,7 @@ def _predicate_to_obj(p: ContextPredicate) -> dict:
     return obj
 
 
-def _predicate_from_obj(obj: dict) -> ContextPredicate:
+def predicate_from_obj(obj: dict) -> ContextPredicate:
     return ContextPredicate(
         obj["attribute"], obj["op"],
         values=tuple(obj["values"]) if "values" in obj else None,
@@ -335,7 +333,7 @@ def _finding_to_obj(f: Finding) -> dict:
         "protected": f.protected,
         "output": f.output,
         "label": f.label,
-        "predicates": [_predicate_to_obj(p) for p in f.predicates],
+        "predicates": [predicate_to_obj(p) for p in f.predicates],
         "size": f.size,
         "metric": f.metric,
         "tested": _tested_to_obj(f.tested),
@@ -351,7 +349,7 @@ def _finding_from_obj(obj: dict) -> Finding:
         protected=obj["protected"],
         output=obj["output"],
         label=obj.get("label"),
-        predicates=tuple(_predicate_from_obj(p) for p in obj["predicates"]),
+        predicates=tuple(predicate_from_obj(p) for p in obj["predicates"]),
         size=obj["size"],
         metric=obj["metric"],
         tested=_tested_from_obj(obj["tested"]),

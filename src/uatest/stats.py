@@ -11,9 +11,10 @@ Bonferroni-level confidence intervals.
 Estimates, asymptotic p-values and the checks that make a population
 untestable run when a metric is tested, over every population of one keyed
 count at once (``test_contexts``); ``test_metric`` is the one-population
-case. The count holds each population's tables, or for CORR its moments,
-from which the t-test and the Fisher-z CI read the correlation and the
-paired row count; only a resampled CORR hypothesis gathers its population's
+case. The count, a ``MetricCounts``, gives the metric's strata, values and
+orientation, and each population's tables or, for CORR, its moments, from
+which the t-test and the Fisher-z CI read the correlation and the paired
+row count; only a resampled CORR hypothesis gathers its population's
 rows, on its first draw. A resampled hypothesis draws its permutations on
 the first read of its p-value and its bootstrap on the first read of a CI,
 which reads the p-value first; both come from the hypothesis's own RNG
@@ -51,9 +52,9 @@ from .metrics import (
     MetricValue,
     grouped_correlation,
     mi_from_tables,
-    moment_correlation,
     stratum_mean,
     stratum_weights,
+    two_groups,
     weighted_mean,
 )
 
@@ -341,26 +342,26 @@ def test_metric(view: Dataset, bound: BoundMetric, cfg: StatConfig,
     """Point estimate, CI, and p-value for a bound metric on one population:
     ``test_contexts`` with every row of ``view`` in one context. Raises the
     MetricError of an untestable population."""
-    (tested,) = test_contexts(view, bound, np.zeros(view.n_rows, dtype=np.intp), [0], cfg,
-                              [entropy])
+    (tested,) = test_contexts(bound.counts(view), np.zeros(view.n_rows, dtype=np.intp), [0],
+                              cfg, [entropy])
     if isinstance(tested, MetricError):
         raise tested
     return tested
 
 
-def test_contexts(view: Dataset, bound: BoundMetric, key: np.ndarray, contexts: Sequence[int],
-                  cfg: StatConfig, entropies: Sequence[Sequence[int]],
-                  counts: MetricCounts | None = None) -> list[TestedMetric | MetricError]:
-    """Test a bound metric on many populations of ``view`` at once: context
-    c holds the rows where ``key`` is c (-1 for a row in none). Hypothesis h
-    tests context ``contexts[h]`` with the RNG stream of ``entropies[h]``;
-    an untestable one gives the MetricError that says why.
+def test_contexts(counts: MetricCounts, key: np.ndarray, contexts: Sequence[int],
+                  cfg: StatConfig, entropies: Sequence[Sequence[int]]
+                  ) -> list[TestedMetric | MetricError]:
+    """Test the metric of ``counts`` on many populations of its view at
+    once: context c holds the rows where ``key`` is c (-1 for a row in
+    none). Hypothesis h tests context ``contexts[h]`` with the RNG stream of
+    ``entropies[h]``; an untestable one gives the MetricError that says why.
 
     An unconditional metric on more than ``small_sample_threshold`` rows,
     RATIO excepted, is tested asymptotically: G-test for NMI, z-test and
     Wald CI for DIFF, t-test and Fisher-z CI for CORR. Every other metric is
     resampled as a stratified metric, the size-weighted mean of its base
-    metric over the strata of ``BoundMetric.stratum_key``; an unconditional
+    metric over the strata of ``MetricCounts.stratum_key``; an unconditional
     metric has one stratum. The permutation shuffles the protected column
     within each stratum that enters the aggregate; for tables it draws
     fixed-margin tables, exactly the distribution such shuffles induce. The
@@ -368,10 +369,10 @@ def test_contexts(view: Dataset, bound: BoundMetric, key: np.ndarray, contexts: 
     tables) and re-applies the stratum rule to each resample.
 
     Every context's per-stratum tables, or its per-stratum correlation
-    moments, come from one ``MetricCounts.summary`` of ``counts``, the
-    ``BoundMetric.counts`` of ``view``, which a caller that tests many keys
-    of one view builds once. Its sums add a context's rows in row order, so
-    each estimate is bit-equal to the one taken on the context's own rows.
+    moments, come from one ``summary`` of ``counts`` and their values from
+    its ``values``; a caller that tests many keys of one view builds the
+    count once. Its sums add a context's rows in row order, so each
+    estimate is bit-equal to the one taken on the context's own rows.
     The estimates, the stratum rule, the checks that make a population
     untestable and the asymptotic tests run over all hypotheses at once:
     CORR's t-test and Fisher-z CI read the moment correlation and the paired
@@ -382,25 +383,23 @@ def test_contexts(view: Dataset, bound: BoundMetric, key: np.ndarray, contexts: 
     bootstrap on the first read of a CI, which reads ``p`` first; so both
     give the same numbers whenever they run.
     """
-    bound = bound.resolve(view)
-    ckey, groups = bound.stratum_key(view, key)
+    bound = counts.metric
+    ckey, groups = counts.stratum_key(key)
     n = max(int(np.max(key, initial=-1)), max(contexts, default=-1)) + 1
     contexts = np.asarray(contexts, dtype=np.intp)
-    counts = counts if counts is not None else bound.counts(view)
     summary = counts.summary(ckey, n * groups)
     floor = bound.min_stratum
     if bound.tabular:
-        values = partial(bound.value_from_tables, view)
         tables = summary.reshape(n, groups, *summary.shape[1:])[contexts]
         # one stack of (hypothesis, stratum) tables; resampled stacks gain an axis
-        vals = values(tables.reshape(-1, *tables.shape[-2:])).reshape(tables.shape[:2])
+        vals = counts.values(tables.reshape(-1, *tables.shape[-2:])).reshape(tables.shape[:2])
         sizes = tables.sum(axis=(-2, -1))
         n_rows = np.bincount(key + 1, minlength=n + 1)[1:][contexts]
-        draws = partial(_table_draws, values, partial(_stratum_statistic, values, floor), tables,
-                        cfg)
+        draws = partial(_table_draws, counts.values,
+                        partial(_stratum_statistic, counts.values, floor), tables, cfg)
     else:  # CORR, whose counts are over the rows where both columns are defined
         moments = tuple(m.reshape(n, groups)[contexts] for m in summary)
-        vals, sizes = moment_correlation(moments), moments[0]
+        vals, sizes = counts.values(moments), moments[0]
         n_rows = sizes.sum(axis=-1)
         draws = partial(_row_draws, _Once(_paired_rows, counts, ckey, groups), contexts,
                         groups, floor, cfg)
@@ -412,7 +411,7 @@ def test_contexts(view: Dataset, bound: BoundMetric, key: np.ndarray, contexts: 
     tests = {}  # (p-value, CI recipe) of each asymptotic hypothesis
     if len(asym):
         tests = dict(zip(asym.tolist(), _asymptotic_tests(
-            view, bound, tables[asym, 0] if bound.tabular else None, obs[asym], n_rows[asym])))
+            counts, tables[asym, 0] if bound.tabular else None, obs[asym], n_rows[asym])))
 
     out: list[TestedMetric | MetricError] = []
     for h, (entropy, ok, est) in enumerate(zip(entropies, testable.tolist(), obs.tolist())):
@@ -434,19 +433,20 @@ def test_contexts(view: Dataset, bound: BoundMetric, key: np.ndarray, contexts: 
     return out
 
 
-def _asymptotic_tests(view: Dataset, bound: BoundMetric, tables: np.ndarray | None,
-                      obs: np.ndarray, n_rows: np.ndarray) -> list[tuple[float, tuple | None]]:
-    """The p-value and CI recipe of each asymptotic hypothesis, with its
-    estimate ``obs``, its ``n_rows`` rows and, for a table metric, its table
-    in ``tables``: a G-test with a bootstrap CI (recipe None) for NMI, a
-    z-test with a Wald CI for DIFF, a t-test with a Fisher-z CI for CORR."""
-    if bound.kind.name == NMI:
+def _asymptotic_tests(counts: MetricCounts, tables: np.ndarray | None, obs: np.ndarray,
+                      n_rows: np.ndarray) -> list[tuple[float, tuple | None]]:
+    """The p-value and CI recipe of each asymptotic hypothesis of the metric
+    of ``counts``, with its estimate ``obs``, its ``n_rows`` rows and, for a
+    table metric, its table in ``tables``: a G-test with a bootstrap CI
+    (recipe None) for NMI, a z-test with a Wald CI for DIFF in the count's
+    orientation, a t-test with a Fisher-z CI for CORR."""
+    if counts.metric.kind.name == NMI:
         p, recipes = _g_test(tables), [None] * len(obs)
-    elif bound.kind.name == CORR:
+    elif counts.metric.kind.name == CORR:
         p = _t_test(obs, n_rows)
         recipes = [("fisher", r, m) for r, m in zip(obs.tolist(), n_rows.tolist())]
     else:  # DIFF
-        p, se = _z_test(view, bound, tables, obs)
+        p, se = _z_test(counts.orientation, tables, obs)
         recipes = [("wald", est, s) for est, s in zip(obs.tolist(), se.tolist())]
     return list(zip(p.tolist(), recipes))
 
@@ -460,13 +460,12 @@ def _g_test(counts: np.ndarray) -> np.ndarray:
     return _chi2_sf(g, np.maximum(1, (live_r - 1) * (live_c - 1)))
 
 
-def _z_test(view: Dataset, bound: BoundMetric, counts: np.ndarray,
+def _z_test(orientation: tuple[int, int, int], tables: np.ndarray,
             obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two-proportion z-test p-values, 1 where the pooled spread is 0, and
-    Wald standard errors of DIFF estimates ``obs`` of a stack of tables."""
-    ti, ja, jb = bound._indices(view)
-    xa, xb = counts[:, ti, ja], counts[:, ti, jb]
-    na, nb = counts[:, :, ja].sum(axis=-1), counts[:, :, jb].sum(axis=-1)
+    Wald standard errors of DIFF estimates ``obs`` of a stack of tables,
+    whose groups ``two_groups`` reads in ``orientation``."""
+    xa, xb, na, nb = two_groups(tables, *orientation)
     pa, pb = xa / na, xb / nb
     pooled = (xa + xb) / (na + nb)
     se0 = np.sqrt(pooled * (1.0 - pooled) * (1.0 / na + 1.0 / nb))

@@ -306,7 +306,6 @@ def find_contexts(train: Dataset, params: TreeParams, metric: BoundMetric,
     """
     if contextual is None:
         contextual = [a.name for a in train.schema if a.role == "contextual"]
-    metric = metric.resolve(train)
     stats = stats if stats is not None else TreeStats()
     counts = metric.counts(train)
 

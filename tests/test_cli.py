@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from uatest.cli import build_parser, main
 from uatest.data import berkeley_admissions
-from uatest.dataset import save_csv
+from uatest.dataset import DataSource, load_csv, save_csv
 
 
 @pytest.fixture()
@@ -177,16 +178,29 @@ def test_a_directory_for_a_file_exits_2_naming_it(berkeley_csv, tmp_path, capsys
     assert main(["testing", "--data", data, "--schema", schema, "--budget", "2",
                  "--state", str(state), "--out", str(tmp_path / "r.txt")]) == 0
     capsys.readouterr()
+    fresh = tmp_path / "fresh.txt"
     for argv in (["testing", "--data", str(tmp_path), "--schema", schema],
                  ["testing", "--data", data, "--schema", schema, "--out", str(tmp_path)],
                  ["testing", "--data", data, "--schema", schema, "--state", str(tmp_path),
-                  "--out", str(tmp_path / "r.txt")],
+                  "--out", str(fresh)],
                  ["debug", "--data", data, "--state", str(tmp_path),
                   "--explanatory", "department"]):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("uatest: ") and err.count("\n") == 1, err
         assert repr(str(tmp_path)) in err, err
+    # an unusable path fails before the run: no report is written
+    assert not fresh.exists()
+    # so does a path in a directory that does not exist
+    nowhere = str(tmp_path / "no" / "r.txt")
+    for argv in (["testing", "--data", data, "--schema", schema, "--out", nowhere],
+                 ["testing", "--data", data, "--schema", schema, "--state", nowhere,
+                  "--out", str(fresh)]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("uatest: ") and err.count("\n") == 1, err
+        assert repr(nowhere) in err, err
+    assert not fresh.exists()
 
 
 def test_data_error_exit_code(tmp_path):
@@ -240,6 +254,46 @@ def test_error_profile_cli(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Report of associations of O=Abs. Error(pred) on S=age" in out
     assert "CORR" in out
+
+
+def test_undefined_absolute_errors_are_dropped_as_missing(tmp_path, capsys):
+    # a fifth of the rows predict inf for a truth of inf: their error, inf -
+    # inf, is undefined, so they are dropped and counted with the rows that
+    # miss a value, and every size the report gives is the rows CORR reads
+    rng = np.random.default_rng(8)
+    n = 3000
+    age = rng.uniform(20, 90, n)
+    truth = rng.normal(2, 1, n)
+    pred = truth + rng.normal(0, 0.1 + 0.01 * (age - 20))
+    infinite = rng.random(n) < 0.2
+    truth[infinite] = pred[infinite] = np.inf
+    rows = ["age,pred,truth"] + [f"{a},{p},{t}" for a, p, t in zip(age, pred, truth)]
+    path = tmp_path / "preds.csv"
+    path.write_text("\n".join(rows) + "\n")
+    argv = ["error-profile", "--data", str(path), "--protected", "age", "--output", "pred",
+            "--ground-truth", "truth", "--seed", "8"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--format", "json", "--out", str(tmp_path / "r.json")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "r.txt")]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    (report,) = json.loads((tmp_path / "r.json").read_text())["reports"]
+
+    source = DataSource(load_csv(path), budget=1, seed=8)
+    test = source.next_test_set()
+    t = test.scalar_values("truth")
+    kept = ~np.isinf(t)
+    x, error = test.scalar_values("age")[kept], np.abs(test.scalar_values("pred")[kept] - t[kept])
+    assert report["dropped_test"] == int((~kept).sum()) > 0
+    assert report["dropped_train"] == int(infinite.sum()) - report["dropped_test"] > 0
+    assert report["train_size"] + report["test_size"] == n - infinite.sum()
+    assert report["global"]["size"] == report["test_size"] == kept.sum()
+    assert report["global"]["tested"]["estimate"] == pytest.approx(
+        np.corrcoef(x, error)[0, 1], abs=1e-12)
+    text = (tmp_path / "r.txt").read_text()
+    assert (f"Rows dropped for missing values: {report['dropped_train']} train, "
+            f"{report['dropped_test']} test.") in text.splitlines()
 
 
 @pytest.fixture()

@@ -90,6 +90,32 @@ def test_schema_from_json_roundtrip(tmp_path):
     assert d.attribute("b").kind == "continuous"
 
 
+SCHEMA_AB = [AttributeSchema("a", "categorical", categories=("x", "y")),
+             AttributeSchema("b", "continuous")]
+
+
+@pytest.mark.parametrize("schema, message", [
+    ({"a": AttributeSchema("b", "continuous")}, "schema name 'b' does not match column 'a'"),
+    ({"a": SCHEMA_AB[0], "d": AttributeSchema("d", "continuous"),
+      "c": AttributeSchema("c", "continuous")}, "schema names not in header: ['c', 'd']"),
+    (SCHEMA_AB[::-1], None),
+    ([SCHEMA_AB[0], AttributeSchema("c", "continuous")],
+     "schema names do not match the file header"),
+], ids=["mapping-name-differs", "mapping-names-not-in-header", "list-reordered",
+        "list-other-names"])
+def test_load_csv_checks_a_given_schema_against_the_header(tmp_path, schema, message):
+    path = write_csv(tmp_path, "s.csv", "a,b\nx,1.5\ny,2.5\nx,\n")
+    if message is not None:
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_csv(path, schema)
+        return
+    # a full list in another order loads as the header-ordered list does
+    got, want = load_csv(path, schema), load_csv(path, SCHEMA_AB)
+    assert list(got.schema) == list(want.schema) == SCHEMA_AB
+    assert [got.values(a.name) for a in SCHEMA_AB] == [["x", "y", "x"], [1.5, 2.5, None]]
+    assert [want.values(a.name) for a in SCHEMA_AB] == [["x", "y", "x"], [1.5, 2.5, None]]
+
+
 def random_dataset(n=1000, seed=0):
     rng = np.random.default_rng(seed)
     schema = [

@@ -751,8 +751,9 @@ def _reference(cleaned, unit, spec):
             continue
         strata = []
         if bound.conditional:
-            key, groups = bound.stratum_key(ctx, np.zeros(ctx.n_rows, dtype=np.intp))
-            vals, sizes = bound.counts(ctx).group_values(key, groups)
+            counts = bound.counts(ctx)
+            key, groups = counts.stratum_key(np.zeros(ctx.n_rows, dtype=np.intp))
+            vals, sizes = counts.group_values(key, groups)
             kept = np.flatnonzero(stratum_weights(vals, sizes, bound.min_stratum))
             for k, code in enumerate(np.flatnonzero(sizes)):
                 t = None

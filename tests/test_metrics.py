@@ -267,7 +267,8 @@ def test_conditional_metric_constant_explanatory_equals_unconditional():
 
 def stratum_values(bound, d):
     """The base metric's value and size in each explanatory stratum of ``d``."""
-    return bound.counts(d).group_values(*bound.stratum_key(d, np.zeros(d.n_rows, dtype=np.intp)))
+    counts = bound.counts(d)
+    return counts.group_values(*counts.stratum_key(np.zeros(d.n_rows, dtype=np.intp)))
 
 
 def test_conditional_metric_symmetric_strata_cancel():

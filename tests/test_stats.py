@@ -1,5 +1,3 @@
-from functools import partial
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +8,7 @@ from uatest.dataset import AttributeSchema, Dataset
 from uatest.metrics import (
     MIN_STRATUM,
     BoundMetric,
+    MetricCounts,
     MetricError,
     MetricKind,
     diff_from_tables,
@@ -177,14 +176,14 @@ def test_bootstrap_unstable_context(monkeypatch):
     # a metric defined on the observed strata but on no resample exhausts
     # every redraw; the observed tensor is (K, r, c), the permuted and
     # resampled stacks are (m, K, r, c)
-    original = BoundMetric.value_from_tables
+    original = MetricCounts.values
 
-    def undefined_on_resamples(self, view, tables):
+    def undefined_on_resamples(self, tables):
         if np.ndim(tables) == 4:
             return np.full(np.shape(tables)[:-2], np.nan)
-        return original(self, view, tables)
+        return original(self, tables)
 
-    monkeypatch.setattr(BoundMetric, "value_from_tables", undefined_on_resamples)
+    monkeypatch.setattr(MetricCounts, "values", undefined_on_resamples)
     tm = evaluate_metric(stratified_null(200, 0), COND_DIFF, StatConfig(seed=0))
     # the bootstrap is drawn on the first read of a CI
     with pytest.raises(StatsError, match="unstable context"):
@@ -277,7 +276,7 @@ def test_resampling_draws_follow_the_reference_stream():
                     remaining = remaining - rows[-1]
                 tables.append(np.stack(rows + [remaining]))
             tables = np.stack(tables)
-        values = partial(bound.value_from_tables, view)
+        values = bound.counts(view).values
         p = p_value(values(tables), float(values(counts)), bound.kind.signed)
         n = counts.sum()
         boot = rng.multinomial(n, counts.ravel() / n, size=cfg.n_bootstrap)
@@ -404,7 +403,7 @@ def test_batched_resample_statistics_match_conditional_metric():
         return np.array(out)
 
     tables = np.stack([joint_counts(d._subset(rows), ("e", "o", "s")) for rows in idx])
-    diffs = stratum_mean(diff.unconditional().value_from_tables(d, tables),
+    diffs = stratum_mean(diff.unconditional().counts(d).values(tables),
                          tables.sum(axis=(-2, -1)), MIN_STRATUM)
     key = np.arange(n_res)[:, None] * 3 + e[idx]
     v, c = grouped_correlation(x[idx].ravel(), y[idx].ravel(), key.ravel(), n_res * 3)
@@ -776,8 +775,8 @@ def test_nmi_g_test_null_validity():
                              "o": r.choice(3, draws * n, p=[0.2, 0.4, 0.4]).astype(np.int32)},
                             draws, n, schema)
     cfg = StatConfig(seed=71, small_sample_threshold=500)
-    tested = evaluate_contexts(view, BoundMetric(MetricKind("nmi"), "s", "o"), key, range(draws),
-                           cfg, [(i,) for i in range(draws)])
+    tested = evaluate_contexts(BoundMetric(MetricKind("nmi"), "s", "o").counts(view), key,
+                               range(draws), cfg, [(i,) for i in range(draws)])
     assert {t.method for t in tested} == {"asymptotic"}
     _null_rejections(np.array([t.p for t in tested]), draws)
 
@@ -795,8 +794,8 @@ def test_conditional_diff_permutation_null_validity():
               AttributeSchema("e", "categorical", "explanatory", ("L", "R"))]
     view, key = _replicates({"s": s, "o": o, "e": e.astype(np.int32)}, draws, n, schema)
     cfg = StatConfig(seed=72, n_permutations=100, n_bootstrap=100)
-    tested = evaluate_contexts(view, COND_DIFF, key, range(draws), cfg,
-                           [(i,) for i in range(draws)])
+    tested = evaluate_contexts(COND_DIFF.counts(view), key, range(draws), cfg,
+                               [(i,) for i in range(draws)])
     assert {t.method for t in tested} == {"permutation+bootstrap"}
     _null_rejections(np.array([t.p for t in tested]), draws)
 
@@ -818,7 +817,7 @@ def test_corr_t_test_null_validity():
     view, key = _replicates(_normal_pairs(np.random.default_rng(73), draws * n, 0.0), draws, n,
                             CORR_SCHEMA)
     cfg = StatConfig(seed=73, small_sample_threshold=500)
-    tested = evaluate_contexts(view, BoundMetric(MetricKind("corr"), "x", "y"), key,
+    tested = evaluate_contexts(BoundMetric(MetricKind("corr"), "x", "y").counts(view), key,
                                range(draws), cfg, [(i,) for i in range(draws)])
     assert {t.method for t in tested} == {"asymptotic"}
     _null_rejections(np.array([t.p for t in tested]), draws)
@@ -839,7 +838,7 @@ def test_corr_fisher_z_ci_coverage():
     view, key = _replicates(_normal_pairs(np.random.default_rng(74), draws * n, rho), draws, n,
                             CORR_SCHEMA)
     cfg = StatConfig(seed=74, small_sample_threshold=500)
-    tested = evaluate_contexts(view, BoundMetric(MetricKind("corr"), "x", "y"), key,
+    tested = evaluate_contexts(BoundMetric(MetricKind("corr"), "x", "y").counts(view), key,
                                range(draws), cfg, [(i,) for i in range(draws)])
     assert {t.method for t in tested} == {"asymptotic"}
     coverage = np.mean([t.ci[0] <= rho <= t.ci[1] for t in tested])
@@ -859,7 +858,7 @@ def test_conditional_corr_permutation_null_validity():
     schema = CORR_SCHEMA + [AttributeSchema("e", "categorical", "explanatory", ("L", "R"))]
     view, key = _replicates(columns, draws, n, schema)
     cfg = StatConfig(seed=75, n_permutations=100, n_bootstrap=100)
-    tested = evaluate_contexts(view, BoundMetric(MetricKind("corr", "e"), "x", "y"), key,
+    tested = evaluate_contexts(BoundMetric(MetricKind("corr", "e"), "x", "y").counts(view), key,
                                range(draws), cfg, [(i,) for i in range(draws)])
     assert {t.method for t in tested} == {"permutation+bootstrap"}
     _null_rejections(np.array([t.p for t in tested]), draws)
@@ -876,7 +875,7 @@ def test_ratio_permutation_null_validity():
                              "o": (r.random(draws * n) < 0.3).astype(np.int32)},
                             draws, n, schema)
     cfg = StatConfig(seed=76, n_permutations=100, n_bootstrap=100)
-    tested = evaluate_contexts(view, BoundMetric(MetricKind("ratio"), "s", "o"), key,
+    tested = evaluate_contexts(BoundMetric(MetricKind("ratio"), "s", "o").counts(view), key,
                                range(draws), cfg, [(i,) for i in range(draws)])
     assert {t.method for t in tested} == {"permutation+bootstrap"}
     _null_rejections(np.array([t.p for t in tested]), draws)

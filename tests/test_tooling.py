@@ -77,6 +77,28 @@ def test_every_private_definition_is_referenced():
     assert [f"{file}:{line} {name}" for file, line, name in unreferenced_private(sources)] == []
 
 
+def private_imports(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(file, line, name) of every name starting with a single ``_`` that a
+    ``from ... import`` of ``sources`` (source text by file name) imports
+    from another module."""
+    return [(file, node.lineno, alias.name) for file, source in sources.items()
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.startswith("__")]
+
+
+def test_private_imports_are_found():
+    a = ("from __future__ import annotations\nfrom .b import _hidden, shown\n"
+         "from .c import (\n    _other as other,\n    __version__,\n)\nimport _thread\n")
+    assert private_imports({"a.py": a, "b.py": "def _hidden():\n    pass\n"}) == [
+        ("a.py", 2, "_hidden"), ("a.py", 3, "_other")]
+
+
+def test_no_module_imports_a_private_name():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert [f"{file}:{line} {name}" for file, line, name in private_imports(sources)] == []
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats costs more to import than every test of a run; the tails
     # come from scipy.special

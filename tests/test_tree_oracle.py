@@ -45,8 +45,7 @@ def _threshold_values(metric, view, bins, n_bins):
     if metric.tabular:
         summary = joint_counts(view, (metric.output, metric.protected), bins, n_bins)
         left = np.cumsum(summary, axis=0)[:-1]
-        return metric.value_from_tables(view, np.stack([left, summary.sum(axis=0) - left],
-                                                       axis=1))
+        return metric.counts(view).values(np.stack([left, summary.sum(axis=0) - left], axis=1))
     x = view.scalar_values(metric.protected)
     y = view.scalar_values(metric.output)
     ok = (bins >= 0) & ~(np.isnan(x) | np.isnan(y))
