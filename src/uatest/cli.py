@@ -154,11 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_paths(args) -> None:
-    """A DataError naming ``--out``, or an investigation's ``--state``, when
-    the run could not write it: it is a directory, or its directory does not
-    exist. Checked before any data is read."""
-    for flag in ("out",) if args.command == "debug" else ("out", "state"):
-        path = vars(args).get(flag)
+    """A DataError naming ``--out``, an investigation's ``--state`` or the
+    benchmark's ``--dump-data``, when the run could not write it: it is a
+    directory, or its directory does not exist. Checked before any data is
+    read or generated."""
+    for flag in ("out",) if args.command == "debug" else ("out", "state", "dump-data"):
+        path = vars(args).get(flag.replace("-", "_"))
         if path is not None and os.path.isdir(path):
             raise DataError(f"--{flag} {path!r} is a directory")
         if path is not None and not os.path.isdir(os.path.dirname(path) or "."):

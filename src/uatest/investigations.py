@@ -696,13 +696,13 @@ def _test_layer(unit: TrainUnit, spec: InvestigationSpec, cleaned: Dataset,
     untestable stratum gets the reason. The k-th stratum of a context of
     entropy e draws from e + (k,)."""
     bound = unit.bound
-    tested = test_contexts(counts, key, [j for _, j, _ in batch], spec.stats,
+    ckey, groups = counts.stratum_key(key)
+    tested = test_contexts(counts, ckey, [j for _, j, _ in batch], spec.stats,
                            [e for *_, e in batch])
     out: dict[int, Finding | MetricError] = {}
     plan = []  # (stratum finding, member of ckey, entropy, display) of each stratum to test
     if bound.conditional:
         base = counts.unconditional()
-        ckey, groups = counts.stratum_key(key)
         rows = np.bincount(ckey + 1, minlength=len(sizes) * groups + 1)[1:].reshape(-1, groups)
         e = bound.kind.explanatory
         categories = cleaned.attribute(e).categories

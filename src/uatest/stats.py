@@ -14,12 +14,13 @@ count at once (``test_contexts``); ``test_metric`` is the one-population
 case. The count, a ``MetricCounts``, gives the metric's strata, values and
 orientation, and each population's tables or, for CORR, its moments, from
 which the t-test and the Fisher-z CI read the correlation and the paired
-row count; only a resampled CORR hypothesis gathers its population's
-rows, on its first draw. A resampled hypothesis draws its permutations on
-the first read of its p-value and its bootstrap on the first read of a CI,
-which reads the p-value first; both come from the hypothesis's own RNG
-stream, permutations then bootstrap, so the numbers are the same in any read
-order, and a hypothesis nobody reads never resamples. A permutation
+row count. A resampled hypothesis is one object: a ``_Tables`` draws from
+its per-stratum tables, a CORR ``_Rows`` from its population's rows, which
+it gathers on its first draw. It draws its permutations on the first read
+of its p-value and its bootstrap on the first read of a CI, which reads the
+p-value first; both come from the hypothesis's own RNG stream, permutations
+then bootstrap, so the numbers are the same in any read order, and a
+hypothesis nobody reads never resamples. A permutation
 p-value is at least 1/(n_permutations+1), and Holm-adjusted p-values never
 decrease when a raw p increases; so a corrected p is fixed without drawing
 anything when the Holm runs with every unread p at that floor and at 1 agree,
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -222,23 +223,6 @@ def _rng(cfg: StatConfig, entropy: Sequence[int]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([cfg.seed, *entropy]))
 
 
-class _Once:
-    """``fn(*args)``, called on the first call and then kept: a hypothesis's
-    generator, built on its first draw, its context's rows, or the paired
-    rows of a count."""
-
-    __slots__ = ("_call", "_result")
-
-    def __init__(self, fn: Callable, *args) -> None:
-        self._call, self._result = (fn, args), None
-
-    def __call__(self):
-        if self._call is not None:
-            fn, args = self._call
-            self._result, self._call = fn(*args), None
-        return self._result
-
-
 # -- multiple-testing corrections --------------------------------------------
 
 
@@ -342,20 +326,23 @@ def test_metric(view: Dataset, bound: BoundMetric, cfg: StatConfig,
     """Point estimate, CI, and p-value for a bound metric on one population:
     ``test_contexts`` with every row of ``view`` in one context. Raises the
     MetricError of an untestable population."""
-    (tested,) = test_contexts(bound.counts(view), np.zeros(view.n_rows, dtype=np.intp), [0],
-                              cfg, [entropy])
+    counts = bound.counts(view)
+    (tested,) = test_contexts(counts, counts.stratum_key(np.zeros(view.n_rows, np.intp))[0],
+                              [0], cfg, [entropy])
     if isinstance(tested, MetricError):
         raise tested
     return tested
 
 
-def test_contexts(counts: MetricCounts, key: np.ndarray, contexts: Sequence[int],
+def test_contexts(counts: MetricCounts, ckey: np.ndarray, contexts: Sequence[int],
                   cfg: StatConfig, entropies: Sequence[Sequence[int]]
                   ) -> list[TestedMetric | MetricError]:
     """Test the metric of ``counts`` on many populations of its view at
-    once: context c holds the rows where ``key`` is c (-1 for a row in
-    none). Hypothesis h tests context ``contexts[h]`` with the RNG stream of
-    ``entropies[h]``; an untestable one gives the MetricError that says why.
+    once. ``ckey`` is ``counts.stratum_key(key)[0]`` for a ``key`` that puts
+    each row in a context (-1 for a row in none): ``key`` itself for an
+    unconditional metric. Hypothesis h tests context ``contexts[h]`` with the
+    RNG stream of ``entropies[h]``; an untestable one gives the MetricError
+    that says why.
 
     An unconditional metric on more than ``small_sample_threshold`` rows,
     RATIO excepted, is tested asymptotically: G-test for NMI, z-test and
@@ -376,16 +363,17 @@ def test_contexts(counts: MetricCounts, key: np.ndarray, contexts: Sequence[int]
     The estimates, the stratum rule, the checks that make a population
     untestable and the asymptotic tests run over all hypotheses at once:
     CORR's t-test and Fisher-z CI read the moment correlation and the paired
-    row count. A resampled hypothesis keeps its tables, or gathers its
-    context's rows on its first draw, with its RNG stream (its generator is
-    built on the first draw) and the statistic; only these draws differ by
-    kind. The permutations are drawn on the first read of ``p`` and the
-    bootstrap on the first read of a CI, which reads ``p`` first; so both
-    give the same numbers whenever they run.
+    row count. A resampled hypothesis is one object, which draws with its
+    own RNG stream (its generator is built on the first draw): a
+    ``_Tables``, which keeps its per-stratum tables, or for CORR a
+    ``_Rows``, which gathers its context's rows on its first draw; only
+    these draws differ by kind. The permutations are drawn on the first
+    read of ``p`` and the bootstrap on the first read of a CI, which reads
+    ``p`` first; so both give the same numbers whenever they run.
     """
     bound = counts.metric
-    ckey, groups = counts.stratum_key(key)
-    n = max(int(np.max(key, initial=-1)), max(contexts, default=-1)) + 1
+    groups = counts.n_strata if bound.conditional else 1
+    n = max(int(np.max(ckey, initial=-1)) // groups, max(contexts, default=-1)) + 1
     contexts = np.asarray(contexts, dtype=np.intp)
     summary = counts.summary(ckey, n * groups)
     floor = bound.min_stratum
@@ -394,15 +382,13 @@ def test_contexts(counts: MetricCounts, key: np.ndarray, contexts: Sequence[int]
         # one stack of (hypothesis, stratum) tables; resampled stacks gain an axis
         vals = counts.values(tables.reshape(-1, *tables.shape[-2:])).reshape(tables.shape[:2])
         sizes = tables.sum(axis=(-2, -1))
-        n_rows = np.bincount(key + 1, minlength=n + 1)[1:][contexts]
-        draws = partial(_table_draws, counts.values,
-                        partial(_stratum_statistic, counts.values, floor), tables, cfg)
+        # read only when unconditional, where ckey is the key of contexts
+        n_rows = np.bincount(ckey + 1, minlength=n + 1)[1:][contexts]
     else:  # CORR, whose counts are over the rows where both columns are defined
         moments = tuple(m.reshape(n, groups)[contexts] for m in summary)
         vals, sizes = counts.values(moments), moments[0]
         n_rows = sizes.sum(axis=-1)
-        draws = partial(_row_draws, _Once(_paired_rows, counts, ckey, groups), contexts,
-                        groups, floor, cfg)
+        paired = cache(partial(_paired_rows, counts, ckey, groups))
     testable = (stratum_weights(vals, sizes, floor) > 0).any(axis=-1)
     obs = stratum_mean(vals, sizes, floor)
     # RATIO has no asymptotic route here; it always resamples.
@@ -423,13 +409,13 @@ def test_contexts(counts: MetricCounts, key: np.ndarray, contexts: Sequence[int]
         if recipe is not None:
             out.append(TestedMetric(value, None, p, ASYMPTOTIC, _recipe=recipe, conf=cfg.conf))
             continue
-        permuted, samples = draws(h, _Once(_rng, cfg, entropy))
-        if p is not None:  # a G-test with a bootstrap CI
-            out.append(_percentile(value, p, ASYMPTOTIC, cfg, samples))
-            continue
-        pvalue = partial(_permutation_p, permuted, vals[h], sizes[h], floor, est,
-                         bound.kind.signed)
-        out.append(_percentile(value, pvalue, RESAMPLING, cfg, samples))
+        args = (cfg, entropy, vals[h], sizes[h], floor, est, bound.kind.signed)
+        drawn = (_Tables(counts.values, tables[h], *args) if bound.tabular
+                 else _Rows(paired, contexts[h], groups, *args))
+        # a G-test keeps its p-value and takes a bootstrap CI
+        out.append(TestedMetric(value, None, drawn.p if p is None else p,
+                                RESAMPLING if p is None else ASYMPTOTIC, conf=cfg.conf,
+                                _recipe=drawn.recipe, p_floor=1.0 / (cfg.n_permutations + 1)))
     return out
 
 
@@ -485,34 +471,92 @@ def _t_test(r: np.ndarray, m: np.ndarray) -> np.ndarray:
 # -- resampling ----------------------------------------------------------------
 
 
-def _percentile(value: MetricValue, p: float | Callable[[], float], method: str,
-                cfg: StatConfig, samples: Callable[[], np.ndarray]) -> TestedMetric:
-    """A tested metric whose percentile CIs come from ``samples()``, the
-    sorted bootstrap statistics, drawn on the first read of a CI; ``p`` may
-    be a function drawing a permutation p-value, at least
-    1/(n_permutations+1)."""
-    est = value.value
-    return TestedMetric(value, None, p, method, conf=cfg.conf,
-                        _recipe=lambda: ("percentile", samples(), est),
-                        p_floor=1.0 / (cfg.n_permutations + 1))
+class _Resampled:
+    """One resampled hypothesis: its per-stratum values ``vals`` and sizes
+    ``sizes``, the stratum rule's ``floor`` and its estimate ``est``, with
+    draws from its own RNG stream, whose generator is built on the first
+    draw. A subclass gives ``permuted(k)``, the statistics of
+    ``n_permutations`` permutations of stratum k, and ``draw(m)``, the
+    stratified statistics of m bootstrap resamples."""
+
+    def __init__(self, cfg: StatConfig, entropy: Sequence[int], vals: np.ndarray,
+                 sizes: np.ndarray, floor: int, est: float, signed: bool) -> None:
+        self.cfg, self.entropy, self.vals, self.sizes = cfg, entropy, vals, sizes
+        self.floor, self.est, self.signed = floor, est, signed
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        return _rng(self.cfg, self.entropy)
+
+    def p(self) -> float:
+        """The permutation p-value of the estimate, two-sided for a signed
+        metric; at least 1/(n_permutations+1)."""
+        # the strata the aggregate keeps keep their sizes under permutation; NaN
+        # propagates from any undefined permuted stratum and counts as extreme
+        kept = np.flatnonzero(stratum_weights(self.vals, self.sizes, self.floor))
+        perm = weighted_mean(np.array([self.permuted(k) for k in kept]).T, self.sizes[kept])
+        return _perm_pvalue(perm, self.est, two_sided=self.signed)
+
+    def recipe(self) -> tuple:
+        """The percentile CI recipe: the sorted bootstrap statistics."""
+        return ("percentile", _bootstrap(self.draw, self.cfg.n_bootstrap), self.est)
 
 
-def _table_draws(values: Callable[[np.ndarray], np.ndarray],
-                 statistic: Callable[[np.ndarray], np.ndarray], tables: np.ndarray,
-                 cfg: StatConfig, h: int, rng: Callable[[], np.random.Generator]
-                 ) -> tuple[Callable[[int], np.ndarray], Callable[[], np.ndarray]]:
-    """Hypothesis h's draws from its stack of per-stratum ``tables[h]``:
-    ``permuted(k)``, the ``values`` of permutations of stratum k, and the
-    sorted bootstrap ``statistic``, both from ``rng()``."""
-    own = tables[h]
-    return (partial(_permuted_tables, values, own, cfg.n_permutations, rng),
-            partial(_bootstrap_table_stats, own, statistic, cfg.n_bootstrap, rng))
+class _Tables(_Resampled):
+    """A hypothesis drawn from its stack of per-stratum ``tables``, each
+    scored by ``values``: fixed-margin tables of a stratum, and multinomial
+    resamples of the joint counts (equivalent in distribution to resampling
+    rows with replacement)."""
+
+    def __init__(self, values: Callable[[np.ndarray], np.ndarray], tables: np.ndarray,
+                 *args) -> None:
+        super().__init__(*args)
+        self.values, self.tables = values, tables
+
+    def permuted(self, k: int) -> np.ndarray:
+        return self.values(_fixed_margin_tables(self.tables[k], self.cfg.n_permutations,
+                                                self.rng))
+
+    def draw(self, m: int) -> np.ndarray:
+        n = int(self.tables.sum())
+        boot = self.rng.multinomial(n, self.tables.ravel() / n, size=m)
+        boot = boot.reshape(m, *self.tables.shape)
+        return stratum_mean(self.values(boot), boot.sum(axis=(-2, -1)), self.floor)
 
 
-def _stratum_statistic(values: Callable[[np.ndarray], np.ndarray], floor: int,
-                       tables: np.ndarray) -> np.ndarray:
-    """The stratified metric of each stack of per-stratum ``tables``."""
-    return stratum_mean(values(tables), tables.sum(axis=(-2, -1)), floor)
+class _Rows(_Resampled):
+    """A CORR hypothesis drawn from the rows of context ``c`` among the
+    ``paired()`` rows (``_paired_rows``), gathered on its first draw:
+    shuffles of ``x`` within a stratum, and resamples of the context's rows,
+    both in batches of ``_chunks``."""
+
+    def __init__(self, paired: Callable[[], list[np.ndarray]], c: int, groups: int,
+                 *args) -> None:
+        super().__init__(*args)
+        self.paired, self.c, self.groups = paired, c, groups
+
+    @cached_property
+    def rows(self) -> list[np.ndarray]:
+        """The context's ``x``, ``y`` and stratum columns, in row order."""
+        context, *columns = self.paired()
+        at = np.flatnonzero(context == self.c)
+        return [col[at] for col in columns]
+
+    def permuted(self, k: int) -> np.ndarray:
+        x, y, e = self.rows
+        return _corr_permutation_stats(x[e == k], y[e == k], self.cfg.n_permutations, self.rng)
+
+    def draw(self, m: int) -> np.ndarray:
+        x, y, e = self.rows
+        n, groups, out = len(e), self.groups, []
+        for chunk in _chunks(m, n):
+            idx = self.rng.integers(0, n, size=(chunk, n))
+            rkey = np.arange(chunk)[:, None] * groups + e[idx]
+            v, c = grouped_correlation(x[idx].ravel(), y[idx].ravel(), rkey.ravel(),
+                                       chunk * groups)
+            out.append(stratum_mean(v.reshape(chunk, groups), c.reshape(chunk, groups),
+                                    self.floor))
+        return np.concatenate(out)
 
 
 def _paired_rows(counts: MetricCounts, ckey: np.ndarray, groups: int) -> list[np.ndarray]:
@@ -522,60 +566,6 @@ def _paired_rows(counts: MetricCounts, ckey: np.ndarray, groups: int) -> list[np
     ok = (ckey >= 0) & counts.paired
     context, strata = np.divmod(ckey[ok], groups)
     return [context, counts.x[ok], counts.y[ok], strata]
-
-
-def _context_rows(paired: Callable[[], list[np.ndarray]], c: int) -> list[np.ndarray]:
-    """The ``x``, ``y`` and stratum columns of ``paired()`` at the rows of
-    context ``c``, in row order."""
-    context, *columns = paired()
-    rows = np.flatnonzero(context == c)
-    return [col[rows] for col in columns]
-
-
-def _row_draws(paired: Callable[[], list[np.ndarray]], contexts: np.ndarray, groups: int,
-               floor: int, cfg: StatConfig, h: int, rng: Callable[[], np.random.Generator]
-               ) -> tuple[Callable[[int], np.ndarray], Callable[[], np.ndarray]]:
-    """Hypothesis h's draws from the rows of its context ``contexts[h]``,
-    gathered on the first draw: ``permuted(k)``, the correlations of
-    permutations of stratum k, and the sorted bootstrap statistics, both
-    from ``rng()``."""
-    rows = _Once(_context_rows, paired, contexts[h])
-
-    def permuted(k: int) -> np.ndarray:
-        x, y, e = rows()
-        return _corr_permutation_stats(x[e == k], y[e == k], cfg.n_permutations, rng())
-
-    def draw(m: int) -> np.ndarray:
-        x, y, e = rows()
-        n = len(e)
-        out = []
-        for chunk in _chunks(m, n):
-            idx = rng().integers(0, n, size=(chunk, n))
-            rkey = np.arange(chunk)[:, None] * groups + e[idx]
-            v, c = grouped_correlation(x[idx].ravel(), y[idx].ravel(), rkey.ravel(),
-                                       chunk * groups)
-            out.append(stratum_mean(v.reshape(chunk, groups), c.reshape(chunk, groups), floor))
-        return np.concatenate(out)
-
-    return permuted, partial(_bootstrap, draw, cfg.n_bootstrap)
-
-
-def _permutation_p(permuted: Callable[[int], np.ndarray], vals: np.ndarray, sizes: np.ndarray,
-                   floor: int, obs: float, signed: bool) -> float:
-    """The permutation p-value of a stratified statistic ``obs`` with
-    per-stratum values ``vals`` and sizes ``sizes``, from ``permuted(k)``,
-    the permuted statistics of stratum k."""
-    # the strata the aggregate keeps keep their sizes under permutation; NaN
-    # propagates from any undefined permuted stratum and counts as extreme
-    kept = np.flatnonzero(stratum_weights(vals, sizes, floor))
-    perm = weighted_mean(np.array([permuted(k) for k in kept]).T, sizes[kept])
-    return _perm_pvalue(perm, obs, two_sided=signed)
-
-
-def _permuted_tables(values: Callable[[np.ndarray], np.ndarray], tables: np.ndarray, n_perm: int,
-                     rng: Callable[[], np.random.Generator], k: int) -> np.ndarray:
-    """``values`` of ``n_perm`` fixed-margin permutations of stratum k's table."""
-    return values(_fixed_margin_tables(tables[k], n_perm, rng()))
 
 
 def _fixed_margin_tables(counts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -627,21 +617,6 @@ def _bootstrap(draw: Callable[[int], np.ndarray], n_boot: int) -> np.ndarray:
     if len(stats_) < n_boot // 2:
         raise StatsError("unstable context: most bootstrap resamples were degenerate")
     return np.sort(stats_)
-
-
-def _bootstrap_table_stats(counts: np.ndarray, statistic: Callable[[np.ndarray], np.ndarray],
-                           n_boot: int, rng: Callable[[], np.random.Generator]) -> np.ndarray:
-    """Bootstrap ``statistic`` of a stack of count tables via multinomial
-    resampling of the joint counts (equivalent in distribution to resampling
-    rows with replacement), drawing from ``rng()``."""
-    flat = counts.ravel().astype(np.int64)
-    n = int(flat.sum())
-    probs = flat / n
-
-    def draw(m: int) -> np.ndarray:
-        return statistic(rng().multinomial(n, probs, size=m).reshape(m, *counts.shape))
-
-    return _bootstrap(draw, n_boot)
 
 
 def _chunks(total: int, n_rows: int):

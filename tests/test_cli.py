@@ -179,12 +179,14 @@ def test_a_directory_for_a_file_exits_2_naming_it(berkeley_csv, tmp_path, capsys
                  "--state", str(state), "--out", str(tmp_path / "r.txt")]) == 0
     capsys.readouterr()
     fresh = tmp_path / "fresh.txt"
+    bench = ["--n", "4000", "--size", "400", "--plants", "1", "--seed", "1"]
     for argv in (["testing", "--data", str(tmp_path), "--schema", schema],
                  ["testing", "--data", data, "--schema", schema, "--out", str(tmp_path)],
                  ["testing", "--data", data, "--schema", schema, "--state", str(tmp_path),
                   "--out", str(fresh)],
                  ["debug", "--data", data, "--state", str(tmp_path),
-                  "--explanatory", "department"]):
+                  "--explanatory", "department"],
+                 ["bench", *bench, "--dump-data", str(tmp_path), "--out", str(fresh)]):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("uatest: ") and err.count("\n") == 1, err
@@ -195,7 +197,8 @@ def test_a_directory_for_a_file_exits_2_naming_it(berkeley_csv, tmp_path, capsys
     nowhere = str(tmp_path / "no" / "r.txt")
     for argv in (["testing", "--data", data, "--schema", schema, "--out", nowhere],
                  ["testing", "--data", data, "--schema", schema, "--state", nowhere,
-                  "--out", str(fresh)]):
+                  "--out", str(fresh)],
+                 ["bench", *bench, "--dump-data", nowhere, "--out", str(fresh)]):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("uatest: ") and err.count("\n") == 1, err
@@ -340,7 +343,7 @@ def test_debug_rejects_bad_explanatory(scored_csv, tmp_path, capsys):
 
 def test_all_missing_context_column_is_named(berkeley_csv, tmp_path, capsys):
     data, schema = berkeley_csv
-    lines = open(data).read().splitlines()
+    lines = Path(data).read_text().splitlines()
     path = tmp_path / "with_job.csv"
     path.write_text("\n".join([lines[0] + ",job"] + [line + "," for line in lines[1:]]) + "\n")
     code = main(["testing", "--data", str(path), "--schema", schema,
@@ -524,14 +527,8 @@ def test_discovery_resamples_and_displays_only_what_it_ranks(shift_tagged_csv, t
 def test_reported_unstable_context_exits_2_naming_it(shift_tagged_csv, monkeypatch, capsys):
     # every table bootstrap resample is degenerate, as in
     # test_stats.py::test_bootstrap_unstable_context; permutations are not
-    import numpy as np
     from uatest import stats
-    draw_tables = stats._bootstrap_table_stats
-
-    def degenerate(counts, statistic, n_boot, rng):
-        return draw_tables(counts, lambda t: np.full(len(t), np.nan), n_boot, rng)
-
-    monkeypatch.setattr(stats, "_bootstrap_table_stats", degenerate)
+    monkeypatch.setattr(stats._Tables, "draw", lambda self, m: np.full(m, np.nan))
     code = main(["testing", "--data", shift_tagged_csv, "--protected", "race",
                  "--output", "cart", "--context", "region", "--seed", "1", "--min-size", "200"])
     assert code == 2

@@ -794,7 +794,8 @@ def test_conditional_diff_permutation_null_validity():
               AttributeSchema("e", "categorical", "explanatory", ("L", "R"))]
     view, key = _replicates({"s": s, "o": o, "e": e.astype(np.int32)}, draws, n, schema)
     cfg = StatConfig(seed=72, n_permutations=100, n_bootstrap=100)
-    tested = evaluate_contexts(COND_DIFF.counts(view), key, range(draws), cfg,
+    counts = COND_DIFF.counts(view)
+    tested = evaluate_contexts(counts, counts.stratum_key(key)[0], range(draws), cfg,
                                [(i,) for i in range(draws)])
     assert {t.method for t in tested} == {"permutation+bootstrap"}
     _null_rejections(np.array([t.p for t in tested]), draws)
@@ -858,10 +859,38 @@ def test_conditional_corr_permutation_null_validity():
     schema = CORR_SCHEMA + [AttributeSchema("e", "categorical", "explanatory", ("L", "R"))]
     view, key = _replicates(columns, draws, n, schema)
     cfg = StatConfig(seed=75, n_permutations=100, n_bootstrap=100)
-    tested = evaluate_contexts(BoundMetric(MetricKind("corr", "e"), "x", "y").counts(view), key,
-                               range(draws), cfg, [(i,) for i in range(draws)])
+    counts = BoundMetric(MetricKind("corr", "e"), "x", "y").counts(view)
+    tested = evaluate_contexts(counts, counts.stratum_key(key)[0], range(draws), cfg,
+                               [(i,) for i in range(draws)])
     assert {t.method for t in tested} == {"permutation+bootstrap"}
     _null_rejections(np.array([t.p for t in tested]), draws)
+
+
+def test_resampled_corr_hypotheses_gather_the_paired_rows_once(monkeypatch):
+    # the resampled CORR hypotheses of one call share one gathering of the
+    # paired rows: none while no p or CI is read, then one for all of them
+    from uatest import stats
+    calls, paired_rows = [], stats._paired_rows
+
+    def counting(*args):
+        calls.append(1)
+        return paired_rows(*args)
+
+    monkeypatch.setattr(stats, "_paired_rows", counting)
+    draws, n = 4, 60
+    view, key = _replicates(_normal_pairs(np.random.default_rng(77), draws * n, 0.3), draws, n,
+                            CORR_SCHEMA)
+    counts = BoundMetric(MetricKind("corr"), "x", "y").counts(view)
+    cfg = StatConfig(seed=77, n_permutations=100, n_bootstrap=100)
+    unread = evaluate_contexts(counts, key, range(draws), cfg, [(i,) for i in range(draws)])
+    tested = evaluate_contexts(counts, key, range(draws), cfg, [(i,) for i in range(draws)])
+    assert {t.method for t in unread} == {t.method for t in tested} == {"permutation+bootstrap"}
+    assert not calls
+    assert 0.0 < tested[1].p <= 1.0
+    assert len(calls) == 1
+    for t in tested:
+        assert t.ci[0] <= t.value.value <= t.ci[1]
+    assert len(calls) == 1
 
 
 def test_ratio_permutation_null_validity():
