@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import CATEGORICAL, CONTINUOUS, ORDINAL, Dataset
 
@@ -311,7 +310,7 @@ def logistic_label_scores(indicators: np.ndarray, protected: np.ndarray,
     hess = np.eye(d + 1)
     for _ in range(MAX_NEWTON_ITER):
         eta = np.clip(x @ beta, -30, 30)
-        p = expit(eta)
+        p = 1.0 / (1.0 + np.exp(-eta))
         w = np.clip(p * (1.0 - p), 1e-10, None)
         grad = x.T @ (y - p) - pen * beta
         hess = (x.T * w) @ x + np.diag(np.maximum(pen, 1e-10))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from uatest.metrics import (
     diff_from_tables,
     grouped_correlation,
     joint_counts,
+    mi_from_tables,
     stratum_mean,
 )
 from uatest.stats import (
@@ -27,6 +30,7 @@ from uatest.stats import (
     _chi2_sf,
     _chunks,
     _ci_from_recipe,
+    _g_test,
     _norm_ppf,
     _norm_sf,
     _perm_pvalue,
@@ -719,7 +723,56 @@ def test_metric_handles_absent_categories_in_context():
     assert tm.p < 1e-6
 
 
-# -- distribution tails without scipy.stats ---------------------------------------
+# -- distribution tails without scipy ------------------------------------------------
+
+U = 2.0 ** -53  # the unit roundoff
+TINY = np.finfo(np.float64).tiny  # the smallest normal float
+
+
+def assert_close(ours, ref, bound) -> None:
+    """``ours`` is NaN exactly where ``ref`` is, equal to it at infinities,
+    and elsewhere within ``bound`` relative error of it, or within TINY where
+    ``ref`` is below the normal range: a float there holds fewer digits, and
+    the scipy references lose the last of them (``chdtrc`` flushes such
+    tails to 0)."""
+    ours, ref = np.broadcast_arrays(np.asarray(ours, dtype=np.float64),
+                                    np.asarray(ref, dtype=np.float64))
+    assert np.array_equal(np.isnan(ours), np.isnan(ref))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        err = np.abs(ours - ref)
+    bad = ~((ours == ref) | np.isnan(ref)
+            | np.isfinite(ref) & (err <= np.maximum(bound * np.abs(ref), TINY)))
+    assert not bad.any(), (np.flatnonzero(bad)[:5], ours[bad][:5], ref[bad][:5])
+
+
+def norm_sf_bound(x):
+    """``_norm_sf``'s docstring bound, (2x^2 + 4)u, twice: Cephes' ``ndtr``
+    rounds its argument the same way. Past |x| = 40 the tail is 0 or 1."""
+    return (4.0 * np.clip(x, -40.0, 40.0) ** 2 + 8.0) * U
+
+
+NORM_PPF_BOUND = 1e-15  # AS 241 and Cephes' ndtri are each good to a few 1e-16
+
+
+def chi2_bound(g, dof):
+    """``_chi2_sf``'s docstring bound, twice, for a reference whose Poisson
+    terms round the same way, plus 2e-13 for Cephes' ``igamc`` itself, which
+    its tests put at 1.4e-13 relative (and which is off by 3e-14 at dof 1, g
+    near 1, where ours is within 1e-15)."""
+    x = np.asarray(g, dtype=np.float64) / 2.0
+    x = np.where((x > 0) & (x < np.inf), x, 1.0)  # the tail is exact elsewhere
+    lgam = np.array([math.lgamma(d / 2.0 + 1.0) for d in np.ravel(dof)]).reshape(np.shape(dof))
+    return 4.0 * U * (x + np.asarray(dof) / 2.0 * np.abs(np.log(x)) + lgam + 8.0) + 2e-13
+
+
+T_SF_BOUND = 1e-12  # ``_t_sf``'s docstring bound of 6.6e-13, plus Cephes' stdtr
+
+
+def t_sf_reference(t, df):
+    """scipy's t tail; with one degree of freedom the Cauchy tail, since
+    ``stdtr`` returns 0 past |t| = 1e154, where t^2 overflows."""
+    return np.where(np.asarray(df) == 1, sps.cauchy.sf(t), sps.t.sf(t, df))
+
 
 TAIL_INPUTS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                         st.floats(-50, 50), st.sampled_from([0.0, -0.0, -1e-17, 1e-300]))
@@ -729,16 +782,77 @@ TAIL_INPUTS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
 @given(data=st.lists(st.tuples(TAIL_INPUTS, st.floats(0, 1), st.integers(1, 60),
                                st.one_of(st.integers(1, 60), st.integers(1000, 10**7))),
                      min_size=1, max_size=40))
-def test_special_tails_are_bit_equal_to_scipy_stats(data):
+def test_special_tails_match_scipy_stats_within_their_bounds(data):
     x, q, dof, df = (np.array(column) for column in zip(*data))
+    assert_close(_norm_sf(x), sps.norm.sf(x), norm_sf_bound(x))
+    assert_close(_norm_ppf(q), sps.norm.ppf(q), NORM_PPF_BOUND)
+    assert_close(_chi2_sf(x, dof), sps.chi2.sf(x, dof), chi2_bound(x, dof))
+    assert_close(_t_sf(x, df), t_sf_reference(x, df), T_SF_BOUND)
 
-    def same(a, b):
-        return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
 
-    assert same(_norm_sf(x), sps.norm.sf(x))
-    assert same(_norm_ppf(q), sps.norm.ppf(q))
-    assert same(_chi2_sf(x, dof), sps.chi2.sf(x, dof))
-    assert same(_t_sf(x, df), sps.t.sf(x, df))
+SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300])
+
+
+def test_special_tails_on_a_grid_of_deep_tails():
+    x = np.concatenate([np.linspace(-38.0, 38.0, 7601), SPECIALS])
+    assert_close(_norm_sf(x), sps.norm.sf(x), norm_sf_bound(x))
+
+    q = np.concatenate([np.logspace(-300, -1, 600), 1.0 - np.logspace(-16, -1, 300),
+                        np.linspace(0.0, 1.0, 1001), 0.5 + np.logspace(-17, -2, 30),
+                        [np.nan, -0.0, -0.5, 1.5, 5e-324, 1.0 - 2.0 ** -53]])
+    assert_close(_norm_ppf(q), sps.norm.ppf(q), NORM_PPF_BOUND)
+
+    g = np.concatenate([np.linspace(0.0, 5000.0, 251), np.logspace(-8, 3.7, 60), SPECIALS])
+    for dof in range(1, 401):
+        assert_close(_chi2_sf(g, dof), sps.chi2.sf(g, dof), chi2_bound(g, dof))
+
+    t = np.concatenate([np.linspace(-50.0, 50.0, 401), np.logspace(-300, 300, 31),
+                        -np.logspace(-300, 300, 31), SPECIALS])
+    for df in [*range(1, 61), *np.logspace(3, 7, 9)]:
+        assert_close(_t_sf(t, df), t_sf_reference(t, df), T_SF_BOUND)
+
+
+def test_special_tails_of_a_call_do_not_depend_on_each_other():
+    # one call over mixed degrees of freedom gives each entry the bits of its own call
+    g, dof = np.linspace(0.5, 900.0, 120), np.arange(1, 121)
+    assert np.array_equal(_chi2_sf(g, dof), [_chi2_sf(gi, di) for gi, di in zip(g, dof)])
+    t, df = np.linspace(-9.0, 40.0, 120), np.concatenate([np.arange(1, 61), np.logspace(2, 7, 60)])
+    assert np.array_equal(_t_sf(t, df), [_t_sf(ti, di) for ti, di in zip(t, df)])
+
+
+def test_special_tails_exact_values():
+    signed_zeros = np.array([0.0, -0.0])
+    assert np.array_equal(_norm_sf(signed_zeros), [0.5, 0.5])
+    assert np.array_equal(_norm_sf([np.inf, -np.inf]), [0.0, 1.0])
+    assert np.array_equal(_norm_ppf([0.0, 1.0]), [-np.inf, np.inf])
+    for dof in (1, 2, 3, 400):
+        assert np.array_equal(_chi2_sf([0.0, -0.0, -1.0, -np.inf, np.inf], dof),
+                              [1.0, 1.0, 1.0, 1.0, 0.0])
+    for df in (1, 2, 7, 1e7):
+        assert np.array_equal(_t_sf(signed_zeros, df), [0.5, 0.5])
+        assert np.array_equal(_t_sf([np.inf, -np.inf], df), [0.0, 1.0])
+    nan = np.array([np.nan])
+    assert np.isnan(_norm_sf(nan)).all() and np.isnan(_norm_ppf(nan)).all()
+    assert np.isnan(_chi2_sf(nan, 3)).all() and np.isnan(_t_sf(nan, 3)).all()
+    assert np.isnan(_t_sf([1.0], [np.nan])).all()
+
+
+def test_g_test_matches_scipy_chi2_contingency():
+    """``_g_test``'s p-values against scipy's log-likelihood ratio test on
+    random r x c tables with no empty row or column. The two sum G in
+    different orders; a shift dG moves ln p by the chi-squared hazard, its
+    density over its tail, times dG, to first order. So the bound is the
+    chi-squared tail's plus that shift."""
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        r, c = rng.integers(2, 6, size=2)
+        table = (rng.multinomial(rng.integers(20, 5000), rng.dirichlet(np.ones(r * c)))
+                 .reshape(r, c) + 1).astype(np.float64)
+        g, p, dof, _ = sps.chi2_contingency(table, correction=False, lambda_="log-likelihood")
+        assert dof == (r - 1) * (c - 1)
+        ours_g = 2.0 * table.sum() * mi_from_tables(table[None], normalized=False)[0]
+        shift = sps.chi2.pdf(g, dof) / p * abs(ours_g - g) if p >= TINY else 0.0
+        assert_close(_g_test(table[None]), p, chi2_bound(g, dof) + shift)
 
 
 # -- null validity of the rewritten routes -------------------------------------------

@@ -100,11 +100,35 @@ def test_no_module_imports_a_private_name():
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs more to import than every test of a run; the tails
-    # come from scipy.special
-    code = "import sys, uatest.cli; print('scipy.stats' in sys.modules)"
+    # the runtime needs numpy only: importing scipy would cost every run more
+    # time and memory than its tests; scipy is the tests' reference
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         str(SRC.parent), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "False"
+    for module in ("uatest", "uatest.cli"):
+        code = (f"import sys, {module}; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]", (module, out.stdout)
+
+
+def scipy_imports(source: str) -> list[int]:
+    """The line of every ``import`` or ``from ... import`` of ``source`` that
+    names scipy or a scipy submodule."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "scipy" for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").split(".")[0] == "scipy"]
+
+
+def test_scipy_imports_are_found():
+    source = ("import numpy\nimport scipy\nfrom scipy.special import ndtr\n"
+              "import scipy.stats as sps\nfrom . import scipy_like\nfrom scipyx import y\n"
+              "def f():\n    from scipy import special\n")
+    assert scipy_imports(source) == [2, 3, 4, 8]
+
+
+def test_no_module_imports_scipy():
+    assert [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+            for line in scipy_imports(path.read_text())] == []
