@@ -16,20 +16,21 @@ orientation, and each population's tables or, for CORR, its moments, from
 which the t-test and the Fisher-z CI read the correlation and the paired
 row count. A resampled hypothesis is one object: a ``_Tables`` draws from
 its per-stratum tables, a CORR ``_Rows`` from its population's rows, which
-it gathers on its first draw. It draws its permutations on the first read
-of its p-value and its bootstrap on the first read of a CI, which reads the
-p-value first; both come from the hypothesis's own RNG stream, permutations
-then bootstrap, so the numbers are the same in any read order, and a
-hypothesis nobody reads never resamples. A permutation
-p-value is at least 1/(n_permutations+1), and Holm-adjusted p-values never
-decrease when a raw p increases; so a corrected p is fixed without drawing
-anything when the Holm runs with every unread p at that floor and at 1 agree,
-and otherwise unread p-values are drawn only until they agree. Reports are
-the same as when every p-value is drawn at once.
+it gathers on its first draw. It has two RNG streams: its permutations come
+from the first on the first read of its p-value, its bootstrap from the
+second on the first read of a CI. So the numbers are the same in any read
+order, a CI draws no permutations, and a hypothesis nobody reads never
+resamples. A permutation p-value is at least 1/(n_permutations+1), and
+Holm-adjusted p-values never decrease when a raw p increases; so the Holm
+family bounds each raw p, by [floor, 1] until it is read, and a corrected p
+is fixed without drawing anything when the Holm runs at the lower and at the
+upper bounds agree; otherwise unread p-values are drawn only until they
+agree. Reports are the same as when every p-value is drawn at once.
 
 Every randomized procedure is reproducible from (seed, input). Callers give
-each hypothesis its own entropy tuple, hence its own stream, so that lazy
-draws yield the same numbers whichever hypothesis is read first.
+each hypothesis its own entropy tuple, from which ``_rng`` derives its two
+streams (and says which tuples share one), so that lazy draws yield the
+same numbers whichever hypothesis is read first.
 """
 
 from __future__ import annotations
@@ -248,25 +249,22 @@ class StatConfig:
 class TestedMetric:
     """A metric estimate with its CI and p-value, before and after correction.
 
-    ``p`` may be a function that draws it, a permutation p-value of at least
-    ``p_floor``; it is called on the first read of ``p`` and its result
-    kept. The CIs derive from a recipe: a percentile recipe holds the sorted
-    bootstrap statistics, a Wald or Fisher-z recipe the estimate and its
-    spread. ``_recipe`` may be a function that draws it; it is called on the
-    first read of ``ci``, ``corrected_ci`` or ``_recipe``, after reading
-    ``p``, and its result kept. A ``ci`` of None is derived from the recipe
-    at level ``conf``, a ``corrected_ci`` of None at the Bonferroni level
-    ``apply_corrections`` records (None until then); given values are kept.
-    ``apply_corrections`` leaves ``corrected_p`` to its first read, which
-    reads unread p-values of the family only until the Holm bounds
-    ``corrected_p_bounds`` agree. Equality compares the fields below, CIs
-    included.
+    A ``p`` or ``_recipe`` given as None is read from the ``_Resampled``
+    object ``resampled``, which draws it, on the first read, and kept. A
+    percentile recipe holds the sorted bootstrap statistics, a Wald or
+    Fisher-z recipe the estimate and its spread. A ``ci`` of None is derived
+    from the recipe at level ``conf``, a ``corrected_ci`` of None at the
+    Bonferroni level ``apply_corrections`` records (None until then); given
+    values are kept. ``apply_corrections`` leaves ``corrected_p`` to its
+    first read, which reads unread p-values of the family only until the
+    Holm bounds ``corrected_p_bounds`` agree. Equality compares the fields
+    below, CIs included.
     """
 
     __test__ = False  # not a pytest class, despite the name
 
     # ``ci``, ``p``, ``corrected_p`` and ``corrected_ci`` are properties,
-    # defined after ``__init__``
+    # defined after ``__init__``; ``p`` is a cached one
     value: MetricValue
     ci: tuple[float, float]
     p: float
@@ -275,25 +273,24 @@ class TestedMetric:
     corrected_ci: tuple[float, float] | None
 
     def __init__(self, value: MetricValue, ci: tuple[float, float] | None,
-                 p: float | Callable[[], float], method: str,
+                 p: float | None, method: str,
                  corrected_p: float | None = None,
                  corrected_ci: tuple[float, float] | None = None,
-                 _recipe: tuple | Callable[[], tuple] | None = None,
-                 conf: float | None = None, p_floor: float = 0.0) -> None:
+                 _recipe: tuple | None = None, conf: float | None = None,
+                 resampled: _Resampled | None = None) -> None:
         self.value, self.method = value, method
-        self._p, self._p_floor = [p], p_floor  # a cell the family's bounds also read
         self.corrected_p = corrected_p
         self._ci, self._corrected_ci = ci, corrected_ci
-        self._source, self._conf = _recipe, conf
+        self._conf, self._resampled = conf, resampled
         self._level: float | None = None
+        if p is not None:
+            self.p = p
+        if _recipe is not None:
+            self._recipe = _recipe
 
-    @property
+    @cached_property
     def p(self) -> float:
-        return _read(self._p)
-
-    @p.setter
-    def p(self, value: float) -> None:
-        self._p[0] = value
+        return self._resampled.p
 
     @property
     def corrected_p(self) -> float | None:
@@ -324,12 +321,9 @@ class TestedMetric:
             family.tighten(i, lambda lo, hi: hi <= alpha or lo > alpha)
         return self.corrected_p_bounds[1] <= alpha
 
-    @property
-    def _recipe(self) -> tuple | None:
-        if callable(self._source):
-            self.p  # the permutations precede the bootstrap in the hypothesis's stream
-            self._source = self._source()
-        return self._source
+    @cached_property
+    def _recipe(self) -> tuple:
+        return self._resampled.recipe
 
     @property
     def ci(self) -> tuple[float, float]:
@@ -344,15 +338,14 @@ class TestedMetric:
         return self._corrected_ci
 
 
-def _read(cell: list) -> float:
-    """The p-value in a one-item ``cell``, drawn and kept on the first read."""
-    if callable(cell[0]):
-        cell[0] = cell[0]()
-    return cell[0]
-
-
-def _rng(cfg: StatConfig, entropy: Sequence[int]) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([cfg.seed, *entropy]))
+def _rng(cfg: StatConfig, entropy: Sequence[int], bootstrap: bool = False) -> np.random.Generator:
+    """The permutation stream of the hypothesis of ``entropy`` or, with
+    ``bootstrap``, its bootstrap stream: numpy's first spawned child of the
+    first, whose entropy is the first's padded with zeros to the 4-word pool,
+    then 0. So two tuples share a stream if one is the other followed by
+    zeros, and no stream otherwise."""
+    return np.random.default_rng(np.random.SeedSequence(
+        [cfg.seed, *entropy], spawn_key=(0,) if bootstrap else ()))
 
 
 # -- multiple-testing corrections --------------------------------------------
@@ -377,38 +370,44 @@ def holm_bonferroni(pvalues: Sequence[float]) -> list[float]:
 class _HolmFamily:
     """The members of one Holm family with bounds on their corrected p.
 
-    Holm-adjusted p-values never decrease when a raw p increases, so with
-    every unread p at its floor ``lo`` bounds the corrected p-values from
-    below, and with every unread p at 1 ``hi`` bounds them from above; where
-    the two agree, that is the exact corrected p. Once every p is read they
-    agree everywhere. The family holds its members' p-value cells, not the
-    members, so members and family form no reference cycle.
+    The family holds bounds on each member's raw p, [floor, 1] while it is
+    unread and [p, p] once it is read. Holm-adjusted p-values never decrease
+    when a raw p increases, so the Holm run at the lower bounds ``lo``
+    bounds the corrected p-values from below, and the run at the upper
+    bounds ``hi`` from above; where the two agree, that is the exact
+    corrected p. Once every p is read they agree everywhere. The family
+    asks a resampled member's ``_Resampled`` object for its bounds, not the
+    member, so members and family form no reference cycle.
     """
 
     def __init__(self, tested: Sequence[TestedMetric]) -> None:
-        self.cells = [t._p for t in tested]
-        self.floors = [t._p_floor for t in tested]
+        # a p given or read is kept in its member; the others are asked
+        self.members = [None if "p" in vars(t) else t._resampled for t in tested]
+        self.p_bounds = np.array([(t.p, t.p) if m is None else m.p_bounds
+                                  for t, m in zip(tested, self.members)]).reshape(-1, 2)
         self._bound()
 
     def _bound(self) -> None:
-        ps = [cell[0] for cell in self.cells]
-        unread = [callable(p) for p in ps]
-        self.lo = holm_bonferroni([f if u else p for p, f, u in zip(ps, self.floors, unread)])
-        self.hi = holm_bonferroni([1.0 if u else p for p, u in zip(ps, unread)])
+        for j, member in enumerate(self.members):  # bounds narrowed since, by any reader
+            if member is not None:
+                self.p_bounds[j] = member.p_bounds
+        self.lo, self.hi = (holm_bonferroni(b) for b in self.p_bounds.T)
 
     def tighten(self, i: int, done: Callable[[float, float], bool]) -> None:
-        """Read unread p-values until ``done(lo[i], hi[i])``: member i's
+        """Narrow members' p bounds until ``done(lo[i], hi[i])``: member i's
         first, then the others in family order, in batches of an eighth of
-        those read so far, bounding the family again after each batch."""
+        those narrowed so far, bounding the family again after each batch.
+        With one-shot permutation draws, narrowing a member reads its p."""
         if done(self.lo[i], self.hi[i]):
-            return  # before listing the unread members, a pass over the whole family
-        unread = [j for j in dict.fromkeys([i, *range(len(self.cells))])
-                  if callable(self.cells[j][0])]
+            return  # before asking the members, a pass over the whole family
+        self._bound()
+        unread = [j for j in dict.fromkeys([i, *range(len(self.members))])
+                  if self.p_bounds[j, 0] < self.p_bounds[j, 1]]
         read = 0
         while not done(self.lo[i], self.hi[i]):
             batch = unread[read:read + max(1, read // 8)]
             for j in batch:
-                _read(self.cells[j])
+                self.members[j].p  # drawn and kept, so _bound reads [p, p]
             read += len(batch)
             self._bound()
 
@@ -495,13 +494,11 @@ def test_contexts(counts: MetricCounts, ckey: np.ndarray, contexts: Sequence[int
     The estimates, the stratum rule, the checks that make a population
     untestable and the asymptotic tests run over all hypotheses at once:
     CORR's t-test and Fisher-z CI read the moment correlation and the paired
-    row count. A resampled hypothesis is one object, which draws with its
-    own RNG stream (its generator is built on the first draw): a
-    ``_Tables``, which keeps its per-stratum tables, or for CORR a
-    ``_Rows``, which gathers its context's rows on its first draw; only
-    these draws differ by kind. The permutations are drawn on the first
-    read of ``p`` and the bootstrap on the first read of a CI, which reads
-    ``p`` first; so both give the same numbers whenever they run.
+    row count. A resampled hypothesis is one object, which draws its
+    permutations on the first read of ``p`` and its bootstrap on the first
+    read of a CI, each from its own stream (``_rng``): a ``_Tables``, which
+    keeps its per-stratum tables, or for CORR a ``_Rows``, which gathers its
+    context's rows on its first draw; only these draws differ by kind.
     """
     bound = counts.metric
     groups = counts.n_strata if bound.conditional else 1
@@ -536,18 +533,15 @@ def test_contexts(counts: MetricCounts, ckey: np.ndarray, contexts: Sequence[int
         if not ok:
             out.append(bound.undefined(sizes[h]))
             continue
-        value = MetricValue(bound.kind, est)
         p, recipe = tests.get(h, (None, None))
-        if recipe is not None:
-            out.append(TestedMetric(value, None, p, ASYMPTOTIC, _recipe=recipe, conf=cfg.conf))
-            continue
-        args = (cfg, entropy, vals[h], sizes[h], floor, est, bound.kind.signed)
-        drawn = (_Tables(counts.values, tables[h], *args) if bound.tabular
-                 else _Rows(paired, contexts[h], groups, *args))
-        # a G-test keeps its p-value and takes a bootstrap CI
-        out.append(TestedMetric(value, None, drawn.p if p is None else p,
-                                RESAMPLING if p is None else ASYMPTOTIC, conf=cfg.conf,
-                                _recipe=drawn.recipe, p_floor=1.0 / (cfg.n_permutations + 1)))
+        drawn = None
+        if recipe is None:  # resampled; a G-test keeps its p-value and takes a bootstrap CI
+            args = (cfg, entropy, vals[h], sizes[h], floor, est, bound.kind.signed)
+            drawn = (_Tables(counts.values, tables[h], *args) if bound.tabular
+                     else _Rows(paired, contexts[h], groups, *args))
+        out.append(TestedMetric(MetricValue(bound.kind, est), None, p,
+                                RESAMPLING if p is None else ASYMPTOTIC, _recipe=recipe,
+                                conf=cfg.conf, resampled=drawn))
     return out
 
 
@@ -605,11 +599,12 @@ def _t_test(r: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 class _Resampled:
     """One resampled hypothesis: its per-stratum values ``vals`` and sizes
-    ``sizes``, the stratum rule's ``floor`` and its estimate ``est``, with
-    draws from its own RNG stream, whose generator is built on the first
-    draw. A subclass gives ``permuted(k)``, the statistics of
-    ``n_permutations`` permutations of stratum k, and ``draw(m)``, the
-    stratified statistics of m bootstrap resamples."""
+    ``sizes``, the stratum rule's ``floor`` and its estimate ``est``. It
+    draws its permutations on the first read of ``p`` and its bootstrap on
+    the first read of ``recipe``, each from its own stream (``_rng``), and
+    keeps each value. A subclass gives ``permuted(rng, k)``, the statistics
+    of ``n_permutations`` permutations of stratum k, and ``draw(rng, m)``,
+    the stratified statistics of m bootstrap resamples."""
 
     def __init__(self, cfg: StatConfig, entropy: Sequence[int], vals: np.ndarray,
                  sizes: np.ndarray, floor: int, est: float, signed: bool) -> None:
@@ -617,21 +612,27 @@ class _Resampled:
         self.floor, self.est, self.signed = floor, est, signed
 
     @cached_property
-    def rng(self) -> np.random.Generator:
-        return _rng(self.cfg, self.entropy)
-
     def p(self) -> float:
         """The permutation p-value of the estimate, two-sided for a signed
         metric; at least 1/(n_permutations+1)."""
+        rng = _rng(self.cfg, self.entropy)
         # the strata the aggregate keeps keep their sizes under permutation; NaN
         # propagates from any undefined permuted stratum and counts as extreme
         kept = np.flatnonzero(stratum_weights(self.vals, self.sizes, self.floor))
-        perm = weighted_mean(np.array([self.permuted(k) for k in kept]).T, self.sizes[kept])
+        perm = weighted_mean(np.array([self.permuted(rng, k) for k in kept]).T,
+                             self.sizes[kept])
         return _perm_pvalue(perm, self.est, two_sided=self.signed)
 
+    @property
+    def p_bounds(self) -> tuple[float, float]:
+        """Bounds on ``p`` that draw nothing: [floor, 1] until it is drawn."""
+        return (self.p, self.p) if "p" in vars(self) else (1 / (self.cfg.n_permutations + 1), 1.0)
+
+    @cached_property
     def recipe(self) -> tuple:
         """The percentile CI recipe: the sorted bootstrap statistics."""
-        return ("percentile", _bootstrap(self.draw, self.cfg.n_bootstrap), self.est)
+        rng = _rng(self.cfg, self.entropy, bootstrap=True)
+        return ("percentile", _bootstrap(partial(self.draw, rng), self.cfg.n_bootstrap), self.est)
 
 
 class _Tables(_Resampled):
@@ -645,13 +646,12 @@ class _Tables(_Resampled):
         super().__init__(*args)
         self.values, self.tables = values, tables
 
-    def permuted(self, k: int) -> np.ndarray:
-        return self.values(_fixed_margin_tables(self.tables[k], self.cfg.n_permutations,
-                                                self.rng))
+    def permuted(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        return self.values(_fixed_margin_tables(self.tables[k], self.cfg.n_permutations, rng))
 
-    def draw(self, m: int) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
         n = int(self.tables.sum())
-        boot = self.rng.multinomial(n, self.tables.ravel() / n, size=m)
+        boot = rng.multinomial(n, self.tables.ravel() / n, size=m)
         boot = boot.reshape(m, *self.tables.shape)
         return stratum_mean(self.values(boot), boot.sum(axis=(-2, -1)), self.floor)
 
@@ -674,15 +674,15 @@ class _Rows(_Resampled):
         at = np.flatnonzero(context == self.c)
         return [col[at] for col in columns]
 
-    def permuted(self, k: int) -> np.ndarray:
+    def permuted(self, rng: np.random.Generator, k: int) -> np.ndarray:
         x, y, e = self.rows
-        return _corr_permutation_stats(x[e == k], y[e == k], self.cfg.n_permutations, self.rng)
+        return _corr_permutation_stats(x[e == k], y[e == k], self.cfg.n_permutations, rng)
 
-    def draw(self, m: int) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
         x, y, e = self.rows
         n, groups, out = len(e), self.groups, []
         for chunk in _chunks(m, n):
-            idx = self.rng.integers(0, n, size=(chunk, n))
+            idx = rng.integers(0, n, size=(chunk, n))
             rkey = np.arange(chunk)[:, None] * groups + e[idx]
             v, c = grouped_correlation(x[idx].ravel(), y[idx].ravel(), rkey.ravel(),
                                        chunk * groups)

@@ -520,7 +520,7 @@ def test_discovery_resamples_and_displays_only_what_it_ranks(shift_tagged_csv, t
     significant = [f.tested for f in result.findings if f.tested.corrected_p <= 0.05]
     drawn = {id(t) for t in significant + strata if t.method == stats.RESAMPLING}
     assert len(boots) == len(drawn) < len(resampled)
-    assert all(callable(t._source) == (id(t) not in drawn) for t in resampled)
+    assert all(("recipe" in vars(t._resampled)) == (id(t) in drawn) for t in resampled)
     assert len(displays) == len(shown) + len(strata)
 
 
@@ -528,7 +528,7 @@ def test_reported_unstable_context_exits_2_naming_it(shift_tagged_csv, monkeypat
     # every table bootstrap resample is degenerate, as in
     # test_stats.py::test_bootstrap_unstable_context; permutations are not
     from uatest import stats
-    monkeypatch.setattr(stats._Tables, "draw", lambda self, m: np.full(m, np.nan))
+    monkeypatch.setattr(stats._Tables, "draw", lambda self, rng, m: np.full(m, np.nan))
     code = main(["testing", "--data", shift_tagged_csv, "--protected", "race",
                  "--output", "cart", "--context", "region", "--seed", "1", "--min-size", "200"])
     assert code == 2

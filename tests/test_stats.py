@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from uatest import stats
 from uatest.dataset import AttributeSchema, Dataset
 from uatest.metrics import (
     MIN_STRATUM,
@@ -194,7 +196,7 @@ def test_bootstrap_unstable_context(monkeypatch):
         tm.ci
 
 
-def test_deferred_bootstrap_matches_a_draw_right_after_the_test():
+def test_deferred_bootstrap_matches_a_draw_right_after_the_test(monkeypatch):
     # each metric's bootstrap is drawn right after its test, and again from
     # a fresh test of the same entropy read only after the whole family was
     # tested and corrected, in reverse order: same samples, same CIs
@@ -211,10 +213,19 @@ def test_deferred_bootstrap_matches_a_draw_right_after_the_test():
              (corr_view, BoundMetric(MetricKind("corr"), "x", "y")),
              (d, COND_DIFF), (corr_view, BoundMetric(MetricKind("corr", "e"), "x", "y"))]
     cfg = StatConfig(seed=4, n_permutations=200, n_bootstrap=200)
+    @contextlib.contextmanager
+    def forbid(*names):
+        with monkeypatch.context() as m:
+            for name in names:
+                m.setattr(stats, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+            yield
+
     eager = []
     for i, (view, bound) in enumerate(cases):
         t = evaluate_metric(view, bound, cfg, entropy=(1, i))
-        eager.append((t.p, t._recipe, t.ci))
+        with forbid("_bootstrap"):  # a p-value draws no bootstrap
+            p = t.p
+        eager.append((p, t._recipe, t.ci))
     family = [evaluate_metric(view, bound, cfg, entropy=(1, i))
               for i, (view, bound) in enumerate(cases)]
     apply_corrections(family, cfg.conf)
@@ -225,10 +236,12 @@ def test_deferred_bootstrap_matches_a_draw_right_after_the_test():
         assert t.ci == ci
         assert np.array_equal(t._recipe[1], recipe[1])
         assert t.p == p
-    # a permutation p-value read after the CI is drawn first all the same
+    # a CI draws no permutations, and a permutation p-value read after it
+    # is drawn all the same
     for i, ((view, bound), (p, recipe, ci)) in enumerate(zip(cases, eager)):
         t = evaluate_metric(view, bound, cfg, entropy=(1, i))
-        assert t.ci == ci
+        with forbid("_fixed_margin_tables", "_corr_permutation_stats"):
+            assert t.ci == ci
         assert t.p == p
         assert np.array_equal(t._recipe[1], recipe[1])
 
@@ -251,10 +264,16 @@ def test_conditional_one_stratum_matches_unconditional_exactly():
 
 def test_resampling_draws_follow_the_reference_stream():
     # a test-local reference of the resampling draws from the hypothesis's
-    # stream: fixed-margin tables then a multinomial bootstrap of the counts;
-    # for CORR, shuffles of x then bootstrap row indices, in the same batches
+    # two streams: fixed-margin tables from its permutation stream, and a
+    # multinomial bootstrap of the counts from its bootstrap stream, numpy's
+    # first spawned child of the first; for CORR, shuffles of x and bootstrap
+    # row indices, in the same batches
     cfg = StatConfig(seed=5, n_permutations=300, n_bootstrap=300)
     entropy = (4, 2)
+
+    def streams():
+        seq = np.random.SeedSequence([cfg.seed, *entropy])
+        return np.random.default_rng(seq), np.random.default_rng(seq.spawn(1)[0])
 
     def p_value(perm, obs, two_sided):
         if two_sided:
@@ -265,7 +284,7 @@ def test_resampling_draws_follow_the_reference_stream():
     def table_reference(view, bound):
         bound = bound.resolve(view)
         counts = joint_counts(view, (bound.output, bound.protected))
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, *entropy]))
+        rng, boot_rng = streams()
         col_tot, row_tot = counts.sum(axis=0), counts.sum(axis=1)
         if len(row_tot) == 2:
             first = rng.multivariate_hypergeometric(col_tot, int(row_tot[0]),
@@ -283,7 +302,7 @@ def test_resampling_draws_follow_the_reference_stream():
         values = bound.counts(view).values
         p = p_value(values(tables), float(values(counts)), bound.kind.signed)
         n = counts.sum()
-        boot = rng.multinomial(n, counts.ravel() / n, size=cfg.n_bootstrap)
+        boot = boot_rng.multinomial(n, counts.ravel() / n, size=cfg.n_bootstrap)
         return p, np.sort(values(boot.reshape(-1, *counts.shape)))
 
     def corr(xs, ys):
@@ -292,13 +311,13 @@ def test_resampling_draws_follow_the_reference_stream():
         return (xs * ys).sum(axis=-1) / np.sqrt((xs * xs).sum(axis=-1) * (ys * ys).sum(axis=-1))
 
     def corr_reference(x, y):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, *entropy]))
+        rng, boot_rng = streams()
         n = len(x)
         perm = np.concatenate([corr(rng.permuted(np.tile(x, (k, 1)), axis=1), y)
                                for k in _chunks(cfg.n_permutations, n)])
         boot = []
         for k in _chunks(cfg.n_bootstrap, n):
-            idx = rng.integers(0, n, size=(k, n))
+            idx = boot_rng.integers(0, n, size=(k, n))
             boot.append(corr(x[idx], y[idx]))
         return p_value(perm, float(corr(x, y)), True), np.sort(np.concatenate(boot))
 
@@ -603,14 +622,26 @@ def test_holm_bounds_decide_only_exact_corrections():
         ps[unread] = np.maximum(ps[unread], floor)
         reads = []
 
-        def deferred(i):
-            def draw():
-                reads.append(i)
-                return float(ps[i])
-            return draw
+        class Deferred:
+            """A resampled member's p: [floor, 1] until it is drawn, once."""
 
-        family = [TestedMetric(None, (0.0, 0.0), deferred(i) if unread[i] else float(ps[i]),
-                               "permutation+bootstrap", p_floor=floor) for i in range(m)]
+            def __init__(self, i):
+                self.i, self.drawn = i, None
+
+            @property
+            def p(self):
+                if self.drawn is None:
+                    reads.append(self.i)
+                    self.drawn = float(ps[self.i])
+                return self.drawn
+
+            @property
+            def p_bounds(self):
+                return (floor, 1.0) if self.drawn is None else (self.drawn, self.drawn)
+
+        family = [TestedMetric(None, (0.0, 0.0), None if unread[i] else float(ps[i]),
+                               "permutation+bootstrap", resampled=Deferred(i))
+                  for i in range(m)]
         apply_corrections(family, 0.95)
         exact = holm_bonferroni(ps)
         alpha = float(rng.choice([0.01, 0.05, 0.1]))
@@ -983,7 +1014,6 @@ def test_conditional_corr_permutation_null_validity():
 def test_resampled_corr_hypotheses_gather_the_paired_rows_once(monkeypatch):
     # the resampled CORR hypotheses of one call share one gathering of the
     # paired rows: none while no p or CI is read, then one for all of them
-    from uatest import stats
     calls, paired_rows = [], stats._paired_rows
 
     def counting(*args):
@@ -1022,6 +1052,73 @@ def test_ratio_permutation_null_validity():
                                range(draws), cfg, [(i,) for i in range(draws)])
     assert {t.method for t in tested} == {"permutation+bootstrap"}
     _null_rejections(np.array([t.p for t in tested]), draws)
+
+
+def _percentile_coverage(tested: list, truth: float, draws: int, n_bootstrap: int) -> None:
+    """Assert that the 95 % percentile CIs ``tested`` of ``draws``
+    independent populations cover ``truth`` at a rate inside a binomial band.
+
+    numpy's linear quantile of B sorted draws sits, in expectation, at tail
+    mass a + (1 - 2a)/(B + 1) for a = 0.025 (the order statistics' means),
+    so each finite bootstrap loses q = 1.9/(B + 1) of coverage: 0.019 at B =
+    100, which 20,000 replications of both cells confirmed (0.0187 and
+    0.019, against B = 1,000). Over the method's own small-sample error,
+    allowed up to 0.01 (the same runs read at most 0.005 at 200 rows), a
+    correct interval covers at a rate c in [0.94 - q, 0.95]. The band runs
+    from the 5e-5 quantile of Binomial(draws, 0.94 - q) to the 1 - 5e-5
+    quantile of Binomial(draws, 0.95), over ``draws``: a correct interval
+    falls outside it with probability below 1e-4.
+
+    B enters only through q, which shifts a correct and a defective interval
+    alike, so B = 100, the smallest ``StatConfig`` allows, is the cheapest.
+    The cell must fail, with probability at least 0.99, an interval that
+    covers 0.03 less than the band's lowest correct rate (a 92 % interval,
+    say). The smallest number of draws that does so is 3,587, which the
+    cells use; the check below recomputes that power. (The power is not
+    monotone in the draws: at 3,600 it is 0.989.)"""
+    assert len(tested) == draws and {t.method for t in tested} == {"permutation+bootstrap"}
+    q = 1.9 / (n_bootstrap + 1)
+    lo, hi = sps.binom.ppf([5e-5, 1 - 5e-5], draws, [0.94 - q, 0.95])
+    assert sps.binom.cdf(lo - 1, draws, 0.91 - q) >= 0.99
+    covered = sum(t.ci[0] <= truth <= t.ci[1] for t in tested)
+    assert lo <= covered <= hi, (lo / draws, covered / draws, hi / draws)
+
+
+def test_ratio_percentile_ci_coverage():
+    # RATIO, P(o | a) / P(o | b) - 1, at an interior true value of 0.45 / 0.3
+    # - 1 = 0.5, on 200 rows per draw; its CI reads no permutation
+    draws, n, b = 3587, 200, 100
+    r = np.random.default_rng(78)
+    s = (r.random(draws * n) < 0.5).astype(np.int32)
+    schema = [AttributeSchema("s", "categorical", "protected", ("a", "b")),
+              AttributeSchema("o", "categorical", "output", ("0", "1"))]
+    view, key = _replicates({"s": s, "o": (r.random(draws * n) < np.where(s == 0, 0.45, 0.3))
+                             .astype(np.int32)}, draws, n, schema)
+    cfg = StatConfig(seed=78, n_permutations=100, n_bootstrap=b)
+    tested = evaluate_contexts(BoundMetric(MetricKind("ratio"), "s", "o").counts(view), key,
+                               range(draws), cfg, [(i,) for i in range(draws)])
+    _percentile_coverage(tested, 0.45 / 0.3 - 1.0, draws, b)
+
+
+def test_conditional_diff_percentile_ci_coverage():
+    # two equally likely strata with different rates of s and o: DIFF 0.15
+    # in L and 0.1 in R, so COND-DIFF, the size-weighted mean, has an
+    # interior true value of 0.125, on 200 rows per draw
+    draws, n, b = 3587, 200, 100
+    r = np.random.default_rng(79)
+    e = r.integers(0, 2, draws * n)
+    s = (r.random(draws * n) >= np.where(e == 0, 0.3, 0.7)).astype(np.int32)
+    rate = np.where(s == 0, np.where(e == 0, 0.4, 0.6), np.where(e == 0, 0.25, 0.5))
+    schema = [AttributeSchema("s", "categorical", "protected", ("a", "b")),
+              AttributeSchema("o", "categorical", "output", ("0", "1")),
+              AttributeSchema("e", "categorical", "explanatory", ("L", "R"))]
+    view, key = _replicates({"s": s, "o": (r.random(draws * n) < rate).astype(np.int32),
+                             "e": e.astype(np.int32)}, draws, n, schema)
+    cfg = StatConfig(seed=79, n_permutations=100, n_bootstrap=b)
+    counts = COND_DIFF.counts(view)
+    tested = evaluate_contexts(counts, counts.stratum_key(key)[0], range(draws), cfg,
+                               [(i,) for i in range(draws)])
+    _percentile_coverage(tested, 0.125, draws, b)
 
 
 @pytest.mark.parametrize("o, est", [("11", 0.0), ("10", 1.0)])

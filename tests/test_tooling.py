@@ -4,9 +4,11 @@ import ast
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "uatest"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "uatest"
 
 
 def unread_parameters(source: str) -> list[tuple[int, str, str]]:
@@ -132,3 +134,28 @@ def test_scipy_imports_are_found():
 def test_no_module_imports_scipy():
     assert [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
             for line in scipy_imports(path.read_text())] == []
+
+
+def test_a_failing_hypothesis_test_is_reported_and_the_session_goes_on(tmp_path):
+    # under the project's test settings, which turn warnings into errors, a
+    # failing @given test is a failure with its falsifying example, not an
+    # INTERNALERROR that ends the session before the next test runs
+    (tmp_path / "test_two.py").write_text(textwrap.dedent("""\
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 0
+
+        def test_passes():
+            pass
+        """))
+    out = subprocess.run([sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+                          "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "-q",
+                          "test_two.py"], cwd=tmp_path, capture_output=True, text=True)
+    report = out.stdout + out.stderr
+    assert out.returncode == 1, report
+    assert "INTERNALERROR" not in report
+    assert "FAILED test_two.py::test_fails" in report
+    assert "Falsifying example: test_fails(" in report
+    assert out.stdout.strip().splitlines()[-1].startswith("1 failed, 1 passed"), report
