@@ -13,17 +13,17 @@ contexts of a unit fall into layers of disjoint contexts, one per tree
 depth, and a layer's key maps each test row to its context. A key is
 derived from the parent layer's key by ``Dataset.layer_key``, the rule by
 which the tree advanced its own keys on the training rows, and one count
-per layer gives every context's tables. Permutation p-values, bootstrap
-CIs and displays are computed on first read, so only the hypotheses a
-report shows or ranks, or whose corrected p depends on them, pay for them.
+per layer gives every context's tables. Permutation p-values and bootstrap
+CIs are computed on first read, so only the hypotheses a report shows or
+ranks, or whose corrected p depends on them, pay for them. Displays are
+built by ``filter_and_rank``, for the findings a report shows and no others.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
@@ -403,23 +403,6 @@ class DecileDisplay:
     rows: tuple[DecileRow, ...]
 
 
-class _Display:
-    """The ``display`` field of a finding: the value given to the
-    constructor, or else built on first read by the finding's ``_source``
-    and then kept."""
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return None  # the field's default
-        if obj._display is None and obj._source is not None:
-            obj._display = obj._source()
-            obj._source = None
-        return obj._display
-
-    def __set__(self, obj, value) -> None:
-        obj._display = value
-
-
 @dataclass
 class StratumFinding:
     """Per-explanatory-stratum test attached to a conditional finding."""
@@ -429,9 +412,7 @@ class StratumFinding:
     metric: str
     tested: TestedMetric | None
     note: str | None = None
-    display: TableDisplay | DecileDisplay | None = _Display()
-    _source: Callable[[], TableDisplay | DecileDisplay] | None = field(
-        default=None, compare=False, repr=False)
+    display: TableDisplay | DecileDisplay | None = None
 
 
 @dataclass
@@ -445,12 +426,10 @@ class Finding:
     size: int
     metric: str
     tested: TestedMetric
-    display: TableDisplay | DecileDisplay | None = _Display()
+    display: TableDisplay | DecileDisplay | None = None
     strata: tuple[StratumFinding, ...] = ()
     is_global: bool = False
     rank: int | None = None
-    _source: Callable[[], TableDisplay | DecileDisplay] | None = field(
-        default=None, compare=False, repr=False)
 
     def strength(self) -> float:
         """Ranking key: the corrected-CI bound nearest zero, signed metrics
@@ -467,7 +446,11 @@ class Finding:
 
 @dataclass
 class ValidationResult:
+    """The tested findings of an investigation, and ``view``, the test rows
+    they were tested on after dropping missing values."""
+
     spec: InvestigationSpec
+    view: Dataset
     findings: list[Finding]
     family_size: int
     train_size: int
@@ -477,25 +460,26 @@ class ValidationResult:
     dropped_contexts: int
 
 
-def _make_display(view: Dataset, predicates: tuple[ContextPredicate, ...],
-                  bound: BoundMetric) -> TableDisplay | DecileDisplay:
-    """The display of the rows of ``view`` in the context ``predicates``."""
+def _make_display(view: Dataset, predicates: tuple[ContextPredicate, ...], protected: str,
+                  output: str, kind: MetricKind) -> TableDisplay | DecileDisplay:
+    """The display of ``output`` against ``protected`` on the rows of
+    ``view`` in the context ``predicates``: deciles for CORR, else counts."""
     view = view.select(predicates)
-    if bound.kind.name == CORR:
-        return _decile_summary(view, bound)
-    counts = joint_counts(view, (bound.output, bound.protected))
+    if kind.name == CORR:
+        return _decile_summary(view, protected, output)
+    counts = joint_counts(view, (output, protected))
     return TableDisplay(
-        row_attr=bound.output,
-        col_attr=bound.protected,
-        row_labels=view.attribute(bound.output).categories,
-        col_labels=view.attribute(bound.protected).categories,
+        row_attr=output,
+        col_attr=protected,
+        row_labels=view.attribute(output).categories,
+        col_labels=view.attribute(protected).categories,
         counts=tuple(tuple(int(x) for x in row) for row in counts),
     )
 
 
-def _decile_summary(view: Dataset, bound: BoundMetric) -> DecileDisplay:
-    s = view.scalar_values(bound.protected)
-    o = view.scalar_values(bound.output)
+def _decile_summary(view: Dataset, protected: str, output: str) -> DecileDisplay:
+    s = view.scalar_values(protected)
+    o = view.scalar_values(output)
     ok = ~(np.isnan(s) | np.isnan(o))
     s, o = s[ok], o[ok]
     edges = np.unique(np.quantile(s, np.linspace(0.0, 1.0, 11)))
@@ -509,7 +493,7 @@ def _decile_summary(view: Dataset, bound: BoundMetric) -> DecileDisplay:
         q = np.quantile(vals, [0.0, 0.25, 0.5, 0.75, 1.0])
         rows.append(DecileRow(float(lo), float(hi), int(len(vals)),
                               *(float(v) for v in q)))
-    return DecileDisplay(bound.protected, bound.output, tuple(rows))
+    return DecileDisplay(protected, output, tuple(rows))
 
 
 # -- context layers --------------------------------------------------------------
@@ -599,8 +583,9 @@ def validate(trained: TrainedInvestigation, test_view: Dataset) -> ValidationRes
     strata (``_test_layer``). Non-global contexts with fewer than min_size/2 test
     rows are dropped. The i-th context that keeps enough rows, testable or
     not, draws its RNG stream from the master seed and
-    ``(_VALIDATE_STREAM, i)``. A finding's display is built on first
-    read, from ``Dataset.select`` of its predicates.
+    ``(_VALIDATE_STREAM, i)``. No finding gets a display here:
+    ``filter_and_rank`` builds those of the findings it reports from the
+    result's ``view``.
     """
     spec = trained.spec
     if spec.kind == ERROR_PROFILING:
@@ -659,6 +644,7 @@ def validate(trained: TrainedInvestigation, test_view: Dataset) -> ValidationRes
                 untestable, len(family))
     return ValidationResult(
         spec=spec,
+        view=cleaned,
         findings=findings,
         family_size=len(family),
         train_size=trained.train_size,
@@ -699,31 +685,30 @@ def _test_layer(unit: TrainUnit, spec: InvestigationSpec, cleaned: Dataset,
     ckey, groups = counts.stratum_key(key)
     tested = test_contexts(counts, ckey, [j for _, j, _ in batch], spec.stats,
                            [e for *_, e in batch])
-    out: dict[int, Finding | MetricError] = {}
-    plan = []  # (stratum finding, member of ckey, entropy, display) of each stratum to test
+    strata: dict[int, list[StratumFinding]] = {}
     if bound.conditional:
         base = counts.unconditional()
         rows = np.bincount(ckey + 1, minlength=len(sizes) * groups + 1)[1:].reshape(-1, groups)
-        e = bound.kind.explanatory
-        categories = cleaned.attribute(e).categories
-    for (pos, j, entropy), t in zip(batch, tested):
-        if isinstance(t, MetricError):
-            out[pos] = t
-            continue
+        # (position, member, stratum code, entropy) of each non-empty stratum of a testable context
+        plan = [(pos, j, code, entropy + (k,))
+                for (pos, j, entropy), t in zip(batch, tested) if not isinstance(t, MetricError)
+                for k, code in enumerate(np.flatnonzero(rows[j]).tolist())]
+        big = [(j * groups + code, e) for _, j, code, e in plan
+               if rows[j, code] >= bound.min_stratum]
+        results = iter(test_contexts(base, ckey, [m for m, _ in big], spec.stats,
+                                     [e for _, e in big]) if big else ())
+        categories = cleaned.attribute(bound.kind.explanatory).categories
+        for pos, j, code, _ in plan:
+            size = int(rows[j, code])
+            t = next(results) if size >= bound.min_stratum else "below minimum stratum size"
+            ok = isinstance(t, TestedMetric)
+            strata.setdefault(pos, []).append(StratumFinding(
+                categories[code], size, base.metric.kind.display,
+                t if ok else None, None if ok else str(t)))
+    out: dict[int, Finding | MetricError] = {}
+    for (pos, j, _), t in zip(batch, tested):
         predicates = unit.contexts[pos].predicates
-        strata = []
-        if bound.conditional:
-            for k, code in enumerate(np.flatnonzero(rows[j]).tolist()):
-                sf = StratumFinding(categories[code], int(rows[j, code]),
-                                    base.metric.kind.display, None)
-                strata.append(sf)
-                if sf.size < bound.min_stratum:
-                    sf.note = "below minimum stratum size"
-                else:
-                    stratum = ContextPredicate(e, "in", values=(categories[code],))
-                    plan.append((sf, j * groups + code, entropy + (k,),
-                                 partial(_make_display, cleaned, predicates + (stratum,), bound)))
-        out[pos] = Finding(
+        out[pos] = t if isinstance(t, MetricError) else Finding(
             protected=bound.protected,
             output=bound.output,
             label=bound.output if spec.kind == DISCOVERY else None,
@@ -731,18 +716,9 @@ def _test_layer(unit: TrainUnit, spec: InvestigationSpec, cleaned: Dataset,
             size=int(sizes[j]),
             metric=bound.kind.display,
             tested=t,
-            strata=tuple(strata),
+            strata=tuple(strata.get(pos, ())),
             is_global=not predicates,
-            _source=partial(_make_display, cleaned, predicates, bound),
         )
-    if plan:
-        found, members, entropies, sources = zip(*plan)
-        for sf, source, t in zip(found, sources, test_contexts(base, ckey, members, spec.stats,
-                                                               entropies)):
-            if isinstance(t, MetricError):
-                sf.note = str(t)
-            else:
-                sf.tested, sf._source = t, source
     return out
 
 
@@ -771,7 +747,12 @@ class ReportModel:
 def filter_and_rank(result: ValidationResult) -> list[ReportModel]:
     """Keep corrected-significant contexts whose effect strictly exceeds every
     surviving ancestor's, ranked by corrected-CI strength; the global
-    population always leads its report regardless of significance."""
+    population always leads its report regardless of significance.
+
+    The findings a report shows, its global finding and its ranked ones,
+    get their corrected CIs drawn and their displays built here, from
+    ``Dataset.select`` of their predicates on ``result.view``, and so do
+    their tested strata; no other finding gets a display."""
     spec = result.spec
     alpha = 1.0 - spec.stats.conf
     reports = []
@@ -803,6 +784,13 @@ def filter_and_rank(result: ValidationResult) -> list[ReportModel]:
             ranked.append(f)
         for f in ([global_finding] if global_finding is not None else []) + ranked:
             _draw_cis(f, strata=True)
+            kind = f.tested.value.kind
+            f.display = _make_display(result.view, f.predicates, f.protected, f.output, kind)
+            for sf in f.strata:
+                if sf.tested is not None:
+                    stratum = ContextPredicate(kind.explanatory, "in", values=(sf.value,))
+                    sf.display = _make_display(result.view, f.predicates + (stratum,),
+                                               f.protected, f.output, sf.tested.value.kind)
         reports.append(ReportModel(
             kind=spec.kind,
             protected=s,

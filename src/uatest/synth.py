@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import AttributeSchema, CATEGORICAL, ContextPredicate, DataError, Dataset, make_datasource
-from .investigations import (
-    ReportModel,
-    TestingSpec,
-    filter_and_rank,
-    train,
-    validate,
-)
+from .investigations import ReportModel, TestingSpec, run_investigation
 from .metrics import DIFF, BoundMetric, MetricError, MetricKind
 from .stats import StatConfig
 from .tree import TreeParams, TreeStats, exhaustive_contexts, find_contexts
@@ -321,11 +315,10 @@ def run_detection_benchmark(n: int, n_plants: int, delta: float, plant_size: int
         tree=tree,
         stats=StatConfig(conf=conf, seed=seed, small_sample_threshold=small_sample_threshold),
     )
-    trained = train(spec, source.train)
-    test = source.next_test_set()
-    validated = validate(trained, test)
-    report = filter_and_rank(validated)[0]
-    score = score_detection(report, plants, test)
+    run = run_investigation(spec, source)
+    report = run.reports[0]
+    # synthetic data misses no value, so these are all the test rows
+    score = score_detection(report, plants, run.validated.view)
     return BenchResult(delta, plant_size, seed, score.recall, score.false_discoveries,
                        len(plants), report, data)
 

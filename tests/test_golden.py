@@ -1,0 +1,173 @@
+"""Golden reports: four CLI runs whose reports and state files must not move.
+
+Each run builds its input inside the test from ``uatest.synth`` and numpy at
+fixed seeds, runs ``uatest.cli.main`` once with ``--format json`` and once
+with ``--format text``, each with ``--out`` and ``--state``, and compares the
+bytes of both reports and of the state file with ``tests/golden/``:
+
+- ``testing``: the planted population of ``uatest bench`` at 20,000 rows
+  with three plants of 3,000 rows (``delta`` 0.1), each a whole state.
+- ``debug``: a testing run over ``state`` alone saves its state on 6,000 rows
+  with two plants of 750 rows (``delta`` 0.25, ``--budget 2``); the debug
+  run re-validates it conditioned on ``gender``, from a fresh copy of that
+  state per format. Its golden state is the state the debug rewrites.
+- ``error-corr``: the absolute error of a regressor on 14,000 scalar rows,
+  growing with age in two of six states and shrinking in two others.
+- ``discovery``: 60 binary labels on 6,000 rows, three of them shown to men
+  more often (by 0.16), testing the top 12 labels.
+
+At these sizes every report ranks at least one finding (the test asserts
+it) and the four runs take well under 2 s. The debug run's contexts hold at
+most 1,000 test rows, so its hypotheses and strata test by permutation and
+bootstrap, and its report shows bootstrap CIs. The error-corr states hold
+more than 1,000 test rows and test asymptotically: at 8,000 rows they fall
+under the resampling threshold, and such runs took about 0.9 s on some seeds
+and ranked no finding on others, as the permutation floor met a family of
+about 50.
+
+The files are exact on the machine that wrote them. Label scoring in
+discovery is a matrix computation whose floats may differ in the last bits
+under another BLAS build, which can move a score, a ranking and so a
+report. A change that alters a golden file must list each file it changes,
+and why, in CHANGES.md. Rewrite the files with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+import shutil
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from uatest import cli
+from uatest.dataset import CATEGORICAL, CONTINUOUS, AttributeSchema, Dataset, save_csv
+from uatest.synth import benchmark_population, generate, make_disjoint_plants
+
+GOLDEN = Path(__file__).parent / "golden"
+FORMATS = {"json": "json", "text": "txt"}
+
+
+def _columns_csv(path: Path, columns: dict[str, np.ndarray],
+                 categories: dict[str, tuple[str, ...]]) -> None:
+    """Float arrays become continuous columns, int arrays index ``categories``."""
+    schema = [AttributeSchema(name, CATEGORICAL, categories=categories[name])
+              if name in categories else AttributeSchema(name, CONTINUOUS)
+              for name in columns]
+    save_csv(Dataset(schema, columns), path)
+
+
+def _planted_csv(path: Path, n: int, plants: int, size: int, delta: float, seed: int) -> None:
+    pop = benchmark_population(n, size / n)
+    save_csv(generate(pop, make_disjoint_plants(pop, plants, delta, size, seed), seed), path)
+
+
+def _testing(workdir: Path) -> tuple[list[str], Path | None]:
+    path = workdir / "population.csv"
+    _planted_csv(path, 20_000, 3, 3000, 0.1, seed=5)
+    return ["testing", "--data", str(path), "--protected", "income", "--output", "output",
+            "--context", "state,race,gender", "--train-fraction", "0.4", "--seed", "5"], None
+
+
+def _debug(workdir: Path) -> tuple[list[str], Path | None]:
+    path = workdir / "population.csv"
+    _planted_csv(path, 6_000, 2, 750, 0.25, seed=7)
+    saved = workdir / "saved-state.json"
+    code = cli.main(["testing", "--data", str(path), "--protected", "income",
+                     "--output", "output", "--context", "state", "--train-fraction", "0.4",
+                     "--budget", "2", "--seed", "7", "--min-size", "200", "--max-depth", "1",
+                     "--format", "json", "--out", str(workdir / "saved.json"),
+                     "--state", str(saved)])
+    assert code == 0
+    return ["debug", "--data", str(path), "--explanatory", "gender"], saved
+
+
+def _error_corr(workdir: Path) -> tuple[list[str], Path | None]:
+    n, n_states = 14_000, 6
+    rng = np.random.default_rng(np.random.SeedSequence([12, 0xE77]))
+    state = rng.integers(0, n_states, n).astype(np.int32)
+    age = np.round(rng.uniform(18.0, 80.0, n), 1)
+    actual = np.round(rng.normal(50.0, 15.0, n), 2)
+    slope = np.zeros(n_states)
+    planted = rng.permutation(n_states)[:4]
+    slope[planted[:2]], slope[planted[2:]] = 1.0, -1.0
+    scale = 5.0 + 4.0 * slope[state] * (age - 49.0) / 31.0
+    columns = {"age": age, "c0": np.round(rng.random(n), 4), "actual": actual,
+               "predicted": np.round(actual + scale * rng.standard_normal(n), 2),
+               "state": state}
+    path = workdir / "predictions.csv"
+    _columns_csv(path, columns, {"state": tuple(f"S{i}" for i in range(n_states))})
+    return ["error-profile", "--data", str(path), "--protected", "age", "--output", "predicted",
+            "--ground-truth", "actual", "--error", "absolute", "--context", "c0,state",
+            "--seed", "12"], None
+
+
+def _discovery(workdir: Path) -> tuple[list[str], Path | None]:
+    n, n_labels = 6_000, 60
+    rng = np.random.default_rng(np.random.SeedSequence([13, 0xD15]))
+    columns = {"state": rng.integers(0, 6, n).astype(np.int32),
+               "race": rng.integers(0, 3, n).astype(np.int32),
+               "gender": rng.integers(0, 2, n).astype(np.int32)}
+    categories = {"state": tuple(f"S{i}" for i in range(6)),
+                  "race": ("R0", "R1", "R2"), "gender": ("F", "M")}
+    labels = [f"L{j:02d}" for j in range(n_labels)]
+    shift = np.zeros(n_labels)
+    shift[rng.permutation(n_labels)[:3]] = 0.08
+    p_one = rng.uniform(0.1, 0.5, n_labels) + np.where(columns["gender"][:, None] == 1,
+                                                        shift, -shift)
+    shown = (rng.random((n, n_labels)) < p_one).astype(np.int32)
+    for j, name in enumerate(labels):
+        columns[name], categories[name] = shown[:, j], ("0", "1")
+    path = workdir / "labels.csv"
+    _columns_csv(path, columns, categories)
+    return ["discovery", "--data", str(path), "--protected", "gender",
+            "--output", ",".join(labels), "--context", "state,race", "--top-k", "12",
+            "--seed", "13"], None
+
+
+RUNS = {"testing": _testing, "debug": _debug, "error-corr": _error_corr,
+        "discovery": _discovery}
+
+
+def golden_outputs(workdir: Path) -> dict[str, bytes]:
+    """Every golden file's name and the bytes the runs write for it now."""
+    out: dict[str, bytes] = {}
+    for name, prepare in RUNS.items():
+        run_dir = workdir / name
+        run_dir.mkdir()
+        argv, saved = prepare(run_dir)
+        states = []
+        for fmt, ext in FORMATS.items():
+            report, state = run_dir / f"report.{ext}", run_dir / f"state-{fmt}.json"
+            if saved is not None:
+                shutil.copy(saved, state)  # debug reads and rewrites its state
+            assert cli.main(argv + ["--format", fmt, "--out", str(report),
+                                    "--state", str(state)]) == 0
+            out[f"{name}.{ext}"] = report.read_bytes()
+            states.append(state.read_bytes())
+        assert states[0] == states[1]  # the format does not reach the state
+        out[f"{name}.state.json"] = states[0]
+    return out
+
+
+def test_reports_and_states_match_the_golden_files(tmp_path):
+    written = golden_outputs(tmp_path)
+    for name in RUNS:
+        reports = json.loads(written[f"{name}.json"])["reports"]
+        assert any(r["findings"] for r in reports), f"{name} ranks no finding"
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(written)
+    for name, data in written.items():
+        assert (GOLDEN / name).read_bytes() == data, f"{name} differs from its golden file"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in golden_outputs(Path(tmp)).items():
+            (GOLDEN / name).write_bytes(data)
+            print(f"wrote {GOLDEN / name}", file=sys.stderr)

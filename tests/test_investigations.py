@@ -29,6 +29,7 @@ from uatest.investigations import (
     ValidationResult,
     _attach_error,
     _context_layers,
+    _make_display,
     compute_error,
     debug_with_explanatory,
     filter_and_rank,
@@ -236,12 +237,28 @@ def finding(predicates, est, lo, hi, p, size=1000, is_global=False, kind="nmi"):
                    tested=make_tm(est, lo, hi, p, kind), is_global=is_global)
 
 
+# the test rows of fake_result, one per (state, income, price), so every
+# display below counts one row per cell
+FAKE_VIEW = Dataset.from_columns(
+    [AttributeSchema("state", "categorical", "contextual", ("A", "B")),
+     AttributeSchema("income", "categorical", "protected", ("low", "high")),
+     AttributeSchema("price", "categorical", "output", ("0", "1"))],
+    {"state": list("AAAABBBB"), "income": ["low", "low", "high", "high"] * 2,
+     "price": list("01010101")})
+
+
 def fake_result(findings):
     spec = TestingSpec(protected=("income",), output="price",
                        contextual=("state",))
-    return ValidationResult(spec=spec, findings=findings, family_size=len(findings),
-                            train_size=1000, test_size=1000, dropped_train=0,
-                            dropped_test=0, dropped_contexts=0)
+    return ValidationResult(spec=spec, view=FAKE_VIEW, findings=findings,
+                            family_size=len(findings), train_size=1000, test_size=1000,
+                            dropped_train=0, dropped_test=0, dropped_contexts=0)
+
+
+def shown_displays(rm):
+    """The row count of each display a report shows, by predicates."""
+    shown = ([rm.global_finding] if rm.global_finding else []) + list(rm.findings)
+    return {f.predicates: sum(map(sum, f.display.counts)) for f in shown}
 
 
 P_CA = ContextPredicate("state", "in", values=("A",))
@@ -278,6 +295,8 @@ def test_filter_and_rank_nesting_rule():
     ranked = [f.predicates for f in rm.findings]
     assert (P_CA,) in ranked
     assert (P_CA, P_RACE) not in ranked  # child lower bound 0.05 <= parent's 0.08
+    assert shown_displays(rm) == {(): 8, (P_CA,): 4}
+    assert child.display is None  # not shown, so not built
 
 
 def test_filter_and_rank_orders_by_lower_bound():
@@ -288,6 +307,7 @@ def test_filter_and_rank_orders_by_lower_bound():
     rm = filter_and_rank(fake_result([g, a, b]))[0]
     assert [f.tested.corrected_ci[0] for f in rm.findings] == [0.0051, 0.0040]
     assert [f.rank for f in rm.findings] == [1, 2]
+    assert shown_displays(rm) == {(): 8, a.predicates: 4, b.predicates: 4}
 
 
 def test_filter_and_rank_insignificant_report():
@@ -296,8 +316,10 @@ def test_filter_and_rank_insignificant_report():
     rm = filter_and_rank(fake_result([g, sub]))[0]
     assert rm.findings == ()
     assert rm.global_finding is not None
+    assert shown_displays(rm) == {(): 8} and sub.display is None
     text = render_text(rm)
     assert "not significant" in text
+    assert "Total | 4 (50%) | 4 (50%) | 8 (100%)" in text
 
 
 def test_discovery_top_k_bounds():
@@ -533,10 +555,15 @@ def test_validate_does_not_depend_on_context_order():
 
     def summary(result):
         # p-values and CIs follow each context's task index, so only
-        # order-free fields are compared
-        return {f.predicates: (f.size, f.display, f.tested.value.value) for f in result.findings}
+        # order-free fields are compared; validate builds no display, so
+        # each finding's is built here from the rows it was tested on
+        return {f.predicates: (f.size, _make_display(result.view, f.predicates, f.protected,
+                                                     f.output, f.tested.value.kind),
+                               f.tested.value.value) for f in result.findings}
 
     forward = validate(trained, test_view)
+    assert all(sum(map(sum, display.counts)) == size
+               for size, display, _ in summary(forward).values())
     for unit in trained.units:
         unit.contexts.reverse()  # every context now precedes its parent
     backward = validate(trained, test_view)
@@ -653,9 +680,14 @@ def test_validate_builds_each_distinct_context_once(monkeypatch):
         assert sum(len(layer.preds) for layer in layers) == len(prefixes)
         assert len(layers) == 1 + max(c.depth for c in unit.contexts)  # a layer per depth
         assert len(set(where)) == len({c.predicates for c in unit.contexts})
-    # a display selects its finding's rows when it is read, and only then
-    shown = result.findings[-1]
-    assert shown.display is not None and calls == [shown.predicates]
+    assert all(f.display is None for f in result.findings)
+    # filter_and_rank selects the rows of each finding it reports, once
+    reports = filter_and_rank(result)
+    shown = [f for rm in reports for f in rm.findings]
+    assert 0 < len(shown) < len(result.findings)
+    assert calls == [f.predicates for f in shown]
+    assert all(sum(map(sum, f.display.counts)) == f.size for f in shown)
+    assert all(f.display is None for f in result.findings if f.rank is None)
 
 
 # -- layered validation against one test_metric call per context ------------------

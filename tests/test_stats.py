@@ -958,15 +958,18 @@ CORR_SCHEMA = [AttributeSchema("x", "continuous", "protected"),
 
 def test_corr_t_test_null_validity():
     # independent normal x and y, 600 rows each, above the small-sample
-    # threshold: the asymptotic t-test route, from the counted moments
-    draws, n = 2000, 600
-    view, key = _replicates(_normal_pairs(np.random.default_rng(73), draws * n, 0.0), draws, n,
-                            CORR_SCHEMA)
-    cfg = StatConfig(seed=73, small_sample_threshold=500)
-    tested = evaluate_contexts(BoundMetric(MetricKind("corr"), "x", "y").counts(view), key,
-                               range(draws), cfg, [(i,) for i in range(draws)])
-    assert {t.method for t in tested} == {"asymptotic"}
-    _null_rejections(np.array([t.p for t in tested]), draws)
+    # threshold: the asymptotic t-test route, from the counted moments; then
+    # 200 rows each, below it: the row permutation test
+    cases = [(2000, 600, StatConfig(seed=73, small_sample_threshold=500), "asymptotic"),
+             (1000, 200, StatConfig(seed=78, n_permutations=100, n_bootstrap=100),
+              "permutation+bootstrap")]
+    for draws, n, cfg, method in cases:
+        view, key = _replicates(_normal_pairs(np.random.default_rng(cfg.seed), draws * n, 0.0),
+                                draws, n, CORR_SCHEMA)
+        tested = evaluate_contexts(BoundMetric(MetricKind("corr"), "x", "y").counts(view), key,
+                                   range(draws), cfg, [(i,) for i in range(draws)])
+        assert {t.method for t in tested} == {method}
+        _null_rejections(np.array([t.p for t in tested]), draws)
 
 
 def test_corr_fisher_z_ci_coverage():
