@@ -160,8 +160,9 @@ class Dataset:
         """Build a dataset from raw per-column values, encoding categoricals.
 
         Categorical/ordinal schemas without a pinned category list get one in
-        first-appearance order. Raw cells equal to ``None`` or the empty
-        string are treated as missing.
+        ascending numeric order if every cell is a number, else in
+        first-appearance order (see :func:`_encode_column`). Raw cells equal
+        to ``None`` or the empty string are treated as missing.
         """
         schema = list(schema)
         if set(raw) != {a.name for a in schema}:
@@ -353,10 +354,13 @@ def _encode_column(name: str, cells: Sequence, rows: np.ndarray,
 
     This is the only reader of raw cells, and its rules run once per distinct
     cell: ``None`` and ``""`` are missing, continuous cells parse with
-    ``float()``, other cells are coded by ``str()`` into the pinned or
-    first-appearance category list. An error names the cell's first row.
+    ``float()``, other cells are coded by ``str()`` into the pinned category
+    list, or else into one in ascending ``float()`` order (NaN last, equal
+    numbers in first-appearance order) where every cell is a number, and in
+    first-appearance order where one is not. An error names the cell's
+    first row.
     """
-    if attr is None or attr.kind == CONTINUOUS:
+    if attr is None or attr.kind == CONTINUOUS or attr.categories is None:
         numbers, bad = [], None  # None marks a missing cell
         for k, c in enumerate(cells):
             try:
@@ -375,8 +379,11 @@ def _encode_column(name: str, cells: Sequence, rows: np.ndarray,
             return attr, np.array(numbers, dtype=np.float64).take(rows)
     strings = [MISSING if c is None else str(c) for c in cells]
     if attr.categories is None:
-        found = tuple(dict.fromkeys(s for s in strings if s != MISSING))
-        attr = AttributeSchema(name, attr.kind, attr.role, found)
+        order = [k for k, s in enumerate(strings) if s != MISSING]
+        if bad is None:
+            order.sort(key=lambda k: (math.isnan(numbers[k]), numbers[k]))
+        attr = AttributeSchema(name, attr.kind, attr.role,
+                               tuple(dict.fromkeys(strings[k] for k in order)))
     lookup = {c: i for i, c in enumerate(attr.categories)}
     lookup[MISSING] = -1
     codes = [lookup.get(s) for s in strings]
@@ -408,8 +415,12 @@ def load_csv(path, schema="infer") -> Dataset:
     mapping whose missing columns are inferred. Inference makes a column
     continuous when every non-missing cell parses as a number and there are
     more than 10 distinct numbers, where every ``nan`` cell counts as one
-    number; otherwise categorical. Each column is encoded from its distinct
-    cells, so these rules run once per distinct cell.
+    number; otherwise categorical. A categorical or ordinal column without a
+    pinned category list lists its categories in ascending numeric order if
+    every non-missing cell is a number (NaN last, equal numbers such as ``1``
+    and ``1.0`` in first-appearance order), else in first-appearance order.
+    Each column is encoded from its distinct cells, so these rules run once
+    per distinct cell.
 
     A file with no ``"`` or NUL byte, no ``\\r`` outside a ``\\r\\n`` line end,
     the header's field count on every line up to the trailing blank ones and

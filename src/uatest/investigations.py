@@ -409,7 +409,6 @@ class StratumFinding:
 
     value: str
     size: int
-    metric: str
     tested: TestedMetric | None
     note: str | None = None
     display: TableDisplay | DecileDisplay | None = None
@@ -424,12 +423,19 @@ class Finding:
     label: str | None
     predicates: tuple[ContextPredicate, ...]
     size: int
-    metric: str
     tested: TestedMetric
     display: TableDisplay | DecileDisplay | None = None
     strata: tuple[StratumFinding, ...] = ()
-    is_global: bool = False
     rank: int | None = None
+
+    @property
+    def metric(self) -> str:
+        """The name a report shows for the tested metric, e.g. COND-DIFF."""
+        return self.tested.value.kind.display
+
+    @property
+    def is_global(self) -> bool:
+        return not self.predicates
 
     def strength(self) -> float:
         """Ranking key: the corrected-CI bound nearest zero, signed metrics
@@ -703,21 +709,17 @@ def _test_layer(unit: TrainUnit, spec: InvestigationSpec, cleaned: Dataset,
             t = next(results) if size >= bound.min_stratum else "below minimum stratum size"
             ok = isinstance(t, TestedMetric)
             strata.setdefault(pos, []).append(StratumFinding(
-                categories[code], size, base.metric.kind.display,
-                t if ok else None, None if ok else str(t)))
+                categories[code], size, t if ok else None, None if ok else str(t)))
     out: dict[int, Finding | MetricError] = {}
     for (pos, j, _), t in zip(batch, tested):
-        predicates = unit.contexts[pos].predicates
         out[pos] = t if isinstance(t, MetricError) else Finding(
             protected=bound.protected,
             output=bound.output,
             label=bound.output if spec.kind == DISCOVERY else None,
-            predicates=predicates,
+            predicates=unit.contexts[pos].predicates,
             size=int(sizes[j]),
-            metric=bound.kind.display,
             tested=t,
             strata=tuple(strata.get(pos, ())),
-            is_global=not predicates,
         )
     return out
 

@@ -112,9 +112,9 @@ def _reported(t: TestedMetric) -> tuple[float, tuple[float, float]]:
     return p, ci
 
 
-def _stats_line(t: TestedMetric, metric: str) -> str:
+def _stats_line(t: TestedMetric) -> str:
     p, ci = _reported(t)
-    return f"p-value = {_fmt_p(p)} ; {metric} = {_fmt_ci(ci)}"
+    return f"p-value = {_fmt_p(p)} ; {t.value.kind.display} = {_fmt_ci(ci)}"
 
 
 def _render_display(display, indent: str = "") -> list[str]:
@@ -125,13 +125,17 @@ def _render_display(display, indent: str = "") -> list[str]:
     return []
 
 
-def _render_stratum(sf: StratumFinding, explanatory: str) -> list[str]:
-    head = f"* {explanatory}: {sf.value} ; population of size {sf.size}"
-    if sf.tested is None:
-        return [head, f"  excluded: {sf.note}", ""]
-    lines = [head, "  " + _stats_line(sf.tested, sf.metric)]
-    lines.extend(_render_display(sf.display, "  "))
-    lines.append("")
+def _render_finding(head: list[str], f: Finding, explanatory: str | None,
+                    suffix: str = "") -> list[str]:
+    """A finding's text block: the ``head`` lines, its stats line ending in
+    ``suffix``, its display and a blank line, then each of its strata."""
+    lines = head + [_stats_line(f.tested) + suffix, *_render_display(f.display), ""]
+    for sf in f.strata:
+        lines.append(f"* {explanatory}: {sf.value} ; population of size {sf.size}")
+        if sf.tested is None:
+            lines += [f"  excluded: {sf.note}", ""]
+        else:
+            lines += ["  " + _stats_line(sf.tested), *_render_display(sf.display, "  "), ""]
     return lines
 
 
@@ -159,23 +163,13 @@ def render_text(rm: ReportModel) -> str:
     else:
         g = rm.global_finding
         if g is not None:
-            lines.append(f"Global Population of size {g.size}")
-            line = _stats_line(g.tested, g.metric)
-            if _reported(g.tested)[0] > 1.0 - rm.conf:
-                line += " (not significant)"
-            lines.append(line)
-            lines.extend(_render_display(g.display))
-            lines.append("")
-            for sf in g.strata:
-                lines.extend(_render_stratum(sf, rm.explanatory))
+            weak = _reported(g.tested)[0] > 1.0 - rm.conf
+            lines.extend(_render_finding([f"Global Population of size {g.size}"], g,
+                                         rm.explanatory, " (not significant)" if weak else ""))
         for f in rm.findings:
-            lines.append(f"{f.rank}. Subpopulation of size {f.size}")
-            lines.append(f"Context = {_context_line(f.predicates)}")
-            lines.append(_stats_line(f.tested, f.metric))
-            lines.extend(_render_display(f.display))
-            lines.append("")
-            for sf in f.strata:
-                lines.extend(_render_stratum(sf, rm.explanatory))
+            lines.extend(_render_finding([f"{f.rank}. Subpopulation of size {f.size}",
+                                          f"Context = {_context_line(f.predicates)}"],
+                                         f, rm.explanatory))
     return "\n".join(lines).rstrip("\n") + "\n"
 
 
@@ -197,10 +191,8 @@ def _render_discovery(rm: ReportModel) -> list[str]:
     if groups is None:
         return ["No label associations pass validation."]
     lines: list[str] = []
-    root = [f for f in rm.findings if not f.predicates]
-    subs = [f for f in rm.findings if f.predicates]
     for sign, col in ((1, 0), (-1, 1)):
-        side = [f for f in root if np.sign(f.tested.value.value) == sign]
+        side = [f for f in rm.findings if f.is_global and np.sign(f.tested.value.value) == sign]
         lines.append(f"* Labels associated with {rm.protected}={groups[col]}:")
         if not side:
             lines.append("  (none)")
@@ -214,12 +206,15 @@ def _render_discovery(rm: ReportModel) -> list[str]:
                          _fmt_ci(ci), _fmt_p(p)])
         lines.extend(_grid(rows, "<" * len(header), (0,), "  "))
         lines.append("")
-    for f in subs:
-        lines.append(f"{f.rank}. Label = {f.label} ; Subpopulation of size {f.size}")
-        lines.append(f"Context = {_context_line(f.predicates)}")
-        lines.append(_stats_line(f.tested, f.metric))
-        lines.extend(_render_display(f.display))
-        lines.append("")
+    for f in rm.findings:  # a root label, shown in the tables above, gets a block for its strata
+        if f.predicates:
+            head = [f"{f.rank}. Label = {f.label} ; Subpopulation of size {f.size}",
+                    f"Context = {_context_line(f.predicates)}"]
+        elif f.strata:
+            head = [f"{f.rank}. Label = {f.label} ; Global Population of size {f.size}"]
+        else:
+            continue
+        lines.extend(_render_finding(head, f, rm.explanatory))
     return lines
 
 
@@ -306,11 +301,11 @@ def _display_from_obj(obj: dict | None):
     )
 
 
-def _stratum_to_obj(sf: StratumFinding) -> dict:
+def _stratum_to_obj(sf: StratumFinding, metric: str) -> dict:
     return {
         "value": sf.value,
         "size": sf.size,
-        "metric": sf.metric,
+        "metric": metric,
         "tested": _tested_to_obj(sf.tested) if sf.tested is not None else None,
         "note": sf.note,
         "display": _display_to_obj(sf.display),
@@ -321,7 +316,6 @@ def _stratum_from_obj(obj: dict) -> StratumFinding:
     return StratumFinding(
         value=obj["value"],
         size=obj["size"],
-        metric=obj["metric"],
         tested=_tested_from_obj(obj["tested"]) if obj.get("tested") is not None else None,
         note=obj.get("note"),
         display=_display_from_obj(obj.get("display")),
@@ -338,7 +332,8 @@ def _finding_to_obj(f: Finding) -> dict:
         "metric": f.metric,
         "tested": _tested_to_obj(f.tested),
         "display": _display_to_obj(f.display),
-        "strata": [_stratum_to_obj(sf) for sf in f.strata],
+        "strata": [_stratum_to_obj(sf, MetricKind(f.tested.value.kind.name).display)
+                   for sf in f.strata],
         "is_global": f.is_global,
         "rank": f.rank,
     }
@@ -351,11 +346,9 @@ def _finding_from_obj(obj: dict) -> Finding:
         label=obj.get("label"),
         predicates=tuple(predicate_from_obj(p) for p in obj["predicates"]),
         size=obj["size"],
-        metric=obj["metric"],
         tested=_tested_from_obj(obj["tested"]),
         display=_display_from_obj(obj.get("display")),
         strata=tuple(_stratum_from_obj(sf) for sf in obj.get("strata", [])),
-        is_global=obj.get("is_global", False),
         rank=obj.get("rank"),
     )
 

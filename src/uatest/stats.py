@@ -229,7 +229,9 @@ class StatConfig:
     """Knobs for statistical validation.
 
     Populations of at most ``small_sample_threshold`` rows are tested by
-    resampling; larger ones use asymptotic approximations.
+    resampling; larger ones use asymptotic approximations. A population's
+    rows are those its test reads: the rows where both the protected
+    attribute and the output are present.
     """
 
     conf: float = 0.95
@@ -519,10 +521,10 @@ def test_contexts(counts: MetricCounts, ckey: np.ndarray, contexts: Sequence[int
     obs = stratum_mean(vals, sizes, floor)
     tests = {}  # (p-value, CI recipe) of each asymptotic hypothesis
     # Conditional metrics and RATIO have no asymptotic route here; they always
-    # resample, so only the other metrics count rows, by ckey, the key of contexts.
+    # resample. The others count the rows their test reads: a table metric the
+    # rows of its table, CORR the rows where both columns are defined.
     if not bound.conditional and bound.kind.name != RATIO:
-        n_rows = (np.bincount(ckey + 1, minlength=n + 1)[1:][contexts] if bound.tabular
-                  else sizes[:, 0])
+        n_rows = sizes[:, 0]
         asym = np.flatnonzero(testable & (n_rows > cfg.small_sample_threshold))
         if len(asym):
             tests = dict(zip(asym.tolist(), _asymptotic_tests(

@@ -301,7 +301,17 @@ def run_detection_benchmark(n: int, n_plants: int, delta: float, plant_size: int
     p-values far smaller than the permutation floor of 1/(n_perm + 1); at a
     0.5 split such slices straddle the threshold and lose all power to the
     floor once the correction family is large.
+
+    Settings are checked before anything is generated: ``n`` at least 1,
+    ``delta`` in [0, 0.5], where 0 plants nothing (the null benchmark), and
+    ``n_plants`` at least 1 when ``delta`` is positive.
     """
+    if n < 1:
+        raise DataError(f"n must be at least 1, got {n}")
+    if not 0.0 <= delta <= 0.5:
+        raise DataError(f"delta must lie in [0, 0.5], got {delta}")
+    if delta > 0 and n_plants < 1:
+        raise DataError(f"n_plants must be at least 1 when delta > 0, got {n_plants}")
     tree = TreeParams(min_size=min_size, max_depth=max_depth)
     pop = benchmark_population(n, plant_size / n)
     plants = make_disjoint_plants(pop, n_plants, delta, plant_size, seed) if delta > 0 else ()

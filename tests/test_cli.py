@@ -139,6 +139,20 @@ def test_bench_csv(tmp_path):
     assert 0.0 <= float(recall) <= 1.0
 
 
+@pytest.mark.parametrize("setting,argv", [
+    ("n", ["--n", "0"]),
+    ("delta", ["--delta", "-0.1"]),
+    ("delta", ["--delta", "0.6"]),
+    ("n_plants", ["--plants", "0"]),
+    ("n_plants", ["--plants", "-1"]),
+])
+def test_bench_rejects_a_bad_setting_before_generating(tmp_path, capsys, setting, argv):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"uatest: {setting} must ")
+    assert not out.exists()
+
+
 def test_tree_vs_itemsets_csv(tmp_path):
     out = tmp_path / "cmp.csv"
     assert main(["tree-vs-itemsets", "--n", "6000", "--attrs", "8", "--seed", "1",
@@ -236,6 +250,27 @@ def test_discovery_cli(tagged_csv, capsys):
     out = capsys.readouterr().out
     assert "Report of associations of O=Labels on S=race" in out
     assert "cart" in out
+
+
+def test_discovery_lists_a_label_under_the_group_shown_it_more(tmp_path, capsys):
+    # cart's first row shows it, and its categories still read ("0", "1"),
+    # so the report lists it under black with the shares of rows shown it
+    import numpy as np
+    rng = np.random.default_rng(5)
+    race = rng.choice(["black", "white"], 2000)
+    cart = rng.random(2000) < np.where(race == "black", 0.3, 0.05)
+    cart[0] = True
+    person = rng.random(2000) < 0.5
+    path = tmp_path / "tagged.csv"
+    path.write_text("race,cart,person\n" + "".join(
+        f"{r},{int(c)},{int(p)}\n" for r, c, p in zip(race, cart, person)))
+    assert main(["discovery", "--data", str(path), "--protected", "race",
+                 "--output", "cart,person", "--top-k", "2", "--seed", "4",
+                 "--min-size", "200"]) == 0
+    out = capsys.readouterr().out
+    black = out.split("Labels associated with race=black:\n")[1].split("\n\n")[0]
+    header, _, row = ([cell.strip() for cell in line.split("|")] for line in black.splitlines())
+    assert dict(zip(header[:3], row[:3])) == {"Label": "cart", "white": "5%", "black": "30%"}
 
 
 def test_error_profile_cli(tmp_path, capsys):

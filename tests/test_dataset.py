@@ -55,6 +55,23 @@ def test_inference_numeric_few_distinct_is_categorical(tmp_path):
     assert d.attribute("x").kind == "categorical"
 
 
+def test_numeric_categories_are_listed_in_numeric_order(tmp_path):
+    # a 0/1 column whose first row is 1 still lists 1, the present value, last
+    assert load_csv(write_csv(tmp_path, "b.csv", "x\n1\n0\n1\n")).attribute("x").categories == (
+        "0", "1")
+    # NaN goes last and equal numbers keep first-appearance order; a column
+    # with a cell that is not a number keeps first-appearance order
+    d = load_csv(write_csv(tmp_path, "m.csv", "x,y\nnan,b\n10,10\n1.0,b\n2,\n1,a\n"))
+    assert d.attribute("x").categories == ("1.0", "1", "2", "10", "nan")
+    assert d.attribute("y").categories == ("b", "10", "a")
+
+
+def test_ordinal_sidecar_without_categories_loads(tmp_path):
+    path = write_csv(tmp_path, "o.csv", "v\n3\n1\n10\n2\n")
+    v = load_csv(path, schema_from_json({"v": {"kind": "ordinal"}})).attribute("v")
+    assert (v.kind, v.categories) == ("ordinal", ("1", "2", "3", "10"))
+
+
 def test_declared_continuous_rejects_text_cell(tmp_path):
     path = write_csv(tmp_path, "bad.csv", "x\n1.0\nabc\n")
     with pytest.raises(DataError, match="unparseable cell"):
@@ -353,7 +370,9 @@ def test_inference_counts_nan_cells_as_one_number(tmp_path):
 
 def reference_encode(name, values, attr):
     """Each cell rule applied row by row: ``None``/"" missing, ``float()`` for
-    continuous, ``str()`` codes otherwise; ``attr=None`` infers the kind."""
+    continuous, ``str()`` codes otherwise, into categories listed by
+    ``float()`` if every cell has one, else by first row; ``attr=None``
+    infers the kind."""
     if attr is None:
         present = [v for v in values if v != ""]
         try:
@@ -378,10 +397,15 @@ def reference_encode(name, values, attr):
         return attr, out
     strings = ["" if v is None else str(v) for v in values]
     if attr.categories is None:
+        rows = [i for i, s in enumerate(strings) if s != ""]
+        try:  # all numbers: ascending, NaN last, ties by first row; else by first row
+            number = {i: float(values[i]) for i in rows}
+            rows.sort(key=lambda i: (number[i] != number[i], number[i]))
+        except (TypeError, ValueError):
+            pass
         seen = {}
-        for s in strings:
-            if s != "" and s not in seen:
-                seen[s] = len(seen)
+        for i in rows:
+            seen.setdefault(strings[i], len(seen))
         attr = AttributeSchema(name, attr.kind, attr.role, tuple(seen))
     lookup = {c: i for i, c in enumerate(attr.categories)}
     out = np.empty(len(strings), dtype=np.int32)

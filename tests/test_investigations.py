@@ -231,10 +231,10 @@ def make_tm(est, lo, hi, p, kind="nmi"):
                         method="asymptotic", corrected_p=p, corrected_ci=(lo, hi))
 
 
-def finding(predicates, est, lo, hi, p, size=1000, is_global=False, kind="nmi"):
+def finding(predicates, est, lo, hi, p, size=1000, kind="nmi"):
     return Finding(protected="income", output="price", label=None,
-                   predicates=tuple(predicates), size=size, metric=kind.upper(),
-                   tested=make_tm(est, lo, hi, p, kind), is_global=is_global)
+                   predicates=tuple(predicates), size=size,
+                   tested=make_tm(est, lo, hi, p, kind))
 
 
 # the test rows of fake_result, one per (state, income, price), so every
@@ -290,7 +290,7 @@ def test_filter_and_rank_nesting_rule():
 
     parent = finding([P_CA], 0.09, 0.08, 0.12, 0.001)
     child = finding([P_CA, P_RACE], 0.06, 0.05, 0.30, 0.001, size=300)
-    g = finding([], 0.01, 0.001, 0.02, 0.001, size=1000, is_global=True)
+    g = finding([], 0.01, 0.001, 0.02, 0.001, size=1000)
     rm = filter_and_rank(fake_result([g, parent, child]))[0]
     ranked = [f.predicates for f in rm.findings]
     assert (P_CA,) in ranked
@@ -303,7 +303,7 @@ def test_filter_and_rank_orders_by_lower_bound():
     # the two reference subpopulations: 0.0051 lower bound ranks above 0.0040
     a = finding([P_CA], 0.01, 0.0051, 0.0203, 0.001)
     b = finding([ContextPredicate("state", "in", values=("B",))], 0.02, 0.0040, 0.0975, 0.001)
-    g = finding([], 0.0002, 0.0001, 0.0005, 1e-9, is_global=True)
+    g = finding([], 0.0002, 0.0001, 0.0005, 1e-9)
     rm = filter_and_rank(fake_result([g, a, b]))[0]
     assert [f.tested.corrected_ci[0] for f in rm.findings] == [0.0051, 0.0040]
     assert [f.rank for f in rm.findings] == [1, 2]
@@ -311,7 +311,7 @@ def test_filter_and_rank_orders_by_lower_bound():
 
 
 def test_filter_and_rank_insignificant_report():
-    g = finding([], 0.01, -0.01, 0.03, 0.6, is_global=True, kind="diff")
+    g = finding([], 0.01, -0.01, 0.03, 0.6, kind="diff")
     sub = finding([P_CA], 0.05, -0.01, 0.11, 0.2, kind="diff")
     rm = filter_and_rank(fake_result([g, sub]))[0]
     assert rm.findings == ()

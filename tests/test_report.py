@@ -37,13 +37,13 @@ STAPLES_TABLE = TableDisplay(
 
 def staples_report():
     g = Finding(protected="income", output="price", label=None, predicates=(),
-                size=494436, metric="NMI",
+                size=494436,
                 tested=make_tm("nmi", 0.00022, (0.0001, 0.0005), 3.34e-10),
-                display=STAPLES_TABLE, is_global=True)
+                display=STAPLES_TABLE)
     sub = Finding(protected="income", output="price", label=None,
                   predicates=(ContextPredicate("state", "in", values=("CA",)),
                               ContextPredicate("race", "in", values=("White",))),
-                  size=23532, metric="NMI",
+                  size=23532,
                   tested=make_tm("nmi", 0.012, (0.0051, 0.0203), 2.31e-24),
                   display=None, rank=1)
     return ReportModel(kind="testing", protected="income", output="price",
@@ -71,12 +71,12 @@ def test_render_text_without_subpopulations():
 
 
 def test_render_text_explanatory_header_and_strata():
-    stratum = StratumFinding(value="A", size=490, metric="DIFF",
+    stratum = StratumFinding(value="A", size=490,
                              tested=make_tm("diff", 0.2244, (0.0649, 0.3464), 4.34e-3))
     g = Finding(protected="gender", output="admitted", label=None, predicates=(),
-                size=2213, metric="COND-DIFF",
+                size=2213,
                 tested=make_tm("diff", 0.034, (-0.0382, 0.1055), 0.798, explanatory="department"),
-                strata=(stratum,), is_global=True)
+                strata=(stratum,))
     rm = ReportModel(kind="testing", protected="gender", output="admitted",
                      explanatory="department", metric="COND-DIFF", conf=0.95,
                      family_size=7, train_size=2212, test_size=2213, dropped_train=0,
@@ -134,15 +134,15 @@ def test_json_round_trip_with_deciles_and_strata():
         DecileRow(18.0, 25.5, 100, 0.0, 0.1, 0.2, 0.4, 1.5),
         DecileRow(25.5, 40.0, 100, 0.0, 0.2, 0.3, 0.5, 2.5),
     ))
-    stratum = StratumFinding(value="low", size=50, metric="CORR",
+    stratum = StratumFinding(value="low", size=50,
                              tested=make_tm("corr", 0.2, (0.1, 0.3), 0.01),
                              display=deciles)
-    skipped = StratumFinding(value="tiny", size=3, metric="CORR", tested=None,
+    skipped = StratumFinding(value="tiny", size=3, tested=None,
                              note="below minimum stratum size")
     g = Finding(protected="age", output="error", label=None, predicates=(),
-                size=200, metric="COND-CORR",
+                size=200,
                 tested=make_tm("corr", 0.15, (0.05, 0.25), 0.003, explanatory="conf"),
-                display=deciles, strata=(stratum, skipped), is_global=True)
+                display=deciles, strata=(stratum, skipped))
     rm = ReportModel(kind="error_profiling", protected="age", output="error",
                      explanatory="conf", metric="COND-CORR", conf=0.95, family_size=2,
                      train_size=200, test_size=200, dropped_train=1, dropped_test=2,
@@ -162,7 +162,7 @@ def test_threshold_predicates_render():
     f = Finding(protected="gender", output="income", label=None,
                 predicates=(ContextPredicate("Age", "le", threshold=42.0),
                             ContextPredicate("Hours", "le", threshold=55.0)),
-                size=14477, metric="NMI",
+                size=14477,
                 tested=make_tm("nmi", 0.012, (0.0070, 0.0187), 7.5e-31), rank=1)
     rm = ReportModel(kind="testing", protected="gender", output="income",
                      explanatory=None, metric="NMI", conf=0.95, family_size=10,
@@ -178,12 +178,12 @@ def test_discovery_report_round_trip_and_rendering():
                          row_labels=("0", "1"), col_labels=("black", "white"),
                          counts=((640, 690), (25, 3)))
     root = Finding(protected="race", output="Labels", label="cart", predicates=(),
-                   size=1358, metric="DIFF",
+                   size=1358,
                    tested=make_tm("diff", 0.033, (0.0137, 0.0652), 3.31e-5),
                    display=table, rank=1)
     sub = Finding(protected="race", output="Labels", label="cart",
                   predicates=(ContextPredicate("setting", "in", values=("outdoor",)),),
-                  size=400, metric="DIFF",
+                  size=400,
                   tested=make_tm("diff", 0.09, (0.05, 0.13), 1e-6),
                   display=table, rank=2)
     rm = ReportModel(kind="discovery", protected="race", output="Labels",
@@ -194,4 +194,5 @@ def test_discovery_report_round_trip_and_rendering():
     assert "Labels associated with race=black" in text
     assert "cart" in text
     assert "Label = cart ; Subpopulation of size 400" in text
+    assert "Label = cart ; Global Population" not in text  # a root label without strata
     assert parse_json(render_json(rm)) == rm

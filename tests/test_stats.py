@@ -555,6 +555,21 @@ def test_metric_corr_asymptotic_and_small():
     assert ts.p < 0.05
 
 
+def test_small_sample_threshold_counts_the_rows_a_table_test_reads():
+    # 1,200 rows; without an output on 300 of them, the DIFF table holds
+    # 900, at most the threshold of 1,000, so the test resamples
+    rng = np.random.default_rng(5)
+    s, o = rng.integers(0, 2, (2, 1200)).astype(np.int32)
+    schema = [AttributeSchema("s", "categorical", "protected", ("a", "b")),
+              AttributeSchema("o", "categorical", "output", ("0", "1"))]
+    bound = BoundMetric(MetricKind("diff"), "s", "o")
+    cfg = StatConfig(seed=5, n_permutations=100, n_bootstrap=100)
+    assert evaluate_metric(Dataset(schema, {"s": s, "o": o}), bound, cfg).method == "asymptotic"
+    o[:300] = -1
+    tm = evaluate_metric(Dataset(schema, {"s": s, "o": o}), bound, cfg)
+    assert tm.method == "permutation+bootstrap"
+
+
 def test_metric_ratio_always_resamples():
     d = dataset_from_table([[300, 400], [200, 100]])
     bound = BoundMetric(MetricKind("ratio"), "gender", "admitted")
@@ -1122,6 +1137,39 @@ def test_conditional_diff_percentile_ci_coverage():
     tested = evaluate_contexts(counts, counts.stratum_key(key)[0], range(draws), cfg,
                                [(i,) for i in range(draws)])
     _percentile_coverage(tested, 0.125, draws, b)
+
+
+def test_nmi_percentile_ci_coverage():
+    """NMI's bootstrap CI on 3 x 3 tables of 1,000 rows, the largest
+    population the resampled route takes, at an interior true NMI of
+    0.2517: o and s agree with probability 0.7, and each has margins (0.3,
+    0.3, 0.4).
+
+    The plug-in NMI is biased upward (by about (r - 1)(c - 1)/(2n) nats of
+    MI, after Miller and Madow), and a percentile interval of a biased
+    estimator sits about twice its bias high. Here the bias is about 0.0027
+    against a standard deviation of 0.020 (20,000 draws on other seeds), so
+    a normal interval shifted by 0.27 of a deviation covers 0.942: within
+    the 0.01 of small-sample error that ``_percentile_coverage`` allows.
+    Those draws read 0.925 at B = 100 (0.95 less the q of 0.019 and 0.006
+    more) and 4,000 draws read 0.947 at B = 1,000. At 200 rows the shift is
+    0.53 of a deviation and the interval covers about 0.92 even at B =
+    1,000, so the cell takes 1,000 rows. The band, the 3,587 draws and B =
+    100 are ``_percentile_coverage``'s."""
+    draws, n, b = 3587, 1000, 100
+    joint = np.array([[0.2, 0.05, 0.05], [0.05, 0.2, 0.05], [0.05, 0.05, 0.3]])
+    truth = float(mi_from_tables(joint[None], normalized=True)[0])
+    assert abs(truth - 0.2517) < 1e-4
+    r = np.random.default_rng(80)
+    o, s = np.divmod(r.choice(9, draws * n, p=joint.ravel()), 3)
+    schema = [AttributeSchema("s", "categorical", "protected", ("a", "b", "c")),
+              AttributeSchema("o", "categorical", "output", ("x", "y", "z"))]
+    view, key = _replicates({"s": s.astype(np.int32), "o": o.astype(np.int32)}, draws, n,
+                            schema)
+    cfg = StatConfig(seed=80, n_permutations=100, n_bootstrap=b)
+    tested = evaluate_contexts(BoundMetric(MetricKind("nmi"), "s", "o").counts(view), key,
+                               range(draws), cfg, [(i,) for i in range(draws)])
+    _percentile_coverage(tested, truth, draws, b)
 
 
 @pytest.mark.parametrize("o, est", [("11", 0.0), ("10", 1.0)])

@@ -107,7 +107,7 @@ def make_finding(predicates, rank=1):
                       p=1e-6, method="asymptotic", corrected_p=1e-5,
                       corrected_ci=(-0.45, -0.15))
     return Finding(protected="income", output="output", label=None,
-                   predicates=tuple(predicates), size=1000, metric="DIFF",
+                   predicates=tuple(predicates), size=1000,
                    tested=tm, rank=rank)
 
 
