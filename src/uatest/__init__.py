@@ -49,7 +49,7 @@ from .investigations import (
     train,
     validate,
 )
-from .report import parse_json, render_json, render_text
+from .report import render_text
 from .synth import (
     BenchResult,
     CategoricalSpec,

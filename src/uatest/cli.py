@@ -284,11 +284,12 @@ def _spec_from_obj(obj: dict) -> InvestigationSpec:
                         "stats": StatConfig(**obj["stats"])})
 
 
-def _save_state(path: str, args, spec: InvestigationSpec, source: DataSource,
-                trained: TrainedInvestigation, reports) -> None:
+def _save_state(path: str, data_sha256: str, spec: InvestigationSpec, source: DataSource,
+                trained: TrainedInvestigation) -> None:
+    """What a debug run reads: the spec, the data split and each unit's contexts."""
     state = {
         "version": STATE_VERSION,
-        "data_sha256": _file_sha256(args.data),
+        "data_sha256": data_sha256,
         "datasource": {name: getattr(source, name) for name in (*_SOURCE_SETTINGS, "consumed")},
         "spec": {"kind": spec.kind, **dataclasses.asdict(spec)},
         "train_size": trained.train_size,
@@ -306,22 +307,22 @@ def _save_state(path: str, args, spec: InvestigationSpec, source: DataSource,
             }
             for u in trained.units
         ],
-        "reports": [report_to_obj(r) for r in reports],
     }
     with open(path, "w") as fh:
         json.dump(state, fh, indent=2)
 
 
-def _restore_state(state, data_path: str,
-                   data) -> tuple[dict, DataSource, TrainedInvestigation]:
-    """A state document, its data split of ``data`` with the consumed test
-    sets spent, and the trained investigation it records; ``data_path``
-    must be the data file it was saved for."""
+def _restore_state(state, data_path: str, data_sha256: str,
+                   data) -> tuple[DataSource, TrainedInvestigation]:
+    """The data split of ``data`` that a state document records, with the
+    consumed test sets spent, and its trained investigation. ``data_path``,
+    of digest ``data_sha256``, must be the data file it was saved for; keys
+    that nothing reads, such as an older layout's reports, are ignored."""
     if not isinstance(state, dict):
         raise DataError("not a JSON object")
     if state.get("version") != STATE_VERSION:
         raise DataError(f"unsupported version {state.get('version')!r}")
-    if state["data_sha256"] != _file_sha256(data_path):
+    if state["data_sha256"] != data_sha256:
         raise DataError(f"it was saved for another data file than {data_path}")
     ds = state["datasource"]
     source = DataSource(data, **{name: ds[name] for name in _SOURCE_SETTINGS})
@@ -338,7 +339,7 @@ def _restore_state(state, data_path: str,
                                         float("nan") if metric_value is None else metric_value))
         units.append(TrainUnit(_bound_from_obj(uo["bound"]), contexts, TreeStats()))
     trained = TrainedInvestigation(spec, units, state["train_size"], state["dropped_train"])
-    return state, source, trained
+    return source, trained
 
 
 # -- subcommand implementations ------------------------------------------------
@@ -364,21 +365,18 @@ def _run_investigation_cmd(args, spec_type: type[InvestigationSpec], **settings)
     reports = filter_and_rank(validated)
     _emit(_reports_text(reports, args.format), args.out)
     if args.state:
-        _save_state(args.state, args, spec, source, trained, reports)
+        _save_state(args.state, _file_sha256(args.data), spec, source, trained)
     return 0
 
 
 def _debug_cmd(args) -> int:
     data = _load_dataset(args)
-    state, source, trained = _read_json(args.state, "state",
-                                        lambda obj: _restore_state(obj, args.data, data))
-    fresh = source.next_test_set()
-    run = debug_with_explanatory(trained, args.explanatory, fresh)
+    digest = _file_sha256(args.data)
+    source, trained = _read_json(args.state, "state",
+                                 lambda obj: _restore_state(obj, args.data, digest, data))
+    run = debug_with_explanatory(trained, args.explanatory, source.next_test_set())
     _emit(_reports_text(run.reports, args.format), args.out)
-    state["datasource"]["consumed"] = source.consumed
-    state["reports"] = [report_to_obj(r) for r in run.reports]
-    with open(args.state, "w") as fh:
-        json.dump(state, fh, indent=2)
+    _save_state(args.state, digest, trained.spec, source, trained)
     return 0
 
 
@@ -418,8 +416,13 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError:
             sys.stderr.write(f"uatest: UATEST_SEED must be an integer, got {env!r}\n")
             return USAGE_ERROR
+        if args.seed < 0:
+            sys.stderr.write(f"uatest: UATEST_SEED must be non-negative, got {env!r}\n")
+            return USAGE_ERROR
     with _log_to_stderr(args.verbose):
         try:
+            if vars(args).get("seed", 0) < 0:
+                raise DataError(f"--seed must be non-negative, got {args.seed}")
             _check_paths(args)
             return args.run(args)
         except BudgetError as exc:

@@ -765,6 +765,8 @@ class DataSource:
             raise DataError("budget must be at least 1")
         if not 0.0 < train_fraction < 1.0:
             raise DataError("train_fraction must lie strictly between 0 and 1")
+        if seed < 0:
+            raise DataError(f"seed must be non-negative, got {seed}")
         n = data.n_rows
         n_train = int(n * train_fraction + 0.5)
         n_rest = n - n_train

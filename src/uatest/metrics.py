@@ -2,14 +2,16 @@
 
 Every stage evaluates a metric through ``BoundMetric``: a metric kind bound
 to its protected and output attributes. On a view it is a ``MetricCounts``,
-the one home of the metric's reads of the view, which counts tables by any
-row key (one bincount, one table per row group) and scores stacks of them
-with the vectorized kernels (``mi_from_tables``, ``diff_from_tables``,
-``ratio_from_tables``), or correlations from per-group moments. A bound
-metric is the size-weighted mean of its base metric over strata: the
-categories of an explanatory attribute, or a single stratum when it is
-unconditional. ``MetricCounts.stratum_key`` keys the strata and
-``stratum_mean`` applies the stratum rule, for every caller, here only.
+the one home of the metric's reads of the view and the only source of its
+values: it counts tables by any row key (one bincount, one table per row
+group) and scores stacks of them with the vectorized kernels
+(``mi_from_tables``, ``diff_from_tables``, ``ratio_from_tables``), or
+correlations from per-group moments. A bound metric is the size-weighted
+mean of its base metric over strata: the categories of an explanatory
+attribute, or a single stratum when it is unconditional.
+``MetricCounts.stratum_key`` keys the strata and ``stratum_mean`` applies
+the stratum rule, for every caller, here only. ``BoundMetric.guidance`` is
+the tree search's rule, applied to values that ``MetricCounts`` gave.
 """
 
 from __future__ import annotations
@@ -411,38 +413,14 @@ class BoundMetric:
         metric."""
         return MIN_STRATUM if self.conditional else 1
 
-    def undefined(self, sizes: np.ndarray) -> MetricError:
-        """Why ``stratum_mean`` keeps no stratum of a population whose strata
-        have ``sizes``."""
-        if not self.conditional:
-            return MetricError(f"{self.kind.display} undefined on this population")
-        e = self.kind.explanatory
-        if (sizes >= self.min_stratum).any():
-            return MetricError(f"{self.unconditional().kind.display} undefined in every stratum "
-                               f"of explanatory attribute {e!r} with at least "
-                               f"{self.min_stratum} rows")
-        return MetricError(f"every stratum of explanatory attribute {e!r} has fewer than "
-                           f"{self.min_stratum} rows")
-
-    def value(self, view: Dataset) -> float:
-        """Point estimate on a view: the ``stratum_mean`` of the base metric over
-        the strata of ``MetricCounts.stratum_key``; MetricError if none is kept."""
-        counts = self.counts(view)
-        vals, sizes = counts.group_values(*counts.stratum_key(np.zeros(view.n_rows, np.intp)))
-        out = float(stratum_mean(vals, sizes, self.min_stratum))
-        if math.isnan(out):
-            raise self.undefined(sizes)
-        return out
-
     def counts(self, view: Dataset) -> MetricCounts:
         """This metric on ``view``: its summaries and values of any row key."""
         return MetricCounts(self, view)
 
-    def guidance(self, view: Dataset) -> float:
-        """Tree-search score: |value| for signed metrics so that opposing
-        disparities in sibling parts cannot cancel."""
-        v = self.value(view)
-        return abs(v) if self.kind.signed else v
+    def guidance(self, values: np.ndarray) -> np.ndarray:
+        """The tree-search score of metric values: |value| for a signed
+        metric, so that opposing disparities in sibling parts cannot cancel."""
+        return np.abs(values) if self.kind.signed else values
 
     def unconditional(self) -> "BoundMetric":
         return BoundMetric(MetricKind(self.kind.name), self.protected, self.output,
@@ -495,6 +473,29 @@ class MetricCounts:
             return key, 1
         return (np.where((key >= 0) & (self.strata >= 0), key * self.n_strata + self.strata, -1),
                 self.n_strata)
+
+    def undefined(self, sizes: np.ndarray, rows: np.ndarray) -> MetricError:
+        """Why ``stratum_mean`` keeps no stratum of the population of
+        ``rows`` (a mask of the view's rows), whose strata have ``sizes``."""
+        m, e = self.metric, self.metric.kind.explanatory
+        if not m.conditional:
+            why = f"{m.kind.display} undefined on this population"
+        elif (sizes >= m.min_stratum).any():
+            why = (f"{m.unconditional().kind.display} undefined in every stratum of "
+                   f"explanatory attribute {e!r} with at least {m.min_stratum} rows")
+        else:
+            why = f"every stratum of explanatory attribute {e!r} has fewer than {m.min_stratum} rows"
+        return MetricError(why + self.infinite_note(rows))
+
+    def infinite_note(self, rows: np.ndarray) -> str:
+        """A note naming each CORR column that is infinite in rows of ``rows``
+        (a mask of the view's rows) where both columns are defined, which
+        leaves CORR undefined, and in how many; "" if none is."""
+        m = self.metric
+        return "" if m.tabular else "".join(
+            f": column {name!r} holds an infinite value in {k} of these rows"
+            for name, v in zip((m.protected, m.output), (self.x, self.y))
+            if (k := int((np.isinf(v) & rows & self.paired).sum())))
 
     def values(self, summary: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:
         """The base metric of each group of a ``summary``, or of each table of

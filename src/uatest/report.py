@@ -1,9 +1,9 @@
-"""Render report models as text in the association-report layout, or as
-JSON that parses back into an equal model."""
+"""Render report models as text in the association-report layout, or as a
+JSON object (``report_to_obj``) that ``report_from_obj`` reads back into an
+equal model."""
 
 from __future__ import annotations
 
-import json
 from typing import Sequence
 
 import numpy as np
@@ -387,12 +387,3 @@ def report_from_obj(obj: dict) -> ReportModel:
         global_finding=_finding_from_obj(obj["global"]) if obj.get("global") is not None else None,
         findings=tuple(_finding_from_obj(f) for f in obj["findings"]),
     )
-
-
-def render_json(rm: ReportModel) -> str:
-    """Deterministic JSON document; ``parse_json(render_json(rm)) == rm``."""
-    return json.dumps(report_to_obj(rm), indent=2)
-
-
-def parse_json(text: str) -> ReportModel:
-    return report_from_obj(json.loads(text))

@@ -245,6 +245,8 @@ class StatConfig:
             raise StatsError("conf must lie strictly between 0 and 1")
         if self.n_permutations < 100 or self.n_bootstrap < 100:
             raise StatsError("resampling counts must be at least 100")
+        if self.seed < 0:
+            raise StatsError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(init=False)
@@ -533,7 +535,7 @@ def test_contexts(counts: MetricCounts, ckey: np.ndarray, contexts: Sequence[int
     out: list[TestedMetric | MetricError] = []
     for h, (entropy, ok, est) in enumerate(zip(entropies, testable.tolist(), obs.tolist())):
         if not ok:
-            out.append(bound.undefined(sizes[h]))
+            out.append(counts.undefined(sizes[h], ckey // groups == contexts[h]))
             continue
         p, recipe = tests.get(h, (None, None))
         drawn = None

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import AttributeSchema, CATEGORICAL, ContextPredicate, DataError, Dataset, make_datasource
 from .investigations import ReportModel, TestingSpec, run_investigation
-from .metrics import DIFF, BoundMetric, MetricError, MetricKind
+from .metrics import DIFF, BoundMetric, MetricKind
 from .stats import StatConfig
 from .tree import TreeParams, TreeStats, exhaustive_contexts, find_contexts
 
@@ -348,7 +348,9 @@ def tree_vs_itemsets(n: int, n_attrs: int, seed: int, min_size: int = 500,
     strategy's candidates are then measured on the held-out half and
     summarized by the mean of its 3 strongest test associations. The itemset
     strategy evaluates every conjunction of categorical values with enough
-    support, which is the brute-force analog of the guided search.
+    support, which is the brute-force analog of the guided search. Each test
+    association (0 where undefined) is read from one ``MetricCounts`` of the
+    held-out half, by a ``Dataset.layer_key`` of the candidate's rows.
     """
     if n_attrs < 3:
         raise DataError("the comparison needs at least 3 contextual attributes")
@@ -380,13 +382,14 @@ def tree_vs_itemsets(n: int, n_attrs: int, seed: int, min_size: int = 500,
     stats = TreeStats()
     contexts = find_contexts(source.train, params, metric, contextual=contextual, stats=stats)
     test = source.next_test_set()
+    counts = metric.counts(test)
 
     def test_association(predicates) -> float:
-        view = test.select(list(predicates))
-        try:
-            return metric.resolve(test).guidance(view)
-        except MetricError:
-            return 0.0
+        key = np.zeros(test.n_rows, dtype=np.intp)
+        for pred in predicates:
+            key = test.layer_key(key, [0], [pred])
+        (value,), _ = counts.group_values(key, 1)
+        return 0.0 if math.isnan(value) else float(counts.metric.guidance(value))
 
     tree_vals = sorted((test_association(c.predicates) for c in contexts), reverse=True)
     tree_row = StrategyRow("guided-tree", stats.n_metric_evals, float(np.mean(tree_vals[:3])))

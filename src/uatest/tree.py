@@ -27,8 +27,9 @@ comes from the winning splits' predicates by ``Dataset.layer_key``, the
 rule that validation applies to the test rows. A registered context
 carries the metric of its own view, bit for bit: tables are exact, and for
 CORR every child's correlation is taken from that key of the children by
-``MetricCounts.group_values``. The contexts come back in the order of a
-depth-first search, root first.
+``MetricCounts.group_values``. Every association, here and in the unguided
+``exhaustive_contexts``, is the ``BoundMetric.guidance`` of a value that a
+``MetricCounts`` gave. The contexts come back in depth-first order, root first.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -97,7 +97,6 @@ class TreeStats:
     n_levels: int = 0
 
 
-Guidance = Callable[[np.ndarray], np.ndarray]
 Part = tuple[ContextPredicate, int, float]  # a split's part: predicate, size, association
 
 
@@ -111,12 +110,13 @@ class CategorySplits:
         self.categories = train.attribute(name).categories
         self.codes = train.codes(name)
 
-    def score(self, key: np.ndarray, node_values: np.ndarray, counts: MetricCounts,
-              guidance: Guidance) -> np.ndarray | None:
+    def score(self, key: np.ndarray, node_values: np.ndarray,
+              counts: MetricCounts) -> np.ndarray | None:
         """The score of each node's split (-inf for none that is eligible),
         from one count of (node, category) groups; None if no node has a
-        split. ``key`` maps each row to its node, -1 for none, and
-        ``node_values`` holds each node's own association."""
+        split. ``key`` maps each row to its node, -1 for none,
+        ``node_values`` holds each node's own association, and a part's is
+        the ``guidance`` of its value in ``counts``."""
         f, c = len(node_values), len(self.categories)
         if c < 2:
             return None
@@ -128,7 +128,8 @@ class CategorySplits:
         if not splits.any():
             return None
         self.sizes, self.present = sizes, present
-        self.part_values = guidance(counts.group_values(cell, f * c)[0]).reshape(f, c)
+        values = counts.group_values(cell, f * c)[0]
+        self.part_values = counts.metric.guidance(values).reshape(f, c)
         self.evals = int(parts[splits].sum())
         scores = np.full(f, -math.inf)
         # nodes with k parts at a time: each mean sums a node's own parts, unpadded
@@ -175,8 +176,8 @@ class ThresholdSplits:
         signs = np.signbit(self.values[self.values == 0])
         self.signed_zeros = bool(signs.any() and not signs.all())
 
-    def score(self, key: np.ndarray, node_values: np.ndarray, counts: MetricCounts,
-              guidance: Guidance) -> np.ndarray | None:
+    def score(self, key: np.ndarray, node_values: np.ndarray,
+              counts: MetricCounts) -> np.ndarray | None:
         """The score of each node's best split (-inf for none that is
         eligible), from one count of (node, bin) groups; None if no node has
         a split. Arguments as for ``CategorySplits.score``."""
@@ -220,7 +221,7 @@ class ThresholdSplits:
         self.kept = kept = np.flatnonzero((self.left >= 2) & (self.n[cut_node] - self.left >= 2))
         if len(kept) == 0:
             return None
-        self.part_values = guidance(counts.threshold_values(bin_key, n_bins))
+        self.part_values = counts.metric.guidance(counts.threshold_values(bin_key, n_bins))
         self.evals = 2 * len(kept)
         scores = np.full(self.cuts.shape, -math.inf)
         scores[cut_node[kept], cut[kept]] = _split_scores(
@@ -276,13 +277,6 @@ def _split_scores(part_values: np.ndarray, node_values: np.ndarray) -> np.ndarra
     return np.where((zeroed > node_values[:, None]).any(axis=1), zeroed.mean(axis=1), -math.inf)
 
 
-def _part_value(part: Dataset, metric: BoundMetric) -> float:
-    try:
-        return metric.guidance(part)
-    except MetricError:
-        return math.nan
-
-
 def find_contexts(train: Dataset, params: TreeParams, metric: BoundMetric,
                   contextual: list[str] | None = None,
                   stats: TreeStats | None = None) -> list[ContextNode]:
@@ -309,34 +303,31 @@ def find_contexts(train: Dataset, params: TreeParams, metric: BoundMetric,
     stats = stats if stats is not None else TreeStats()
     counts = metric.counts(train)
 
-    def guidance(values: np.ndarray) -> np.ndarray:
-        return np.abs(values) if metric.kind.signed else values
-
     def grows(node: ContextNode) -> bool:
         return (node.n_train >= params.min_size and node.depth < params.max_depth
                 and not math.isnan(node.train_metric))
 
-    (root_value,), _ = counts.group_values(np.zeros(train.n_rows, dtype=np.intp), 1)
-    root = ContextNode((), train.n_rows, float(guidance(root_value)))
+    key = np.zeros(train.n_rows, dtype=np.intp)  # each row's node of the level, -1 for none
+    (root_value,), _ = counts.group_values(key, 1)
+    root = ContextNode((), train.n_rows, float(counts.metric.guidance(root_value)))
     stats.n_metric_evals += 1
     stats.n_nodes += 1
     if math.isnan(root.train_metric):
         raise MetricError(f"{metric.kind.display} undefined on the {train.n_rows} training rows "
                           f"of protected attribute {metric.protected!r} and output "
-                          f"{metric.output!r}")
+                          f"{metric.output!r}{counts.infinite_note(key == 0)}")
     attributes = [CategorySplits(train, name) if train.attribute(name).kind == CATEGORICAL
                   else ThresholdSplits(train, name, params.quantile_splits)
                   for name in contextual]
     nodes, children = [root], [[]]
     frontier = [0] if grows(root) else []
-    key = np.zeros(train.n_rows, dtype=np.intp)
     while frontier:
         stats.n_levels += 1
         node_values = np.array([nodes[i].train_metric for i in frontier])
         best_score = np.full(len(frontier), -math.inf)
         best = np.full(len(frontier), -1)
         for a, attr in enumerate(attributes):
-            scores = attr.score(key, node_values, counts, guidance)
+            scores = attr.score(key, node_values, counts)
             if scores is None:
                 continue
             stats.n_metric_evals += attr.evals
@@ -350,7 +341,7 @@ def find_contexts(train: Dataset, params: TreeParams, metric: BoundMetric,
             # merged moments can miss the correlation of a part's own rows in
             # the last digits, so every child's is taken from its rows
             child = train.layer_key(key, parents, preds)
-            values = guidance(counts.group_values(child, len(parts))[0]).tolist()
+            values = counts.metric.guidance(counts.group_values(child, len(parts))[0]).tolist()
             parts = [(i, pred, n, value) for (i, pred, n, _), value in zip(parts, values)]
 
         next_of: list[int] = []  # each child's node of the next level, -1 for none
@@ -388,27 +379,32 @@ def exhaustive_contexts(train: Dataset, params: TreeParams, metric: BoundMetric,
     with at least ``min_size`` supporting rows.
 
     Returns (predicates, support, association) triples, the unguided-search
-    analog of the tree's candidate set. Continuous attributes are rejected;
-    the unguided strategy requires discretized features.
+    analog of the tree's candidate set. The association is the base metric's
+    ``guidance``, as in ``find_contexts`` (NaN where undefined), read from one
+    ``MetricCounts`` of the training rows by a key of the itemset's rows.
+    Continuous attributes are rejected; the unguided strategy requires
+    discretized features.
     """
     if contextual is None:
         contextual = [a.name for a in train.schema if a.role == "contextual"]
     for name in contextual:
         if train.attribute(name).kind != CATEGORICAL:
             raise MetricError(f"exhaustive enumeration requires categorical attributes, got {name!r}")
-    metric = metric.resolve(train)
+    counts = metric.counts(train)
+    codes = [train.codes(name) for name in contextual]
     results: list[tuple[tuple[ContextPredicate, ...], int, float]] = []
 
     def descend(start: int, rows: np.ndarray, preds: tuple[ContextPredicate, ...]) -> None:
-        sub = train._subset(rows)
-        results.append((preds, len(rows), _part_value(sub, metric)))
+        key = np.full(train.n_rows, -1, dtype=np.intp)
+        key[rows] = 0
+        (value,), _ = counts.group_values(key, 1)
+        results.append((preds, len(rows), float(counts.metric.guidance(value))))
         if len(preds) >= params.max_depth:
             return
         for ai in range(start, len(contextual)):
-            attr = train.attribute(contextual[ai])
-            codes = train.codes(contextual[ai])[rows]
-            for code, cat in enumerate(attr.categories):
-                keep = rows[codes == code]
+            row_codes = codes[ai][rows]
+            for code, cat in enumerate(train.attribute(contextual[ai]).categories):
+                keep = rows[row_codes == code]
                 if len(keep) < params.min_size:
                     continue
                 descend(ai + 1, keep, preds + (ContextPredicate(contextual[ai], "in", values=(cat,)),))

@@ -142,8 +142,8 @@ def test_criterion_5_metric_unit_checks():
     nmi_ok = 0.0001 <= nmi <= 0.0005
 
     dept_a = dataset_from_table(DEPT_A_SAMPLE)
-    diff = BoundMetric(MetricKind("diff"), "gender", "admitted", "Yes", "Female",
-                       "Male").resolve(dept_a).value(dept_a)
+    diff = evaluate_metric(dept_a, BoundMetric(MetricKind("diff"), "gender", "admitted", "Yes",
+                                               "Female", "Male"), StatConfig()).value.value
     diff_ok = abs(diff - 0.2244) <= 1e-4
 
     holm = holm_bonferroni([0.01, 0.02, 0.04])

@@ -186,6 +186,36 @@ def test_bad_seed_variable_is_a_usage_error_only_without_seed(berkeley_csv, tmp_
     assert "UATEST_SEED must be an integer, got 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["testing", "--protected", "s", "--output", "o"],
+    ["discovery", "--protected", "s", "--output", "l1,l2"],
+    ["error-profile", "--protected", "s", "--output", "o", "--ground-truth", "g"],
+    ["bench"],
+    ["tree-vs-itemsets"],
+], ids=["testing", "discovery", "error-profile", "bench", "tree-vs-itemsets"])
+def test_a_negative_seed_exits_2_before_any_data_is_read(roles_csv, tmp_path, capsys,
+                                                         monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("data was read or generated")
+
+    for name in ("load_csv", "run_detection_benchmark", "tree_vs_itemsets"):
+        monkeypatch.setattr(f"uatest.cli.{name}", refuse)
+    data = [] if argv[0] in ("bench", "tree-vs-itemsets") else ["--data", roles_csv]
+    out = tmp_path / "out.txt"
+    assert main([*argv, *data, "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "uatest: --seed must be non-negative, got -1\n"
+    assert not out.exists()
+
+
+def test_a_negative_seed_variable_is_a_usage_error(roles_csv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("UATEST_SEED", "-3")
+    out = tmp_path / "out.txt"
+    assert main(["testing", "--data", roles_csv, "--protected", "s", "--output", "o",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "uatest: UATEST_SEED must be non-negative, got '-3'\n"
+    assert not out.exists()
+
+
 def test_a_directory_for_a_file_exits_2_naming_it(berkeley_csv, tmp_path, capsys):
     data, schema = berkeley_csv
     state = tmp_path / "state.json"
@@ -447,6 +477,33 @@ def test_untestable_global_population_is_a_data_error(tmp_path, capsys):
     assert captured.out == ""
     assert "protected attribute 'g'" in captured.err and "output 'o'" in captured.err
     assert "DIFF undefined on this population" in captured.err
+
+
+@pytest.mark.parametrize("half, message", [
+    ("training", "CORR undefined on the 200 training rows of protected attribute 'age' and "
+                 "output 'Abs. Error(pred)'"),
+    ("test", "global population untestable for protected attribute 'age' and output "
+             "'Abs. Error(pred)' on the test rows: CORR undefined on this population"),
+])
+def test_an_infinite_cell_is_named_where_corr_is_undefined(tmp_path, capsys, half, message):
+    # two infinite predictions, and so two infinite errors, in one half of
+    # the split leave CORR undefined there
+    n, seed = 400, 1
+    perm = np.random.default_rng(seed).permutation(n)
+    rows = perm[:n // 2] if half == "training" else perm[n // 2:]
+    rng = np.random.default_rng(3)
+    age, actual = rng.uniform(20, 90, n), rng.normal(2, 1, n)
+    pred = actual + rng.normal(0, 1, n)
+    pred[rows[:2]] = np.inf
+    path = tmp_path / "preds.csv"
+    path.write_text("age,pred,actual,c\n" + "".join(
+        f"{a},{p},{t},{'xyz'[i % 3]}\n" for i, (a, p, t) in enumerate(zip(age, pred, actual))))
+    assert main(["error-profile", "--data", str(path), "--protected", "age", "--output", "pred",
+                 "--ground-truth", "actual", "--context", "c", "--seed", str(seed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"uatest: {message}: column 'Abs. Error(pred)' holds an infinite "
+                            "value in 2 of these rows\n")
 
 
 def test_csv_with_byte_order_mark(tmp_path, capsys):
@@ -1020,6 +1077,29 @@ def test_older_state_layout_debugs_to_the_same_report(roles_csv, tmp_path, argv,
         reports.append(out.read_bytes())
     assert reports[0] == reports[1] == reports[2]
     assert json.loads(reports[0])["reports"][0]["output"] == output_display
+
+
+def test_a_state_that_still_holds_reports_loads(roles_csv, tmp_path):
+    # states once stored the run's reports, which nothing reads; debug reads
+    # such a state and rewrites it in the current layout, without them
+    saved, report = tmp_path / "saved.json", tmp_path / "report.json"
+    assert main(["testing", "--data", roles_csv, "--protected", "s", "--output", "o",
+                 "--context", "c", "--min-size", "50", "--budget", "2", "--seed", "1",
+                 "--format", "json", "--state", str(saved), "--out", str(report)]) == 0
+    state = json.loads(saved.read_text())
+    assert "reports" not in state
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps({**state, **json.loads(report.read_text())}, indent=2))
+    outs = []
+    for path in (saved, older):
+        out = tmp_path / f"debug-{path.stem}.json"
+        assert main(["debug", "--data", roles_csv, "--state", str(path), "--explanatory", "c",
+                     "--format", "json", "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert older.read_bytes() == saved.read_bytes()
+    assert json.loads(saved.read_text()) == {
+        **state, "datasource": {**state["datasource"], "consumed": 2}}
 
 
 @pytest.mark.parametrize("run, setting, value, message", [

@@ -177,6 +177,11 @@ def test_datasource_insufficient_rows():
         make_datasource(d, budget=2, train_fraction=0.5, seed=0, min_size=200)
 
 
+def test_datasource_rejects_a_negative_seed():
+    with pytest.raises(DataError, match="^seed must be non-negative, got -1$"):
+        make_datasource(random_dataset(1000, seed=2), budget=1, seed=-1)
+
+
 def test_budget_semantics():
     d = random_dataset(1000, seed=4)
     ds = make_datasource(d, budget=2, train_fraction=0.5, seed=0)

@@ -72,6 +72,11 @@ def test_holm_rejects_bad_input():
         holm_bonferroni([0.5, 1.5])
 
 
+def test_stat_config_rejects_a_negative_seed():
+    with pytest.raises(StatsError, match="^seed must be non-negative, got -1$"):
+        StatConfig(seed=-1)
+
+
 def test_holm_matches_step_down_loop():
     def reference(ps):
         order = sorted(range(len(ps)), key=lambda i: ps[i])
@@ -360,9 +365,14 @@ def test_seven_row_population_is_tested():
 
 
 def test_conditional_value_matches_conditional_metric():
+    # the size-weighted mean of DIFF on each stratum's own rows; both strata
+    # hold more than MIN_STRATUM rows
     d = stratified_null(700, 4)
     tm = evaluate_metric(d, COND_DIFF, StatConfig(seed=0, n_bootstrap=200))
-    assert tm.value.value == pytest.approx(COND_DIFF.resolve(d).value(d), abs=1e-12)
+    strata = [d._subset(np.flatnonzero(d.codes("e") == k)) for k in (0, 1)]
+    expected = sum(v.n_rows * evaluate_metric(v, DIFF, StatConfig()).value.value
+                   for v in strata) / d.n_rows
+    assert tm.value.value == pytest.approx(expected, abs=1e-12)
 
 
 def test_conditional_bootstrap_reapplies_stratum_exclusions():
@@ -407,7 +417,7 @@ def test_batched_resample_statistics_match_conditional_metric():
     def stratum_value(rows, name):
         if name == "corr":
             return corrcoef(x[rows], y[rows])
-        return diff.unconditional().value(d._subset(rows))
+        return evaluate_metric(d._subset(rows), diff.unconditional(), StatConfig()).value.value
 
     def reference(bound):
         out = []

@@ -4,7 +4,8 @@ import pytest
 from uatest.dataset import ContextPredicate, DataError
 from uatest.investigations import Finding, ReportModel
 from uatest.metrics import BoundMetric, MetricKind, MetricValue
-from uatest.stats import TestedMetric
+from uatest.stats import StatConfig, TestedMetric
+from uatest.stats import test_metric as evaluate_metric
 from uatest.synth import (
     CategoricalSpec,
     PlantSpec,
@@ -19,7 +20,8 @@ from uatest.synth import (
 
 def global_diff(d):
     """DIFF of Pr(output = 1) between the low and the high income group."""
-    return BoundMetric(MetricKind("diff"), "income", "output", "1", "low", "high").value(d)
+    bound = BoundMetric(MetricKind("diff"), "income", "output", "1", "low", "high")
+    return evaluate_metric(d, bound, StatConfig()).value.value
 
 
 def test_generate_null_has_no_global_effect():

@@ -79,6 +79,58 @@ def test_every_private_definition_is_referenced():
     assert [f"{file}:{line} {name}" for file, line, name in unreferenced_private(sources)] == []
 
 
+def unread_public(defining: dict[str, str], reading: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(file, line, name) of every module-level function of ``defining``
+    (source text by file name), and every method of its module-level classes
+    whose name does not start with ``_``, that no name, attribute, import or
+    identifier string (a name ``getattr`` may read) in ``reading`` reads. As
+    in ``unreferenced_private``, a read matches by name alone, so one read of
+    a name covers every definition of it."""
+    defined, read = [], set()
+    for file, source in defining.items():
+        for node in ast.parse(source).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            defined += [(file, m.lineno, m.name) for m in members
+                        if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and (m is node or not m.name.startswith("_"))]
+    for source in reading.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [d for d in defined if d[2] not in read]
+
+
+def test_unread_public_definitions_are_found():
+    a = ("def used():\n    pass\ndef unused():\n    pass\ndef _private():\n    pass\n"
+         "class C:\n    def method(self):\n        pass\n    def dead(self):\n        pass\n"
+         "    def _hidden(self):\n        pass\n    def __init__(self):\n        pass\n"
+         "    @property\n    def field(self):\n        pass\n"
+         "def outer():\n    def inner():\n        pass\n")
+    b = "from a import used\nC().method()\nx = outer\ny = getattr(C(), 'field')\n"
+    assert unread_public({"a.py": a}, {"a.py": a, "b.py": b}) == [
+        ("a.py", 3, "unused"), ("a.py", 5, "_private"), ("a.py", 10, "dead")]
+
+
+# the README's bundled example data, read by users of the package
+PUBLIC_READ_BY_USERS = {"berkeley_admissions"}
+
+
+def test_every_public_definition_is_read():
+    # a public helper that only tests call is a duplicate to delete or fold in
+    paths = [p for p in sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+             if p.name != "__init__.py"]
+    reading = {str(p.relative_to(ROOT)): p.read_text() for p in paths}
+    defining = {name: source for name, source in reading.items() if name.startswith("src")}
+    assert [f"{file}:{line} {name}" for file, line, name in unread_public(defining, reading)
+            if name not in PUBLIC_READ_BY_USERS] == []
+
+
 def private_imports(sources: dict[str, str]) -> list[tuple[str, int, str]]:
     """(file, line, name) of every name starting with a single ``_`` that a
     ``from ... import`` of ``sources`` (source text by file name) imports

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from uatest import metrics
 from uatest.dataset import CATEGORICAL, AttributeSchema, ContextPredicate, Dataset
 from uatest.metrics import BoundMetric, MetricError, MetricKind
+from uatest.stats import StatConfig
+from uatest.stats import test_metric as evaluate_metric
 from uatest.tree import (
     CategorySplits,
     ThresholdSplits,
@@ -47,13 +49,13 @@ def planted_dataset(n=4000, seed=0, delta=0.2, attrs=4):
 
 def node_splits(view, attribute, params, metric=DIFF):
     """The candidate splits of ``view`` on ``attribute``, scored as the one
-    node of a level, with raw part values (no guidance), or None if it has
-    none."""
+    node of a level, with part values after ``BoundMetric.guidance``, or None
+    if it has none."""
     splits = (CategorySplits(view, attribute)
               if view.attribute(attribute).kind == CATEGORICAL
               else ThresholdSplits(view, attribute, params.quantile_splits))
     scores = splits.score(np.zeros(view.n_rows, dtype=np.intp), np.array([-math.inf]),
-                          metric.resolve(view).counts(view), lambda values: values)
+                          metric.resolve(view).counts(view))
     return None if scores is None else splits
 
 
@@ -147,8 +149,9 @@ def _oracle_column(data, kind, n):
 @given(st.data())
 def test_binned_scorer_matches_per_threshold_scoring(data):
     # the binned scorer gives every split the brute-force scorer keeps, with
-    # equal part values: exactly for the table metrics, within 1e-12 for
-    # CORR, whose moments are merged per part instead of summed per part
+    # equal part values after guidance: exactly for the table metrics, within
+    # 1e-12 for CORR, whose moments are merged per part instead of summed per
+    # part; a split's key gives the brute-force values themselves
     n = data.draw(st.integers(0, 60))
     name = data.draw(st.sampled_from(["diff", "ratio", "nmi", "corr"]))
     kind = data.draw(st.sampled_from(["continuous", "ordinal", "categorical"]))
@@ -187,9 +190,9 @@ def test_binned_scorer_matches_per_threshold_scoring(data):
     assert values.shape == (len(expected), len(expected[0][1]))
     for j, (_, want) in enumerate(expected):
         if name == "corr":
-            np.testing.assert_allclose(values[j], want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(values[j], metric.guidance(want), rtol=0, atol=1e-12)
         else:
-            np.testing.assert_array_equal(values[j], want)
+            np.testing.assert_array_equal(values[j], metric.guidance(want))
         key = split_key(view, splits, j)
         assert np.array_equal(metric.counts(view).group_values(key, len(want))[0], want,
                               equal_nan=True)
@@ -215,7 +218,7 @@ def test_presorted_cuts_are_bit_equal_to_np_quantile(data):
     d = Dataset(schema, {"x": values, "s": (rows % 2).astype(np.int32),
                          "o": (rows % 3 == 0).astype(np.int32)})
     splits = ThresholdSplits(d, "x", q)
-    splits.score(key, np.full(len(nodes), -math.inf), DIFF.resolve(d).counts(d), np.abs)
+    splits.score(key, np.full(len(nodes), -math.inf), DIFF.resolve(d).counts(d))
     for i in range(len(nodes)):
         defined = values[(key == i) & ~np.isnan(values)]
         if len(defined) < 4:
@@ -424,4 +427,5 @@ def test_registered_metrics_match_per_view_guidance():
         contexts = find_contexts(d, TreeParams(min_size=100, max_depth=3), metric)
         assert {p.attribute for c in contexts for p in c.predicates} == {"x", "age"}
         for c in contexts:
-            assert c.train_metric == metric.guidance(d.select(c.predicates))
+            tested = evaluate_metric(d.select(c.predicates), metric, StatConfig())
+            assert c.train_metric == metric.guidance(tested.value.value)

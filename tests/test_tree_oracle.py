@@ -1,13 +1,17 @@
-"""The level-at-a-time tree against a recursive reference.
+"""The level-at-a-time tree and the itemset baseline against per-view
+references.
 
 ``recursive_contexts`` grows the tree one node at a time, depth first, from
 each node's own ``Dataset`` view, its own ``np.quantile`` cuts and its own
 bin counts. The level tree must register the same contexts in the same
 order, with the same sizes, bit-equal associations and the same node and
-metric-evaluation counts.
+metric-evaluation counts. ``view_itemsets`` enumerates the itemsets of
+``exhaustive_contexts`` from a view per itemset, each valued by
+``stats.test_metric``.
 """
 
 import math
+import sys
 
 import numpy as np
 from hypothesis import given, settings
@@ -22,7 +26,10 @@ from uatest.metrics import (
     joint_counts,
     moment_correlation,
 )
-from uatest.tree import ContextNode, TreeParams, TreeStats, find_contexts
+from uatest.stats import StatConfig
+from uatest.stats import test_metric as evaluate_metric
+from uatest.synth import tree_vs_itemsets
+from uatest.tree import ContextNode, TreeParams, TreeStats, exhaustive_contexts, find_contexts
 
 
 def _merged_moments(moments, members):
@@ -80,19 +87,19 @@ def _candidate_splits(view, attribute, params):
     return bins, None, (), cuts, kept
 
 
+def view_value(view, metric):
+    """The ``guidance`` of the metric's estimate on ``view``, NaN where it is
+    undefined."""
+    try:
+        return float(metric.guidance(evaluate_metric(view, metric, StatConfig()).value.value))
+    except MetricError:
+        return math.nan
+
+
 def recursive_contexts(train, params, metric, contextual, stats):
     """The tree grown node by node, depth first."""
     metric = metric.resolve(train)
     registered = []
-
-    def guidance(values):
-        return np.abs(values) if metric.kind.signed else values
-
-    def part_value(view):
-        try:
-            return metric.guidance(view)
-        except MetricError:
-            return math.nan
 
     def recurse(view, predicates, value):
         stats.n_nodes += 1
@@ -115,7 +122,7 @@ def recursive_contexts(train, params, metric, contextual, stats):
             else:
                 part_values = _threshold_values(metric, view, bins, len(cuts) + 1)[kept]
             stats.n_metric_evals += part_values.size
-            part_values = guidance(part_values)
+            part_values = metric.guidance(part_values)
             zeroed = np.where(np.isnan(part_values), 0.0, part_values)
             scores = np.where((zeroed > value).any(axis=1), zeroed.mean(axis=1), -math.inf)
             j = int(np.argmax(scores))
@@ -135,13 +142,13 @@ def recursive_contexts(train, params, metric, contextual, stats):
                      ContextPredicate(attr, "gt", threshold=t)]
         key = np.where(bins >= 0, part_of[bins], -1)
         if cuts is not None and not metric.tabular:
-            part_values = guidance(metric.counts(view).group_values(key, 2)[0])
+            part_values = metric.guidance(metric.counts(view).group_values(key, 2)[0])
         for i, pred in enumerate(preds):
             recurse(view._subset(np.flatnonzero(key == i)), predicates + (pred,),
                     float(part_values[i]))
 
     stats.n_metric_evals += 1
-    recurse(train, (), part_value(train))
+    recurse(train, (), view_value(train, metric))
     return registered
 
 
@@ -235,3 +242,78 @@ def test_level_tree_matches_recursive_tree(seed, n, name, kinds, quantile_splits
     assert [repr(c.train_metric) for c in got] == [repr(c.train_metric) for c in want]
     assert (got_stats.n_metric_evals, got_stats.n_nodes) == (want_stats.n_metric_evals,
                                                              want_stats.n_nodes)
+
+
+def view_itemsets(train, params, metric, contextual):
+    """The itemsets of ``exhaustive_contexts``, each valued on its own view."""
+    metric = metric.resolve(train)
+    results = []
+
+    def descend(start, rows, preds):
+        results.append((preds, len(rows), view_value(train._subset(rows), metric)))
+        if len(preds) >= params.max_depth:
+            return
+        for ai in range(start, len(contextual)):
+            attr = train.attribute(contextual[ai])
+            codes = train.codes(contextual[ai])[rows]
+            for code, cat in enumerate(attr.categories):
+                keep = rows[codes == code]
+                if len(keep) < params.min_size:
+                    continue
+                descend(ai + 1, keep, preds + (ContextPredicate(contextual[ai], "in", values=(cat,)),))
+
+    descend(0, np.arange(train.n_rows), ())
+    return results
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 300),
+       name=st.sampled_from(["diff", "ratio", "nmi", "corr"]),
+       widths=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       min_size=st.integers(10, 40), max_depth=st.integers(0, 3))
+def test_itemsets_match_per_view_itemsets(seed, n, name, widths, min_size, max_depth):
+    rng = np.random.default_rng(seed)
+    schema, columns = [], {}
+    for a, k in enumerate(widths):
+        schema.append(AttributeSchema(f"a{a}", CATEGORICAL, "contextual",
+                                      tuple(str(c) for c in range(k))))
+        columns[f"a{a}"] = rng.integers(-1 if rng.random() < 0.5 else 0, k, n).astype(np.int32)
+    if name == "corr":
+        x = rng.normal(size=n)
+        y = (1 + columns["a0"]) * x + rng.normal(size=n)
+        x[rng.random(n) < 0.1] = math.nan
+        y[rng.random(n) < 0.02] = rng.choice([math.inf, -math.inf])
+        for col, role, values in (("s", "protected", x), ("o", "output", y)):
+            schema.append(AttributeSchema(col, "continuous", role))
+            columns[col] = values
+    else:
+        k = 3 if name == "nmi" and rng.random() < 0.5 else 2
+        for col, role, cats in (("s", "protected", k), ("o", "output", 2)):
+            schema.append(AttributeSchema(col, CATEGORICAL, role, tuple(str(c) for c in range(cats))))
+            columns[col] = rng.integers(-1, cats, n).astype(np.int32)
+    view = Dataset(schema, columns)
+    metric = BoundMetric(MetricKind(name), "s", "o")
+    params = TreeParams(min_size=min_size, max_depth=max_depth)
+    contextual = [f"a{a}" for a in range(len(widths))]
+    want = view_itemsets(view, params, metric, contextual)
+    got = exhaustive_contexts(view, params, metric, contextual)
+    assert [(repr(p), k, repr(v)) for p, k, v in got] == [(repr(p), k, repr(v)) for p, k, v in want]
+
+
+def test_itemset_baseline_builds_no_view_per_candidate(monkeypatch):
+    calls = []  # (method, calling function) of every view built
+    for method in ("select", "_subset"):
+        def spy(self, *args, _method=method, _original=getattr(Dataset, method)):
+            calls.append((_method, sys._getframe(1).f_code.co_name))
+            return _original(self, *args)
+        monkeypatch.setattr(Dataset, method, spy)
+    rng = np.random.default_rng(2)
+    columns = {name: rng.integers(0, 2, 2000).astype(np.int32) for name in ("a", "b", "s", "o")}
+    view = Dataset([AttributeSchema(name, CATEGORICAL, "contextual", ("0", "1"))
+                    for name in columns], columns)
+    itemsets = exhaustive_contexts(view, TreeParams(min_size=10, max_depth=2),
+                                   BoundMetric(MetricKind("diff"), "s", "o"), ["a", "b"])
+    assert len(itemsets) == 9 and calls == []
+    tree_vs_itemsets(4000, 6, seed=1, min_size=100, max_depth=3)
+    # only the split's train and test halves, which the data source cuts
+    assert calls == [("_subset", "__init__")] * 2
