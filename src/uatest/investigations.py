@@ -335,16 +335,17 @@ def _train_discovery_units(spec: DiscoverySpec, cleaned: Dataset, s: str,
         raise MetricError(f"discovery needs both values of protected attribute {s!r} in the "
                           f"training rows, but none has {absent[0]!r}")
     labels = list(spec.output)
-    indicators = np.empty((cleaned.n_rows, len(labels)))
+    # label-major, so that each label fills one contiguous row
+    indicators = np.empty((len(labels), cleaned.n_rows))
     for j, name in enumerate(labels):
         attr = cleaned.attribute(name)
         if attr.kind != CATEGORICAL or len(attr.categories or ()) != 2:
             raise DataError(f"discovery label column {name!r} must be binary categorical")
-        indicators[:, j] = cleaned.codes(name) == len(attr.categories) - 1
+        indicators[j] = cleaned.codes(name) == len(attr.categories) - 1
     # a bad explanatory attribute fails before any label is scored
     BoundMetric(MetricKind(DIFF, spec.explanatory), s, labels[0]).resolve(cleaned)
     y = cleaned.codes(s) == len(p_attr.categories) - 1
-    scores = logistic_label_scores(indicators, y.astype(float), labels)
+    scores = logistic_label_scores(indicators.T, y.astype(float), labels)
     top = scores.top_labels(spec.top_k)
     logger.info("discovery on %s: testing top %d of %d labels", s, len(top), len(labels))
 

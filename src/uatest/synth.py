@@ -289,6 +289,11 @@ class BenchResult:
     data: Dataset
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise DataError(f"seed must be non-negative, got {seed}")
+
+
 def run_detection_benchmark(n: int, n_plants: int, delta: float, plant_size: int,
                             seed: int, conf: float = 0.95, min_size: int = 100,
                             max_depth: int = 5, train_fraction: float = 0.4,
@@ -303,9 +308,11 @@ def run_detection_benchmark(n: int, n_plants: int, delta: float, plant_size: int
     floor once the correction family is large.
 
     Settings are checked before anything is generated: ``n`` at least 1,
-    ``delta`` in [0, 0.5], where 0 plants nothing (the null benchmark), and
-    ``n_plants`` at least 1 when ``delta`` is positive.
+    ``delta`` in [0, 0.5], where 0 plants nothing (the null benchmark),
+    ``n_plants`` at least 1 when ``delta`` is positive, and ``seed``
+    non-negative.
     """
+    _check_seed(seed)
     if n < 1:
         raise DataError(f"n must be at least 1, got {n}")
     if not 0.0 <= delta <= 0.5:
@@ -351,7 +358,9 @@ def tree_vs_itemsets(n: int, n_attrs: int, seed: int, min_size: int = 500,
     support, which is the brute-force analog of the guided search. Each test
     association (0 where undefined) is read from one ``MetricCounts`` of the
     held-out half, by a ``Dataset.layer_key`` of the candidate's rows.
+    A negative ``seed`` is a DataError, raised before anything is generated.
     """
+    _check_seed(seed)
     if n_attrs < 3:
         raise DataError("the comparison needs at least 3 contextual attributes")
     # heterogeneous planted effects (opposing directions) so that subpopulation

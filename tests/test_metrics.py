@@ -1,10 +1,17 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uatest.dataset import AttributeSchema, Dataset
 from uatest.metrics import (
+    L2_PENALTY,
+    MAX_NEWTON_ITER,
+    NEWTON_TOL,
     BoundMetric,
     MetricError,
     MetricKind,
@@ -258,6 +265,142 @@ def test_logistic_null_calibration_fraction():
 def test_logistic_rejects_constant_protected():
     with pytest.raises(MetricError):
         logistic_label_scores(np.zeros((10, 1)), np.zeros(10), ["l0"])
+
+
+def newton_label_scores(indicators, protected):
+    """The reference fit of ``logistic_label_scores``: damped Newton from
+    beta = 0, one weighted Gram per step, no fixed-curvature phase. Returns
+    the label coefficients and standard errors."""
+    b = np.asarray(indicators, dtype=np.float64)
+    y = np.asarray(protected, dtype=np.float64)
+    n, d = b.shape
+    x = np.hstack([np.ones((n, 1)), b])
+    pen = np.full(d + 1, L2_PENALTY)
+    pen[0] = 0.0
+    beta = np.zeros(d + 1)
+
+    def objective(bt):
+        eta = x @ bt
+        ll = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+        return ll - 0.5 * float(np.sum(pen * bt * bt))
+
+    obj = objective(beta)
+    for _ in range(MAX_NEWTON_ITER):
+        eta = np.clip(x @ beta, -30, 30)
+        p = 1.0 / (1.0 + np.exp(-eta))
+        w = np.clip(p * (1.0 - p), 1e-10, None)
+        grad = x.T @ (y - p) - pen * beta
+        hess = (x.T * w) @ x + np.diag(np.maximum(pen, 1e-10))
+        step = np.linalg.solve(hess, grad)
+        scale = 1.0
+        for _ in range(30):
+            if objective(beta + scale * step) >= obj - 1e-12:
+                break
+            scale *= 0.5
+        beta = beta + scale * step
+        obj = objective(beta)
+        if np.max(np.abs(scale * step)) < NEWTON_TOL:
+            break
+    se = np.sqrt(np.clip(np.diag(np.linalg.inv(hess)), 1e-300, None))
+    return beta[1:], se[1:]
+
+
+LABEL_DESIGNS = ("balanced", "rare", "separated", "wide")
+
+
+def label_design(design, seed, order):
+    """A 0/1 label matrix in ``order`` and a binary protected column:
+    ``balanced`` (a 1/2 base rate), ``rare`` (a base rate near 3 %),
+    ``separated`` (label l0 equals the protected value) or ``wide`` (about
+    n/10 labels)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(300, 3000))
+    d = n // 10 if design == "wide" else int(rng.integers(1, 30))
+    b = (rng.random((n, d)) < rng.uniform(0.05, 0.6, d)).astype(float)
+    effect = np.where(rng.random(d) < 0.3, rng.normal(0.0, 0.5, d), 0.0)
+    intercept = -3.5 if design == "rare" else -float(b.mean(axis=0) @ effect)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(intercept + b @ effect)))).astype(float)
+    y[:2] = (0.0, 1.0)  # both protected values present
+    if design == "separated":
+        b[:, 0] = y
+    return (np.asfortranarray(b) if order == "F" else np.ascontiguousarray(b)), y
+
+
+def label_score(b, y, coefficients):
+    """The penalized score X'(y - p) - P beta of the label coefficients, at
+    the intercept that zeroes its own score (found by bisection: that score
+    falls as the intercept rises)."""
+    eta = b @ coefficients
+    lo, hi = -60.0, 60.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.sum(y - 1.0 / (1.0 + np.exp(-np.clip(mid + eta, -700, 700)))) > 0:
+            lo = mid
+        else:
+            hi = mid
+    p = 1.0 / (1.0 + np.exp(-np.clip(0.5 * (lo + hi) + eta, -700, 700)))
+    return b.T @ (y - p) - L2_PENALTY * coefficients
+
+
+def label_inputs(test):
+    """Run ``test`` over derandomized ``label_design`` inputs."""
+    return settings(max_examples=80, deadline=None, derandomize=True)(
+        given(design=st.sampled_from(LABEL_DESIGNS), seed=st.integers(0, 2**32 - 1),
+              order=st.sampled_from("CF"))(test))
+
+
+@label_inputs
+def test_label_scores_match_damped_newton(design, seed, order):
+    """The fixed-curvature phase moves no coefficient, standard error or
+    ranking beyond the damped-Newton reference's own tolerance."""
+    b, y = label_design(design, seed, order)
+    labels = [f"l{j}" for j in range(b.shape[1])]
+    scores = logistic_label_scores(b, y, labels)
+    coefficients, stderr = newton_label_scores(b, y)
+    np.testing.assert_allclose(scores.coefficients, coefficients, rtol=1e-8,
+                               atol=1e-8 * np.max(np.abs(coefficients)))
+    np.testing.assert_allclose(scores.stderr, stderr, rtol=1e-8)
+    order_ref = np.argsort(-np.abs(coefficients) / stderr, kind="stable")
+    assert scores.top_labels(len(labels)) == tuple(labels[i] for i in order_ref)
+
+
+@label_inputs
+def test_label_scores_are_stationary(design, seed, order):
+    """Every label's penalized score is below NEWTON_TOL per row at the fit:
+    the fixed-curvature phase hands over a point Newton finishes."""
+    b, y = label_design(design, seed, order)
+    scores = logistic_label_scores(b, y, [f"l{j}" for j in range(b.shape[1])])
+    assert np.max(np.abs(label_score(b, y, scores.coefficients))) <= NEWTON_TOL * len(y)
+
+
+def scoring_steps(caplog, indicators, protected):
+    """The (fixed-curvature, Newton) step counts of one label scoring, from
+    its debug line."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="uatest.metrics"):
+        logistic_label_scores(indicators, protected,
+                              [f"l{j}" for j in range(indicators.shape[1])])
+    (message,) = caplog.messages
+    found = re.fullmatch(r"label scoring over \d+ rows and \d+ labels: (\d+) fixed-curvature "
+                         r"steps, (\d+) Newton steps", message)
+    return int(found[1]), int(found[2])
+
+
+def test_label_scoring_logs_its_steps(caplog):
+    rng = np.random.default_rng(4)
+    n = 2000
+    balanced = (rng.random((n, 50)) < rng.uniform(0.1, 0.5, 50)).astype(float)
+    fixed, newton = scoring_steps(caplog, balanced, rng.integers(0, 2, n).astype(float))
+    assert fixed >= 1 and newton <= 2
+    # the input of test_logistic_scores_perfect_separation_is_finite_and_ranks_first
+    rng = np.random.default_rng(3)
+    s = rng.integers(0, 2, n)
+    separated = np.column_stack([s.astype(float), (rng.random(n) < 0.4).astype(float),
+                                 (rng.random(n) < 0.2).astype(float)])
+    fixed, newton = scoring_steps(caplog, separated, s.astype(float))
+    assert fixed <= 10 and newton >= 1
+
+
 
 
 def berkeley_like_dataset():

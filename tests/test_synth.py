@@ -168,3 +168,13 @@ def test_tree_vs_itemsets_economy():
     assert item_row.strategy == "itemsets"
     assert tree_row.candidates_considered <= item_row.candidates_considered / 4
     assert tree_row.top3_mean_association >= 0.9 * item_row.top3_mean_association
+
+
+def test_detection_benchmark_rejects_a_negative_seed():
+    with pytest.raises(DataError, match=r"^seed must be non-negative, got -1$"):
+        run_detection_benchmark(n=1000, n_plants=1, delta=0.1, plant_size=400, seed=-1)
+
+
+def test_tree_vs_itemsets_rejects_a_negative_seed():
+    with pytest.raises(DataError, match=r"^seed must be non-negative, got -1$"):
+        tree_vs_itemsets(n=1000, n_attrs=3, seed=-1)
