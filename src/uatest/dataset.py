@@ -14,7 +14,7 @@ import io
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -152,6 +152,9 @@ class Dataset:
             index = np.arange(self._base_len, dtype=np.int64)
         self._idx = np.asarray(index, dtype=np.int64)
         self._idx.setflags(write=False)
+        # whether a base column holds a missing cell, filled on first read;
+        # views share it, since a view's missing cells are among its base's
+        self._base_missing: dict[str, bool] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -303,12 +306,19 @@ class Dataset:
         return key
 
     def drop_missing(self, attrs: Iterable[str]) -> "Dataset":
-        """View without rows that have a missing value in any of ``attrs``."""
+        """View without rows that have a missing value in any of ``attrs``.
+        A column whose base storage holds no missing cell is not read."""
         mask = np.ones(self.n_rows, dtype=bool)
         for name in attrs:
-            attr = self.attribute(name)
-            col = self._cols[name][self._idx]
-            mask &= ~np.isnan(col) if attr.kind == CONTINUOUS else col >= 0
+            continuous = self.attribute(name).kind == CONTINUOUS
+            missing = self._base_missing.get(name)
+            if missing is None:  # min() propagates a NaN, and allocates no mask
+                base = self._cols[name]
+                missing = self._base_missing[name] = bool(
+                    np.isnan(base.min(initial=0.0)) if continuous else base.min(initial=0) < 0)
+            if missing:
+                col = self._cols[name][self._idx]
+                mask &= ~np.isnan(col) if continuous else col >= 0
         if mask.all():
             return self
         return self._subset(np.flatnonzero(mask))
@@ -352,13 +362,14 @@ def _encode_column(name: str, cells: Sequence, rows: np.ndarray,
     and each row's index into them (what :func:`_factorize` returns);
     ``attr=None`` infers the schema as :func:`load_csv` describes.
 
-    This is the only reader of raw cells, and its rules run once per distinct
-    cell: ``None`` and ``""`` are missing, continuous cells parse with
-    ``float()``, other cells are coded by ``str()`` into the pinned category
-    list, or else into one in ascending ``float()`` order (NaN last, equal
-    numbers in first-appearance order) where every cell is a number, and in
-    first-appearance order where one is not. An error names the cell's
-    first row.
+    Besides :func:`_parse_decimals`, which reads the decimal columns of the
+    numpy tokenizer in place, this is the only reader of raw cells, and its
+    rules run once per distinct cell: ``None`` and ``""`` are missing,
+    continuous cells parse with ``float()``, other cells are coded by
+    ``str()`` into the pinned category list, or else into one in ascending
+    ``float()`` order (NaN last, equal numbers in first-appearance order)
+    where every cell is a number, and in first-appearance order where one
+    is not. An error names the cell's first row.
     """
     if attr is None or attr.kind == CONTINUOUS or attr.categories is None:
         numbers, bad = [], None  # None marks a missing cell
@@ -420,7 +431,7 @@ def load_csv(path, schema="infer") -> Dataset:
     every non-missing cell is a number (NaN last, equal numbers such as ``1``
     and ``1.0`` in first-appearance order), else in first-appearance order.
     Each column is encoded from its distinct cells, so these rules run once
-    per distinct cell.
+    per distinct cell, except in the decimal columns below.
 
     A file with no ``"`` or NUL byte, no ``\\r`` outside a ``\\r\\n`` line end,
     the header's field count on every line up to the trailing blank ones and
@@ -428,9 +439,16 @@ def load_csv(path, schema="infer") -> Dataset:
     is read by :func:`csv.reader`. The tokenizer factorizes every column of
     cells at most one byte wide as one block, from the first byte of each
     field, in the pass that measures cell widths; it factorizes wider columns
-    one at a time. Both readers give the same dataset, and the same
+    one at a time. Before it factorizes a wider column that is inferred or
+    pinned continuous, it tries to parse the column in one vectorized pass:
+    where every non-empty cell is a decimal ``-?[0-9]*(\\.[0-9]*)?`` of 1 to
+    15 digits, and an inferred column holds more than 10 distinct numbers,
+    that pass gives ``float()``'s values bit for bit; any other column is
+    factorized. Both readers give the same dataset, and the same
     error for a file they reject. A file that is not UTF-8 text or holds a
     cell longer than ``csv.field_size_limit()`` is a :class:`DataError`.
+    The debug log names the reader that ran, and how many of the wider
+    columns the vectorized pass parsed.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -439,10 +457,14 @@ def load_csv(path, schema="infer") -> Dataset:
         header, columns = _split_unquoted(raw)
     except _NeedsCsvReader as exc:
         logger.debug("read %s with csv.reader: the file has %s", path, exc)
-        header, columns = _split_csv(_decode(raw, path), path)
+        return _encode_table(*_split_csv(_decode(raw, path), path), schema)[0]
+    data, decimal = _encode_table(header, columns, schema)
+    if decimal:
+        logger.debug("read %s with the numpy tokenizer; the decimal kernel parsed %d of its "
+                     "%d columns wider than one byte", path, sum(decimal), len(decimal))
     else:
         logger.debug("read %s with the numpy tokenizer", path)
-    return _encode_table(header, columns, schema)
+    return data
 
 
 def _decode(raw: bytes, path) -> str:
@@ -461,14 +483,15 @@ class _NeedsCsvReader(Exception):
     """The numpy tokenizer does not read this file; the message says why."""
 
 
-def _split_unquoted(raw: bytes) -> tuple[list[str], Iterator[tuple[list, np.ndarray]]]:
+def _split_unquoted(raw: bytes) -> tuple[list[str], Iterator[tuple[list, np.ndarray] | _Spans]]:
     """Header and columns of a CSV file's bytes, split with numpy.
 
-    Each column comes as its distinct cells and each row's index into them,
-    as :func:`_factorize` gives. The columns no wider than one byte are coded
-    before this returns; a wider column is gathered only when the iterator
-    reaches it. Raises :class:`_NeedsCsvReader` for a file that csv.reader
-    could read differently or that must fail with csv.reader's error.
+    The columns no wider than one byte come coded before this returns, as
+    :func:`_factorize` gives them: their distinct cells and each row's index
+    into them. A wider column comes as the :class:`_Spans` of its cells,
+    measured only when the iterator reaches it. Raises
+    :class:`_NeedsCsvReader` for a file that csv.reader could read
+    differently or that must fail with csv.reader's error.
     """
     if len(raw) > MAX_TOKENIZED_FILE_BYTES:
         raise _NeedsCsvReader("2 GiB or more")
@@ -513,14 +536,23 @@ def _split_unquoted(raw: bytes) -> tuple[list[str], Iterator[tuple[list, np.ndar
     return header, _columns(buf, grid, widths, one_byte)
 
 
+class _Spans(NamedTuple):
+    """A column wider than one byte, as the byte spans of its data cells."""
+
+    buf: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+    width: int  # of its widest cell
+
+
 def _columns(buf: np.ndarray, grid: np.ndarray | None, widths: np.ndarray,
              one_byte: dict[int, tuple[list[str], np.ndarray]]
-             ) -> Iterator[tuple[list[str], np.ndarray]]:
-    """Each column of a file in order, as :func:`_factorize` gives it: the
-    coded one-byte columns from ``one_byte``, the wider ones factorized from
-    their cells in ``grid`` when reached. The grid is let go after the last
-    wider column, so that it is not held while the columns after it are
-    encoded."""
+             ) -> Iterator[tuple[list[str], np.ndarray] | _Spans]:
+    """Each column of a file in order: the coded one-byte columns from
+    ``one_byte``, as :func:`_factorize` gives them, and the wider ones as the
+    spans of their cells in ``grid``, measured when reached. The grid is let
+    go after the last wider column, so that it is not held while the columns
+    after it are encoded."""
     last = max((j for j in range(len(widths)) if j not in one_byte), default=-1)
     for j, width in enumerate(widths.tolist()):
         if j > last:
@@ -528,7 +560,7 @@ def _columns(buf: np.ndarray, grid: np.ndarray | None, widths: np.ndarray,
         if j in one_byte:
             yield one_byte.pop(j)
         else:
-            yield _factorize_spans(buf, *_cell_spans(buf, grid, j), width)
+            yield _Spans(buf, *_cell_spans(buf, grid, j), width)
 
 
 def _count_byte(buf: np.ndarray, first: int, end: int, byte: int) -> int:
@@ -646,6 +678,77 @@ def _factorize_spans(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
     return cells, code[ids]
 
 
+# A cell of at most this many digits holds a mantissa below 10**15 < 2**53:
+# it and its power of ten are exact doubles, so one division rounds as float().
+_DECIMAL_DIGITS = 15
+_POWERS_OF_TEN = np.array([float(10**k) for k in range(_DECIMAL_DIGITS + 1)])
+_DECIMAL_HEAD = 64  # cells a column must parse, and values counted, before the whole column
+
+
+def _decimal_column(spans: _Spans, attr: AttributeSchema | None) -> np.ndarray | None:
+    """The float64 storage of a column of decimal cells, inferred
+    (``attr=None``) or pinned continuous, or None for any other column (see
+    :func:`_parse_decimals`); its first ``_DECIMAL_HEAD`` cells are read
+    before the whole column. An inferred column must also hold more than
+    ``INFER_DISTINCT_THRESHOLD`` distinct numbers, else it is categorical;
+    they are counted in the head first."""
+    if attr is not None and attr.kind != CONTINUOUS:
+        return None
+    head = _parse_decimals(spans.buf, spans.starts[:_DECIMAL_HEAD],
+                           spans.lengths[:_DECIMAL_HEAD], spans.width)
+    values = None if head is None else _parse_decimals(*spans)
+    if values is None or (attr is None and _distinct_numbers(head) <= INFER_DISTINCT_THRESHOLD
+                          and _distinct_numbers(values) <= INFER_DISTINCT_THRESHOLD):
+        return None
+    return values
+
+
+def _distinct_numbers(values: np.ndarray) -> int:
+    return len(np.unique(values[~np.isnan(values)]))
+
+
+def _parse_decimals(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                    width: int) -> np.ndarray | None:
+    """``float()`` of the cells at byte spans of ``buf``, none wider than
+    ``width``, with NaN for an empty cell; None unless every other cell
+    matches ``-?[0-9]*(\\.[0-9]*)?`` with 1 to ``_DECIMAL_DIGITS`` digits.
+
+    Such a cell is m / 10**k for the integer m of its digits, k of them
+    after the point, so Horner's rule over its bytes, one position at a
+    time for every cell, and one division give ``float()``'s value bit for
+    bit (Clinger's exact case), ``-0`` included.
+    """
+    if width > _DECIMAL_DIGITS + 2:  # a sign, a point and the digits
+        return None
+    starts = starts.astype(np.intp)
+    cells = np.empty((width, len(starts)), dtype=np.uint8)  # a row per position, 0 past the end
+    for k in range(width):
+        buf.take(starts + k, mode="clip", out=cells[k])
+        cells[k] *= lengths > k
+    digit = cells - np.uint8(48)  # wraps: a byte that is no digit reads 10 or more
+    is_digit = digit < 10
+    point = cells == 46
+    bad = ~(is_digit | point | (cells == 0))
+    bad[0] &= cells[0] != 45  # a leading "-"
+    digits = is_digit.sum(axis=0, dtype=np.uint8)
+    if (bad.any() or (point.sum(axis=0, dtype=np.uint8) > 1).any()
+            or ((lengths > 0) & ((digits == 0) | (digits > _DECIMAL_DIGITS))).any()):
+        return None
+    digit *= is_digit
+    mantissa = np.zeros(len(starts))
+    scale = np.zeros(len(starts), dtype=np.uint8)  # digits after the point
+    after = np.zeros(len(starts), dtype=bool)
+    for k in range(width):
+        np.multiply(mantissa, 10.0, out=mantissa, where=is_digit[k])
+        mantissa += digit[k]
+        after |= point[k]
+        scale += is_digit[k] & after
+    values = mantissa / _POWERS_OF_TEN.take(scale)
+    np.negative(values, out=values, where=cells[0] == 45)
+    values[lengths == 0] = np.nan
+    return values
+
+
 def _split_csv(text: str, path) -> tuple[list[str], Iterator[tuple[list, np.ndarray]]]:
     """Header and factorized columns of a CSV text read by :func:`csv.reader`."""
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -673,10 +776,12 @@ def _split_csv(text: str, path) -> tuple[list[str], Iterator[tuple[list, np.ndar
     return header, map(_factorize, zip(*body))
 
 
-def _encode_table(header: list[str], columns: Iterable[tuple[list, np.ndarray]],
-                  schema) -> Dataset:
-    """Dataset of a file's header and factorized columns under ``schema``
-    (see :func:`load_csv`)."""
+def _encode_table(header: list[str], columns: Iterable[tuple[list, np.ndarray] | _Spans],
+                  schema) -> tuple[Dataset, list[bool]]:
+    """Dataset of a file's header and columns under ``schema`` (see
+    :func:`load_csv`), and for each column given as :class:`_Spans` whether
+    the decimal kernel read it. The other columns come factorized, and a
+    column of spans that :func:`_decimal_column` declines is factorized."""
     if schema == "infer":
         attrs = [None] * len(header)
     elif isinstance(schema, Mapping):
@@ -697,9 +802,17 @@ def _encode_table(header: list[str], columns: Iterable[tuple[list, np.ndarray]],
                 attrs = [by_name[name] for name in header]
             else:
                 raise DataError("schema names do not match the file header")
-    encoded = [_encode_column(name, cells, rows, attr)
-               for name, attr, (cells, rows) in zip(header, attrs, columns)]
-    return Dataset([a for a, _ in encoded], {a.name: col for a, col in encoded})
+    encoded, decimal = [], []
+    for name, attr, column in zip(header, attrs, columns):
+        if isinstance(column, _Spans):
+            values = _decimal_column(column, attr)
+            decimal.append(values is not None)
+            if values is not None:
+                encoded.append((attr or AttributeSchema(name, CONTINUOUS), values))
+                continue
+            column = _factorize_spans(*column)
+        encoded.append(_encode_column(name, *column, attr))
+    return Dataset([a for a, _ in encoded], {a.name: col for a, col in encoded}), decimal
 
 
 def schema_from_json(obj: Mapping) -> dict[str, AttributeSchema]:

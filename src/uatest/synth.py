@@ -211,38 +211,43 @@ def score_detection(report: ReportModel, plants: tuple[PlantSpec, ...] | list[Pl
     subset or superset of the plant's and at least half of the context's
     rows lie inside the plant. A reported subpopulation overlapping no plant
     on even 10% of its rows is a false discovery.
+
+    The plants must be row-disjoint, as :func:`generate` plants them, so
+    that one row key holds each row's plant; a finding's overlap with every
+    plant is one bincount of that key over the finding's rows.
     """
-    plant_rows = [frozenset(data.select(list(p.predicates)).row_ids().tolist()) for p in plants]
-    context_rows = []
-    for f in report.findings:
-        rows = frozenset(data.select(list(f.predicates)).row_ids().tolist())
-        context_rows.append((f, rows))
+    plant_of = np.full(data.n_rows, len(plants), dtype=np.intp)  # len(plants): in none
+    for i, plant in enumerate(plants):
+        rows = _context_key(data, plant.predicates) == 0
+        shared = plant_of[rows]
+        if (shared < len(plants)).any():
+            raise DataError(f"overlapping plants: {int(shared.min())} and {i} share rows")
+        plant_of[rows] = i
+    # a list per finding: its rows in each plant, and last its rows in none
+    overlaps = [np.bincount(plant_of[_context_key(data, f.predicates) == 0],
+                            minlength=len(plants) + 1).tolist() for f in report.findings]
+    sizes = [sum(counts) for counts in overlaps]
 
     discovered = []
-    for plant, rows in zip(plants, plant_rows):
-        hit = False
+    for i, plant in enumerate(plants):
         pset = set(plant.predicates)
-        for f, crows in context_rows:
-            if not crows:
-                continue
-            fset = set(f.predicates)
-            if not (fset <= pset or pset <= fset):
-                continue
-            if len(crows & rows) / len(crows) >= 0.5:
-                hit = True
-                break
-        discovered.append(hit)
-
-    false_discoveries = 0
-    for f, crows in context_rows:
-        if not crows:
-            continue
-        best = max((len(crows & rows) / len(crows) for rows in plant_rows), default=0.0)
-        if best < 0.1:
-            false_discoveries += 1
-
+        discovered.append(any(
+            size and (set(f.predicates) <= pset or pset <= set(f.predicates))
+            and counts[i] / size >= 0.5
+            for f, counts, size in zip(report.findings, overlaps, sizes)))
+    false_discoveries = sum(1 for counts, size in zip(overlaps, sizes)
+                            if size and max(counts[:-1], default=0) / size < 0.1)
     recall = float(np.mean(discovered)) if discovered else 0.0
     return DetectionScore(recall, false_discoveries, tuple(discovered))
+
+
+def _context_key(data: Dataset, predicates) -> np.ndarray:
+    """A ``Dataset.layer_key`` of one member: 0 for the rows of ``data``
+    that ``data.select(predicates)`` keeps, -1 for the others."""
+    key = np.zeros(data.n_rows, dtype=np.intp)
+    for pred in predicates:
+        key = data.layer_key(key, [0], [pred])
+    return key
 
 
 # -- end-to-end benchmark harnesses ----------------------------------------------
@@ -394,10 +399,7 @@ def tree_vs_itemsets(n: int, n_attrs: int, seed: int, min_size: int = 500,
     counts = metric.counts(test)
 
     def test_association(predicates) -> float:
-        key = np.zeros(test.n_rows, dtype=np.intp)
-        for pred in predicates:
-            key = test.layer_key(key, [0], [pred])
-        (value,), _ = counts.group_values(key, 1)
+        (value,), _ = counts.group_values(_context_key(test, predicates), 1)
         return 0.0 if math.isnan(value) else float(counts.metric.guidance(value))
 
     tree_vals = sorted((test_association(c.predicates) for c in contexts), reverse=True)

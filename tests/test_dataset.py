@@ -24,7 +24,13 @@ from uatest.dataset import (
     save_csv,
     schema_from_json,
 )
-from uatest.dataset import _encode_table, _NeedsCsvReader, _split_csv, _split_unquoted
+from uatest.dataset import (
+    _encode_table,
+    _NeedsCsvReader,
+    _parse_decimals,
+    _split_csv,
+    _split_unquoted,
+)
 
 
 def write_csv(tmp_path, name, text):
@@ -94,6 +100,30 @@ def test_missing_token_and_drop_missing(tmp_path):
     kept = d.drop_missing(["a", "b"])
     assert kept.n_rows == 1
     assert kept.values("a") == ["x"]
+
+
+def test_drop_missing_of_a_view_that_holds_no_missing_row():
+    # the base column misses cells, so the view's rows are still read; a
+    # view that reads first leaves its base's missing rows to be dropped
+    d = Dataset([AttributeSchema("g", "categorical", categories=("x", "y")),
+                 AttributeSchema("v", "continuous")],
+                {"g": np.array([0, -1, 1, 0, 1], dtype=np.int32),
+                 "v": np.array([1.0, 2.0, np.nan, 4.0, 5.0])})
+    view = d._subset(np.array([4, 0, 3]))
+    assert view.drop_missing(["g", "v"]) is view
+    assert d.drop_missing(["g", "v"]).row_ids().tolist() == [0, 3, 4]
+    assert d._subset(np.array([2, 4, 1])).drop_missing(["v"]).row_ids().tolist() == [4, 1]
+    assert d._subset(np.array([2, 4, 1])).drop_missing(["g"]).row_ids().tolist() == [2, 4]
+
+
+def test_drop_missing_drops_the_missing_cells_of_a_new_column():
+    d = random_dataset(200, seed=16)
+    assert d.drop_missing(["state", "race", "age"]) is d  # nothing is missing
+    error = np.linspace(0.0, 1.0, d.n_rows)
+    error[[3, 50]] = np.nan
+    marked = d.with_encoded(AttributeSchema("error", "continuous"), error)
+    kept = marked.drop_missing(["state", "error"])
+    assert kept.row_ids().tolist() == [r for r in range(d.n_rows) if r not in (3, 50)]
 
 
 def test_schema_from_json_roundtrip(tmp_path):
@@ -562,13 +592,13 @@ def test_blank_line_in_one_column_file_is_a_missing_cell(tmp_path, text, cells):
 def read_with_csv_reader(path, schema="infer"):
     """What :func:`load_csv` gives when csv.reader reads the file."""
     text = path.read_bytes().decode("utf-8-sig")
-    return _encode_table(*_split_csv(text, path), schema)
+    return _encode_table(*_split_csv(text, path), schema)[0]
 
 
 def read_with_tokenizer(path, schema="infer"):
     """What :func:`load_csv` gives when the numpy tokenizer reads the file;
     raises ``_NeedsCsvReader`` for a file it declines."""
-    return _encode_table(*_split_unquoted(path.read_bytes()), schema)
+    return _encode_table(*_split_unquoted(path.read_bytes()), schema)[0]
 
 
 UNQUOTED_CELLS = st.one_of(
@@ -774,6 +804,96 @@ def test_load_csv_logs_which_reader_ran(tmp_path, caplog):
     assert caplog.messages == [f"read {plain} with the numpy tokenizer",
                                f"read {quoted} with csv.reader: the file has a quote "
                                "at byte offset 4"]
+
+
+def test_load_csv_logs_how_many_wide_columns_parsed_as_decimals(tmp_path, caplog):
+    path = write_csv(tmp_path, "w.csv", "x,name,g\n" + "".join(
+        f"{i / 4},n{i % 3},{i % 2}\n" for i in range(40)))
+    with caplog.at_level(logging.DEBUG, logger="uatest.dataset"):
+        d = load_csv(path)
+    assert [a.kind for a in d.schema] == ["continuous", "categorical", "categorical"]
+    assert caplog.messages == [f"read {path} with the numpy tokenizer; the decimal kernel "
+                               "parsed 1 of its 2 columns wider than one byte"]
+
+
+# -- the decimal kernel against csv.reader and float() -------------------------
+
+
+@st.composite
+def decimal_cells(draw, max_digits):
+    """A cell that matches ``-?[0-9]*(\\.[0-9]*)?``: a sign, leading zeros,
+    a leading or trailing point, 1 to ``max_digits`` digits."""
+    size = draw(st.one_of(st.integers(1, 6), st.integers(1, max_digits)))
+    digits = draw(st.text("0123456789", min_size=size, max_size=size))
+    cut = draw(st.one_of(st.none(), st.integers(0, len(digits))))  # where a point goes
+    body = digits if cut is None else f"{digits[:cut]}.{digits[cut:]}"
+    return draw(st.sampled_from(["", "-"])) + body
+
+
+# float() reads most of these, and the decimal kernel none of them
+REJECTED_DECIMALS = ["1e3", "1E-2", "nan", "inf", "-inf", "+1", " 1", "1 ", "1_0", "-", ".",
+                     "-.", "1.2.3", "1-", "--1", "\u0661", "0x1", "abc"]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_decimal_columns_match_csv_reader(tmp_path_factory, data):
+    n = data.draw(st.integers(1, 100))
+    # the first rows from one pool and the rest from another, so that a
+    # column may hold few distinct numbers in its head and more after it
+    split = min(n, data.draw(st.one_of(st.integers(0, n), st.just(64))))
+    max_digits = data.draw(st.sampled_from([6, 15, 17]))  # 16 and 17 are too many
+    pools = [data.draw(st.lists(st.one_of(decimal_cells(max_digits), st.just("")), min_size=1,
+                                max_size=data.draw(st.sampled_from([4, 14, 40]))))
+             for _ in range(2)]
+    cells = [data.draw(st.sampled_from(pools[i >= split])) for i in range(n)]
+    if data.draw(st.integers(0, 2)) == 0:  # one cell the kernel rejects, maybe past the head
+        cells[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from(REJECTED_DECIMALS))
+    eol = data.draw(st.sampled_from(["\n", "\r\n"]))
+    rows = [("x", "t")] + [(c, f"t{i % 2}") for i, c in enumerate(cells)]
+    if data.draw(st.booleans()):  # the decimal column last, where a \r may end its cells
+        rows = [row[::-1] for row in rows]
+    text = "".join(",".join(row) + eol for row in rows)
+    path = tmp_path_factory.mktemp("dec") / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    attr = draw_schema(data, "x", cells, infer=True)
+    schema = {} if attr is None else {"x": attr}
+
+    expected = outcome(lambda: read_with_csv_reader(path, schema))
+    assert outcome(lambda: load_csv(path, schema)) == expected
+    accepted = all(re.fullmatch(r"-?[0-9]*(\.[0-9]*)?", c) and 1 <= sum(map(str.isdigit, c)) <= 15
+                   for c in cells if c)
+    numbers = {float(c) for c in cells if c} if accepted else set()
+    event(f"schema {'inferred' if attr is None else attr.kind}")
+    event("decimal kernel reads it" if accepted and max(map(len, cells)) > 1 and (
+        attr is None and len(numbers) > 10 or attr is not None and attr.kind == "continuous")
+        else "decimal kernel declines it")
+
+
+def test_inference_counts_the_distinct_numbers_past_the_head(tmp_path):
+    # the first 64 rows hold 5 distinct numbers, the rows after them 15 more
+    cells = [f"{i % 5}.5" for i in range(64)] + [f"{i}.25" for i in range(15)]
+    path = write_csv(tmp_path, "h.csv", "x\n" + "\n".join(cells) + "\n")
+    assert load_csv(path).attribute("x").kind == "continuous"
+    assert stored(load_csv(path)) == stored(read_with_csv_reader(path))
+    few = write_csv(tmp_path, "f.csv", "x\n" + "\n".join(cells[:69]) + "\n")  # 10 numbers
+    assert load_csv(few).attribute("x").kind == "categorical"
+    assert stored(load_csv(few)) == stored(read_with_csv_reader(few))
+
+
+@pytest.mark.parametrize("cell", [*REJECTED_DECIMALS, "1234567890123456", "-.1234567890123456",
+                                  "123456789012345678"])
+def test_decimal_kernel_declines(cell):
+    raw = f"x\n1.5\n{cell}\n".encode()
+    _, (spans,) = _split_unquoted(raw)
+    assert _parse_decimals(*spans) is None
+
+
+def test_decimal_kernel_parses_as_float():
+    _, (spans,) = _split_unquoted(b"x\n1.5\n-0\n.25\n12.\n\n123456789012345\n")
+    values = _parse_decimals(*spans)
+    expected = [1.5, -0.0, 0.25, 12.0, float("nan"), 123456789012345.0]
+    assert values.tobytes() == np.array(expected).tobytes()
 
 
 @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])

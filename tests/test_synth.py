@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from uatest.dataset import ContextPredicate, DataError
 from uatest.investigations import Finding, ReportModel
@@ -8,6 +10,7 @@ from uatest.stats import StatConfig, TestedMetric
 from uatest.stats import test_metric as evaluate_metric
 from uatest.synth import (
     CategoricalSpec,
+    DetectionScore,
     PlantSpec,
     PopulationSpec,
     generate,
@@ -136,6 +139,93 @@ def test_score_detection_false_discovery():
     score = score_detection(fake_report([bogus]), plants, d)
     assert score.recall == 0.0
     assert score.false_discoveries == 1
+
+
+def score_detection_by_views(report, plants, data):
+    """The reference scorer: a ``select`` view and a set of row ids for every
+    plant and every finding, intersected pairwise."""
+    plant_rows = [frozenset(data.select(list(p.predicates)).row_ids().tolist()) for p in plants]
+    context_rows = []
+    for f in report.findings:
+        rows = frozenset(data.select(list(f.predicates)).row_ids().tolist())
+        context_rows.append((f, rows))
+
+    discovered = []
+    for plant, rows in zip(plants, plant_rows):
+        hit = False
+        pset = set(plant.predicates)
+        for f, crows in context_rows:
+            if not crows:
+                continue
+            fset = set(f.predicates)
+            if not (fset <= pset or pset <= fset):
+                continue
+            if len(crows & rows) / len(crows) >= 0.5:
+                hit = True
+                break
+        discovered.append(hit)
+
+    false_discoveries = 0
+    for f, crows in context_rows:
+        if not crows:
+            continue
+        best = max((len(crows & rows) / len(crows) for rows in plant_rows), default=0.0)
+        if best < 0.1:
+            false_discoveries += 1
+
+    recall = float(np.mean(discovered)) if discovered else 0.0
+    return DetectionScore(recall, false_discoveries, tuple(discovered))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_score_detection_matches_the_scorer_by_views(data):
+    pop = PopulationSpec.default(3000)
+    d = generate(pop, (), seed=data.draw(st.integers(0, 3)))
+    attrs = {a.name: a.categories for a in pop.attributes}
+
+    def predicate(name):
+        values = data.draw(st.sets(st.sampled_from(attrs[name]), min_size=1, max_size=3))
+        return ContextPredicate(name, "in", values=tuple(values))
+
+    # disjoint plants: one value each of a varied attribute, and shared others
+    vary = data.draw(st.sampled_from(sorted(attrs)))
+    values = data.draw(st.lists(st.sampled_from(attrs[vary]), max_size=5, unique=True))
+    shared = [predicate(name) for name in sorted(attrs)
+              if name != vary and data.draw(st.booleans())]
+    plants = [PlantSpec((ContextPredicate(vary, "in", values=(v,)), *shared), 0.1) for v in values]
+    findings = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        if plants and data.draw(st.booleans()):  # a plant's context, less or more of it
+            preds = list(data.draw(st.sampled_from(plants)).predicates)
+            if data.draw(st.booleans()):
+                preds.pop(data.draw(st.integers(0, len(preds) - 1)))
+            free = sorted(set(attrs) - {p.attribute for p in preds})
+            if free and data.draw(st.booleans()):
+                preds.append(predicate(data.draw(st.sampled_from(free))))
+            wide = [k for k, p in enumerate(preds) if len(p.values) > 1]
+            if wide and data.draw(st.booleans()):  # fewer values: rows inside the plant, no subset
+                k = data.draw(st.sampled_from(wide))
+                values = data.draw(st.sets(st.sampled_from(preds[k].values), min_size=1,
+                                           max_size=len(preds[k].values) - 1))
+                preds[k] = ContextPredicate(preds[k].attribute, "in", values=tuple(values))
+        else:
+            names = data.draw(st.lists(st.sampled_from(sorted(attrs)), unique=True))
+            preds = [predicate(name) for name in names]
+        findings.append(make_finding(preds))
+    report = fake_report(findings)
+    score = score_detection(report, plants, d)
+    assert score == score_detection_by_views(report, plants, d)
+    event(f"recall {score.recall:.1f}")
+    event(f"false discoveries: {min(score.false_discoveries, 2)}")
+
+
+def test_score_detection_rejects_overlapping_plants():
+    d = generate(PopulationSpec.default(1000), (), seed=0)
+    a = PlantSpec((ContextPredicate("state", "in", values=("S01",)),), 0.2)
+    b = PlantSpec((ContextPredicate("race", "in", values=("R1",)),), 0.2)
+    with pytest.raises(DataError, match=r"^overlapping plants: 0 and 1 share rows$"):
+        score_detection(fake_report([]), [a, b], d)
 
 
 def test_detection_benchmark_smoke():
