@@ -317,7 +317,9 @@ def _restore_state(state, data_path: str, data_sha256: str,
     """The data split of ``data`` that a state document records, with the
     consumed test sets spent, and its trained investigation. ``data_path``,
     of digest ``data_sha256``, must be the data file it was saved for; keys
-    that nothing reads, such as an older layout's reports, are ignored."""
+    that nothing reads, such as an older layout's reports, are ignored.
+    There must be at least one unit, each with exactly one root context
+    (no predicates), where validation tests its global population."""
     if not isinstance(state, dict):
         raise DataError("not a JSON object")
     if state.get("version") != STATE_VERSION:
@@ -329,14 +331,20 @@ def _restore_state(state, data_path: str, data_sha256: str,
     for _ in range(ds["consumed"]):
         source.next_test_set()
     spec = _spec_from_obj(state["spec"])
+    if not state["units"]:
+        raise DataError("units is empty; a state holds at least one unit")
     units = []
-    for uo in state["units"]:
+    for i, uo in enumerate(state["units"]):
         contexts = []
         for co in uo["contexts"]:
             preds = tuple(predicate_from_obj(p) for p in co["predicates"])
             metric_value = co["train_metric"]
             contexts.append(ContextNode(preds, co["n_train"],
                                         float("nan") if metric_value is None else metric_value))
+        roots = sum(not c.predicates for c in contexts)
+        if roots != 1:
+            raise DataError(f"units[{i}].contexts holds {roots} root contexts (no predicates); "
+                            "a unit needs exactly one")
         units.append(TrainUnit(_bound_from_obj(uo["bound"]), contexts, TreeStats()))
     trained = TrainedInvestigation(spec, units, state["train_size"], state["dropped_train"])
     return source, trained

@@ -131,6 +131,16 @@ class Dataset:
     category list (-1 marks a missing cell); continuous columns store float64
     with NaN for missing. Views created by :meth:`select` share the base
     arrays, so row identities are stable across arbitrary selections.
+
+    A dataset may weight its rows: :meth:`collapse` gives a dataset of some
+    columns with one row per distinct combination of their codes, weighted
+    by the number of rows it stands for (``weights``; None where each row
+    counts once). The weights are a base array read through the view's
+    rows, so selections keep them. A count of integer weights is exact
+    (``count_rows``), so every table of a collapsed dataset equals the table
+    of the rows it stands for: an investigation collapses a table metric's
+    unit whose contexts read only categorical attributes, and its trees,
+    tests and displays count the same tables from fewer rows.
     """
 
     def __init__(
@@ -152,6 +162,7 @@ class Dataset:
             index = np.arange(self._base_len, dtype=np.int64)
         self._idx = np.asarray(index, dtype=np.int64)
         self._idx.setflags(write=False)
+        self._weights: np.ndarray | None = None  # each base row's weight, None for all ones
         # whether a base column holds a missing cell, filled on first read;
         # views share it, since a view's missing cells are among its base's
         self._base_missing: dict[str, bool] = {}
@@ -185,6 +196,18 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.n_rows
+
+    @property
+    def weights(self) -> np.ndarray | None:
+        """Each row's int64 weight, the number of rows it stands for (see
+        :meth:`collapse`), or None where every row counts once."""
+        return None if self._weights is None else self._weights[self._idx]
+
+    @property
+    def n_counted(self) -> int:
+        """The number of rows this view stands for: its weights' sum, or its
+        row count where every row counts once."""
+        return self.n_rows if self._weights is None else int(self.weights.sum())
 
     def attribute(self, name: str) -> AttributeSchema:
         try:
@@ -236,6 +259,50 @@ class Dataset:
         view.__dict__.update(self.__dict__, _idx=self._idx[rows])
         view._idx.setflags(write=False)
         return view
+
+    def combination_key(self, names: Sequence[str], start: RowKey | None = None) -> RowKey:
+        """Each row's key of its combination of the codes of the categorical
+        or ordinal columns ``names`` (a missing code is a value of its own),
+        folded after ``start``, an earlier key of this view's rows. Keys
+        ascend with the combinations, the first name most significant.
+
+        The columns' ``code + 1`` fold into a mixed-radix key, in place, so
+        that a fold allocates no temporary of the view's length; whenever
+        its range exceeds the row count, the key is renumbered densely and
+        in order (``np.unique``), so the range never overflows and a
+        bincount of the keys has at most ``n_rows`` entries."""
+        if start is None:
+            folded, key, size = (), np.zeros(self.n_rows, dtype=np.int64), 1
+        else:
+            folded, key, size = start.names, start.key.copy(), start.size
+        for name in names:
+            codes = self.codes(name)
+            radix = len(self.attribute(name).categories) + 1
+            key *= radix
+            key += codes
+            key += 1
+            size *= radix
+            if size > self.n_rows:
+                distinct, key = np.unique(key, return_inverse=True)
+                size = len(distinct)
+        return RowKey(folded + tuple(names), key, size)
+
+    def collapse(self, names: Sequence[str], start: RowKey | None = None) -> "Dataset":
+        """A dataset of the columns of ``names`` (and of ``start``, see
+        :meth:`combination_key`) with one row for each distinct combination
+        of their codes, in ascending order, weighted by the weight of the
+        rows of this view that hold it."""
+        folded, key, size = self.combination_key(names, start)
+        weights = count_rows(key, self.weights, size)
+        present = np.flatnonzero(weights)
+        row = np.empty(size, dtype=np.intp)
+        row[key] = self._idx  # a base row of each combination
+        rows = row[present]
+        folded = tuple(dict.fromkeys(folded))
+        collapsed = Dataset([self.attribute(name) for name in folded],
+                            {name: self._cols[name][rows] for name in folded})
+        collapsed._weights = weights[present]
+        return collapsed
 
     def select(self, predicates: Sequence[ContextPredicate]) -> "Dataset":
         """Row-filtered view satisfying the conjunction of ``predicates``.
@@ -338,7 +405,29 @@ class Dataset:
         base[self._idx] = column
         cols = dict(self._cols)
         cols[attr.name] = base
-        return Dataset(self._schema + (attr,), cols, self._idx)
+        view = Dataset(self._schema + (attr,), cols, self._idx)
+        view._weights = self._weights
+        return view
+
+
+class RowKey(NamedTuple):
+    """The key of each row of a view, its combination of the codes of
+    ``names`` numbered in ascending order, and the number of keys
+    (``Dataset.combination_key``)."""
+
+    names: tuple[str, ...]
+    key: np.ndarray
+    size: int
+
+
+def count_rows(x: np.ndarray, weights: np.ndarray | None, minlength: int) -> np.ndarray:
+    """``np.bincount`` of ``x``, each element counted ``weights`` times
+    (once where None), as int64 counts. Integer weights sum exactly in
+    float64 below 2**53, so the counts equal those of the rows the weights
+    stand for."""
+    if weights is None:
+        return np.bincount(x, minlength=minlength)
+    return np.bincount(x, weights, minlength).astype(np.int64)
 
 
 def _factorize(values: Sequence) -> tuple[list, np.ndarray]:

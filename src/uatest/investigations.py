@@ -35,6 +35,8 @@ from .dataset import (
     DataError,
     Dataset,
     DataSource,
+    RowKey,
+    count_rows,
 )
 from .metrics import (
     CORR,
@@ -58,6 +60,8 @@ from .stats import (  # noqa: F401 -- bench/tracer.py times test_metric through 
 from .tree import ContextNode, TreeParams, TreeStats, find_contexts
 
 logger = logging.getLogger(__name__)
+# how many distinct rows a unit counts is logged with the dataset layer's lines
+_rows_logger = logging.getLogger(Dataset.__module__)
 
 TESTING = "testing"
 DISCOVERY = "discovery"
@@ -308,15 +312,15 @@ def train(spec: InvestigationSpec, train_view: Dataset) -> TrainedInvestigation:
     if dropped:
         logger.info("dropped %d training rows with missing values", dropped)
 
-    contextual = list(spec.contextual)
+    rows = _DistinctRows(spec, cleaned, "training")
     units: list[TrainUnit] = []
     try:
         for s in spec.protected:
             if spec.kind == DISCOVERY:
-                units.extend(_train_discovery_units(spec, cleaned, s, contextual))
+                units.extend(_train_discovery_units(spec, rows, s))
             else:
                 bound = select_metric(cleaned, s, output_col, spec)
-                units.append(_grow_tree(spec, cleaned, bound, contextual))
+                units.append(_grow_tree(spec, rows, bound))
     except MetricError as exc:
         if not dropped:
             raise
@@ -324,8 +328,9 @@ def train(spec: InvestigationSpec, train_view: Dataset) -> TrainedInvestigation:
     return TrainedInvestigation(spec, units, cleaned.n_rows, dropped)
 
 
-def _train_discovery_units(spec: DiscoverySpec, cleaned: Dataset, s: str,
-                           contextual: list[str]) -> list[TrainUnit]:
+def _train_discovery_units(spec: DiscoverySpec, rows: "_DistinctRows",
+                           s: str) -> list[TrainUnit]:
+    cleaned = rows.view
     p_attr = cleaned.attribute(s)
     if p_attr.kind != CATEGORICAL or len(p_attr.categories or ()) != 2:
         raise DataError(f"discovery requires a binary protected attribute, got {s!r}")
@@ -349,23 +354,63 @@ def _train_discovery_units(spec: DiscoverySpec, cleaned: Dataset, s: str,
     top = scores.top_labels(spec.top_k)
     logger.info("discovery on %s: testing top %d of %d labels", s, len(top), len(labels))
 
-    return [_grow_tree(spec, cleaned,
-                       BoundMetric(MetricKind(DIFF, spec.explanatory), s, label).resolve(cleaned),
-                       contextual) for label in top]
+    return [_grow_tree(spec, rows,
+                       BoundMetric(MetricKind(DIFF, spec.explanatory), s, label).resolve(cleaned))
+            for label in top]
 
 
-def _grow_tree(spec: InvestigationSpec, cleaned: Dataset, bound: BoundMetric,
-               contextual: list[str]) -> TrainUnit:
+def _grow_tree(spec: InvestigationSpec, rows: "_DistinctRows", bound: BoundMetric) -> TrainUnit:
     """The unit of ``bound``, its contexts found on the raw (unconditional)
-    metric; logs what the search did."""
+    metric, on the training rows it counts (``_DistinctRows``); logs what
+    the search did."""
     stats = TreeStats()
-    contexts = find_contexts(cleaned, spec.tree, bound.unconditional(), contextual=contextual,
-                             stats=stats)
+    raw = bound.unconditional()
+    contextual = list(spec.contextual)
+    contexts = find_contexts(rows.counted(raw, contextual), spec.tree, raw,
+                             contextual=contextual, stats=stats)
     logger.info("tree for protected %r and %s %r: %d levels, %d nodes, %d metric evaluations, "
                 "%d contexts registered", bound.protected,
                 "label" if spec.kind == DISCOVERY else "output", bound.output, stats.n_levels,
                 stats.n_nodes, stats.n_metric_evals, len(contexts))
     return TrainUnit(bound, contexts, stats)
+
+
+class _DistinctRows:
+    """The rows each unit of an investigation counts on ``view``, its
+    ``which`` (training or test) rows.
+
+    A table metric reads only count tables, so a unit whose contexts read
+    only categorical attributes counts ``view`` collapsed to one row per
+    distinct combination of the codes it reads, weighted by the number of
+    rows that hold it (``Dataset.collapse``): every count adds integer
+    weights exactly, so its tables are the rows' tables bit for bit. The
+    categorical contextual attributes, those the contexts read and the
+    protected attribute fold into one key, built once per protected
+    attribute and kept for its other units (discovery's labels); each unit
+    folds in its explanatory attribute and output. A CORR unit and a unit
+    whose contexts read a scalar attribute count ``view`` itself."""
+
+    def __init__(self, spec: InvestigationSpec, view: Dataset, which: str):
+        self.spec, self.view, self.which = spec, view, which
+        self._keys: dict[tuple[str, ...], RowKey] = {}
+
+    def counted(self, bound: BoundMetric, read: list[str]) -> Dataset:
+        """The rows the unit of ``bound``, whose contexts read the attributes
+        ``read``, counts."""
+        view = self.view
+        if not bound.tabular or any(view.attribute(a).kind != CATEGORICAL for a in read):
+            return view
+        categorical = [a for a in self.spec.contextual if view.attribute(a).kind == CATEGORICAL]
+        columns = (*dict.fromkeys([*read, *categorical]), bound.protected)
+        if columns not in self._keys:
+            self._keys[columns] = view.combination_key(columns)
+        explanatory = [bound.kind.explanatory] if bound.conditional else []
+        collapsed = view.collapse([*explanatory, bound.output], self._keys[columns])
+        _rows_logger.debug("%d %s rows of protected %r and %s %r in %d distinct rows",
+                          view.n_rows, self.which, bound.protected,
+                          "label" if self.spec.kind == DISCOVERY else "output", bound.output,
+                          collapsed.n_rows)
+        return collapsed
 
 
 # -- findings and validation ---------------------------------------------------
@@ -454,7 +499,9 @@ class Finding:
 @dataclass
 class ValidationResult:
     """The tested findings of an investigation, and ``view``, the test rows
-    they were tested on after dropping missing values."""
+    they were tested on after dropping missing values; ``unit_views`` holds,
+    by (protected, output), the rows each unit counted, ``view`` or its
+    collapse (``_DistinctRows``)."""
 
     spec: InvestigationSpec
     view: Dataset
@@ -465,6 +512,7 @@ class ValidationResult:
     dropped_train: int
     dropped_test: int
     dropped_contexts: int
+    unit_views: dict[tuple[str, str], Dataset] = field(default_factory=dict)
 
 
 def _make_display(view: Dataset, predicates: tuple[ContextPredicate, ...], protected: str,
@@ -587,12 +635,16 @@ def validate(trained: TrainedInvestigation, test_view: Dataset) -> ValidationRes
     predicate, as the tree built its levels, so no context view is built.
     One ``test_contexts`` per layer tests all of its contexts from one
     count of the rows, and for a conditional metric one more tests their
-    strata (``_test_layer``). Non-global contexts with fewer than min_size/2 test
+    strata (``_test_layer``). A table metric's unit whose contexts name only
+    categorical attributes counts its keys, layer sizes and tables on its
+    test rows collapsed to weighted distinct rows (``_DistinctRows``): the
+    counts add integer weights exactly, so every size, table, p-value and
+    CI is that of the rows. Non-global contexts with fewer than min_size/2 test
     rows are dropped. The i-th context that keeps enough rows, testable or
     not, draws its RNG stream from the master seed and
     ``(_VALIDATE_STREAM, i)``. No finding gets a display here:
     ``filter_and_rank`` builds those of the findings it reports from the
-    result's ``view``.
+    result's ``unit_views``.
     """
     spec = trained.spec
     if spec.kind == ERROR_PROFILING:
@@ -601,18 +653,24 @@ def validate(trained: TrainedInvestigation, test_view: Dataset) -> ValidationRes
     dropped_test = test_view.n_rows - cleaned.n_rows
     if dropped_test:
         logger.info("dropped %d test rows with missing values", dropped_test)
-    # a misconfigured metric fails before any test runs; each unit's columns
-    # are gathered once, for all of its layers
-    counts = [unit.bound.counts(cleaned) for unit in trained.units]
+    for unit in trained.units:  # a misconfigured metric fails before any test runs
+        unit.bound.resolve(cleaned)
 
     min_test = spec.tree.min_size // 2
     detail = logger.isEnabledFor(logging.DEBUG)
     findings: list[Finding] = []
+    unit_views: dict[tuple[str, str], Dataset] = {}
+    rows = _DistinctRows(spec, cleaned, "test")
     too_small = untestable = streams = 0
-    for unit, unit_counts in zip(trained.units, counts):
+    for unit in trained.units:
+        named = {p.attribute for node in unit.contexts for p in node.predicates}
+        view = rows.counted(unit.bound, sorted(named))
+        unit_views[unit.bound.protected, unit.bound.output] = view
+        # the unit's columns are gathered once, for all of its layers
+        unit_counts = unit.bound.counts(view)
         layers, where = _context_layers([node.predicates for node in unit.contexts])
-        keys = _layer_keys(cleaned, layers)
-        sizes = [np.bincount(key + 1, minlength=len(layer.preds) + 1)[1:]
+        keys = _layer_keys(view, layers)
+        sizes = [count_rows(key + 1, unit_counts.weights, len(layer.preds) + 1)[1:]
                  for key, layer in zip(keys, layers)]
         batches: list[list[tuple[int, int, tuple[int, int]]]] = [[] for _ in layers]
         for pos, (node, (li, j)) in enumerate(zip(unit.contexts, where)):
@@ -627,7 +685,7 @@ def validate(trained: TrainedInvestigation, test_view: Dataset) -> ValidationRes
         results: dict[int, Finding | MetricError] = {}
         for key, size, batch in zip(keys, sizes, batches):
             if batch:
-                results.update(_test_layer(unit, spec, cleaned, unit_counts, key, size, batch))
+                results.update(_test_layer(unit, spec, view, unit_counts, key, size, batch))
         for pos in sorted(results):
             node, found = unit.contexts[pos], results[pos]
             if isinstance(found, Finding):
@@ -659,6 +717,7 @@ def validate(trained: TrainedInvestigation, test_view: Dataset) -> ValidationRes
         dropped_train=trained.dropped_train,
         dropped_test=dropped_test,
         dropped_contexts=too_small + untestable,
+        unit_views=unit_views,
     )
 
 
@@ -673,14 +732,14 @@ def _untestable_population(unit: TrainUnit, spec: InvestigationSpec, exc: Metric
                      f"{bound.protected!r} and {what} on the test rows: {exc}{note}")
 
 
-def _test_layer(unit: TrainUnit, spec: InvestigationSpec, cleaned: Dataset,
+def _test_layer(unit: TrainUnit, spec: InvestigationSpec, view: Dataset,
                 counts: MetricCounts, key: np.ndarray, sizes: np.ndarray,
                 batch: list[tuple[int, int, tuple[int, int]]]
                 ) -> dict[int, Finding | MetricError]:
     """Test the contexts ``batch`` lists of one layer, by (position in
     ``unit.contexts``, member of the layer, entropy): a finding, or the
     MetricError of an untestable context, by position. ``counts`` is the
-    unit metric on ``cleaned`` (``BoundMetric.counts``), and ``sizes`` the
+    unit metric on ``view`` (``BoundMetric.counts``), and ``sizes`` the
     layer's row count of each member. A conditional finding lists the
     non-empty strata of its context in category order. One more
     ``test_contexts``, of ``counts.unconditional()``, tests every (context,
@@ -695,7 +754,8 @@ def _test_layer(unit: TrainUnit, spec: InvestigationSpec, cleaned: Dataset,
     strata: dict[int, list[StratumFinding]] = {}
     if bound.conditional:
         base = counts.unconditional()
-        rows = np.bincount(ckey + 1, minlength=len(sizes) * groups + 1)[1:].reshape(-1, groups)
+        rows = count_rows(ckey + 1, counts.weights,
+                          len(sizes) * groups + 1)[1:].reshape(-1, groups)
         # (position, member, stratum code, entropy) of each non-empty stratum of a testable context
         plan = [(pos, j, code, entropy + (k,))
                 for (pos, j, entropy), t in zip(batch, tested) if not isinstance(t, MetricError)
@@ -704,7 +764,7 @@ def _test_layer(unit: TrainUnit, spec: InvestigationSpec, cleaned: Dataset,
                if rows[j, code] >= bound.min_stratum]
         results = iter(test_contexts(base, ckey, [m for m, _ in big], spec.stats,
                                      [e for _, e in big]) if big else ())
-        categories = cleaned.attribute(bound.kind.explanatory).categories
+        categories = view.attribute(bound.kind.explanatory).categories
         for pos, j, code, _ in plan:
             size = int(rows[j, code])
             t = next(results) if size >= bound.min_stratum else "below minimum stratum size"
@@ -754,8 +814,11 @@ def filter_and_rank(result: ValidationResult) -> list[ReportModel]:
 
     The findings a report shows, its global finding and its ranked ones,
     get their corrected CIs drawn and their displays built here, from
-    ``Dataset.select`` of their predicates on ``result.view``, and so do
-    their tested strata; no other finding gets a display."""
+    ``Dataset.select`` of their predicates on the rows their unit counted
+    (``result.unit_views``, else ``result.view``), and so do their tested
+    strata; no other finding gets a display. A table display of collapsed
+    rows adds their weights, so it counts the rows; a CORR unit's deciles
+    read its rows."""
     spec = result.spec
     alpha = 1.0 - spec.stats.conf
     reports = []
@@ -788,11 +851,12 @@ def filter_and_rank(result: ValidationResult) -> list[ReportModel]:
         for f in ([global_finding] if global_finding is not None else []) + ranked:
             _draw_cis(f, strata=True)
             kind = f.tested.value.kind
-            f.display = _make_display(result.view, f.predicates, f.protected, f.output, kind)
+            view = result.unit_views.get((f.protected, f.output), result.view)
+            f.display = _make_display(view, f.predicates, f.protected, f.output, kind)
             for sf in f.strata:
                 if sf.tested is not None:
                     stratum = ContextPredicate(kind.explanatory, "in", values=(sf.value,))
-                    sf.display = _make_display(result.view, f.predicates + (stratum,),
+                    sf.display = _make_display(view, f.predicates + (stratum,),
                                                f.protected, f.output, sf.tested.value.kind)
         reports.append(ReportModel(
             kind=spec.kind,

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import CATEGORICAL, CONTINUOUS, ORDINAL, Dataset
+from .dataset import CATEGORICAL, CONTINUOUS, ORDINAL, Dataset, count_rows
 
 logger = logging.getLogger(__name__)
 
@@ -70,13 +70,14 @@ class MetricValue:
 def joint_counts(view: Dataset, names: Sequence[str], key: np.ndarray | None = None,
                  groups: int = 0) -> np.ndarray:
     """Counts of every combination of categories of ``names``, one int64 axis
-    per attribute in schema category order, from a single bincount. Rows
-    with a missing value in any of the attributes are not counted.
+    per attribute in schema category order, from a single bincount; a row
+    counts its weight in a collapsed dataset. Rows with a missing value in any
+    of the attributes are not counted.
 
     With ``key`` (one group index per row, -1 for a row in no group) the
     counts gain a leading axis of ``groups`` groups: one table per group.
     """
-    return keyed_counts(*cell_codes(view, names), key, groups)
+    return keyed_counts(*cell_codes(view, names), key, groups, view.weights)
 
 
 def cell_codes(view: Dataset, names: Sequence[str]) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -99,10 +100,11 @@ def cell_codes(view: Dataset, names: Sequence[str]) -> tuple[np.ndarray, tuple[i
 
 
 def keyed_counts(cells: np.ndarray, shape: tuple[int, ...], key: np.ndarray | None = None,
-                 groups: int = 0) -> np.ndarray:
+                 groups: int = 0, weights: np.ndarray | None = None) -> np.ndarray:
     """The table of shape ``shape`` counted from ``cell_codes``, from a single
     bincount; with ``key`` (-1 for a row in no group), one table for each
-    of ``groups`` groups, on a leading axis."""
+    of ``groups`` groups, on a leading axis. A row counts its ``weights``
+    entry, or once where None (``count_rows``)."""
     size = math.prod(shape)
     ok = cells >= 0
     flat = cells
@@ -112,7 +114,7 @@ def keyed_counts(cells: np.ndarray, shape: tuple[int, ...], key: np.ndarray | No
         size *= groups
         shape = (groups,) + shape
     # a row in no cell is counted in one extra cell, then dropped
-    return np.bincount(np.where(ok, flat, size), minlength=size + 1)[:size].reshape(shape)
+    return count_rows(np.where(ok, flat, size), weights, size + 1)[:size].reshape(shape)
 
 
 # -- vectorized table statistics --------------------------------------------
@@ -479,13 +481,17 @@ class MetricCounts:
     each row's cell of a table metric's (output, protected) table, or CORR's
     columns and the rows where both are defined; DIFF's and RATIO's
     orientation (the ``two_groups`` of ``values``); a conditional metric's
-    explanatory codes. So every tree level and validation layer counts its
-    key, and reads its values, without reading the view again. Per-group
-    sums add a group's rows in row order, so every value is bit-equal to
-    the one taken on the group's own rows."""
+    explanatory codes; and the view's ``weights``, which a table metric's
+    counts add. So every tree level and validation layer counts its key,
+    and reads its values, without reading the view again. Per-group sums
+    add a group's rows in row order, so every value is bit-equal to the one
+    taken on the group's own rows."""
 
     def __init__(self, metric: BoundMetric, view: Dataset):
         self.metric = metric = metric.resolve(view)
+        self.weights = view.weights
+        if self.weights is not None and not metric.tabular:
+            raise MetricError(f"{metric.kind.display} reads rows, not weighted distinct rows")
         if metric.tabular:
             self.cells, self.shape = cell_codes(view, (metric.output, metric.protected))
         else:
@@ -555,7 +561,7 @@ class MetricCounts:
         """Per-group tables (``keyed_counts``) of a table metric, or per-group
         ``grouped_moments`` of CORR, over the rows ``key`` puts in a group."""
         if self.metric.tabular:
-            return keyed_counts(self.cells, self.shape, key, groups)
+            return keyed_counts(self.cells, self.shape, key, groups, self.weights)
         ok = (key >= 0) & self.paired
         return grouped_moments(self.x[ok], self.y[ok], key[ok], groups)
 

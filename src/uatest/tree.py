@@ -30,6 +30,14 @@ CORR every child's correlation is taken from that key of the children by
 ``MetricCounts.group_values``. Every association, here and in the unguided
 ``exhaustive_contexts``, is the ``BoundMetric.guidance`` of a value that a
 ``MetricCounts`` gave. The contexts come back in depth-first order, root first.
+
+The search gives the same tree on a collapsed dataset (``Dataset.collapse``),
+one weighted row per distinct combination of the codes it reads: every
+count adds integer weights exactly, so every table, part size and value
+equals that of the rows the dataset stands for. Investigations grow a
+table metric's tree on such a dataset when every contextual attribute is
+categorical. Threshold splits read per-row quantiles, so a scalar
+contextual attribute needs the rows themselves.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CATEGORICAL, ContextPredicate, DataError, Dataset
+from .dataset import CATEGORICAL, ContextPredicate, DataError, Dataset, count_rows
 from .metrics import BoundMetric, MetricCounts, MetricError
 
 logger = logging.getLogger(__name__)
@@ -121,7 +129,7 @@ class CategorySplits:
         if c < 2:
             return None
         cell = np.where((key >= 0) & (self.codes >= 0), key * c + self.codes, -1)
-        sizes = np.bincount(cell[cell >= 0], minlength=f * c).reshape(f, c)
+        sizes = count_rows(cell + 1, counts.weights, f * c + 1)[1:].reshape(f, c)
         present = sizes > 0
         parts = present.sum(axis=1)
         splits = (parts >= 2) & (np.where(present, sizes, 2).min(axis=1) >= 2)
@@ -163,6 +171,8 @@ class ThresholdSplits:
     the runs finds where each cut ends a bin of its node's run."""
 
     def __init__(self, train: Dataset, name: str, quantile_splits: int):
+        if train.weights is not None:
+            raise DataError(f"threshold splits of {name!r} read rows, not weighted distinct rows")
         self.name = name
         self.values = train.scalar_values(name)
         self.order = np.argsort(self.values)[:int((~np.isnan(self.values)).sum())]
@@ -309,11 +319,11 @@ def find_contexts(train: Dataset, params: TreeParams, metric: BoundMetric,
 
     key = np.zeros(train.n_rows, dtype=np.intp)  # each row's node of the level, -1 for none
     (root_value,), _ = counts.group_values(key, 1)
-    root = ContextNode((), train.n_rows, float(counts.metric.guidance(root_value)))
+    root = ContextNode((), train.n_counted, float(counts.metric.guidance(root_value)))
     stats.n_metric_evals += 1
     stats.n_nodes += 1
     if math.isnan(root.train_metric):
-        raise MetricError(f"{metric.kind.display} undefined on the {train.n_rows} training rows "
+        raise MetricError(f"{metric.kind.display} undefined on the {root.n_train} training rows "
                           f"of protected attribute {metric.protected!r} and output "
                           f"{metric.output!r}{counts.infinite_note(key == 0)}")
     attributes = [CategorySplits(train, name) if train.attribute(name).kind == CATEGORICAL

@@ -110,6 +110,36 @@ def test_debug_rejects_changed_data(berkeley_csv, tmp_path):
                  "--explanatory", "department"]) == 2
 
 
+@pytest.mark.parametrize("edit, field", [
+    (lambda state: state.update(units=[]), "units is empty"),
+    (lambda state: state["units"][0].update(contexts=[
+        c for c in state["units"][0]["contexts"] if c["predicates"]]),
+     "units[0].contexts holds 0 root contexts"),
+    (lambda state: state["units"][0]["contexts"].append(state["units"][0]["contexts"][0]),
+     "units[0].contexts holds 2 root contexts"),
+], ids=["no unit", "no root", "two roots"])
+def test_debug_rejects_a_state_without_units_or_roots(berkeley_csv, tmp_path, capsys, edit,
+                                                      field):
+    data, schema = berkeley_csv
+    state = tmp_path / "state.json"
+    assert main(["testing", "--data", data, "--schema", schema, "--seed", "2",
+                 "--budget", "2", "--state", str(state),
+                 "--out", str(tmp_path / "r.txt")]) == 0
+    doc = json.loads(state.read_text())
+    edit(doc)
+    state.write_text(json.dumps(doc))
+    saved = state.read_bytes()
+    capsys.readouterr()
+    out = tmp_path / "r2.txt"
+    assert main(["debug", "--data", data, "--state", str(state),
+                 "--explanatory", "department", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"uatest: state file {state}: "), lines
+    assert field in lines[0]
+    assert not out.exists() and state.read_bytes() == saved
+
+
 def test_threads_flag_is_accepted_and_ignored(berkeley_csv, tmp_path):
     # the benchmark harness appends --threads N to every invocation
     data, schema = berkeley_csv

@@ -1084,3 +1084,76 @@ def test_select_raises_after_an_empty_view():
     for bad in BAD_PREDICATES:
         with pytest.raises(DataError):
             view.select(empty + [bad])
+
+
+# -- collapsed views: one weighted row per distinct combination of codes -------
+
+
+def _code_rows(view, names):
+    """Each row of ``view`` as its tuple of codes of ``names``."""
+    return list(zip(*(view.codes(name).tolist() for name in names)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 300),
+       widths=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+       ordinal=st.booleans())
+def test_collapse_weights_expand_to_the_rows(seed, n, widths, ordinal):
+    rng = np.random.default_rng(seed)
+    schema = [AttributeSchema(f"a{j}", "ordinal" if ordinal and j == 0 else "categorical",
+                              "contextual", tuple(str(c) for c in range(k)))
+              for j, k in enumerate(widths)]
+    # few distinct values, so rows repeat, and missing cells (-1) in some columns
+    columns = {a.name: rng.integers(-1 if rng.random() < 0.5 else 0, min(k, 3), n).astype(np.int32)
+               for a, k in zip(schema, widths)}
+    base = Dataset(schema, columns)
+    names = [a.name for a in schema]
+    view = base._subset(rng.permutation(n)[:n // 2 + 1] if n else np.arange(0))
+    collapsed = view.collapse(names)
+    rows = _code_rows(collapsed, names)
+    assert view.weights is None and collapsed.weights.dtype == np.int64
+    assert collapsed.n_counted == view.n_rows == int(collapsed.weights.sum())
+    # one row per combination, in ascending order of the codes; missing is the least code
+    assert rows == sorted(set(_code_rows(view, names)))
+    assert sorted(r for r, w in zip(rows, collapsed.weights.tolist()) for _ in range(w)) == sorted(
+        _code_rows(view, names))
+    # a key folded in two steps, its leading names first, gives the same rows
+    k = len(names) // 2
+    split = view.collapse(names[k:], view.combination_key(names[:k]))
+    assert _code_rows(split, names) == rows
+    assert split.weights.tolist() == collapsed.weights.tolist()
+    # a view of a collapsed view keeps its weights, and a collapse of it adds them
+    pred = ContextPredicate(names[0], "in", values=("0",))
+    kept = collapsed.select([pred])
+    mask = collapsed.codes(names[0]) == 0
+    assert kept.weights.tolist() == collapsed.weights[mask].tolist()
+    assert kept.n_counted == view.select([pred]).n_rows
+    again = collapsed.collapse(names[:1])
+    assert again.n_counted == view.n_rows
+    assert dict(zip(_code_rows(again, names[:1]), again.weights.tolist())) == {
+        (c,): int((view.codes(names[0]) == c).sum()) for c in set(view.codes(names[0]).tolist())}
+
+
+def test_collapse_renumbers_a_key_whose_range_exceeds_the_rows():
+    # 61**12 combinations overflow int64, so the key must be renumbered on
+    # the way; rows still come in ascending order of their codes
+    rng = np.random.default_rng(5)
+    n, k = 50, 60
+    schema = [AttributeSchema(f"a{j}", "categorical", "contextual",
+                              tuple(str(c) for c in range(k))) for j in range(12)]
+    columns = {a.name: rng.integers(-1, k, n).astype(np.int32) for a in schema}
+    for a in schema:
+        columns[a.name][10:20] = columns[a.name][:10]  # rows 10-19 repeat rows 0-9
+    view = Dataset(schema, columns)
+    names = [a.name for a in schema]
+    collapsed = view.collapse(names)
+    assert _code_rows(collapsed, names) == sorted(set(_code_rows(view, names)))
+    assert collapsed.n_rows == 40 and collapsed.weights.tolist().count(2) == 10
+
+
+def test_collapse_rejects_a_continuous_column():
+    view = Dataset([AttributeSchema("x", "continuous"), AttributeSchema("c", "categorical",
+                                                                        categories=("a",))],
+                   {"x": np.zeros(3), "c": np.zeros(3, dtype=np.int32)})
+    with pytest.raises(DataError, match="continuous"):
+        view.collapse(["c", "x"])

@@ -1,9 +1,10 @@
 import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uatest import metrics
@@ -805,10 +806,24 @@ def _numbers(t):
     return None if t is None else (t.value.value, t.p, t.ci, t.method)
 
 
+# contexts that name only categorical attributes, whose table metrics count
+# the test rows collapsed to distinct rows: a tree on c with strata of e under
+# one part, a duplicate and an empty ghost; sets that overlap; a deep ghost
+_C = {v: ContextPredicate("c", "in", values=(v,)) for v in "pqrt"}
+_E = {v: ContextPredicate("e", "in", values=(v,)) for v in ("E0", "E1", "E2")}
+_PQ = ContextPredicate("c", "in", values=("p", "q"))
+
+
 @pytest.mark.parametrize("metric", sorted(LAYER_METRICS))
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(contexts=context_trees(), seed=st.integers(0, 2**16),
        threshold=st.sampled_from([60, 150, 1000]))
+@example(contexts=[(), (_C["p"],), *((_C["p"], _E[e]) for e in _E), (_C["q"],), (_C["r"],),
+                   (_C["t"],), (_C["q"],), (_C["p"], _C["q"])], seed=1, threshold=150)
+@example(contexts=[(), (_PQ,), (_PQ, _E["E0"]), (_C["q"],), (_E["E0"],), (_E["E0"], _PQ)],
+         seed=2, threshold=60)
+@example(contexts=[(), (_C["p"],), (_C["q"],), (_C["r"],), (_C["q"], _E["E1"]),
+                   (_C["q"], _E["E1"], _C["p"])], seed=3, threshold=1000)
 def test_layered_validation_matches_one_test_per_context(metric, contexts, seed, threshold):
     name, explanatory = LAYER_METRICS[metric]
     view = _layer_population(seed, 400, nmi=name == "nmi")
@@ -886,3 +901,83 @@ def test_validate_logs_one_summary_line(caplog):
         validate(trained, test)
     detail = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
     assert detail == ["dropped context ['state: A', 'price: 0', 'price: 1']: only 0 test rows"]
+
+
+def _distinct_lines(caplog):
+    return [m for m in caplog.messages if m.endswith("distinct rows")]
+
+
+def test_categorical_units_count_distinct_rows_and_say_so(caplog):
+    d = binary_testing_dataset(3000, seed=4)
+    ds = make_datasource(d, budget=1, train_fraction=0.5, seed=4)
+    spec = TestingSpec(protected=("income",), output="price", contextual=("state",),
+                       stats=StatConfig(seed=4), tree=TreeParams(min_size=100, max_depth=2))
+    with caplog.at_level(logging.DEBUG, logger="uatest.dataset"):
+        run = run_investigation(spec, ds)
+    assert max(c.depth for c in run.trained.units[0].contexts) == 1
+    distinct = [len(set(zip(*(view.codes(a) for a in ("state", "income", "price")))))
+                for view in (ds.train, run.validated.view)]
+    assert _distinct_lines(caplog) == [
+        f"{rows} {which} rows of protected 'income' and output 'price' in {m} distinct rows"
+        for rows, which, m in zip((run.trained.train_size, run.validated.test_size),
+                                  ("training", "test"), distinct)]
+    # a scalar context keeps the rows
+    caplog.clear()
+    nested = make_datasource(nested_dataset(2000, seed=21), budget=1, train_fraction=0.5, seed=21)
+    with caplog.at_level(logging.DEBUG, logger="uatest.dataset"):
+        run_investigation(replace(spec, contextual=("state", "age")), nested)
+    assert _distinct_lines(caplog) == []
+
+
+def test_discovery_keys_its_contexts_and_protected_once(monkeypatch, caplog):
+    d = binary_testing_dataset(3000, seed=4)
+    labels = {f"L{j}": [str(v) for v in np.random.default_rng(j).integers(0, 2, d.n_rows)]
+              for j in range(3)}
+    schema = list(d.schema) + [AttributeSchema(name, "categorical", "output", ("0", "1"))
+                               for name in labels]
+    wide = Dataset.from_columns(schema, {**{a.name: d.values(a.name) for a in d.schema},
+                                         **labels})
+    ds = make_datasource(wide, budget=1, train_fraction=0.5, seed=4)
+    spec = DiscoverySpec(protected=("income",), output=tuple(labels), contextual=("state",),
+                         top_k=3, stats=StatConfig(seed=4), tree=TreeParams(min_size=100))
+    keyed = []
+    original = Dataset.combination_key
+
+    def combination_key(self, names, start=None):
+        keyed.append((tuple(names), start is None))
+        return original(self, names, start)
+
+    monkeypatch.setattr(Dataset, "combination_key", combination_key)
+    with caplog.at_level(logging.DEBUG, logger="uatest.dataset"):
+        run_investigation(spec, ds)
+    # one (state, income) key of the training rows and one of the test rows;
+    # each label's unit folds in its own column
+    fresh = [names for names, new in keyed if new]
+    assert fresh == [("state", "income")] * 2
+    assert sorted(names for names, new in keyed if not new) == sorted([(label,) for label in
+                                                                        labels] * 2)
+    assert len(_distinct_lines(caplog)) == 6
+
+
+def test_displays_of_collapsed_units_count_the_rows():
+    ds = make_datasource(nested_dataset(8000, seed=22), budget=2, train_fraction=0.5, seed=22)
+    spec = TestingSpec(protected=("income",), output="price", contextual=("state",),
+                       stats=StatConfig(seed=22), tree=TreeParams(min_size=100, max_depth=1))
+    first = run_investigation(spec, ds)
+    run = debug_with_explanatory(first.trained, "level", ds.next_test_set())
+    rows = run.validated.view
+    (unit_view,) = run.validated.unit_views.values()
+    assert unit_view.weights is not None and unit_view.n_counted == rows.n_rows
+    shown = [f for r in first.reports + run.reports
+             for f in ([r.global_finding] if r.global_finding else []) + list(r.findings)]
+    strata = [(f, sf) for f in shown for sf in f.strata if sf.display is not None]
+    assert len(shown) > 2 and strata
+    for f in shown:
+        view = (run if f.strata else first).validated.view
+        assert f.display == _make_display(view, f.predicates, f.protected, f.output,
+                                          f.tested.value.kind)
+    for f, sf in strata:
+        stratum = ContextPredicate("level", "in", values=(sf.value,))
+        assert sf.display == _make_display(rows, f.predicates + (stratum,), f.protected,
+                                           f.output, sf.tested.value.kind)
+        assert sum(map(sum, sf.display.counts)) == sf.size

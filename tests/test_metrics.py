@@ -18,6 +18,7 @@ from uatest.metrics import (
     diff_from_tables,
     grouped_correlation,
     joint_counts,
+    keyed_counts,
     logistic_label_scores,
     mi_from_tables,
     stratum_weights,
@@ -91,6 +92,22 @@ def test_contingency_degenerate_views():
     assert joint_counts(empty, ("admitted", "gender")).sum() == 0
     single = joint_counts(d, ("admitted", "gender"))
     assert single[0][0] == 1 and single.sum() == 1
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 200),
+       shape=st.lists(st.integers(1, 4), min_size=1, max_size=3), groups=st.integers(0, 5))
+def test_weighted_keyed_counts_equal_the_counts_of_the_expanded_rows(seed, n, shape, groups):
+    rng = np.random.default_rng(seed)
+    shape = tuple(shape)
+    cells = rng.integers(-1, math.prod(shape), n)  # -1: a row with a missing cell
+    weights = rng.integers(1, 5, n)
+    key = rng.integers(-1, groups, n) if groups else None
+    got = keyed_counts(cells, shape, key, groups, weights)
+    want = keyed_counts(np.repeat(cells, weights), shape,
+                        None if key is None else np.repeat(key, weights), groups)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 def test_contingency_requires_categorical():

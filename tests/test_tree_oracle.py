@@ -14,10 +14,11 @@ import math
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uatest.dataset import CATEGORICAL, AttributeSchema, ContextPredicate, Dataset
+from uatest.dataset import CATEGORICAL, AttributeSchema, ContextPredicate, DataError, Dataset
 from uatest.metrics import (
     BoundMetric,
     MetricError,
@@ -317,3 +318,71 @@ def test_itemset_baseline_builds_no_view_per_candidate(monkeypatch):
     tree_vs_itemsets(4000, 6, seed=1, min_size=100, max_depth=3)
     # only the split's train and test halves, which the data source cuts
     assert calls == [("_subset", "__init__")] * 2
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(30, 400),
+       name=st.sampled_from(["diff", "ratio", "nmi", "cond-diff"]),
+       widths=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       min_size=st.integers(10, 30), max_depth=st.integers(1, 4))
+def test_tree_on_collapsed_rows_matches_tree_on_rows(seed, n, name, widths, min_size,
+                                                    max_depth):
+    # categorical contexts of few values, so rows repeat, and missing cells
+    # everywhere; a COND-DIFF unit's collapse also keeps its explanatory
+    # column, which its tree, on the base metric, does not read
+    rng = np.random.default_rng(seed)
+    template = rng.integers(0, max(2, n // 4), n)  # each row repeats one of n/4 at most
+    schema, columns, signal = [], {}, np.zeros(n)
+    for a, k in enumerate(widths):
+        codes = rng.integers(-1 if rng.random() < 0.5 else 0, k, n)[template].astype(np.int32)
+        schema.append(AttributeSchema(f"a{a}", CATEGORICAL, "contextual",
+                                      tuple(str(c) for c in range(k))))
+        columns[f"a{a}"] = codes
+        signal += rng.normal() * (codes == rng.integers(k))
+    k = 3 if name == "nmi" else 2
+    s = rng.integers(0, k, n)[template]
+    o = (rng.random(n) < 1 / (1 + np.exp(-signal * (s - 0.5)))).astype(np.int32)
+    s[rng.random(n) < 0.05] = -1
+    for col, role, codes, cats in (("s", "protected", s, k), ("o", "output", o, 2),
+                                   ("e", "explanatory", rng.integers(-1, 2, n), 2)):
+        schema.append(AttributeSchema(col, CATEGORICAL, role, tuple(str(c) for c in range(cats))))
+        columns[col] = codes.astype(np.int32)
+    rows = Dataset(schema, columns)
+    base = "diff" if name == "cond-diff" else name
+    metric = BoundMetric(MetricKind(base), "s", "o")
+    contextual = [f"a{a}" for a in range(len(widths))]
+    kept = contextual + (["e"] if name == "cond-diff" else []) + ["s", "o"]
+    collapsed = rows.collapse(kept)
+    params = TreeParams(min_size=min_size, max_depth=max_depth)
+    results = []
+    for view in (rows, collapsed):
+        stats = TreeStats()
+        try:
+            results.append((find_contexts(view, params, metric, contextual, stats), stats))
+        except MetricError as exc:
+            results.append((str(exc), None))
+    (want, want_stats), (got, got_stats) = results
+    if isinstance(want, str):
+        assert got == want  # the message cites the rows, not the distinct rows
+        return
+    assert [repr(c.predicates) for c in got] == [repr(c.predicates) for c in want]
+    assert [c.n_train for c in got] == [c.n_train for c in want]
+    assert [repr(c.train_metric) for c in got] == [repr(c.train_metric) for c in want]
+    assert vars(got_stats) == vars(want_stats)
+
+
+def test_rows_that_scalar_reads_need_are_not_collapsed():
+    # threshold splits and CORR read each row's value, so a collapsed view,
+    # whose rows stand for several, is refused rather than misread
+    rng = np.random.default_rng(0)
+    widths = {"x": 5, "s": 3, "p": 2, "o": 2}
+    schema = [AttributeSchema(name, "ordinal" if name in "xs" else CATEGORICAL,
+                              categories=tuple(str(v) for v in range(k)))
+              for name, k in widths.items()]
+    view = Dataset(schema, {name: rng.integers(0, k, 200).astype(np.int32)
+                            for name, k in widths.items()}).collapse(list(widths))
+    with pytest.raises(DataError, match="threshold splits of 'x' read rows"):
+        find_contexts(view, TreeParams(min_size=10), BoundMetric(MetricKind("diff"), "p", "o"),
+                      ["x"], TreeStats())
+    with pytest.raises(MetricError, match="reads rows, not weighted distinct rows"):
+        BoundMetric(MetricKind("corr"), "s", "x").counts(view)
